@@ -298,9 +298,9 @@ def cmd_multichannel(args) -> int:
     else:
         k2_bar = math.nan
     g0 = k * (2.0 * beta - 1.0)
-    phi = get_nonlinearity(args.nonlinearity)[0]
+    phi, _, slope_inverse = get_nonlinearity(args.nonlinearity)
     ss = realize_diagonal(tau_l, pos, neg, k, beta)
-    ys = [0.0] if g0 == 0.0 else solve_phi_line(phi, 1.0 / g0, args.r)
+    ys = [0.0] if g0 == 0.0 else solve_phi_line(phi, 1.0 / g0, args.r, slope_inverse)
     equilibria = []
     for y in ys:
         x = args.r - phi(y)

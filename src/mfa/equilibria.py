@@ -21,7 +21,7 @@ from .freq_analysis import (
     critical_gain,
     select_rate,
 )
-from .tf_core import AmplifierParams, tf_build_mixed
+from .tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed
 
 __all__ = [
     "Equilibrium",
@@ -52,7 +52,6 @@ REGIME_OSCILLATION = "TwoDominantOscillation"
 REGIME_MULTISTABLE = "TwoDominantMultistable"
 REGIME_UNCLASSIFIED = "Unclassified"
 
-_SCAN_INTERVALS = 512
 _BISECT_TOL = 1e-12
 
 
@@ -90,26 +89,34 @@ def dc_loop_gain(params: AmplifierParams) -> float:
     return params.k * (2.0 * params.beta - 1.0)
 
 
-def _bisect(f, a, b, fa, fb):
-    while b - a > _BISECT_TOL:
-        m = 0.5 * (a + b)
+def _bisect(f, a, b, fa):
+    """Root of f on [a, b], where f(a) = fa and f(b) differ in sign, to 1e-12
+    or to adjacent floats, whichever is wider."""
+    m = 0.5 * (a + b)
+    while b - a > _BISECT_TOL and a < m < b:
         fm = f(m)
         if fm == 0.0:
             return m
         if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+    return m
 
 
-def solve_phi_line(phi, slope: float, r: float) -> list[float]:
-    """All real solutions y of phi(y) = r + slope*y, for bounded sigmoid phi.
+def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
+    """All real solutions y of phi(y) = r + slope*y, sorted, for a registered phi.
 
-    For slope != 0 every solution satisfies |y| <= (1 + |r|)/|slope|, which
-    gives a provable scan bracket; sign changes over a 512-interval scan are
-    bisected to 1e-12.  For slope == 0 the equation phi(y) = r has one
-    solution when |r| < 1 and none otherwise.
+    ``slope_inverse`` maps s in (0, 1) to the y > 0 with phi'(y) = s.  Since
+    phi' is even and strictly decreasing in |y|, h(y) = phi(y) - slope*y - r
+    is strictly monotone on the whole line unless 0 < slope < 1, and then on
+    each of the three pieces that +-slope_inverse(slope) cut it into.  For
+    slope != 0 every solution satisfies |y| <= (1 + |r|)/|slope|, so the
+    pieces are bounded; each holds at most one root, bisected to 1e-12.  A
+    zero of h at a cut point is a tangency (double root), reported once.
+    For slope == 0 the equation phi(y) = r has one solution when |r| < 1 and
+    none otherwise.
     """
     if slope == 0.0:
         if abs(r) >= 1.0:
@@ -120,30 +127,27 @@ def solve_phi_line(phi, slope: float, r: float) -> list[float]:
         hi = 1.0
         while phi(hi) <= r and hi < 1e12:
             hi *= 2.0
-        return [_bisect(lambda y: phi(y) - r, lo, hi, phi(lo) - r, phi(hi) - r)]
+        return [_bisect(lambda y: phi(y) - r, lo, hi, phi(lo) - r)]
 
     bound = (1.0 + abs(r)) / abs(slope) + 1.0
 
     def h(y):
-        return phi(y) - r - slope * y
+        # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
+        return phi(y) - slope * y - r
 
-    nodes = np.linspace(-bound, bound, _SCAN_INTERVALS + 1)
+    nodes = [-bound, bound]
+    if 0.0 < slope < 1.0:
+        y_c = slope_inverse(slope)
+        if y_c > 0.0:
+            nodes[1:1] = [-y_c, y_c]
     hv = [h(y) for y in nodes]
     roots: list[float] = []
-    for i in range(_SCAN_INTERVALS):
-        a, b = nodes[i], nodes[i + 1]
-        fa, fb = hv[i], hv[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(float(_bisect(h, a, b, fa, fb)))
-    if hv[-1] == 0.0:
-        roots.append(float(nodes[-1]))
-    deduped: list[float] = []
-    for y in sorted(roots):
-        if not deduped or y - deduped[-1] > 1e-9 * max(1.0, abs(y)):
-            deduped.append(y)
-    return deduped
+    for i, (y, fy) in enumerate(zip(nodes, hv)):
+        if fy == 0.0:
+            roots.append(y)
+        elif i + 1 < len(nodes) and hv[i + 1] != 0.0 and (fy < 0.0) != (hv[i + 1] < 0.0):
+            roots.append(_bisect(h, y, nodes[i + 1], fy))
+    return roots
 
 
 def jacobian_at(params: AmplifierParams, y_star: float) -> np.ndarray:
@@ -170,33 +174,40 @@ def classify_stability(eigs, tol_margin: float = 1e-8) -> str:
     return MARGINAL
 
 
-def _sorted_eigs(mat: np.ndarray) -> tuple[complex, ...]:
-    eigs = [complex(e) for e in np.linalg.eigvals(mat)]
-    eigs.sort(key=lambda z: (z.real, z.imag))
-    return tuple(eigs)
+def _equilibria(proto: AmplifierParams, ks, r: float) -> list[list[Equilibrium]]:
+    """Equilibria for each gain in ``ks`` at the other parameters of ``proto``.
+
+    The Jacobians of every equilibrium of every gain go through one stacked
+    eigenvalue call.  When g0 = 0 the output is identically zero at steady
+    state and the single equilibrium has x = r - phi(0).
+    """
+    phi, _, slope_inverse = get_nonlinearity(proto.nonlinearity)
+    points = []
+    for k in ks:
+        params = proto.with_gain(float(k))
+        g0 = dc_loop_gain(params)
+        ys = [0.0] if g0 == 0.0 else solve_phi_line(phi, 1.0 / g0, r, slope_inverse)
+        points.append((params, ys))
+    jacobians = [jacobian_at(params, y) for params, ys in points for y in ys]
+    eigs_all = iter(np.linalg.eigvals(np.stack(jacobians)) if jacobians else ())
+    out = []
+    for _, ys in points:
+        cell = []
+        for y in ys:
+            x = r - phi(y)
+            eigs = tuple(sorted((complex(e) for e in next(eigs_all)),
+                                key=lambda z: (z.real, z.imag)))
+            cell.append(Equilibrium(
+                y_star=float(y), state=(x, x, x), eigenvalues=eigs,
+                stability=classify_stability(eigs),
+            ))
+        out.append(cell)
+    return out
 
 
 def find_equilibria(params: AmplifierParams, r: float) -> list[Equilibrium]:
-    """All closed-loop equilibria for the constant reference r, sorted by y.
-
-    When g0 = 0 the output is identically zero at steady state and the single
-    equilibrium has x = r - phi(0).
-    """
-    phi = params.phi
-    g0 = dc_loop_gain(params)
-    if g0 == 0.0:
-        ys = [0.0]
-    else:
-        ys = solve_phi_line(phi, 1.0 / g0, r)
-    out = []
-    for y in ys:
-        x = r - phi(y)
-        eigs = _sorted_eigs(jacobian_at(params, y))
-        out.append(Equilibrium(
-            y_star=float(y), state=(x, x, x), eigenvalues=eigs,
-            stability=classify_stability(eigs),
-        ))
-    return out
+    """All closed-loop equilibria for the constant reference r, sorted by y."""
+    return _equilibria(params, [params.k], r)[0]
 
 
 def regime_from_parts(k: float, k0_bar: float, k2_bar: float,
@@ -255,22 +266,22 @@ def _column_cells(args) -> list[RegimeClassification]:
         err = str(exc)
         return [RegimeClassification(REGIME_UNCLASSIFIED, math.nan, math.nan,
                                      (), reason=err) for _ in k_values]
+    try:
+        columns = _equilibria(proto, k_values, r)
+    except (ArithmeticError, ValueError) as exc:
+        return [RegimeClassification(REGIME_UNCLASSIFIED, k0_bar, math.nan,
+                                     (), reason=str(exc)) for _ in k_values]
     cells = []
-    for k in k_values:
-        try:
-            params = proto.with_gain(float(k))
-            equilibria = tuple(find_equilibria(params, r))
-            if inertia != 2:
-                cells.append(RegimeClassification(
-                    REGIME_UNCLASSIFIED, k0_bar, math.nan, equilibria,
-                    reason="shifted inertia != 2"))
-                continue
-            regime, reason = regime_from_parts(float(k), k0_bar, k2_bar, equilibria)
-            cells.append(RegimeClassification(regime, k0_bar, k2_bar,
-                                              equilibria, reason))
-        except (ArithmeticError, ValueError) as exc:
-            cells.append(RegimeClassification(REGIME_UNCLASSIFIED, k0_bar,
-                                              math.nan, (), reason=str(exc)))
+    for k, equilibria in zip(k_values, columns):
+        equilibria = tuple(equilibria)
+        if inertia != 2:
+            cells.append(RegimeClassification(
+                REGIME_UNCLASSIFIED, k0_bar, math.nan, equilibria,
+                reason="shifted inertia != 2"))
+            continue
+        regime, reason = regime_from_parts(float(k), k0_bar, k2_bar, equilibria)
+        cells.append(RegimeClassification(regime, k0_bar, k2_bar,
+                                          equilibria, reason))
     return cells
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .equilibria import Equilibrium, classify_stability, dc_loop_gain, solve_phi_line
 from .freq_analysis import DominanceCertificate, FrequencyGrid, INFINITE_SECTOR, check_p_passivity
 from .sim import StateSpace, linearize
-from .tf_core import AmplifierParams, Polynomial, RationalTF
+from .tf_core import AmplifierParams, Polynomial, RationalTF, get_nonlinearity
 
 __all__ = [
     "CompositionCertificate",
@@ -185,13 +185,13 @@ def find_equilibria_interconnected(amp: AmplifierParams, load: LoadParams,
     phi(v) = r_ext + v / (g0 (1 + kappa)), a one-dimensional root find.
     Stability comes from the five-state Jacobian eigenvalues.
     """
-    phi = amp.phi
+    phi, _, slope_inverse = get_nonlinearity(amp.nonlinearity)
     g0 = dc_loop_gain(amp)
     kappa = iface.ki * load.kp * iface.ko / load.a
     if g0 == 0.0:
         ys = [0.0]
     else:
-        vs = solve_phi_line(phi, 1.0 / (g0 * (1.0 + kappa)), r_ext)
+        vs = solve_phi_line(phi, 1.0 / (g0 * (1.0 + kappa)), r_ext, slope_inverse)
         ys = [v / (1.0 + kappa) for v in vs]
     ss = assemble_closed_loop(amp, load, iface)
     out = []

@@ -323,14 +323,12 @@ def detect_oscillation(traj: Trajectory, transient_fraction: float = 0.5,
         raise ArithmeticError("insufficient horizon")
     amplitude = float(yw.max() - yw.min())
     d = yw - yw.mean()
-    sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
-    cross_times = []
-    for i in sign_change:
-        frac = d[i] / (d[i] - d[i + 1])
-        cross_times.append(tw[i] + frac * (tw[i + 1] - tw[i]))
-    exact = np.nonzero(d == 0.0)[0]
-    cross_times.extend(tw[i] for i in exact)
-    cross_times.sort()
+    # a crossing is a sign change between consecutive nonzero samples, so
+    # exact zeros of a constant output are no crossings
+    nonzero = np.nonzero(d)[0]
+    change = np.nonzero(d[nonzero[:-1]] * d[nonzero[1:]] < 0.0)[0]
+    i, j = nonzero[change], nonzero[change + 1]
+    cross_times = tw[i] + d[i] / (d[i] - d[j]) * (tw[j] - tw[i])
     n_crossings = len(cross_times)
     oscillating = amplitude > amp_threshold and n_crossings >= 5
     if not oscillating:
@@ -348,14 +346,17 @@ def detect_oscillation(traj: Trajectory, transient_fraction: float = 0.5,
 
 
 def boundedness_check(traj: Trajectory, r_max: float, margin: float = 0.1,
-                      settle_time: float = 0.0, columns=None) -> bool:
+                      settle_time: float = 0.0, columns=None) -> bool | None:
     """Ultimate-bound check sup|state| <= r_max + 1 + margin after settling.
 
     The bound follows from |phi| <= 1 and the unit-DC lag chain; callers
     should pass a ``settle_time`` of about ten times the slowest time
-    constant so the transient is excluded.
+    constant so the transient is excluded.  Returns None when no sample lies
+    at or after ``settle_time``, since an empty window shows nothing.
     """
     mask = traj.t >= settle_time
+    if not mask.any():
+        return None
     states = traj.states[mask]
     if columns is not None:
         states = states[:, list(columns)]

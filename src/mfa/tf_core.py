@@ -194,6 +194,10 @@ def _tanh_slope(y: float) -> float:
     return 1.0 - t * t
 
 
+def _tanh_slope_inverse(s: float) -> float:
+    return math.acosh(1.0 / math.sqrt(s))
+
+
 def _atan_phi(y: float) -> float:
     return (2.0 / math.pi) * math.atan(math.pi * y / 2.0)
 
@@ -202,16 +206,22 @@ def _atan_slope(y: float) -> float:
     return 1.0 / (1.0 + (math.pi * y / 2.0) ** 2)
 
 
-#: Saturation nonlinearities: tag -> (phi, phi').  Every entry is a strictly
-#: increasing odd sigmoid with |phi| <= 1 and slope in [0, 1].
+def _atan_slope_inverse(s: float) -> float:
+    return (2.0 / math.pi) * math.sqrt(1.0 / s - 1.0)
+
+
+#: Saturation nonlinearities: tag -> (phi, phi', inverse of phi').  Every
+#: entry is a strictly increasing odd sigmoid with |phi| <= 1 and an even
+#: slope phi' that strictly decreases in |y| from phi'(0) = 1 towards 0.  The
+#: inverse maps a slope s in (0, 1) to the unique y > 0 with phi'(y) = s.
 _NONLINEARITIES = {
-    "tanh": (math.tanh, _tanh_slope),
-    "atan": (_atan_phi, _atan_slope),
+    "tanh": (math.tanh, _tanh_slope, _tanh_slope_inverse),
+    "atan": (_atan_phi, _atan_slope, _atan_slope_inverse),
 }
 
 
 def get_nonlinearity(tag: str):
-    """Return the (phi, dphi) pair registered under ``tag``."""
+    """Return the (phi, dphi, slope_inverse) triple registered under ``tag``."""
     try:
         return _NONLINEARITIES[tag]
     except KeyError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -41,6 +42,16 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def fold_point(tag: str, slope: float) -> tuple[float, float]:
+    """Analytic fold of phi(y) = r + slope*y for 0 < slope < 1: the y_c > 0
+    with phi'(y_c) = slope, and r_fold = phi(y_c) - slope*y_c."""
+    if tag == "tanh":
+        y_c = math.acosh(1.0 / math.sqrt(slope))
+        return y_c, math.tanh(y_c) - slope * y_c
+    y_c = (2.0 / math.pi) * math.sqrt(1.0 / slope - 1.0)
+    return y_c, (2.0 / math.pi) * math.atan(math.pi * y_c / 2.0) - slope * y_c
 
 
 def random_proper_tf(rng: np.random.Generator, max_deg: int = 6) -> RationalTF:

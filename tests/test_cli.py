@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import RECIPES_DIR
+from conftest import RECIPES_DIR, fold_point
 
 from mfa.cli import main
 
@@ -125,6 +125,17 @@ class TestSimulate:
         assert rep["oscillating"] is True
         assert rep["bounded"] is True
 
+    def test_detect_with_nothing_after_settling(self, capsys):
+        # the settle time 10 * max(taus) = 100 s lies past t_end, and the
+        # output stays exactly 0 from the zero state
+        code, out = run(capsys, ["simulate", "--tau-l", "10", "--tau-p", "0.1",
+                                 "--tau-n", "1", "--k", "5", "--beta", "0.4",
+                                 "--t-end", "50", "--detect"])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["bounded"] is None
+        assert rep["n_crossings"] == 0 and rep["oscillating"] is False
+
     def test_missing_schedule_file_exit_3(self, capsys):
         code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
                      "--schedule", "/nonexistent/sched.json"])
@@ -186,6 +197,19 @@ class TestMultichannel:
         zs_mc = sorted(z[0] for z in mc["zeros"])
         zs_an = sorted(z[0] for z in an["zeros"])
         assert zs_mc == pytest.approx(zs_an, rel=1e-9)
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_close_pair_next_to_fold(self, capsys, tmp_path, tag, delta, sign):
+        bank = json.loads(open(BANK_SINGLE).read())
+        bank.update(k=2.0, beta=1.0)
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(bank))
+        _, r_fold = fold_point(tag, 0.5)
+        _, out = run(capsys, ["multichannel", "--bank", str(path), "--nonlinearity", tag,
+                              "--r", repr(sign * (r_fold - delta))])
+        assert len(json.loads(out)["equilibria"]) == 3
 
     def test_interlacing_reported(self, capsys):
         bank = os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json")

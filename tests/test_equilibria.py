@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bisect_root, fd_jacobian
+from conftest import bisect_root, fd_jacobian, fold_point
 
 from mfa.equilibria import (
     MARGINAL,
@@ -21,9 +21,10 @@ from mfa.equilibria import (
     dominance_map,
     find_equilibria,
     jacobian_at,
+    solve_phi_line,
 )
 from mfa.sim import integrate, vector_field
-from mfa.tf_core import AmplifierParams
+from mfa.tf_core import AmplifierParams, get_nonlinearity
 
 TAUS = (0.01, 0.1, 1.0)
 
@@ -197,3 +198,58 @@ class TestDominanceMap:
         serial = dominance_map(*TAUS, ks, betas, lam=50.0, jobs=1)
         parallel = dominance_map(*TAUS, ks, betas, lam=50.0, jobs=2)
         assert serial == parallel
+
+
+
+class TestSolvePhiLine:
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_close_pair_next_to_fold(self, tag, delta, sign):
+        p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
+        assert dc_loop_gain(p) == 2.0
+        _, r_fold = fold_point(tag, 0.5)
+        eqs = find_equilibria(p, sign * (r_fold - delta))
+        assert [e.stability for e in eqs] == [STABLE, UNSTABLE, STABLE]
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("g0", [1.0 + 1e-6, 1.0 + 1e-5])
+    def test_pitchfork_pair_at_zero_reference(self, tag, g0):
+        p = AmplifierParams(*TAUS, k=g0, beta=1.0, nonlinearity=tag)
+        ys = [e.y_star for e in find_equilibria(p, 0.0)]
+        assert len(ys) == 3 and ys[1] == 0.0
+        assert ys[2] == pytest.approx(-ys[0], rel=1e-9)
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tangency_reported_once(self, tag, sign):
+        p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
+        y_c, r_fold = fold_point(tag, 0.5)
+        eqs = find_equilibria(p, sign * r_fold)
+        assert len(eqs) == 2
+        tangent = [e for e in eqs if e.y_star == sign * y_c]
+        assert len(tangent) == 1 and tangent[0].stability == MARGINAL
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    def test_counts_match_dense_sign_changes(self, tag):
+        phi, _, slope_inverse = get_nonlinearity(tag)
+        dense_phi = {"tanh": np.tanh,
+                     "atan": lambda y: (2 / np.pi) * np.arctan(np.pi * y / 2)}[tag]
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            g0 = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1, 1.5))
+            r = float(rng.uniform(-1.5, 1.5))
+            bound = (1.0 + abs(r)) * abs(g0) + 1.0
+            y = np.linspace(-bound, bound, 100_001)
+            h = dense_phi(y) - r - y / g0
+            dense = np.count_nonzero(h[:-1] * h[1:] < 0.0) + np.count_nonzero(h == 0.0)
+            assert len(solve_phi_line(phi, 1.0 / g0, r, slope_inverse)) == dense, (g0, r)
+
+    @pytest.mark.parametrize("g0", [1e4, 1e6, 1e12])
+    def test_large_roots_end_at_adjacent_floats(self, g0):
+        # past |y| ~ 4500 neighbouring floats are more than 1e-12 apart
+        phi, _, slope_inverse = get_nonlinearity("tanh")
+        ys = solve_phi_line(phi, 1.0 / g0, 0.3, slope_inverse)
+        assert len(ys) == 3
+        assert [ys[0], ys[2]] == pytest.approx([-1.3 * g0, 0.7 * g0], rel=1e-9)
+        assert abs(math.tanh(ys[1]) - 0.3 - ys[1] / g0) < 1e-12

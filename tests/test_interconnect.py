@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_min_re
+from conftest import brute_min_re, fold_point
 
 from mfa.equilibria import UNSTABLE
 from mfa.freq_analysis import FrequencyGrid, check_p_passivity
@@ -146,6 +146,16 @@ class TestClosedLoopEquilibria:
                 v = float(np.asarray(ss.loop_row) @ state)
                 resid = a @ state + b * (r - phi(v))
                 assert np.abs(resid).max() < 1e-8
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_close_pair_next_to_fold(self, tag, delta, sign):
+        amp = AmplifierParams(0.01, 0.1, 1.0, k=2.0, beta=1.0, nonlinearity=tag)
+        kappa = IFACE.ki * LOAD.kp * IFACE.ko / LOAD.a
+        _, r_fold = fold_point(tag, 1.0 / (2.0 * (1.0 + kappa)))
+        eqs = find_equilibria_interconnected(amp, LOAD, IFACE, sign * (r_fold - delta))
+        assert len(eqs) == 3
 
     def test_zero_loop_gain(self):
         amp0 = AmplifierParams(0.01, 0.1, 1.0, k=10.0, beta=0.5)

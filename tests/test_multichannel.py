@@ -271,14 +271,14 @@ class TestEquilibriumReuse:
         from mfa.tf_core import get_nonlinearity
 
         rng = np.random.default_rng(41)
-        phi = get_nonlinearity("tanh")[0]
+        phi, _, slope_inverse = get_nonlinearity("tanh")
         for _ in range(40):
             pos, neg, beta = random_banks(rng)
             k = float(rng.uniform(0.1, 30.0))
             g0 = k * (2 * beta - 1)
             if g0 == 0.0 or abs(g0 - 1.0) < 1e-3:
                 continue
-            bank_count = len(solve_phi_line(phi, 1.0 / g0, 0.0))
+            bank_count = len(solve_phi_line(phi, 1.0 / g0, 0.0, slope_inverse))
             ref = AmplifierParams(123.0, 0.1, 1.0, k, beta)
             assert dc_loop_gain(ref) == pytest.approx(g0)
             assert bank_count == len(find_equilibria(ref, 0.0))

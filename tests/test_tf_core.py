@@ -10,6 +10,7 @@ from mfa.tf_core import (
     AmplifierParams,
     Polynomial,
     RationalTF,
+    get_nonlinearity,
     poly_roots,
     tf_build_mixed,
     tf_cancel,
@@ -245,3 +246,13 @@ class TestCancelSerialization:
         g = tf_build_mixed(mixed(5.0, 0.8))
         d = g.as_dict()
         assert RationalTF.from_dict(d).as_dict() == d
+
+
+class TestNonlinearityRegistry:
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    def test_slope_inverse(self, tag):
+        _, dphi, slope_inverse = get_nonlinearity(tag)
+        for s in [*np.geomspace(1e-6, 0.5, 40), *(1.0 - np.geomspace(1e-9, 0.5, 40))]:
+            y = slope_inverse(float(s))
+            assert y > 0.0
+            assert dphi(y) == pytest.approx(s, rel=1e-12)
