@@ -4,9 +4,10 @@ A first-order load closed through a saturated sum of a fast positive and a
 slow negative feedback channel can be tuned, via a gain k and a balance beta,
 between a globally stable regime, a limit-cycle regime, and a multistable
 regime.  This package certifies those regimes from frequency-domain criteria
-(shifted Nyquist sweeps, circle criterion, passivity composition), enumerates
-and classifies equilibria, simulates trajectories, and extends the analysis
-to parallel channel banks and passive external loads.
+(exact minima of shifted Nyquist loci, circle criterion, passivity
+composition), enumerates and classifies equilibria, simulates trajectories,
+and extends the analysis to parallel channel banks and passive external
+loads.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -125,21 +124,20 @@ def _print_json(obj):
 # analyze
 
 def build_analysis_report(params: AmplifierParams, r: float,
-                          lam: float | None, grid_points: int = 2000) -> dict:
+                          lam: float | None) -> dict:
     """Aggregate poles/zero/critical quantities/equilibria/regime for one point."""
     policy = "midpoint" if lam is None else "user"
     if lam is None:
         lam = select_rate(params)
-    grid = FrequencyGrid.for_params(params, n_points=grid_points)
     g = tf_build_mixed(params)
     g1 = tf_build_mixed(params.with_gain(1.0))
     poles = g1.poles()
     zero = tf_zero_mixed(params) if params.k > 0 else None
     equilibria = tuple(find_equilibria(params, r))
-    k0_bar = critical_gain(params, 0.0, 0, grid)
+    k0_bar = critical_gain(params, 0.0, 0)
     inertia = count_unstable_shifted_poles(g1, lam)
     if inertia == 2:
-        k2_bar = critical_gain(params, lam, 2, grid)
+        k2_bar = critical_gain(params, lam, 2)
     else:
         k2_bar = math.nan
     if inertia == 2:
@@ -167,10 +165,7 @@ def build_analysis_report(params: AmplifierParams, r: float,
         "equilibria": _equilibrium_dicts(equilibria),
         "regime": regime,
         "reason": reason,
-        "grid": {
-            "omega_min": grid.omega_min, "omega_max": grid.omega_max,
-            "n_points": grid.n_points, "refinement_tol": grid.refinement_tol,
-        },
+        "min_re_method": "stationary_points",
     }
 
 
@@ -181,8 +176,7 @@ def _amp_from_args(args) -> AmplifierParams:
 
 def cmd_analyze(args) -> int:
     params = _amp_from_args(args)
-    _print_json(build_analysis_report(params, args.r, args.lam,
-                                      grid_points=args.grid_points))
+    _print_json(build_analysis_report(params, args.r, args.lam))
     return 0
 
 
@@ -192,10 +186,8 @@ def cmd_analyze(args) -> int:
 def cmd_map(args) -> int:
     ks = np.geomspace(args.k_min, args.k_max, args.rows)
     betas = np.linspace(args.beta_min, args.beta_max, args.cols)
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("MFA_JOBS", "1"))
     cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas,
-                          r=args.r, lam=args.lam,
-                          nonlinearity=args.nonlinearity, jobs=jobs)
+                          r=args.r, lam=args.lam, nonlinearity=args.nonlinearity)
     rows = []
     for ik, k in enumerate(ks):
         for ib, beta in enumerate(betas):
@@ -288,12 +280,11 @@ def cmd_multichannel(args) -> int:
     g1 = build_extended_openloop(tau_l, pos, neg, 1.0, beta)
     poles = g1.poles()
     lam = args.lam if args.lam is not None else midpoint_rate(poles)
-    grid = FrequencyGrid.spanning([abs(p) for p in poles], n_points=args.grid_points)
     inertia = count_unstable_shifted_poles(g1, lam)
-    min_re0, _ = min_real_part(g1, 0.0, grid)
+    min_re0, _ = min_real_part(g1, 0.0)
     k0_bar = math.inf if min_re0 >= 0.0 else -1.0 / min_re0
     if inertia == 2:
-        min_re2, _ = min_real_part(g1, lam, grid)
+        min_re2, _ = min_real_part(g1, lam)
         k2_bar = math.inf if min_re2 >= 0.0 else -1.0 / min_re2
     else:
         k2_bar = math.nan
@@ -345,13 +336,11 @@ def cmd_interconnect(args) -> int:
     amp = _amp_from_args(args)
     lam = args.lam if args.lam is not None else select_rate(amp)
     if args.certify:
-        c_amp = check_p_passivity(tf_build_mixed(amp), lam, 2,
-                                  FrequencyGrid.for_params(amp))
+        c_amp = check_p_passivity(tf_build_mixed(amp), lam, 2)
         c_load = check_load_passivity(load, lam)
         comp = compose_certificates(c_amp, c_load)
         gtot = interconnection_openloop(amp, load, iface)
-        c_tot = check_p_passivity(gtot, lam, comp.p_total,
-                                  default_grid(gtot, lam))
+        c_tot = check_p_passivity(gtot, lam, comp.p_total)
         equilibria = find_equilibria_interconnected(amp, load, iface, args.r)
         _print_json({
             "tool": "mfa",
@@ -422,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_amp_flags(p)
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=2000)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("map", help="(gain, balance) regime map (CSV)")
@@ -439,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default MFA_JOBS or 1)")
+                   help="accepted and ignored: maps run serially")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_map)
 
@@ -462,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True, help="bank JSON file")
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=2000)
     p.add_argument("--nonlinearity", default="tanh")
     p.set_defaults(func=cmd_multichannel)
 
@@ -480,9 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built on the first call, not at import, and reused: each
+    # parse_args call returns a fresh namespace.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

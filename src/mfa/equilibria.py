@@ -10,13 +10,11 @@ Jacobian at the equilibrium.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .freq_analysis import (
-    FrequencyGrid,
     count_unstable_shifted_poles,
     critical_gain,
     select_rate,
@@ -224,8 +222,7 @@ def regime_from_parts(k: float, k0_bar: float, k2_bar: float,
     return REGIME_UNCLASSIFIED, "gain at or above both critical gains"
 
 
-def classify_regime(params: AmplifierParams, r: float, lam: float,
-                    grid: FrequencyGrid | None = None) -> RegimeClassification:
+def classify_regime(params: AmplifierParams, r: float, lam: float) -> RegimeClassification:
     """Regime of one (gain, balance) point at the given rate.
 
     ZeroDominantStable when k is below the 0-dominance critical gain;
@@ -234,8 +231,6 @@ def classify_regime(params: AmplifierParams, r: float, lam: float,
     stable).  A rate that does not yield exactly two shifted-unstable poles
     gives Unclassified.
     """
-    if grid is None:
-        grid = FrequencyGrid.for_params(params)
     equilibria = tuple(find_equilibria(params, r))
     g1 = tf_build_mixed(params.with_gain(1.0))
     try:
@@ -243,25 +238,22 @@ def classify_regime(params: AmplifierParams, r: float, lam: float,
     except ArithmeticError as exc:
         return RegimeClassification(REGIME_UNCLASSIFIED, math.nan, math.nan,
                                     equilibria, reason=str(exc))
-    k0_bar = critical_gain(params, 0.0, 0, grid)
+    k0_bar = critical_gain(params, 0.0, 0)
     if inertia != 2:
         return RegimeClassification(REGIME_UNCLASSIFIED, k0_bar, math.nan,
                                     equilibria, reason="shifted inertia != 2")
-    k2_bar = critical_gain(params, lam, 2, grid)
+    k2_bar = critical_gain(params, lam, 2)
     regime, reason = regime_from_parts(params.k, k0_bar, k2_bar, equilibria)
     return RegimeClassification(regime, k0_bar, k2_bar, equilibria, reason)
 
 
-def _column_cells(args) -> list[RegimeClassification]:
-    (tau_l, tau_p, tau_n, nonlinearity, beta, k_values, r, lam) = args
-    proto = AmplifierParams(tau_l, tau_p, tau_n, k=1.0, beta=beta,
-                            nonlinearity=nonlinearity)
-    grid = FrequencyGrid.for_params(proto)
+def _column_cells(proto: AmplifierParams, k_values, r: float,
+                  lam: float) -> list[RegimeClassification]:
     g1 = tf_build_mixed(proto)
     try:
         inertia = count_unstable_shifted_poles(g1, lam)
-        k0_bar = critical_gain(proto, 0.0, 0, grid)
-        k2_bar = critical_gain(proto, lam, 2, grid) if inertia == 2 else math.nan
+        k0_bar = critical_gain(proto, 0.0, 0)
+        k2_bar = critical_gain(proto, lam, 2) if inertia == 2 else math.nan
     except (ArithmeticError, ValueError) as exc:
         err = str(exc)
         return [RegimeClassification(REGIME_UNCLASSIFIED, math.nan, math.nan,
@@ -287,15 +279,13 @@ def _column_cells(args) -> list[RegimeClassification]:
 
 def dominance_map(tau_l: float, tau_p: float, tau_n: float,
                   k_values, beta_values, r: float = 0.0,
-                  lam: float | None = None, nonlinearity: str = "tanh",
-                  jobs: int = 1) -> list[list[RegimeClassification]]:
+                  lam: float | None = None, nonlinearity: str = "tanh"
+                  ) -> list[list[RegimeClassification]]:
     """Regime classification over a (gain, balance) grid.
 
     Returns a matrix indexed [k_index][beta_index].  The critical gains only
-    depend on the balance column, so they are computed once per column; cells
-    are otherwise independent, and ``jobs > 1`` distributes columns across
-    worker processes with a deterministic merge.  Per-cell errors are
-    recorded as Unclassified with a reason.
+    depend on the balance column, so they are computed once per column.
+    Errors are recorded as Unclassified with a reason.
     """
     k_values = [float(k) for k in k_values]
     beta_values = [float(b) for b in beta_values]
@@ -306,12 +296,9 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     if lam is None:
         lam = select_rate(AmplifierParams(tau_l, tau_p, tau_n, 1.0, 0.0,
                                           nonlinearity=nonlinearity))
-    tasks = [(tau_l, tau_p, tau_n, nonlinearity, beta, k_values, r, lam)
-             for beta in beta_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(_column_cells, tasks))
-    else:
-        columns = [_column_cells(t) for t in tasks]
+    columns = [_column_cells(AmplifierParams(tau_l, tau_p, tau_n, k=1.0, beta=beta,
+                                             nonlinearity=nonlinearity),
+                             k_values, r, lam)
+               for beta in beta_values]
     return [[columns[ib][ik] for ib in range(len(beta_values))]
             for ik in range(len(k_values))]

@@ -44,59 +44,36 @@ _AXIS_TOL = 1e-9
 #: Strictness margin for the finite-sector Nyquist condition.
 _STRICT_MARGIN = 1e-12
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Logarithmic frequency grid for sweep minimization.
+    """Logarithmic frequency samples for Nyquist loci.
 
-    ``n_points`` log-spaced samples on [omega_min, omega_max]; local minima
-    are golden-section refined down to ``refinement_tol`` relative frequency
-    resolution.
+    ``n_points`` log-spaced samples on [omega_min, omega_max].
     """
 
     omega_min: float
     omega_max: float
     n_points: int = 2000
-    refinement_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.omega_min < self.omega_max:
             raise ValueError("requires 0 < omega_min < omega_max")
         if self.n_points < 2:
             raise ValueError("requires n_points >= 2")
-        if not self.refinement_tol > 0.0:
-            raise ValueError("requires refinement_tol > 0")
 
     def omegas(self) -> np.ndarray:
         return np.geomspace(self.omega_min, self.omega_max, self.n_points)
 
-    @classmethod
-    def spanning(cls, corner_freqs, n_points: int = 2000,
-                 refinement_tol: float = 1e-9) -> "FrequencyGrid":
-        """Grid bracketing every corner frequency by three decades."""
-        corners = [abs(float(c)) for c in corner_freqs if abs(float(c)) > 1e-12]
-        if not corners:
-            corners = [1.0]
-        return cls(1e-3 * min(corners), 1e3 * max(corners),
-                   n_points=n_points, refinement_tol=refinement_tol)
-
-    @classmethod
-    def for_params(cls, params: AmplifierParams, n_points: int = 2000,
-                   refinement_tol: float = 1e-9) -> "FrequencyGrid":
-        """Default grid policy: bracket the 1/tau corner frequencies."""
-        return cls.spanning([1.0 / t for t in params.taus],
-                            n_points=n_points, refinement_tol=refinement_tol)
-
 
 def default_grid(g: RationalTF, lam: float = 0.0, n_points: int = 2000) -> FrequencyGrid:
-    """Grid spanning the pole/zero corner magnitudes of g, before and after shifting."""
+    """Grid bracketing by three decades the pole/zero corner magnitudes of g,
+    before and after shifting."""
     corners = []
     for root in g.poles() + g.zeros():
         corners.append(abs(root))
         corners.append(abs(root + lam))
-    return FrequencyGrid.spanning(corners, n_points=n_points)
+    corners = [c for c in corners if c > 1e-12] or [1.0]
+    return FrequencyGrid(1e-3 * min(corners), 1e3 * max(corners), n_points=n_points)
 
 
 @dataclass(frozen=True)
@@ -156,13 +133,6 @@ def _check_axis_clear(g: RationalTF, lam: float) -> list[complex]:
     return poles
 
 
-def _eval_re_axis(shifted: RationalTF, omegas: np.ndarray) -> np.ndarray:
-    s = 1j * omegas
-    num_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.num.coeffs))
-    den_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.den.coeffs))
-    return np.real(num_v / den_v)
-
-
 def _re_at(shifted: RationalTF, omega: float) -> float:
     s = 1j * omega
     return (shifted.num(s) / shifted.den(s)).real
@@ -175,67 +145,85 @@ def _asymptotic_re(g: RationalTF) -> float:
     return 0.0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] (bracket width down to tol)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+def _axis_parts(coeffs, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of p(j*scale*x) as polynomials in v = x**2.
+
+    p(j*scale*x) = E(v) + j*x*O(v), because j**k = (-1)**(k//2) for even k
+    and j*(-1)**(k//2) for odd k.  Coefficients ascend.
+    """
+    k = np.arange(len(coeffs))
+    c = np.asarray(coeffs) * scale ** k * (-1.0) ** (k // 2)
+    return c[0::2], (c[1::2] if len(c) > 1 else np.zeros(1))
 
 
-def min_real_part(g: RationalTF, lam: float, grid: FrequencyGrid | None = None
-                  ) -> tuple[float, float]:
-    """Global minimum of Re G(jw - lambda) over w >= 0.
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] += b
+    return out
 
-    Sweeps the log grid augmented with w = 0 and the w -> infinity limit,
-    then golden-section refines every local grid minimum (in log frequency)
-    to the grid's refinement tolerance.  Returns (min_re, omega_at_min);
-    omega_at_min is inf when the asymptotic limit is the minimum.
+
+def _der(c: np.ndarray) -> np.ndarray:
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+
+
+def _stationary_omegas(shifted: RationalTF) -> np.ndarray:
+    """Frequencies sqrt(Re z) for every root z, Re z > 0, of P'Q - PQ' in u = w**2.
+
+    Frequencies are scaled by w0 = |d_0/d_n|**(1/n) of the denominator, so
+    that its lowest and highest coefficients match in size before the roots
+    are taken.
+    """
+    den = shifted.den.coeffs
+    n = len(den) - 1
+    if n == 0:
+        return np.zeros(0)
+    w0 = abs(den[0] / den[-1]) ** (1.0 / n)
+    ne, no = _axis_parts(shifted.num.coeffs, w0)
+    de, do = _axis_parts(den, w0)
+    conv = np.convolve
+    pp = _add(conv(ne, de), np.append(0.0, conv(no, do)))
+    qq = _add(conv(de, de), np.append(0.0, conv(do, do)))
+    nonzero = np.flatnonzero(pp)
+    if len(nonzero) == 0:
+        return np.zeros(0)
+    pp = pp[:nonzero[-1] + 1]
+    rr = _add(conv(_der(pp), qq), -conv(pp, _der(qq)))
+    # deg P = p, deg Q = q = n; the u**(p+q-1) coefficient of P'Q - PQ' is
+    # (p - q) P_p Q_q, exactly 0 when p = q, so its rounding is dropped
+    p, q = len(pp) - 1, n
+    z = np.roots(rr[:p + q - (p == q)][::-1])
+    return w0 * np.sqrt(z.real[z.real > 0.0])
+
+
+def min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
+    """Global minimum of Re G(jw - lambda) over w >= 0, exact up to rounding.
+
+    With u = w**2 the shifted numerator splits as N(jw) = Ne(u) + jw No(u),
+    and likewise the denominator, so Re G = P(u)/Q(u) with
+    P = Ne De + u No Do and Q = De**2 + u Do**2 > 0.  The minimum therefore
+    lies at w = 0, at w -> infinity, or at a stationary point, a root of
+    P'Q - PQ'.  Every root z with Re z > 0 gives the candidate w = sqrt(Re z):
+    rounding can split a double root into a complex pair, and an extra
+    candidate is still a real frequency, so it cannot undercut the minimum.
+    Candidates are evaluated by Horner's rule on the shifted transfer
+    function.  Returns (min_re, omega_at_min); omega_at_min is inf when the
+    asymptotic limit is the minimum.  A zero numerator gives (0.0, 0.0).
     """
     _check_axis_clear(g, lam)
-    if grid is None:
-        grid = default_grid(g, lam)
+    if g.num.is_zero:
+        return 0.0, 0.0
     shifted = tf_shift(g, lam)
-    w = grid.omegas()
-    vals = _eval_re_axis(shifted, w)
-
     best_re = _re_at(shifted, 0.0)
     best_w = 0.0
     re_inf = _asymptotic_re(g)
     if re_inf < best_re:
         best_re, best_w = re_inf, math.inf
-
-    n = len(w)
-    brackets = []
-    for i in range(n):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i < n - 1 else math.inf
-        if vals[i] <= left and vals[i] <= right:
-            brackets.append((max(i - 1, 0), min(i + 1, n - 1)))
-    logw = np.log(w)
-
-    def f(u):
-        return _re_at(shifted, math.exp(u))
-
-    for i_lo, i_hi in brackets[:64]:
-        if i_lo == i_hi:
-            x, v = w[i_lo], vals[i_lo]
-        else:
-            u, v = _golden_min(f, logw[i_lo], logw[i_hi], grid.refinement_tol)
-            x = math.exp(u)
+    for w in _stationary_omegas(shifted):
+        v = _re_at(shifted, float(w))
         if v < best_re:
-            best_re, best_w = float(v), float(x)
+            best_re, best_w = v, float(w)
     return best_re, best_w
 
 
@@ -283,12 +271,11 @@ def count_unstable_shifted_poles(g: RationalTF, lam: float) -> int:
     return sum(1 for p in poles if p.real > -lam)
 
 
-def critical_gain(params: AmplifierParams, lam: float, p: int,
-                  grid: FrequencyGrid | None = None) -> float:
+def critical_gain(params: AmplifierParams, lam: float, p: int) -> float:
     """Largest gain below which p-dominance is certified at rate ``lam``.
 
     Computed at unit gain (the transfer function scales linearly in k):
-    -1/min_re when the swept minimum is negative, inf otherwise.  p = 0
+    -1/min_re when the minimum is negative, inf otherwise.  p = 0
     requires lam = 0; p = 2 requires exactly two shifted-unstable poles.
     """
     if p == 0:
@@ -301,16 +288,13 @@ def critical_gain(params: AmplifierParams, lam: float, p: int,
     g1 = tf_build_mixed(params.with_gain(1.0))
     if p == 2 and count_unstable_shifted_poles(g1, lam) != 2:
         raise ValueError("wrong shifted inertia")
-    if grid is None:
-        grid = FrequencyGrid.for_params(params)
-    min_re, _ = min_real_part(g1, lam, grid)
+    min_re, _ = min_real_part(g1, lam)
     if min_re >= 0.0:
         return math.inf
     return -1.0 / min_re
 
 
-def check_p_dominance(g: RationalTF, lam: float, K, p: int,
-                      grid: FrequencyGrid | None = None) -> DominanceCertificate:
+def check_p_dominance(g: RationalTF, lam: float, K, p: int) -> DominanceCertificate:
     """Three-condition circle-criterion check; failures are encoded, not raised.
 
     K is a positive sector bound or :data:`INFINITE_SECTOR`.  With a finite
@@ -324,7 +308,7 @@ def check_p_dominance(g: RationalTF, lam: float, K, p: int,
     n_unstable = sum(1 for pl in poles if pl.real > -lam)
     cond2 = n_unstable == p
     if cond1:
-        min_re, w_at = min_real_part(g, lam, grid)
+        min_re, w_at = min_real_part(g, lam)
     else:
         min_re, w_at = math.nan, math.nan
     if K == INFINITE_SECTOR:
@@ -347,10 +331,9 @@ def check_p_dominance(g: RationalTF, lam: float, K, p: int,
     )
 
 
-def check_p_passivity(g: RationalTF, lam: float, p: int,
-                      grid: FrequencyGrid | None = None) -> DominanceCertificate:
+def check_p_passivity(g: RationalTF, lam: float, p: int) -> DominanceCertificate:
     """Positive-realness check of the shifted transfer function (K infinite)."""
-    return check_p_dominance(g, lam, INFINITE_SECTOR, p, grid)
+    return check_p_dominance(g, lam, INFINITE_SECTOR, p)
 
 
 def nyquist_locus(g: RationalTF, lam: float, grid: FrequencyGrid

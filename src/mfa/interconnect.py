@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import Equilibrium, classify_stability, dc_loop_gain, solve_phi_line
-from .freq_analysis import DominanceCertificate, FrequencyGrid, INFINITE_SECTOR, check_p_passivity
+from .freq_analysis import DominanceCertificate, INFINITE_SECTOR, check_p_passivity
 from .sim import StateSpace, linearize
 from .tf_core import AmplifierParams, Polynomial, RationalTF, get_nonlinearity
 
@@ -98,10 +98,9 @@ def load_tf(load: LoadParams) -> RationalTF:
                       Polynomial([load.a, load.b, 1.0]))
 
 
-def check_load_passivity(load: LoadParams, lam: float,
-                         grid: FrequencyGrid | None = None) -> DominanceCertificate:
+def check_load_passivity(load: LoadParams, lam: float) -> DominanceCertificate:
     """0-passivity of the shifted load: stable shifted poles and min Re >= 0."""
-    return check_p_passivity(load_tf(load), lam, 0, grid)
+    return check_p_passivity(load_tf(load), lam, 0)
 
 
 def compose_certificates(c_amp: DominanceCertificate,

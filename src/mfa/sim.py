@@ -31,6 +31,10 @@ __all__ = [
     "vector_field",
 ]
 
+#: Classical RK4 is stable for dt * |eigenvalue| up to about 2.785 on the
+#: negative real axis.
+_RK4_REAL_LIMIT = 2.78
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -205,7 +209,9 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     """Classical fixed-step RK4 integration of a Lure loop.
 
     ``system`` is an :class:`AmplifierParams` (dt defaults to the smallest
-    time constant over 20) or a :class:`StateSpace` (dt required).  The
+    time constant over 20) or a :class:`StateSpace` (dt required; a warning
+    when dt times the larger spectral radius of the loop's Jacobians at
+    saturation slope 0 and 1, A and A - b c_loop, exceeds the RK4 limit).  The
     reference is held constant over each step at the value in effect at the
     step's left endpoint.  A non-finite state aborts with the offending time.
     """
@@ -221,6 +227,12 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
         ss = system
         if dt is None:
             raise ValueError("requires dt for StateSpace systems")
+        a = ss.a_matrix()
+        rho = max(np.max(np.abs(np.linalg.eigvals(m)))
+                  for m in (a, a - np.outer(ss.b, ss.loop_row)))
+        if dt * rho > _RK4_REAL_LIMIT:
+            warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
+                          f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
     if not dt > 0.0:
         raise ValueError("requires dt > 0")
     if not t_end > 0.0:

@@ -13,21 +13,38 @@ RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
 
 def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
-                 n: int = 10**6) -> float:
+                 n: int = 10**6, zoom: int = 0) -> float:
     """Dense uniform-log sweep minimum of Re G(jw - lam), plus the w=0 and
-    w->infinity candidates.  Plain vectorized evaluation; no refinement."""
+    w->infinity candidates.  Plain vectorized evaluation; with ``zoom > 0``
+    the sweep is repeated ``zoom`` times on 1001 linear points around each of
+    its eight lowest local minima, each time between the neighbours of the
+    lowest sample."""
     gs = tf_shift(g, lam)
+    num, den = np.asarray(gs.num.coeffs), np.asarray(gs.den.coeffs)
+
+    def re(w):
+        s = 1j * w
+        return np.real(np.polynomial.polynomial.polyval(s, num)
+                       / np.polynomial.polynomial.polyval(s, den))
+
     w = np.geomspace(omega_lo, omega_hi, n)
-    s = 1j * w
-    num = np.polynomial.polynomial.polyval(s, np.asarray(gs.num.coeffs))
-    den = np.polynomial.polynomial.polyval(s, np.asarray(gs.den.coeffs))
-    vals = np.real(num / den)
+    vals = re(w)
     cands = [float(np.min(vals))]
     cands.append((gs.num(0j) / gs.den(0j)).real)
     if g.num.degree == g.den.degree and not g.num.is_zero:
         cands.append(g.num.leading / g.den.leading)
     else:
         cands.append(0.0)
+    if zoom:
+        inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+        for i in inner[np.argsort(vals[inner])[:8]]:
+            lo, hi = w[i - 1], w[i + 1]
+            for _ in range(zoom):
+                ww = np.linspace(lo, hi, 1001)
+                vv = re(ww)
+                j = int(np.argmin(vv))
+                cands.append(float(vv[j]))
+                lo, hi = ww[max(j - 1, 0)], ww[min(j + 1, 1000)]
     return min(cands)
 
 

@@ -28,7 +28,6 @@ from mfa.equilibria import (
     jacobian_at,
 )
 from mfa.freq_analysis import (
-    FrequencyGrid,
     check_p_passivity,
     critical_balance,
     critical_gain,
@@ -153,8 +152,7 @@ def test_criterion_2_critical_balance():
         beta = float(rng.uniform(bs + 1e-9, 1.0))
         p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.05, 200.0)),
                             beta=beta)
-        cert = check_p_passivity(tf_build_mixed(p), select_rate(p), 2,
-                                 FrequencyGrid.for_params(p))
+        cert = check_p_passivity(tf_build_mixed(p), select_rate(p), 2)
         failures += 0 if cert.passed else 1
     assert failures == 0
 
@@ -244,8 +242,7 @@ def test_criterion_6_interconnection():
 
     c_load = check_load_passivity(load, 15.0)
     assert c_load.passed
-    c_amp = check_p_passivity(tf_build_mixed(amp), 15.0, 2,
-                              FrequencyGrid.for_params(amp))
+    c_amp = check_p_passivity(tf_build_mixed(amp), 15.0, 2)
     comp = compose_certificates(c_amp, c_load)
     assert comp.valid and comp.p_total == 2
 
@@ -325,9 +322,8 @@ def test_criterion_8_maps():
     t0 = time.perf_counter()
     ks = np.geomspace(0.1, 1000.0, 60)
     betas = np.linspace(0.0, 1.0, 60)
-    jobs = 2
-    wide = dominance_map(0.01, 0.1, 1.0, ks, betas, r=0.0, lam=50.0, jobs=jobs)
-    reduced = dominance_map(0.01, 0.1, 0.3, ks, betas, r=0.0, lam=50.0, jobs=jobs)
+    wide = dominance_map(0.01, 0.1, 1.0, ks, betas, r=0.0, lam=50.0)
+    reduced = dominance_map(0.01, 0.1, 0.3, ks, betas, r=0.0, lam=50.0)
 
     # (i) every cell with k < 1 is in the globally stable regime
     for ik, k in enumerate(ks):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import RECIPES_DIR, fold_point
 
+import mfa.cli as cli
 from mfa.cli import main
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
@@ -60,6 +61,20 @@ class TestAnalyze:
         _, out2 = run(capsys, args)
         assert out1 == out2
 
+    def test_min_re_method_reported(self, capsys):
+        _, out = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5",
+                              "--beta", "0.4", "--lambda", "50"])
+        rep = json.loads(out)
+        assert rep["min_re_method"] == "stationary_points"
+        assert "grid" not in rep
+
+    def test_grid_points_only_on_nyquist(self, capsys):
+        for argv in (["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"],
+                     ["multichannel", "--bank", BANK_SINGLE]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--grid-points", "64"])
+            assert exc.value.code == 2
+
     def test_regime_recomputable_from_report(self, capsys):
         _, out = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5",
                               "--beta", "0.8", "--lambda", "50"])
@@ -104,6 +119,49 @@ class TestMap:
         assert lines[0].startswith("# mfa ")
         assert lines[1] == "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable"
         assert len(lines) == 2 + 3 * 4
+
+    def test_jobs_accepted_and_ignored(self, capsys):
+        args = ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50",
+                "--rows", "3", "--cols", "4", "--lambda", "50"]
+        _, serial = run(capsys, args)
+        code, with_jobs = run(capsys, [*args, "--jobs", "2"])
+        assert code == 0 and with_jobs == serial
+
+
+class TestParserReuse:
+    def test_one_parser_fresh_namespace_per_call(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parser", None)
+
+        def fresh(argv):
+            monkeypatch.setattr(cli, "_parser", None)
+            return run(capsys, argv)
+
+        map_args = ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50",
+                    "--rows", "3", "--cols", "4", "--lambda", "50"]
+        dest = tmp_path / "map.csv"
+        sched = tmp_path / "step.json"
+        sched.write_text('[{"t": 0, "r": 0}, {"t": 0.5, "r": 0.3}]')
+        sim_args = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                    "--dt", "0.001", "--t-end", "1"]
+
+        assert run(capsys, [*map_args, "--output", str(dest)]) == (0, "")
+        _, map_out = run(capsys, map_args)
+        _, sim_sched = run(capsys, [*sim_args, "--schedule", str(sched)])
+        _, sim_plain = run(capsys, sim_args)
+        assert len(built) == 1
+
+        assert map_out == dest.read_text() == fresh(map_args)[1]
+        assert sim_plain == fresh(sim_args)[1]
+        assert sim_sched != sim_plain
+        assert len(built) == 3
 
 
 class TestSimulate:

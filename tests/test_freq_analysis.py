@@ -1,11 +1,12 @@
-"""Sweep minimization, critical gains, and circle-criterion certificates."""
+"""Exact frequency minimum, critical gains, and circle-criterion certificates."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import brute_min_re
+from conftest import RECIPES_DIR, brute_min_re
 
 from mfa.freq_analysis import (
     INFINITE_SECTOR,
@@ -21,13 +22,15 @@ from mfa.freq_analysis import (
     nyquist_locus,
     select_rate,
 )
-from mfa.interconnect import LoadParams, load_tf
+from mfa.interconnect import LoadParams, interconnection_openloop, load_from_json, load_tf
+from mfa.multichannel import Channel, ChannelBank, build_extended_openloop
 from mfa.tf_core import (
     AmplifierParams,
     INFINITE_ZERO,
     Polynomial,
     RationalTF,
     tf_build_mixed,
+    tf_shift,
     tf_zero_mixed,
 )
 
@@ -49,11 +52,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(1.0, 10.0, n_points=1)
 
-    def test_default_policy_brackets_corners(self):
-        g = FrequencyGrid.for_params(mixed(1.0, 0.4))
-        assert g.omega_min == pytest.approx(1e-3 * 1.0)
-        assert g.omega_max == pytest.approx(1e3 * 100.0)
-
 
 class TestMinRealPart:
     def test_positive_real_lag(self):
@@ -63,7 +61,7 @@ class TestMinRealPart:
     def test_negative_dip_matches_oracle(self):
         p = mixed(1.0, 0.2)
         g = tf_build_mixed(p)
-        mr, _ = min_real_part(g, 0.0, FrequencyGrid.for_params(p))
+        mr, _ = min_real_part(g, 0.0)
         oracle = brute_min_re(g, 0.0, 1e-3, 1e5)
         assert mr < 0.0
         assert mr == pytest.approx(oracle, rel=1e-6)
@@ -71,7 +69,7 @@ class TestMinRealPart:
     def test_shifted_positive_realness(self):
         p = mixed(1.0, 0.4)
         g = tf_build_mixed(p)
-        mr, _ = min_real_part(g, 55.0, FrequencyGrid.for_params(p))
+        mr, _ = min_real_part(g, 55.0)
         assert mr >= 0.0
         assert brute_min_re(g, 55.0, 1e-3, 1e5) >= 0.0
 
@@ -79,12 +77,111 @@ class TestMinRealPart:
         with pytest.raises(ArithmeticError, match="shifted imaginary axis"):
             min_real_part(tf_build_mixed(mixed(1.0, 0.4)), 10.0)
 
-    def test_grid_refinement_stability(self):
-        p = mixed(1.0, 0.2)
-        g = tf_build_mixed(p)
-        a, _ = min_real_part(g, 0.0, FrequencyGrid.for_params(p, n_points=2000))
-        b, _ = min_real_part(g, 0.0, FrequencyGrid.for_params(p, n_points=4000))
-        assert abs(a - b) < 10 * 1e-9
+
+
+def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7):
+    """min_real_part against the zoomed brute-force sweep, to 1e-9 of
+    max |G(jw - lam)|, and its value is Re G at its own frequency."""
+    gs = tf_shift(g, lam)
+
+    def resp(w):
+        s = 1j * np.asarray(w, dtype=float)
+        return (np.polynomial.polynomial.polyval(s, gs.num.coeffs)
+                / np.polynomial.polynomial.polyval(s, gs.den.coeffs))
+
+    mr, w_at = min_real_part(g, lam)
+    oracle = brute_min_re(g, lam, omega_lo, omega_hi, n=50_000, zoom=3)
+    scale = float(np.abs(resp(np.append(0.0, np.geomspace(omega_lo, omega_hi, 2000)))).max())
+    assert abs(mr - oracle) <= 1e-9 * scale, (mr, oracle, scale)
+    if math.isinf(w_at):
+        assert mr == (g.num.leading / g.den.leading if g.is_biproper else 0.0)
+    else:
+        assert abs(mr - float(resp(w_at).real)) <= 1e-12 * scale
+    return mr, w_at
+
+
+def random_bank(rng, m, n, close_pair=False):
+    taus = np.sort(rng.uniform(0.01, 5.0, m + n))
+    if close_pair:
+        taus[1] = taus[0] + 2e-4
+        taus = np.sort(taus)
+    rho_p = rng.uniform(0.1, 1.0, m)
+    rho_n = rng.uniform(0.1, 1.0, n)
+    pos = ChannelBank(tuple(Channel(float(w), float(t)) for w, t in
+                            zip(rho_p / rho_p.sum(), taus[:m])), role="positive")
+    neg = ChannelBank(tuple(Channel(float(w), float(t)) for w, t in
+                            zip(rho_n / rho_n.sum(), taus[m:])), role="negative")
+    tau_l = float(rng.uniform(0.005, 20.0))
+    return build_extended_openloop(tau_l, pos, neg, 1.0, float(rng.uniform(0.0, 1.0)))
+
+
+class TestExactMinimum:
+    def test_random_amplifiers(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            tp = float(rng.uniform(0.01, 0.5))
+            tn = tp * float(rng.uniform(1.5, 30.0))
+            tl = float(rng.uniform(0.005, 20.0))
+            if tl == tp or tl == tn:
+                tl *= 1.0001
+            p = AmplifierParams(tl, tp, tn, k=1.0, beta=float(rng.uniform(0.0, 1.0)))
+            g = tf_build_mixed(p)
+            assert_exact_min(g, 0.0)
+            assert_exact_min(g, select_rate(p))
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_banks(self, size):
+        rng = np.random.default_rng(30 + size)
+        for trial in range(20):
+            g = random_bank(rng, size, size, close_pair=trial % 4 == 0)
+            assert_exact_min(g, 0.0)
+            assert_exact_min(g, midpoint_rate(g.poles()))
+
+    def test_five_state_load_loop(self):
+        with open(f"{RECIPES_DIR}/data/load_msd.json") as fh:
+            load, iface = load_from_json(fh.read())
+        for k in (1.0, 10.0, 100.0):
+            for beta in (0.1, 0.4, 0.8):
+                g = interconnection_openloop(mixed(k, beta), load, iface)
+                for lam in (0.0, 15.0, 55.0):
+                    assert_exact_min(g, lam)
+
+    def test_minimum_at_zero_frequency(self):
+        g = RationalTF(Polynomial([-1.0]), Polynomial([1.0, 1.0]))
+        assert assert_exact_min(g, 0.0) == (-1.0, 0.0)
+
+    def test_minimum_at_infinity(self):
+        # Re (jw + 2)/(jw + 1) = (2 + w^2)/(1 + w^2) falls to 1 as w grows
+        g = RationalTF(Polynomial([2.0, 1.0]), Polynomial([1.0, 1.0]))
+        assert assert_exact_min(g, 0.0) == (1.0, math.inf)
+
+    def test_zero_numerator(self):
+        g = RationalTF(Polynomial([0.0]), Polynomial([1.0, 3.0, 1.0]))
+        assert min_real_part(g, 0.0) == (0.0, 0.0)
+        assert min_real_part(g, 0.2) == (0.0, 0.0)
+
+    def test_degenerate_quartic_minimum(self):
+        # Solve for N so that Re N(jw)/D(jw) = m + c (w^2 - u0)^4 / |D(jw)|^2:
+        # the minimum m at w = sqrt(u0) is quartic, and P'Q - PQ' has a
+        # triple root there.
+        den = Polynomial([24.0, 50.0, 35.0, 10.0, 1.0])  # (s+1)(s+2)(s+3)(s+4)
+        m, c, u0 = -0.5, 0.01, 4.0
+        w = np.linspace(0.5, 4.5, 9)
+        s = 1j * w
+        dv = np.polynomial.polynomial.polyval(s, den.coeffs)
+        basis = np.array([(s ** k * np.conj(dv)).real for k in range(5)]).T
+        target = m * np.abs(dv) ** 2 + c * (w ** 2 - u0) ** 4
+        coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
+        g = RationalTF(Polynomial(coeffs), den)
+        probe = np.array([0.3, 1.7, 2.0, 2.6, 7.0])
+        gv = (np.polynomial.polynomial.polyval(1j * probe, g.num.coeffs)
+              / np.polynomial.polynomial.polyval(1j * probe, den.coeffs))
+        expected = m + c * (probe ** 2 - u0) ** 4 / np.abs(
+            np.polynomial.polynomial.polyval(1j * probe, den.coeffs)) ** 2
+        assert np.allclose(gv.real, expected, rtol=0.0, atol=1e-12)
+        mr, w_at = assert_exact_min(g, 0.0)
+        assert abs(mr - m) <= 1e-12
+        assert w_at == pytest.approx(2.0, rel=1e-3)
 
 
 class TestCriticalGain:
@@ -102,8 +199,8 @@ class TestCriticalGain:
     def test_gain_linearity(self):
         # min_re of G(s,k,b) is k times min_re of G(s,1,b), same frequency
         p1, p9 = mixed(1.0, 0.2), mixed(9.0, 0.2)
-        m1, w1 = min_real_part(tf_build_mixed(p1), 0.0, FrequencyGrid.for_params(p1))
-        m9, w9 = min_real_part(tf_build_mixed(p9), 0.0, FrequencyGrid.for_params(p9))
+        m1, w1 = min_real_part(tf_build_mixed(p1), 0.0)
+        m9, w9 = min_real_part(tf_build_mixed(p9), 0.0)
         assert m9 == pytest.approx(9.0 * m1, rel=1e-6)
         assert w9 == pytest.approx(w1, rel=1e-6)
 
@@ -187,8 +284,7 @@ class TestPassivity:
 
     def test_below_critical_balance_reports_min(self):
         p = mixed(1.0, 0.05)  # below beta* = 1/11
-        cert = check_p_passivity(tf_build_mixed(p), 55.0, 2,
-                                 FrequencyGrid.for_params(p))
+        cert = check_p_passivity(tf_build_mixed(p), 55.0, 2)
         assert not math.isnan(cert.min_re)
         assert cert.min_re < 0.0 and not cert.passed
 
@@ -223,8 +319,7 @@ class TestTheoremSixProperty:
             beta = float(rng.uniform(bstar + 1e-6, 1.0))
             p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.1, 100.0)),
                                 beta=beta)
-            cert = check_p_passivity(tf_build_mixed(p), select_rate(p), 2,
-                                     FrequencyGrid.for_params(p))
+            cert = check_p_passivity(tf_build_mixed(p), select_rate(p), 2)
             assert cert.passed, (tl, tp, tn, beta)
 
 
@@ -247,5 +342,5 @@ class TestNyquistLocus:
         p1 = mixed(1.0, 0.2)
         k0 = critical_gain(p1, 0.0, 0)
         p = mixed(0.9 * k0, 0.2)
-        locus = nyquist_locus(tf_build_mixed(p), 0.0, FrequencyGrid.for_params(p))
+        locus = nyquist_locus(tf_build_mixed(p), 0.0, FrequencyGrid(1e-3, 1e5))
         assert all(pt.re > -1.0 for pt in locus)

@@ -8,7 +8,7 @@ import pytest
 from conftest import brute_min_re, fold_point
 
 from mfa.equilibria import UNSTABLE
-from mfa.freq_analysis import FrequencyGrid, check_p_passivity
+from mfa.freq_analysis import check_p_passivity
 from mfa.interconnect import (
     CompositionCertificate,
     InterfaceGains,
@@ -68,8 +68,7 @@ class TestLoadPassivity:
 
 class TestComposition:
     def amp_cert(self, lam=15.0):
-        return check_p_passivity(tf_build_mixed(AMP), lam, 2,
-                                 FrequencyGrid.for_params(AMP))
+        return check_p_passivity(tf_build_mixed(AMP), lam, 2)
 
     def test_two_plus_zero(self):
         comp = compose_certificates(self.amp_cert(), check_load_passivity(LOAD, 15.0))
@@ -88,8 +87,7 @@ class TestComposition:
     def test_dominance_certificate_rejected(self):
         from mfa.freq_analysis import check_p_dominance
 
-        c_dom = check_p_dominance(tf_build_mixed(AMP), 15.0, 1.0, 2,
-                                  FrequencyGrid.for_params(AMP))
+        c_dom = check_p_dominance(tf_build_mixed(AMP), 15.0, 1.0, 2)
         comp = compose_certificates(c_dom, check_load_passivity(LOAD, 15.0))
         assert not comp.valid and "passivity" in comp.reason
 

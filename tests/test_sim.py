@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfa.equilibria import STABLE, UNSTABLE, find_equilibria
+from mfa.interconnect import InterfaceGains, LoadParams, assemble_closed_loop
 from mfa.sim import (
     InputSchedule,
     StateSpace,
@@ -98,6 +99,20 @@ class TestIntegrate:
         ss = StateSpace(a=((5.0,),), b=(0.0,), c=(1.0,), labels=("x",))
         with pytest.raises(ArithmeticError, match="divergence at t="):
             integrate(ss, (1.0,), dt=0.5, t_end=1000.0)
+
+    def test_statespace_step_above_rk4_limit_warns(self):
+        # A - b c_loop of the 5-state load loop has spectral radius ~127
+        ss = assemble_closed_loop(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                                  InterfaceGains(10.0, 1.0))
+        with pytest.warns(UserWarning, match="RK4 stability limit"):
+            integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=0.025, t_end=0.05)
+
+    def test_statespace_step_within_rk4_limit_silent(self):
+        ss = assemble_closed_loop(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                                  InterfaceGains(10.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=0.05)
 
     def test_statespace_requires_dt(self):
         ss = amplifier_statespace(mixed(1.0, 0.3))
