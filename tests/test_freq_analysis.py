@@ -1,6 +1,5 @@
 """Exact frequency minimum, critical gains, and circle-criterion certificates."""
 
-import json
 import math
 
 import numpy as np
