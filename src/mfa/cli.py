@@ -4,8 +4,9 @@ Output is deterministic: identical flags give byte-identical output.  CSV
 files carry a ``#`` version comment, full-precision (17 significant digit)
 values, and ``.`` decimals.  JSON uses the tags "unbounded" for an infinite
 critical gain and "infinite" for a zero or frequency at infinity.  Exit
-codes: 0 success, 2 invalid parameters, 3 file/parse errors, 4 numerical
-errors.
+codes: 0 success, 2 invalid parameters (a run too large to allocate
+included), 3 file/parse errors, 4 numerical errors.  CSV output is streamed
+in chunks of rows, never built as one string.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ from .tf_core import (
 __all__ = ["main", "entrypoint", "build_analysis_report"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _tag_gain(x: float):
     if math.isinf(x):
         return "unbounded"
@@ -102,18 +99,32 @@ def _equilibrium_dicts(equilibria) -> list[dict]:
     ]
 
 
-def _emit(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+#: Rows per formatted chunk of CSV output.
+_CSV_ROWS = 4096
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [f"# mfa {__version__}", header]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str | None, header: str, row_format: str, rows):
+    """Write a CSV to ``path``, or to stdout when ``path`` is None.
+
+    The version comment and ``header`` come first, then ``rows`` (a 2-D float
+    array or a list of row tuples) in chunks of :data:`_CSV_ROWS`, each chunk
+    formatted by one ``%`` operation with ``row_format`` repeated per row, so
+    the whole text is never held at once.  ``%.17g`` gives the same text as
+    ``format(x, ".17g")``, ``-0``, ``inf`` and ``nan`` included.
+    """
+    out = sys.stdout if path is None else open(path, "w")
+    try:
+        out.write(f"# mfa {__version__}\n{header}\n")
+        for i in range(0, len(rows), _CSV_ROWS):
+            chunk = rows[i:i + _CSV_ROWS]
+            if isinstance(chunk, np.ndarray):
+                values = chunk.ravel().tolist()
+            else:
+                values = [v for row in chunk for v in row]
+            out.write((row_format * len(chunk)) % tuple(values))
+    finally:
+        if path is not None:
+            out.close()
 
 
 def _print_json(obj):
@@ -188,16 +199,11 @@ def cmd_map(args) -> int:
     betas = np.linspace(args.beta_min, args.beta_max, args.cols)
     cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas,
                           r=args.r, lam=args.lam, nonlinearity=args.nonlinearity)
-    rows = []
-    for ik, k in enumerate(ks):
-        for ib, beta in enumerate(betas):
-            cell = cells[ik][ib]
-            rows.append(",".join([
-                _fmt(k), _fmt(beta), cell.regime, _fmt(cell.k0_bar),
-                _fmt(cell.k2_bar), str(cell.n_equilibria), str(cell.n_unstable),
-            ]))
-    _emit(_csv_text("k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable", rows),
-          args.output)
+    rows = [(k, beta, cell.regime, cell.k0_bar, cell.k2_bar,
+             cell.n_equilibria, cell.n_unstable)
+            for k, row in zip(ks, cells) for beta, cell in zip(betas, row)]
+    _write_csv(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable",
+               "%.17g,%.17g,%s,%.17g,%.17g,%d,%d\n", rows)
     return 0
 
 
@@ -218,12 +224,10 @@ def _parse_ic(text: str, dim: int) -> tuple[float, ...]:
     return tuple(parts)
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
+def _write_trajectory(traj: Trajectory, path: str | None):
     cols = ["t", *traj.labels, "y", *traj.extra.keys()]
-    data = np.column_stack([traj.t, traj.states, traj.y,
-                            *[traj.extra[k] for k in traj.extra]])
-    rows = (",".join(_fmt(v) for v in row) for row in data)
-    return _csv_text(",".join(cols), rows)
+    data = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
+    _write_csv(path, ",".join(cols), ",".join(["%.17g"] * len(cols)) + "\n", data)
 
 
 def cmd_simulate(args) -> int:
@@ -232,7 +236,7 @@ def cmd_simulate(args) -> int:
     ic = _parse_ic(args.ic, 3)
     traj = integrate(params, ic, schedule, dt=args.dt, t_end=args.t_end)
     if args.output is not None or not args.detect:
-        _emit(_trajectory_csv(traj), args.output)
+        _write_trajectory(traj, args.output)
     if args.detect:
         report = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
@@ -264,8 +268,8 @@ def cmd_nyquist(args) -> int:
     else:
         grid = default_grid(g, lam, n_points=args.grid_points)
     locus = nyquist_locus(g, lam, grid)
-    rows = (",".join([_fmt(p.omega), _fmt(p.re), _fmt(p.im)]) for p in locus)
-    _emit(_csv_text("omega,re,im", rows), args.output)
+    rows = [(p.omega, p.re, p.im) for p in locus]
+    _write_csv(args.output, "omega,re,im", "%.17g,%.17g,%.17g\n", rows)
     return 0
 
 
@@ -359,7 +363,7 @@ def cmd_interconnect(args) -> int:
     ss = assemble_closed_loop(amp, load, iface)
     traj = integrate(ss, ic, schedule, dt=dt, t_end=args.t_end)
     if args.output is not None or not args.detect:
-        _emit(_trajectory_csv(traj), args.output)
+        _write_trajectory(traj, args.output)
     if args.detect:
         rep_y = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                    amp_threshold=args.amp_threshold)
@@ -482,7 +486,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -204,6 +204,76 @@ def _sparse(vec_or_rows):
     return tuple((j, v) for j, v in enumerate(vec_or_rows) if v != 0.0)
 
 
+#: Steps per call of the RK4 kernel; each block is flushed into the states
+#: array before the next one starts.
+_BLOCK = 4096
+
+
+def _rk4_kernel(ss: StateSpace, phi, dt: float):
+    """Straight-line RK4 over a block of steps, for the loop's sparsity pattern.
+
+    Returns ``block(rs, s0, ..., s{n-1}, out)``: one step per reference value
+    in ``rs``, each new state's components appended to ``out``; it returns
+    early, storing nothing more, at the first state with a non-finite
+    component.  The source names only state components, stages and
+    coefficient positions; the coefficients themselves are bound as
+    arguments of the enclosing factory, never formatted into the text.  The
+    arithmetic is that of the generic loop term for term, so trajectories are
+    bit-deterministic: ``y = 0.0 + c_j s_j + ...`` and each derivative row
+    ``(0.0 + a_ij s_j + ...) + b_i u`` in index order, the stage points
+    ``s + half k1``, ``s + half k2``, ``s + dt k3`` and the update
+    ``s + sixth (k1 + 2 (k2 + k3) + k4)``.
+    """
+    n = ss.dim
+    coeffs = {"phi": phi, "isfinite": math.isfinite,
+              "dt": dt, "half": dt / 2.0, "sixth": dt / 6.0}
+    c_sum = "0.0"
+    for j, cj in _sparse(ss.loop_row):
+        coeffs[f"c_{j}"] = cj
+        c_sum += f" + c_{j}*p{j}"
+    rows = []
+    b = dict(_sparse(ss.b))
+    for i, row in enumerate(_sparse(ss.a)):
+        expr = "0.0"
+        for j, aij in row:
+            coeffs[f"a_{i}_{j}"] = aij
+            expr += f" + a_{i}_{j}*p{j}"
+        if i in b:
+            coeffs[f"b_{i}"] = b[i]
+            expr += f" + b_{i}*u"
+        rows.append(expr)
+
+    def stage(k, point):
+        # stage k's derivatives k{k}_i, evaluated at p_i = s_i for the first
+        # stage and at p_i = s_i + point * k{k-1}_i after it
+        if point is None:
+            lines = [f"p{i} = s{i}" for i in range(n)]
+        else:
+            lines = [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)]
+        lines += [f"y = {c_sum}", "u = r - phi(y)"]
+        lines += [f"k{k}_{i} = {expr}" for i, expr in enumerate(rows)]
+        return lines
+
+    state = ", ".join(f"s{i}" for i in range(n))
+    body = [*stage(1, None), *stage(2, "half"), *stage(3, "half"), *stage(4, "dt")]
+    body += [f"s{i} = s{i} + sixth*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i})"
+             for i in range(n)]
+    body += [f"if not ({' and '.join(f'isfinite(s{i})' for i in range(n))}):",
+             "    return",
+             f"store(({state},))"]
+    src = "\n".join([
+        f"def factory({', '.join(coeffs)}):",
+        f"    def block(rs, {state}, out):",
+        "        store = out.extend",
+        "        for r in rs:",
+        *("            " + line for line in body),
+        "    return block",
+    ])
+    namespace = {}
+    exec(src, namespace)
+    return namespace["factory"](**coeffs)
+
+
 def integrate(system, ic, schedule: InputSchedule | None = None,
               dt: float | None = None, t_end: float = 50.0) -> Trajectory:
     """Classical fixed-step RK4 integration of a Lure loop.
@@ -213,7 +283,10 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     when dt times the larger spectral radius of the loop's Jacobians at
     saturation slope 0 and 1, A and A - b c_loop, exceeds the RK4 limit).  The
     reference is held constant over each step at the value in effect at the
-    step's left endpoint.  A non-finite state aborts with the offending time.
+    step's left endpoint.  The steps run in a straight-line kernel generated
+    once per call for the loop's sparsity pattern (:func:`_rk4_kernel`).  A
+    non-finite initial state or horizon is a ``ValueError``; a non-finite
+    state along the way aborts with the offending time.
     """
     if isinstance(system, AmplifierParams):
         ss = amplifier_statespace(system)
@@ -233,57 +306,34 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
         if dt * rho > _RK4_REAL_LIMIT:
             warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
                           f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
-    if not dt > 0.0:
-        raise ValueError("requires dt > 0")
-    if not t_end > 0.0:
-        raise ValueError("requires t_end > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("requires finite dt > 0")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("requires finite t_end > 0")
     if schedule is None:
         schedule = InputSchedule.constant(0.0)
 
     n = ss.dim
-    n_steps = int(round(t_end / dt))
-    r_steps = schedule.values_for_steps(dt, n_steps)
-    phi = get_nonlinearity(ss.nonlinearity)[0]
-
-    a_rows = _sparse(ss.a)
-    b_terms = _sparse(ss.b)
-    c_terms = _sparse(ss.loop_row)
-
-    states = np.empty((n_steps + 1, n))
     s = [float(v) for v in ic]
     if len(s) != n:
         raise ValueError("initial condition dimension mismatch")
+    if not all(math.isfinite(v) for v in s):
+        raise ValueError("requires a finite initial condition")
+    n_steps = int(round(t_end / dt))
+    r_steps = schedule.values_for_steps(dt, n_steps)
+    block = _rk4_kernel(ss, get_nonlinearity(ss.nonlinearity)[0], dt)
+
+    states = np.empty((n_steps + 1, n))
     states[0] = s
-    half = dt / 2.0
-    sixth = dt / 6.0
-    rng = range(n)
-    isfinite = math.isfinite
-
-    def f(state, r):
-        y = 0.0
-        for j, cj in c_terms:
-            y += cj * state[j]
-        u = r - phi(y)
-        out = [0.0] * n
-        for i in rng:
-            v = 0.0
-            for j, aij in a_rows[i]:
-                v += aij * state[j]
-            out[i] = v
-        for i, bi in b_terms:
-            out[i] += bi * u
-        return out
-
-    for step in range(n_steps):
-        r = r_steps[step]
-        k1 = f(s, r)
-        k2 = f([s[i] + half * k1[i] for i in rng], r)
-        k3 = f([s[i] + half * k2[i] for i in rng], r)
-        k4 = f([s[i] + dt * k3[i] for i in rng], r)
-        s = [s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng]
-        if not all(isfinite(v) for v in s):
-            raise ArithmeticError(f"divergence at t={(step + 1) * dt:.6g}")
-        states[step + 1] = s
+    for i0 in range(0, n_steps, _BLOCK):
+        rs = r_steps[i0:i0 + _BLOCK].tolist()
+        out = []
+        block(rs, *s, out)
+        m = len(out) // n
+        if m < len(rs):
+            raise ArithmeticError(f"divergence at t={(i0 + m + 1) * dt:.6g}")
+        states[i0 + 1:i0 + 1 + m] = np.reshape(out, (m, n))
+        s = out[-n:]
 
     t = np.arange(n_steps + 1) * dt
     y = states @ np.asarray(ss.c)

@@ -7,7 +7,8 @@ import os
 
 import numpy as np
 
-from mfa.tf_core import RationalTF, tf_shift
+from mfa.sim import _sparse
+from mfa.tf_core import RationalTF, get_nonlinearity, tf_shift
 
 RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
@@ -98,3 +99,54 @@ def fd_jacobian(field, state, eps: float = 1e-6) -> np.ndarray:
         dm[j] -= h
         out[:, j] = (np.asarray(field(dp)) - np.asarray(field(dm))) / (2.0 * h)
     return out
+
+
+def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:
+    """The generic closure-based RK4 loop that ``sim.integrate`` replaced:
+    one call of ``f`` per stage, summing the sparse terms in index order.
+    Returns the ``(len(r_steps) + 1, n)`` states; a non-finite state raises
+    ``ArithmeticError("divergence at t=...")``."""
+    n = ss.dim
+    n_steps = len(r_steps)
+    phi = get_nonlinearity(ss.nonlinearity)[0]
+
+    a_rows = _sparse(ss.a)
+    b_terms = _sparse(ss.b)
+    c_terms = _sparse(ss.loop_row)
+
+    states = np.empty((n_steps + 1, n))
+    s = [float(v) for v in ic]
+    if len(s) != n:
+        raise ValueError("initial condition dimension mismatch")
+    states[0] = s
+    half = dt / 2.0
+    sixth = dt / 6.0
+    rng = range(n)
+    isfinite = math.isfinite
+
+    def f(state, r):
+        y = 0.0
+        for j, cj in c_terms:
+            y += cj * state[j]
+        u = r - phi(y)
+        out = [0.0] * n
+        for i in rng:
+            v = 0.0
+            for j, aij in a_rows[i]:
+                v += aij * state[j]
+            out[i] = v
+        for i, bi in b_terms:
+            out[i] += bi * u
+        return out
+
+    for step in range(n_steps):
+        r = r_steps[step]
+        k1 = f(s, r)
+        k2 = f([s[i] + half * k1[i] for i in rng], r)
+        k3 = f([s[i] + half * k2[i] for i in rng], r)
+        k4 = f([s[i] + dt * k3[i] for i in rng], r)
+        s = [s[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in rng]
+        if not all(isfinite(v) for v in s):
+            raise ArithmeticError(f"divergence at t={(step + 1) * dt:.6g}")
+        states[step + 1] = s
+    return states

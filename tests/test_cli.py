@@ -4,12 +4,15 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from conftest import RECIPES_DIR, fold_point
 
 import mfa.cli as cli
+from mfa import __version__
 from mfa.cli import main
+from mfa.sim import InputSchedule, Trajectory
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
 LOAD_JSON = os.path.join(RECIPES_DIR, "data", "load_msd.json")
@@ -206,6 +209,29 @@ class TestSimulate:
                      "--schedule", str(bad)])
         assert code == 3
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--ic", "nan,0,0"], "finite initial condition"),
+        (["--t-end", "inf"], "finite t_end"),
+        (["--dt", "inf"], "finite dt"),
+    ])
+    @pytest.mark.filterwarnings("ignore:dt above")
+    def test_non_finite_inputs_exit_2(self, capsys, flags, reason):
+        code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                     "--t-end", "0.01", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "integrate", too_large)
+        code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                     "--dt", "1e-9", "--t-end", "1e3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "traj.csv"
         code, out = run(capsys, ["simulate", *AMP_FLAGS, "--k", "0",
@@ -213,6 +239,47 @@ class TestSimulate:
                                  "--t-end", "0.01", "--output", str(dest)])
         assert code == 0 and out == ""
         assert dest.read_text().splitlines()[1] == "t,x,xp,xn,y"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("argv", [
+        ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50", "--rows", "3",
+         "--cols", "4", "--lambda", "50"],
+        ["nyquist", "--load", LOAD_JSON, "--lambda", "15"],
+        ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.8", "--dt", "1e-3",
+         "--t-end", "5", "--ic", "0.1,0,0", "--schedule", PULSE_JSON],
+        ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load",
+         LOAD_JSON, "--dt", "1e-3", "--t-end", "5", "--ic", "0.1,0,0,0,0"],
+    ], ids=["map", "nyquist", "simulate", "interconnect"])
+    def test_stdout_equals_output_file(self, capsys, tmp_path, argv):
+        dest = tmp_path / "out.csv"
+        assert run(capsys, [*argv, "--output", str(dest)]) == (0, "")
+        code, out = run(capsys, argv)
+        assert code == 0 and out == dest.read_text()
+        assert out.startswith(f"# mfa {__version__}\n")
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli._CSV_ROWS])
+    def test_trajectory_matches_fmt_reference(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_ROWS", chunk_rows)
+        special = [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
+                   math.nan, 0.1, 1.0 / 3.0, 0.0]
+        n = len(special)
+        states = np.column_stack([special, special[::-1], np.linspace(-1.0, 1.0, n)])
+        traj = Trajectory(np.arange(n) * 5e-4, states, np.array(special[3:] + special[:3]),
+                          InputSchedule.constant(0.0), ("x", "xp", "xn"),
+                          extra={"ye": -np.array(special)})
+        dest = tmp_path / "traj.csv"
+        cli._write_trajectory(traj, str(dest))
+
+        def _fmt(x):
+            return format(float(x), ".17g")
+
+        data = np.column_stack([traj.t, traj.states, traj.y, traj.extra["ye"]])
+        expected = "".join([f"# mfa {__version__}\n", "t,x,xp,xn,y,ye\n",
+                            *(",".join(_fmt(v) for v in row) + "\n" for row in data)])
+        assert dest.read_text() == expected
+        assert "-0," in expected and "4.9406564584124654e-324" in expected
+        assert "1e+308" in expected
 
 
 class TestNyquist:

@@ -1,14 +1,23 @@
 """Fixed-step integration, oscillation detection, boundedness."""
 
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import RECIPES_DIR, reference_rk4
+
 from mfa.equilibria import STABLE, UNSTABLE, find_equilibria
-from mfa.interconnect import InterfaceGains, LoadParams, assemble_closed_loop
+from mfa.interconnect import (
+    InterfaceGains,
+    LoadParams,
+    assemble_closed_loop,
+    load_from_json,
+)
 from mfa.sim import (
+    _BLOCK,
     InputSchedule,
     StateSpace,
     Trajectory,
@@ -114,6 +123,20 @@ class TestIntegrate:
             warnings.simplefilter("error")
             integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=0.05)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"ic": (math.nan, 0.0, 0.0)}, "finite initial condition"),
+        ({"ic": (0.0, math.inf, 0.0)}, "finite initial condition"),
+        ({"t_end": math.inf}, "finite t_end"),
+        ({"t_end": math.nan}, "finite t_end"),
+        ({"dt": math.inf}, "finite dt"),
+    ])
+    def test_non_finite_inputs_rejected(self, kwargs, match):
+        args = {"ic": (0.1, 0.0, 0.0), "dt": 1e-3, "t_end": 1.0, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=match):
+                integrate(mixed(5.0, 0.4), args.pop("ic"), **args)
+
     def test_statespace_requires_dt(self):
         ss = amplifier_statespace(mixed(1.0, 0.3))
         with pytest.raises(ValueError, match="dt"):
@@ -141,6 +164,74 @@ class TestIntegrate:
                          dt=1e-3, t_end=100.0)
         dist = np.abs(traj.states - np.asarray(eq.state)).max(axis=1)
         assert dist.max() > 1e-3
+
+
+def _recipe_data(name):
+    with open(os.path.join(RECIPES_DIR, "data", name)) as fh:
+        return fh.read()
+
+
+class TestKernelBitIdentity:
+    """The generated RK4 kernel against the generic closure loop it replaced."""
+
+    @staticmethod
+    def check(system, ic, schedule=None, dt=1e-3, t_end=1.0):
+        traj = integrate(system, ic, schedule, dt=dt, t_end=t_end)
+        ss = amplifier_statespace(system) if isinstance(system, AmplifierParams) else system
+        schedule = schedule or InputSchedule.constant(0.0)
+        r_steps = schedule.values_for_steps(dt, len(traj.t) - 1)
+        assert traj.states.tobytes() == reference_rk4(ss, ic, r_steps, dt).tobytes()
+        return traj
+
+    def test_recipe_pulse_switch_mid_block(self):
+        sched = InputSchedule.from_json(_recipe_data("pulse_switch.json"))
+        # the switches at t = 20 and t = 30 land on steps 10000 and 15000,
+        # inside the third and fourth blocks
+        assert 10000 % _BLOCK and 15000 % _BLOCK
+        self.check(mixed(5.0, 0.8), (0.1, 0.0, 0.0), sched, dt=2e-3, t_end=35.0)
+
+    def test_five_state_load_loop(self):
+        load, iface = load_from_json(_recipe_data("load_msd.json"))
+        ss = assemble_closed_loop(mixed(10.0, 0.4), load, iface)
+        traj = self.check(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=5.0)
+        assert traj.states.shape == (10001, 5)
+
+    def test_atan(self):
+        p = AmplifierParams(*TAUS, k=5.0, beta=0.4, nonlinearity="atan")
+        self.check(p, (0.1, -0.02, 0.01), InputSchedule.constant(0.3), t_end=5.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("loop", ["amplifier", "load", "scalar"])
+    def test_zero_initial_state_sign_of_zero(self, zero, loop):
+        # every sum starts from 0.0, so no derivative is -0.0; the
+        # input-free scalar x' = x keeps a -0.0 state only if one were
+        if loop == "amplifier":
+            system, dim = mixed(5.0, 0.4), 3
+        elif loop == "load":
+            load, iface = load_from_json(_recipe_data("load_msd.json"))
+            system, dim = assemble_closed_loop(mixed(10.0, 0.4), load, iface), 5
+        else:
+            system, dim = StateSpace(a=((1.0,),), b=(0.0,), c=(1.0,), labels=("x",)), 1
+        traj = self.check(system, (zero,) * dim, dt=5e-4, t_end=0.01)
+        assert not np.signbit(traj.states[1:]).any()
+
+    @pytest.mark.parametrize("n_steps", [0, 1, _BLOCK, _BLOCK + 1])
+    def test_block_boundaries(self, n_steps):
+        dt = 1e-3
+        t_end = n_steps * dt if n_steps else 0.4 * dt
+        traj = self.check(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=dt, t_end=t_end)
+        assert len(traj.t) == n_steps + 1
+
+    @pytest.mark.parametrize("a, dt", [(5.0, 0.5), (1.0, 0.1)])
+    def test_divergence_at_same_time(self, a, dt):
+        # the first case overflows inside the first block, the second after it
+        ss = StateSpace(a=((a,),), b=(0.0,), c=(1.0,), labels=("x",))
+        r_steps = np.zeros(int(round(1000.0 / dt)))
+        with pytest.raises(ArithmeticError, match="divergence at t=") as ref:
+            reference_rk4(ss, (1.0,), r_steps, dt)
+        with pytest.raises(ArithmeticError) as got:
+            integrate(ss, (1.0,), dt=dt, t_end=1000.0)
+        assert str(got.value) == str(ref.value)
 
 
 class TestDetectOscillation:
