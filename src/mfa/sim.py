@@ -285,8 +285,8 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     reference is held constant over each step at the value in effect at the
     step's left endpoint.  The steps run in a straight-line kernel generated
     once per call for the loop's sparsity pattern (:func:`_rk4_kernel`).  A
-    non-finite initial state or horizon is a ``ValueError``; a non-finite
-    state along the way aborts with the offending time.
+    non-finite initial state, ``dt`` or ``t_end`` is a ``ValueError``; a
+    non-finite state along the way aborts with the offending time.
     """
     if isinstance(system, AmplifierParams):
         ss = amplifier_statespace(system)
