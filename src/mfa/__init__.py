@@ -29,33 +29,26 @@ from .freq_analysis import (
     FrequencyGrid,
     check_p_dominance,
     check_p_passivity,
-    count_unstable_shifted_poles,
     critical_balance,
-    critical_gain,
     min_real_part,
     nyquist_locus,
     select_rate,
 )
 from .equilibria import (
     Equilibrium,
+    LureLoop,
     RegimeClassification,
-    classify_regime,
     classify_stability,
-    dc_loop_gain,
     dominance_map,
-    find_equilibria,
-    jacobian_at,
 )
 from .sim import (
     InputSchedule,
     OscillationReport,
     StateSpace,
     Trajectory,
-    amplifier_statespace,
     boundedness_check,
     detect_oscillation,
     integrate,
-    vector_field,
 )
 from .multichannel import (
     Channel,
@@ -63,17 +56,12 @@ from .multichannel import (
     InterlacingReport,
     bank_critical_balance,
     build_channel_tf,
-    build_extended_openloop,
     check_interlacing,
-    realize_diagonal,
 )
 from .interconnect import (
     CompositionCertificate,
     InterfaceGains,
     LoadParams,
-    assemble_closed_loop,
-    check_load_passivity,
     compose_certificates,
-    find_equilibria_interconnected,
     load_tf,
 )

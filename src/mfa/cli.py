@@ -19,60 +19,28 @@ import sys
 import numpy as np
 
 from . import __version__
-from .equilibria import (
-    REGIME_UNCLASSIFIED,
-    Equilibrium,
-    classify_stability,
-    dc_loop_gain,
-    dominance_map,
-    find_equilibria,
-    regime_from_parts,
-    solve_phi_line,
-)
+from .equilibria import LureLoop, dominance_map
 from .freq_analysis import (
     FrequencyGrid,
     check_p_passivity,
-    count_unstable_shifted_poles,
     critical_balance,
-    critical_gain,
     default_grid,
     midpoint_rate,
-    min_real_part,
     nyquist_locus,
     select_rate,
 )
-from .interconnect import (
-    assemble_closed_loop,
-    check_load_passivity,
-    compose_certificates,
-    find_equilibria_interconnected,
-    interconnection_openloop,
-    load_from_json,
-    load_tf,
-)
-from .multichannel import (
-    bank_critical_balance,
-    bank_from_json,
-    build_extended_openloop,
-    check_interlacing,
-    realize_diagonal,
-)
+from .interconnect import compose_certificates, load_from_json, load_tf
+from .multichannel import bank_critical_balance, bank_from_json, check_interlacing
 from .sim import (
     InputSchedule,
     Trajectory,
     boundedness_check,
     detect_oscillation,
     integrate,
-    linearize,
 )
-from .tf_core import (
-    AmplifierParams,
-    get_nonlinearity,
-    tf_build_mixed,
-    tf_zero_mixed,
-)
+from .tf_core import AmplifierParams, tf_build_mixed, tf_zero_mixed
 
-__all__ = ["main", "entrypoint", "build_analysis_report"]
+__all__ = ["main", "entrypoint"]
 
 
 def _tag_gain(x: float):
@@ -134,50 +102,38 @@ def _print_json(obj):
 # ---------------------------------------------------------------------------
 # analyze
 
-def build_analysis_report(params: AmplifierParams, r: float,
-                          lam: float | None) -> dict:
-    """Aggregate poles/zero/critical quantities/equilibria/regime for one point."""
-    policy = "midpoint" if lam is None else "user"
-    if lam is None:
-        lam = select_rate(params)
-    g = tf_build_mixed(params)
-    g1 = tf_build_mixed(params.with_gain(1.0))
-    poles = g1.poles()
-    zero = tf_zero_mixed(params) if params.k > 0 else None
-    equilibria = tuple(find_equilibria(params, r))
-    k0_bar = critical_gain(params, 0.0, 0)
-    inertia = count_unstable_shifted_poles(g1, lam)
-    if inertia == 2:
-        k2_bar = critical_gain(params, lam, 2)
-    else:
-        k2_bar = math.nan
-    if inertia == 2:
-        regime, reason = regime_from_parts(params.k, k0_bar, k2_bar, equilibria)
-    else:
-        regime, reason = REGIME_UNCLASSIFIED, "shifted inertia != 2"
+def _loop_report(loop: LureLoop, r: float, lam: float, policy: str,
+                 head: dict, between: dict, tail: dict) -> dict:
+    """Report of one loop at one point, with the fields ``analyze`` and
+    ``multichannel`` share in their order: poles, zeros, ``between``, the
+    rate, the shifted inertia, g0, the critical gains, the equilibria and the
+    regime, then ``tail``.  A pole on the shifted axis raises
+    ``ArithmeticError``."""
+    zeros = loop.g.zeros()
+    inertia = loop.inertia(lam)
+    cell = loop.classify(r, lam)
     return {
         "tool": "mfa",
         "version": __version__,
-        "params": {
-            "tau_l": params.tau_l, "tau_p": params.tau_p, "tau_n": params.tau_n,
-            "k": params.k, "beta": params.beta, "r": r,
-            "nonlinearity": params.nonlinearity,
-        },
-        "poles": _complex_pairs(poles),
-        "zeros": _complex_pairs(g.zeros()) if params.k > 0 else [],
-        "zero": zero,
-        "beta_star": critical_balance(params.tau_p, params.tau_n),
+        **head,
+        "poles": _complex_pairs(loop.poles),
+        "zeros": _complex_pairs(zeros),
+        **between,
         "lambda": lam,
         "lambda_policy": policy,
         "shifted_unstable_poles": inertia,
-        "g0": dc_loop_gain(params),
-        "k0_bar": _tag_gain(k0_bar),
-        "k2_bar": _tag_gain(k2_bar),
-        "equilibria": _equilibrium_dicts(equilibria),
-        "regime": regime,
-        "reason": reason,
-        "min_re_method": "stationary_points",
+        "g0": loop.g0,
+        "k0_bar": _tag_gain(cell.k0_bar),
+        "k2_bar": _tag_gain(cell.k2_bar),
+        "equilibria": _equilibrium_dicts(cell.equilibria),
+        "regime": cell.regime,
+        "reason": cell.reason,
+        **tail,
     }
+
+
+def _policy(args) -> str:
+    return "midpoint" if args.lam is None else "user"
 
 
 def _amp_from_args(args) -> AmplifierParams:
@@ -187,7 +143,18 @@ def _amp_from_args(args) -> AmplifierParams:
 
 def cmd_analyze(args) -> int:
     params = _amp_from_args(args)
-    _print_json(build_analysis_report(params, args.r, args.lam))
+    lam = select_rate(params) if args.lam is None else args.lam
+    head = {"params": {
+        "tau_l": params.tau_l, "tau_p": params.tau_p, "tau_n": params.tau_n,
+        "k": params.k, "beta": params.beta, "r": args.r,
+        "nonlinearity": params.nonlinearity,
+    }}
+    between = {
+        "zero": tf_zero_mixed(params) if params.k > 0 else None,
+        "beta_star": critical_balance(params.tau_p, params.tau_n),
+    }
+    _print_json(_loop_report(LureLoop.amplifier(params), args.r, lam, _policy(args),
+                             head, between, {"min_re_method": "stationary_points"}))
     return 0
 
 
@@ -280,54 +247,13 @@ def cmd_multichannel(args) -> int:
     with open(args.bank) as fh:
         bank_data = json.loads(fh.read())
     tau_l, pos, neg, k, beta = bank_from_json(bank_data)
-    gbar = build_extended_openloop(tau_l, pos, neg, k, beta)
-    g1 = build_extended_openloop(tau_l, pos, neg, 1.0, beta)
-    poles = g1.poles()
-    lam = args.lam if args.lam is not None else midpoint_rate(poles)
-    inertia = count_unstable_shifted_poles(g1, lam)
-    min_re0, _ = min_real_part(g1, 0.0)
-    k0_bar = math.inf if min_re0 >= 0.0 else -1.0 / min_re0
-    if inertia == 2:
-        min_re2, _ = min_real_part(g1, lam)
-        k2_bar = math.inf if min_re2 >= 0.0 else -1.0 / min_re2
-    else:
-        k2_bar = math.nan
-    g0 = k * (2.0 * beta - 1.0)
-    phi, _, slope_inverse = get_nonlinearity(args.nonlinearity)
-    ss = realize_diagonal(tau_l, pos, neg, k, beta)
-    ys = [0.0] if g0 == 0.0 else solve_phi_line(phi, 1.0 / g0, args.r, slope_inverse)
-    equilibria = []
-    for y in ys:
-        x = args.r - phi(y)
-        state = tuple([x] * ss.dim)
-        eigs = [complex(e) for e in np.linalg.eigvals(linearize(ss, y))]
-        eigs.sort(key=lambda z: (z.real, z.imag))
-        equilibria.append(Equilibrium(float(y), state, tuple(eigs),
-                                      classify_stability(eigs)))
-    if inertia == 2:
-        regime, reason = regime_from_parts(k, k0_bar, k2_bar, equilibria)
-    else:
-        regime, reason = REGIME_UNCLASSIFIED, "shifted inertia != 2"
+    loop = LureLoop.bank(tau_l, pos, neg, k, beta, args.nonlinearity)
     interlacing = check_interlacing(pos, neg, beta) if 0.0 < beta < 1.0 else None
-    report = {
-        "tool": "mfa",
-        "version": __version__,
-        "bank": bank_data,
-        "poles": _complex_pairs(poles),
-        "zeros": _complex_pairs(gbar.zeros()) if k > 0 else [],
-        "beta_star": bank_critical_balance(pos, neg),
-        "lambda": lam,
-        "lambda_policy": "midpoint" if args.lam is None else "user",
-        "shifted_unstable_poles": inertia,
-        "g0": g0,
-        "k0_bar": _tag_gain(k0_bar),
-        "k2_bar": _tag_gain(k2_bar),
-        "equilibria": _equilibrium_dicts(equilibria),
-        "regime": regime,
-        "reason": reason,
-        "interlacing": interlacing.to_json_dict() if interlacing else None,
-    }
-    _print_json(report)
+    lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
+    _print_json(_loop_report(
+        loop, args.r, lam, _policy(args), {"bank": bank_data},
+        {"beta_star": bank_critical_balance(pos, neg)},
+        {"interlacing": interlacing.to_json_dict() if interlacing else None}))
     return 0
 
 
@@ -339,13 +265,13 @@ def cmd_interconnect(args) -> int:
         load, iface = load_from_json(fh.read())
     amp = _amp_from_args(args)
     lam = args.lam if args.lam is not None else select_rate(amp)
+    loop = LureLoop.load(amp, load, iface)
     if args.certify:
         c_amp = check_p_passivity(tf_build_mixed(amp), lam, 2)
-        c_load = check_load_passivity(load, lam)
+        c_load = check_p_passivity(load_tf(load), lam, 0)
         comp = compose_certificates(c_amp, c_load)
-        gtot = interconnection_openloop(amp, load, iface)
-        c_tot = check_p_passivity(gtot, lam, comp.p_total)
-        equilibria = find_equilibria_interconnected(amp, load, iface, args.r)
+        c_tot = check_p_passivity(loop.g, lam, comp.p_total)
+        equilibria = loop.equilibria(args.r)
         _print_json({
             "tool": "mfa",
             "version": __version__,
@@ -360,8 +286,7 @@ def cmd_interconnect(args) -> int:
     schedule = _read_schedule(args)
     ic = _parse_ic(args.ic, 5)
     dt = args.dt if args.dt is not None else min(amp.taus) / 20.0
-    ss = assemble_closed_loop(amp, load, iface)
-    traj = integrate(ss, ic, schedule, dt=dt, t_end=args.t_end)
+    traj = integrate(loop.ss, ic, schedule, dt=dt, t_end=args.t_end)
     if args.output is not None or not args.detect:
         _write_trajectory(traj, args.output)
     if args.detect:
@@ -392,7 +317,8 @@ def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
     p.add_argument("--r", type=float, default=0.0,
                    help="constant reference when no schedule file is given")
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=50.0)
+    p.add_argument("--t-end", dest="t_end", type=float, default=50.0,
+                   help="end time, rounded to a whole number of steps of dt")
     p.add_argument("--ic", default=",".join(["0"] * dim))
     p.add_argument("--detect", action="store_true",
                    help="print an oscillation report JSON instead of CSV")

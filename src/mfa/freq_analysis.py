@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tf_core import AmplifierParams, RationalTF, tf_build_mixed, tf_shift
+from .tf_core import AmplifierParams, RationalTF, tf_shift
 
 __all__ = [
     "INFINITE_SECTOR",
@@ -24,9 +24,7 @@ __all__ = [
     "LocusPoint",
     "check_p_dominance",
     "check_p_passivity",
-    "count_unstable_shifted_poles",
     "critical_balance",
-    "critical_gain",
     "default_grid",
     "midpoint_rate",
     "min_real_part",
@@ -265,44 +263,16 @@ def select_rate(params: AmplifierParams) -> float:
     return (mags[0] + mags[1]) / 2.0
 
 
-def count_unstable_shifted_poles(g: RationalTF, lam: float) -> int:
-    """Number of poles with real part > -lambda (raises on a boundary pole)."""
-    poles = _check_axis_clear(g, lam)
-    return sum(1 for p in poles if p.real > -lam)
-
-
-def critical_gain(params: AmplifierParams, lam: float, p: int) -> float:
-    """Largest gain below which p-dominance is certified at rate ``lam``.
-
-    Computed at unit gain (the transfer function scales linearly in k):
-    -1/min_re when the minimum is negative, inf otherwise.  p = 0
-    requires lam = 0; p = 2 requires exactly two shifted-unstable poles.
-    """
-    if p == 0:
-        if lam != 0.0:
-            raise ValueError("requires lambda = 0 for the 0-dominance gain")
-    elif p == 2:
-        pass
-    else:
-        raise ValueError("requires p in {0, 2}")
-    g1 = tf_build_mixed(params.with_gain(1.0))
-    if p == 2 and count_unstable_shifted_poles(g1, lam) != 2:
-        raise ValueError("wrong shifted inertia")
-    min_re, _ = min_real_part(g1, lam)
-    if min_re >= 0.0:
-        return math.inf
-    return -1.0 / min_re
-
-
 def check_p_dominance(g: RationalTF, lam: float, K, p: int) -> DominanceCertificate:
     """Three-condition circle-criterion check; failures are encoded, not raised.
 
-    K is a positive sector bound or :data:`INFINITE_SECTOR`.  With a finite
+    K is a sector bound K >= 0 or :data:`INFINITE_SECTOR`.  With a finite
     sector the Nyquist condition is strict (min_re > -1/K plus a 1e-12
-    margin); with the infinite sector it relaxes to min_re >= 0.
+    margin; K = 0 puts the line at -inf, so it always holds); with the
+    infinite sector it relaxes to min_re >= 0.
     """
-    if K != INFINITE_SECTOR and not float(K) > 0.0:
-        raise ValueError("requires K > 0 or the infinite-sector tag")
+    if K != INFINITE_SECTOR and not float(K) >= 0.0:
+        raise ValueError("requires K >= 0 or the infinite-sector tag")
     poles = g.poles()
     cond1 = all(abs(pl.real + lam) >= _AXIS_TOL for pl in poles)
     n_unstable = sum(1 for pl in poles if pl.real > -lam)
@@ -315,7 +285,7 @@ def check_p_dominance(g: RationalTF, lam: float, K, p: int) -> DominanceCertific
         line = 0.0
         cond3 = min_re >= 0.0
     else:
-        line = -1.0 / float(K)
+        line = -1.0 / float(K) if K else -math.inf
         cond3 = min_re > line + _STRICT_MARGIN
     margin = min_re - line
     if math.isnan(min_re):

@@ -4,8 +4,8 @@ The weighted difference of a fast positive bank and a slow negative bank
 (unit DC gain each) has all-real zeros: one in each gap between same-bank
 poles, plus a single outer zero that escapes to infinity at a critical
 balance.  These facts generalize the three-state amplifier analysis to any
-bank sizes, so the extended open loop can reuse the same dominance checks
-and equilibrium logic.
+bank sizes; the bank loop itself is :meth:`mfa.equilibria.LureLoop.bank`, so
+it shares the amplifier's certificates, equilibria and regimes.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .sim import StateSpace
-from .tf_core import AmplifierParams, Polynomial, RationalTF, poly_roots
+from .tf_core import Polynomial, RationalTF
 
 __all__ = [
     "BETWEEN_NEGATIVE",
@@ -27,11 +26,8 @@ __all__ = [
     "InterlacingReport",
     "bank_critical_balance",
     "bank_from_json",
-    "bank_to_json",
     "build_channel_tf",
-    "build_extended_openloop",
     "check_interlacing",
-    "realize_diagonal",
 ]
 
 BETWEEN_POSITIVE = "between-positive-poles"
@@ -168,7 +164,7 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float
     m, n = len(pos.channels), len(neg.channels)
     if c.num.is_zero or c.num.degree == 0:
         return InterlacingReport((), (), satisfied=False)
-    roots = poly_roots(c.num)
+    roots = c.zeros()
     pos_poles = pos.poles()
     neg_poles = neg.poles()
     lo = min(pos_poles + neg_poles)
@@ -214,66 +210,6 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float
     return InterlacingReport(tuple(zeros), tuple(pattern), satisfied)
 
 
-def _check_tau_l(tau_l: float, pos: ChannelBank, neg: ChannelBank):
-    if not tau_l > 0.0:
-        raise ValueError("requires tau_l > 0")
-    if tau_l in pos.taus or tau_l in neg.taus:
-        raise ValueError("requires tau_l distinct from every channel tau")
-
-
-def build_extended_openloop(tau_l: float, pos: ChannelBank, neg: ChannelBank,
-                            k: float, beta: float) -> RationalTF:
-    """Extended open loop -k * C(s) / (tau_l s + 1), assembled without cancellation.
-
-    The pole set is the load pole plus both banks' poles; the DC value is
-    k(1 - 2 beta) for any bank sizes because both banks have unit gain.
-    """
-    _check_tau_l(tau_l, pos, neg)
-    if not k >= 0.0:
-        raise ValueError("requires k >= 0")
-    c = build_channel_tf(pos, neg, beta)
-    num = -k * c.num
-    den = Polynomial([1.0, tau_l]) * c.den
-    return RationalTF(num, den)
-
-
-def realize_diagonal(tau_l: float, pos: ChannelBank, neg: ChannelBank,
-                     k: float, beta: float) -> StateSpace:
-    """Diagonal state-space realization: one lag state per channel.
-
-    The load state x drives every channel (tau_i x_i' = x - x_i) and the
-    output mixes the channel states, y = k(-beta sum rho_i x_p,i
-    + (1-beta) sum rho_j x_n,j); its u -> y transfer function equals
-    :func:`build_extended_openloop`.
-    """
-    _check_tau_l(tau_l, pos, neg)
-    if not k >= 0.0:
-        raise ValueError("requires k >= 0")
-    _check_separation(pos, neg)
-    pos_ch = pos.sorted_channels()
-    neg_ch = neg.sorted_channels()
-    dim = 1 + len(pos_ch) + len(neg_ch)
-    rows = []
-    rows.append(tuple([-1.0 / tau_l] + [0.0] * (dim - 1)))
-    for offset, ch in enumerate(pos_ch + neg_ch):
-        row = [0.0] * dim
-        row[0] = 1.0 / ch.tau
-        row[1 + offset] = -1.0 / ch.tau
-        rows.append(tuple(row))
-    c = [0.0]
-    c += [-k * beta * ch.rho for ch in pos_ch]
-    c += [k * (1.0 - beta) * ch.rho for ch in neg_ch]
-    labels = ["x"]
-    labels += [f"xp{i + 1}" for i in range(len(pos_ch))]
-    labels += [f"xn{i + 1}" for i in range(len(neg_ch))]
-    return StateSpace(
-        a=tuple(rows),
-        b=tuple([1.0 / tau_l] + [0.0] * (dim - 1)),
-        c=tuple(c),
-        labels=tuple(labels),
-    )
-
-
 def bank_from_json(data) -> tuple[float, ChannelBank, ChannelBank, float, float]:
     """Parse {"tau_l", "positive", "negative", "k", "beta"} into bank pieces."""
     if isinstance(data, str):
@@ -283,24 +219,3 @@ def bank_from_json(data) -> tuple[float, ChannelBank, ChannelBank, float, float]
     neg = ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
                             for ch in data["negative"]), role="negative")
     return float(data["tau_l"]), pos, neg, float(data["k"]), float(data["beta"])
-
-
-def bank_to_json(tau_l: float, pos: ChannelBank, neg: ChannelBank,
-                 k: float, beta: float) -> str:
-    return json.dumps({
-        "tau_l": tau_l,
-        "positive": [{"rho": ch.rho, "tau": ch.tau} for ch in pos.channels],
-        "negative": [{"rho": ch.rho, "tau": ch.tau} for ch in neg.channels],
-        "k": k,
-        "beta": beta,
-    })
-
-
-def equivalent_params(tau_l: float, pos: ChannelBank, neg: ChannelBank,
-                      k: float, beta: float,
-                      nonlinearity: str = "tanh") -> AmplifierParams | None:
-    """The three-state parameter set matching single-channel banks, else None."""
-    if len(pos.channels) == 1 and len(neg.channels) == 1:
-        return AmplifierParams(tau_l, pos.channels[0].tau, neg.channels[0].tau,
-                               k, beta, nonlinearity=nonlinearity)
-    return None

@@ -23,12 +23,9 @@ __all__ = [
     "OscillationReport",
     "StateSpace",
     "Trajectory",
-    "amplifier_statespace",
     "boundedness_check",
     "detect_oscillation",
     "integrate",
-    "linearize",
-    "vector_field",
 ]
 
 #: Classical RK4 is stable for dt * |eigenvalue| up to about 2.785 on the
@@ -160,41 +157,6 @@ class OscillationReport:
         }
 
 
-def amplifier_statespace(params: AmplifierParams) -> StateSpace:
-    """Three-state realization of the mixed feedback amplifier."""
-    tl, tp, tn = params.taus
-    k, beta = params.k, params.beta
-    return StateSpace(
-        a=((-1.0 / tl, 0.0, 0.0),
-           (1.0 / tp, -1.0 / tp, 0.0),
-           (1.0 / tn, 0.0, -1.0 / tn)),
-        b=(1.0 / tl, 0.0, 0.0),
-        c=(0.0, -k * beta, k * (1.0 - beta)),
-        labels=("x", "xp", "xn"),
-        nonlinearity=params.nonlinearity,
-    )
-
-
-def vector_field(params: AmplifierParams, state, r: float):
-    """Right-hand side of the amplifier ODEs at one state."""
-    x, xp, xn = state
-    tl, tp, tn = params.taus
-    y = params.k * (-params.beta * xp + (1.0 - params.beta) * xn)
-    u = r - params.phi(y)
-    return ((-x + u) / tl, (x - xp) / tp, (x - xn) / tn)
-
-
-def linearize(ss: StateSpace, loop_value: float) -> np.ndarray:
-    """Closed-loop Jacobian A - phi'(v*) b c_loop of a Lure realization.
-
-    ``loop_value`` is the equilibrium value of the saturation input
-    (equal to y* when no external feedback joins the junction).
-    """
-    dphi = get_nonlinearity(ss.nonlinearity)[1]
-    a = ss.a_matrix()
-    return a - dphi(loop_value) * np.outer(ss.b, ss.loop_row)
-
-
 def _sparse(vec_or_rows):
     if isinstance(vec_or_rows[0], tuple):
         return tuple(
@@ -282,14 +244,19 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     time constant over 20) or a :class:`StateSpace` (dt required; a warning
     when dt times the larger spectral radius of the loop's Jacobians at
     saturation slope 0 and 1, A and A - b c_loop, exceeds the RK4 limit).  The
-    reference is held constant over each step at the value in effect at the
-    step's left endpoint.  The steps run in a straight-line kernel generated
-    once per call for the loop's sparsity pattern (:func:`_rk4_kernel`).  A
-    non-finite initial state, ``dt`` or ``t_end`` is a ``ValueError``; a
-    non-finite state along the way aborts with the offending time.
+    run takes ``round(t_end / dt)`` steps, so it ends at that many times
+    ``dt``, not necessarily at ``t_end``.  The reference is held constant over
+    each step at the value in effect at the step's left endpoint.  The steps
+    run in a straight-line kernel generated once per call for the loop's
+    sparsity pattern (:func:`_rk4_kernel`).  A non-finite initial state,
+    ``dt`` or ``t_end``, or a ``t_end`` that rounds to zero steps, is a
+    ``ValueError``; a non-finite state along the way aborts with the offending
+    time.
     """
     if isinstance(system, AmplifierParams):
-        ss = amplifier_statespace(system)
+        from .equilibria import LureLoop  # equilibria builds on this module
+
+        ss = LureLoop.amplifier(system).ss
         tau_min = min(system.taus)
         if dt is None:
             dt = tau_min / 20.0
@@ -320,6 +287,8 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     if not all(math.isfinite(v) for v in s):
         raise ValueError("requires a finite initial condition")
     n_steps = int(round(t_end / dt))
+    if n_steps == 0:
+        raise ValueError(f"t_end = {t_end:g} rounds to zero steps of dt = {dt:g}")
     r_steps = schedule.values_for_steps(dt, n_steps)
     block = _rk4_kernel(ss, get_nonlinearity(ss.nonlinearity)[0], dt)
 

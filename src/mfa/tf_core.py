@@ -2,15 +2,15 @@
 
 Coefficients are stored in ascending degree and trailing zeros are stripped,
 so the degree is always implied by the length.  All types are immutable
-values and all operations are pure functions; no implicit pole/zero
-cancellation is ever performed (``tf_cancel`` exists as an explicit,
-tolerance-parameterized utility and is never called by the analyses).
+values and all operations are pure functions; no pole/zero cancellation is
+ever performed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "get_nonlinearity",
     "poly_roots",
     "tf_build_mixed",
-    "tf_cancel",
     "tf_eval",
     "tf_multiply",
     "tf_shift",
@@ -106,21 +105,6 @@ class Polynomial:
             power = _poly_mul(power, [-lam, 1.0])
         return Polynomial(out)
 
-    @classmethod
-    def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
-        """Monic-expand the given roots, then scale by ``leading``.
-
-        Complex roots must come in conjugate pairs; a residual imaginary
-        part above 1e-8 of the coefficient scale is an error.
-        """
-        acc = np.array([1.0 + 0.0j])
-        for r in roots:
-            acc = np.convolve(acc, np.array([-complex(r), 1.0 + 0.0j]))
-        scale = max(1.0, float(np.max(np.abs(acc))))
-        if float(np.max(np.abs(acc.imag))) > 1e-8 * scale:
-            raise ValueError("roots do not form conjugate pairs")
-        return cls([leading * float(c) for c in acc.real])
-
 
 def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
     """All roots of ``p`` (with multiplicity) via companion-matrix eigenvalues.
@@ -163,8 +147,13 @@ class RationalTF:
         if not self.num.is_zero and self.num.degree > self.den.degree:
             raise ValueError("improper transfer function")
 
+    @cached_property
+    def _poles(self) -> tuple[complex, ...]:
+        return tuple(poly_roots(self.den))
+
     def poles(self) -> list[complex]:
-        return poly_roots(self.den)
+        """Roots of the denominator, taken once per transfer function."""
+        return list(self._poles)
 
     def zeros(self) -> list[complex]:
         if self.num.is_zero or self.num.degree == 0:
@@ -180,13 +169,6 @@ class RationalTF:
 
     def __mul__(self, other: "RationalTF") -> "RationalTF":
         return tf_multiply(self, other)
-
-    def as_dict(self) -> dict:
-        return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RationalTF":
-        return cls(Polynomial(d["num"]), Polynomial(d["den"]))
 
 
 def _tanh_slope(y: float) -> float:
@@ -324,29 +306,3 @@ def tf_eval(g: RationalTF, s: complex, tol: float = 1e-12) -> complex:
     if abs(den_v) <= tol * max(scale, 1e-300):
         raise ArithmeticError("pole proximity")
     return g.num(s) / den_v
-
-
-def tf_cancel(g: RationalTF, tol: float) -> RationalTF:
-    """Remove pole/zero pairs closer than ``tol`` (relative to magnitude).
-
-    Explicit utility only: no analysis in this package calls it.
-    """
-    if g.num.is_zero or g.num.degree == 0:
-        return g
-    zs = g.zeros()
-    ps = g.poles()
-    kept_p = list(ps)
-    kept_z = []
-    for z in zs:
-        hit = None
-        for i, p in enumerate(kept_p):
-            if abs(z - p) <= tol * max(1.0, abs(p)):
-                hit = i
-                break
-        if hit is None:
-            kept_z.append(z)
-        else:
-            kept_p.pop(hit)
-    num = Polynomial.from_roots(kept_z, leading=g.num.leading)
-    den = Polynomial.from_roots(kept_p, leading=g.den.leading)
-    return RationalTF(num, den)

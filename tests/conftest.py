@@ -101,6 +101,16 @@ def fd_jacobian(field, state, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def vector_field(params, state, r: float):
+    """Right-hand side of the amplifier ODEs at one state, written out by
+    hand from the three lag equations."""
+    x, xp, xn = state
+    tl, tp, tn = params.taus
+    y = params.k * (-params.beta * xp + (1.0 - params.beta) * xn)
+    u = r - params.phi(y)
+    return ((-x + u) / tl, (x - xp) / tp, (x - xn) / tn)
+
+
 def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:
     """The generic closure-based RK4 loop that ``sim.integrate`` replaced:
     one call of ``f`` per stage, summing the sparse terms in index order.

@@ -13,7 +13,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, bisect_root, brute_min_re, fd_jacobian, random_proper_tf
+from conftest import (
+    RECIPES_DIR,
+    bisect_root,
+    brute_min_re,
+    fd_jacobian,
+    random_proper_tf,
+    vector_field,
+)
 
 from mfa.equilibria import (
     REGIME_MULTISTABLE,
@@ -21,25 +28,19 @@ from mfa.equilibria import (
     REGIME_ZERO_DOMINANT,
     STABLE,
     UNSTABLE,
-    classify_regime,
-    dc_loop_gain,
+    LureLoop,
     dominance_map,
-    find_equilibria,
-    jacobian_at,
 )
 from mfa.freq_analysis import (
     check_p_passivity,
     critical_balance,
-    critical_gain,
     select_rate,
 )
 from mfa.interconnect import (
     InterfaceGains,
     LoadParams,
-    assemble_closed_loop,
-    check_load_passivity,
     compose_certificates,
-    find_equilibria_interconnected,
+    load_tf,
 )
 from mfa.multichannel import Channel, ChannelBank, check_interlacing
 from mfa.sim import (
@@ -48,7 +49,6 @@ from mfa.sim import (
     boundedness_check,
     detect_oscillation,
     integrate,
-    vector_field,
 )
 from mfa.tf_core import (
     INFINITE_ZERO,
@@ -102,7 +102,7 @@ def reference_runs():
 @criterion(1, "three reference tunings: stable return / oscillation / basin switch")
 def test_criterion_1_reference_regimes(reference_runs):
     t0 = time.perf_counter()
-    regimes = {beta: classify_regime(AmplifierParams(*TAUS, 5.0, beta), 0.0, 50.0)
+    regimes = {beta: LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, beta)).classify(0.0, 50.0)
                for beta in (0.2, 0.4, 0.8)}
     classify_seconds = time.perf_counter() - t0
 
@@ -172,7 +172,7 @@ def test_criterion_3_critical_gain_oracle():
             lam, deg = 0.0, 0
         else:
             lam, deg = select_rate(p), 2
-        got = critical_gain(p, lam, deg)
+        got = LureLoop.amplifier(p).certify(lam, deg).critical_gain
         corners = [1.0 / t for t in p.taus]
         oracle_min = brute_min_re(tf_build_mixed(p), lam,
                                   1e-3 * min(corners), 1e3 * max(corners))
@@ -190,13 +190,14 @@ def test_criterion_4_count_law():
     for k in ks:
         for beta in betas:
             p = AmplifierParams(*TAUS, float(k), float(beta))
-            g0 = dc_loop_gain(p)
+            loop = LureLoop.amplifier(p)
+            g0 = loop.g0
             if abs(g0 - 1.0) < 1e-3:
                 continue
-            n = len(find_equilibria(p, 0.0))
+            n = len(loop.equilibria(0.0))
             assert n == (3 if g0 > 1.0 else 1), (k, beta, g0, n)
 
-    eqs = find_equilibria(AmplifierParams(*TAUS, 5.0, 0.8), 0.0)
+    eqs = LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.8)).equilibria(0.0)
     y_top = max(e.y_star for e in eqs)
     oracle = bisect_root(lambda y: math.tanh(y) - y / 3.0, 1.0, 4.0)
     assert abs(y_top - 2.9847) < 1e-3
@@ -240,14 +241,14 @@ def test_criterion_6_interconnection():
     load = LoadParams(a=350.0, b=35.0, kv=1.0, kp=20.0)
     iface = InterfaceGains(ki=10.0, ko=1.0)
 
-    c_load = check_load_passivity(load, 15.0)
+    c_load = check_p_passivity(load_tf(load), 15.0, 0)
     assert c_load.passed
     c_amp = check_p_passivity(tf_build_mixed(amp), 15.0, 2)
     comp = compose_certificates(c_amp, c_load)
     assert comp.valid and comp.p_total == 2
 
-    ss = assemble_closed_loop(amp, load, iface)
-    traj = integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=DT, t_end=50.0)
+    loop = LureLoop.load(amp, load, iface)
+    traj = integrate(loop.ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=DT, t_end=50.0)
     rep_y = detect_oscillation(traj, transient_fraction=0.4)
     rep_ye = detect_oscillation(
         Trajectory(traj.t, traj.states, traj.extra["ye"], traj.schedule,
@@ -256,7 +257,7 @@ def test_criterion_6_interconnection():
     assert abs(rep_y.period - rep_ye.period) <= 0.02 * rep_ye.period
 
     # soundness context: every closed-loop equilibrium is unstable
-    eqs = find_equilibria_interconnected(amp, load, iface, 0.0)
+    eqs = loop.equilibria(0.0)
     assert all(e.stability == UNSTABLE for e in eqs)
 
     elapsed = time.perf_counter() - t0
@@ -285,8 +286,9 @@ def test_criterion_7_numerical_hygiene(reference_runs):
         p = AmplifierParams(*TAUS, k=float(rng.uniform(0, 20)),
                             beta=float(rng.uniform(0, 1)))
         r = float(rng.uniform(-1, 1))
-        for eq in find_equilibria(p, r):
-            a = jacobian_at(p, eq.y_star)
+        loop = LureLoop.amplifier(p)
+        for eq in loop.equilibria(r):
+            a = loop.jacobians([eq.y_star])[0]
             fd = fd_jacobian(lambda s: vector_field(p, s, r), eq.state)
             assert np.abs(a - fd).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
@@ -338,8 +340,8 @@ def test_criterion_8_maps():
                    if c.regime == REGIME_OSCILLATION)
 
     assert count_osc(wide) > 0
-    assert classify_regime(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4),
-                           0.0, 50.0).regime == REGIME_OSCILLATION
+    assert LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).classify(
+        0.0, 50.0).regime == REGIME_OSCILLATION
 
     # (iii) wider time-scale separation gives strictly more oscillation cells
     assert count_osc(wide) > count_osc(reduced)

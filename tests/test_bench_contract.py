@@ -1,0 +1,56 @@
+"""What the benchmark in ``bench/`` relies on from the program.
+
+``bench/run.py`` calls ``mfa.cli.main`` in-process, swaps ``mfa.cli.integrate``
+to capture the trajectories it checks, and with ``--trace 1`` wraps every
+public function, counting ``phi`` evaluations through the first argument of
+``solve_phi_line``.  A short traced run of each analysis workload checks all
+of that end to end; the trajectory workload is covered by the cheaper
+``cli.integrate`` checks below.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import RECIPES_DIR
+
+import mfa.cli as cli
+import mfa.sim as sim
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1", "--k", "10",
+             "--beta", "0.4"]
+
+
+@pytest.mark.parametrize("workload", ["map_sweep", "certify_points"])
+def test_traced_bench_run_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["correct"] is True
+
+
+def test_cli_integrate_is_sim_integrate():
+    assert cli.integrate is sim.integrate
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *AMP_FLAGS],
+    ["interconnect", *AMP_FLAGS, "--load", os.path.join(RECIPES_DIR, "data", "load_msd.json")],
+])
+def test_trajectories_go_through_cli_integrate(capsys, monkeypatch, argv):
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append(sim.integrate(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "integrate", capture)
+    assert cli.main([*argv, "--dt", "1e-3", "--t-end", "0.01"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 and len(calls[0].t) == 11

@@ -222,6 +222,19 @@ class TestSimulate:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and reason in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4"],
+        ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--detect"],
+        ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON],
+        ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
+         "--detect"],
+    ])
+    def test_zero_steps_exit_2(self, capsys, argv):
+        code = main([*argv, "--dt", "1e-3", "--t-end", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "zero steps" in captured.err
+
     def test_memory_error_exit_2(self, capsys, monkeypatch):
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB")
@@ -323,6 +336,17 @@ class TestMultichannel:
         zs_an = sorted(z[0] for z in an["zeros"])
         assert zs_mc == pytest.approx(zs_an, rel=1e-9)
 
+    def test_nonlinearity_reaches_eigenvalues(self, capsys):
+        # off the origin the atan slope differs from tanh's
+        _, out_mc = run(capsys, ["multichannel", "--bank", BANK_SINGLE,
+                                 "--nonlinearity", "atan", "--r", "0.5"])
+        _, out_an = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                                 "--nonlinearity", "atan", "--r", "0.5"])
+        (mc,), (an,) = json.loads(out_mc)["equilibria"], json.loads(out_an)["equilibria"]
+        assert mc["y"] == pytest.approx(an["y"], rel=1e-12)
+        assert np.array(mc["eigenvalues"]) == pytest.approx(np.array(an["eigenvalues"]),
+                                                           rel=1e-9)
+
     @pytest.mark.parametrize("tag", ["tanh", "atan"])
     @pytest.mark.parametrize("delta", [1e-6, 1e-7])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -363,6 +387,33 @@ class TestInterconnect:
                                  "--ic", "0.1,0,0,0,0"])
         assert code == 0
         assert out.splitlines()[1] == "t,x,xp,xn,q,qdot,y,ye"
+
+
+class TestRootCalls:
+    """Each polynomial's roots are taken once per command."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"], 2),
+        (["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "1000", "--rows", "60",
+          "--cols", "1", "--beta-min", "0.4", "--beta-max", "0.4", "--lambda", "50"], 1),
+        (["multichannel", "--bank", os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json")],
+         3),
+        (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
+          "--lambda", "15", "--certify"], 3),
+    ])
+    def test_poly_roots_calls(self, capsys, monkeypatch, argv, calls):
+        from mfa import tf_core
+
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(args[0])
+            return poly_roots(*args, **kwargs)
+
+        poly_roots = tf_core.poly_roots
+        monkeypatch.setattr(tf_core, "poly_roots", counting)
+        code, _ = run(capsys, argv)
+        assert code == 0 and len(counted) == calls
 
 
 class TestRecipeData:

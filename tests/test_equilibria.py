@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bisect_root, fd_jacobian, fold_point
+from conftest import bisect_root, fd_jacobian, fold_point, vector_field
 
 from mfa.equilibria import (
     MARGINAL,
@@ -15,15 +15,12 @@ from mfa.equilibria import (
     REGIME_ZERO_DOMINANT,
     STABLE,
     UNSTABLE,
-    classify_regime,
+    LureLoop,
     classify_stability,
-    dc_loop_gain,
     dominance_map,
-    find_equilibria,
-    jacobian_at,
     solve_phi_line,
 )
-from mfa.sim import integrate, vector_field
+from mfa.sim import integrate
 from mfa.tf_core import AmplifierParams, get_nonlinearity
 
 TAUS = (0.01, 0.1, 1.0)
@@ -35,19 +32,19 @@ def mixed(k, beta, taus=TAUS):
 
 class TestDcLoopGain:
     def test_values(self):
-        assert dc_loop_gain(mixed(5.0, 0.8)) == pytest.approx(3.0)
-        assert dc_loop_gain(mixed(5.0, 0.4)) == pytest.approx(-1.0)
-        assert dc_loop_gain(mixed(7.0, 0.5)) == 0.0
+        assert LureLoop.amplifier(mixed(5.0, 0.8)).g0 == pytest.approx(3.0)
+        assert LureLoop.amplifier(mixed(5.0, 0.4)).g0 == pytest.approx(-1.0)
+        assert LureLoop.amplifier(mixed(7.0, 0.5)).g0 == 0.0
 
 
 class TestFindEquilibria:
     def test_single_equilibrium_negative_gain(self):
-        eqs = find_equilibria(mixed(5.0, 0.4), 0.0)
+        eqs = LureLoop.amplifier(mixed(5.0, 0.4)).equilibria(0.0)
         assert len(eqs) == 1
         assert eqs[0].y_star == pytest.approx(0.0, abs=1e-12)
 
     def test_three_equilibria_and_value(self):
-        eqs = find_equilibria(mixed(5.0, 0.8), 0.0)
+        eqs = LureLoop.amplifier(mixed(5.0, 0.8)).equilibria(0.0)
         assert len(eqs) == 3
         y1 = bisect_root(lambda y: math.tanh(y) - y / 3.0, 1.0, 4.0)
         assert eqs[2].y_star == pytest.approx(y1, abs=1e-9)
@@ -56,7 +53,7 @@ class TestFindEquilibria:
         assert [e.stability for e in eqs] == [STABLE, UNSTABLE, STABLE]
 
     def test_zero_loop_gain(self):
-        eqs = find_equilibria(mixed(0.0, 0.3), 0.25)
+        eqs = LureLoop.amplifier(mixed(0.0, 0.3)).equilibria(0.25)
         assert len(eqs) == 1
         assert eqs[0].y_star == 0.0
         assert eqs[0].state[0] == pytest.approx(0.25)  # x = r - phi(0)
@@ -68,7 +65,7 @@ class TestFindEquilibria:
             beta = float(rng.uniform(0, 1))
             r = float(rng.uniform(-1.5, 1.5))
             p = mixed(k, beta)
-            for eq in find_equilibria(p, r):
+            for eq in LureLoop.amplifier(p).equilibria(r):
                 f = vector_field(p, eq.state, r)
                 assert np.linalg.norm(f) < 1e-8
 
@@ -76,7 +73,7 @@ class TestFindEquilibria:
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = mixed(float(rng.uniform(0.2, 30)), float(rng.uniform(0, 1)))
-            eqs = find_equilibria(p, 0.0)
+            eqs = LureLoop.amplifier(p).equilibria(0.0)
             ys = [e.y_star for e in eqs]
             assert ys == pytest.approx([-y for y in reversed(ys)], abs=1e-9)
             for e, m in zip(eqs, reversed(eqs)):
@@ -87,36 +84,36 @@ class TestFindEquilibria:
         rng = np.random.default_rng(6)
         for _ in range(200):
             p = mixed(float(rng.uniform(0.1, 100)), float(rng.uniform(0, 1)))
-            g0 = dc_loop_gain(p)
+            g0 = LureLoop.amplifier(p).g0
             if abs(g0 - 1.0) < 1e-3:
                 continue
-            n = len(find_equilibria(p, 0.0))
+            n = len(LureLoop.amplifier(p).equilibria(0.0))
             assert n == (3 if g0 > 1.0 else 1)
 
     def test_alternative_sigmoid(self):
         # the slope-one odd sigmoid obeys the same count law and residuals
         p = AmplifierParams(*TAUS, k=5.0, beta=0.8, nonlinearity="atan")
-        eqs = find_equilibria(p, 0.0)
+        eqs = LureLoop.amplifier(p).equilibria(0.0)
         assert len(eqs) == 3
         for eq in eqs:
             assert np.linalg.norm(vector_field(p, eq.state, 0.0)) < 1e-8
-        assert len(find_equilibria(
-            AmplifierParams(*TAUS, 5.0, 0.4, nonlinearity="atan"), 0.0)) == 1
+        assert len(LureLoop.amplifier(
+            AmplifierParams(*TAUS, 5.0, 0.4, nonlinearity="atan")).equilibria(0.0)) == 1
 
 
 class TestJacobian:
     def test_zero_gain_is_triangular(self):
-        a = jacobian_at(mixed(0.0, 0.3), 0.7)
+        a = LureLoop.amplifier(mixed(0.0, 0.3)).jacobians([0.7])[0]
         assert a[0, 1] == 0.0 and a[0, 2] == 0.0
         eigs = sorted(np.linalg.eigvals(a).real)
         assert eigs == pytest.approx([-100.0, -10.0, -1.0])
 
     def test_saturated_equilibrium_like_zero_gain(self):
-        a = jacobian_at(mixed(50.0, 0.8), 40.0)  # tanh'(40) ~ 0
+        a = LureLoop.amplifier(mixed(50.0, 0.8)).jacobians([40.0])[0]  # tanh'(40) ~ 0
         assert abs(a[0, 1]) < 1e-9 and abs(a[0, 2]) < 1e-9
 
     def test_reference_matrix(self):
-        a = jacobian_at(mixed(5.0, 0.8), 0.0)
+        a = LureLoop.amplifier(mixed(5.0, 0.8)).jacobians([0.0])[0]
         assert a == pytest.approx(np.array([
             [-100.0, 400.0, -100.0],
             [10.0, -10.0, 0.0],
@@ -129,9 +126,9 @@ class TestJacobian:
         for _ in range(50):
             p = mixed(float(rng.uniform(0, 20)), float(rng.uniform(0, 1)))
             r = float(rng.uniform(-1, 1))
-            eqs = find_equilibria(p, r)
+            eqs = LureLoop.amplifier(p).equilibria(r)
             eq = eqs[int(rng.integers(len(eqs)))]
-            a = jacobian_at(p, eq.y_star)
+            a = LureLoop.amplifier(p).jacobians([eq.y_star])[0]
             fd = fd_jacobian(lambda s: vector_field(p, s, r), eq.state)
             assert np.abs(a - fd).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
@@ -145,23 +142,26 @@ class TestClassifyStability:
 
 class TestClassifyRegime:
     def test_three_reference_regimes(self):
-        assert classify_regime(mixed(5.0, 0.2), 0.0, 50.0).regime == REGIME_ZERO_DOMINANT
-        assert classify_regime(mixed(5.0, 0.4), 0.0, 50.0).regime == REGIME_OSCILLATION
-        assert classify_regime(mixed(5.0, 0.8), 0.0, 50.0).regime == REGIME_MULTISTABLE
+        def regime(beta):
+            return LureLoop.amplifier(mixed(5.0, beta)).classify(0.0, 50.0).regime
+
+        assert regime(0.2) == REGIME_ZERO_DOMINANT
+        assert regime(0.4) == REGIME_OSCILLATION
+        assert regime(0.8) == REGIME_MULTISTABLE
 
     def test_wrong_inertia_unclassified(self):
-        rc = classify_regime(mixed(5.0, 0.4), 0.0, 200.0)
+        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 200.0)
         assert rc.regime == REGIME_UNCLASSIFIED
         assert "inertia" in rc.reason
 
     def test_supporting_data_attached(self):
-        rc = classify_regime(mixed(5.0, 0.4), 0.0, 50.0)
+        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 50.0)
         assert rc.k0_bar < 5.0 and math.isinf(rc.k2_bar)
         assert rc.n_equilibria == 1 and rc.n_unstable == 1
 
     def test_zero_dominant_converges_from_random_states(self):
         p = mixed(5.0, 0.2)
-        rc = classify_regime(p, 0.0, 50.0)
+        rc = LureLoop.amplifier(p).classify(0.0, 50.0)
         assert rc.regime == REGIME_ZERO_DOMINANT
         target = np.asarray(rc.equilibria[0].state)
         rng = np.random.default_rng(9)
@@ -174,7 +174,7 @@ class TestClassifyRegime:
 class TestDominanceMap:
     def test_single_cell_degenerates_to_classify(self):
         cells = dominance_map(*TAUS, [5.0], [0.4], r=0.0, lam=50.0)
-        rc = classify_regime(mixed(5.0, 0.4), 0.0, 50.0)
+        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 50.0)
         assert cells[0][0].regime == rc.regime
         assert cells[0][0].k0_bar == pytest.approx(rc.k0_bar)
 
@@ -207,16 +207,16 @@ class TestSolvePhiLine:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_close_pair_next_to_fold(self, tag, delta, sign):
         p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
-        assert dc_loop_gain(p) == 2.0
+        assert LureLoop.amplifier(p).g0 == 2.0
         _, r_fold = fold_point(tag, 0.5)
-        eqs = find_equilibria(p, sign * (r_fold - delta))
+        eqs = LureLoop.amplifier(p).equilibria(sign * (r_fold - delta))
         assert [e.stability for e in eqs] == [STABLE, UNSTABLE, STABLE]
 
     @pytest.mark.parametrize("tag", ["tanh", "atan"])
     @pytest.mark.parametrize("g0", [1.0 + 1e-6, 1.0 + 1e-5])
     def test_pitchfork_pair_at_zero_reference(self, tag, g0):
         p = AmplifierParams(*TAUS, k=g0, beta=1.0, nonlinearity=tag)
-        ys = [e.y_star for e in find_equilibria(p, 0.0)]
+        ys = [e.y_star for e in LureLoop.amplifier(p).equilibria(0.0)]
         assert len(ys) == 3 and ys[1] == 0.0
         assert ys[2] == pytest.approx(-ys[0], rel=1e-9)
 
@@ -225,7 +225,7 @@ class TestSolvePhiLine:
     def test_tangency_reported_once(self, tag, sign):
         p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
         y_c, r_fold = fold_point(tag, 0.5)
-        eqs = find_equilibria(p, sign * r_fold)
+        eqs = LureLoop.amplifier(p).equilibria(sign * r_fold)
         assert len(eqs) == 2
         tangent = [e for e in eqs if e.y_star == sign * y_c]
         assert len(tangent) == 1 and tangent[0].stability == MARGINAL

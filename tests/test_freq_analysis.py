@@ -12,17 +12,16 @@ from mfa.freq_analysis import (
     FrequencyGrid,
     check_p_dominance,
     check_p_passivity,
-    count_unstable_shifted_poles,
     critical_balance,
-    critical_gain,
     default_grid,
     midpoint_rate,
     min_real_part,
     nyquist_locus,
     select_rate,
 )
-from mfa.interconnect import LoadParams, interconnection_openloop, load_from_json, load_tf
-from mfa.multichannel import Channel, ChannelBank, build_extended_openloop
+from mfa.equilibria import LureLoop
+from mfa.interconnect import LoadParams, load_from_json, load_tf
+from mfa.multichannel import Channel, ChannelBank
 from mfa.tf_core import (
     AmplifierParams,
     INFINITE_ZERO,
@@ -111,7 +110,7 @@ def random_bank(rng, m, n, close_pair=False):
     neg = ChannelBank(tuple(Channel(float(w), float(t)) for w, t in
                             zip(rho_n / rho_n.sum(), taus[m:])), role="negative")
     tau_l = float(rng.uniform(0.005, 20.0))
-    return build_extended_openloop(tau_l, pos, neg, 1.0, float(rng.uniform(0.0, 1.0)))
+    return LureLoop.bank(tau_l, pos, neg, 1.0, float(rng.uniform(0.0, 1.0))).g1
 
 
 class TestExactMinimum:
@@ -141,7 +140,7 @@ class TestExactMinimum:
             load, iface = load_from_json(fh.read())
         for k in (1.0, 10.0, 100.0):
             for beta in (0.1, 0.4, 0.8):
-                g = interconnection_openloop(mixed(k, beta), load, iface)
+                g = LureLoop.load(mixed(k, beta), load, iface).g
                 for lam in (0.0, 15.0, 55.0):
                     assert_exact_min(g, lam)
 
@@ -186,14 +185,14 @@ class TestExactMinimum:
 class TestCriticalGain:
     def test_pure_negative_feedback_finite(self):
         p = mixed(1.0, 0.0)
-        k0 = critical_gain(p, 0.0, 0)
+        k0 = LureLoop.amplifier(p).certify(0.0, 0).critical_gain
         g = tf_build_mixed(p)
         oracle = -1.0 / brute_min_re(g, 0.0, 1e-3, 1e5)
         assert 0.0 < k0 < math.inf
         assert k0 == pytest.approx(oracle, rel=1e-6)
 
     def test_unbounded_above_critical_balance(self):
-        assert critical_gain(mixed(7.0, 0.4), 55.0, 2) == math.inf
+        assert LureLoop.amplifier(mixed(7.0, 0.4)).certify(55.0, 2).critical_gain == math.inf
 
     def test_gain_linearity(self):
         # min_re of G(s,k,b) is k times min_re of G(s,1,b), same frequency
@@ -205,9 +204,9 @@ class TestCriticalGain:
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="lambda = 0"):
-            critical_gain(mixed(1.0, 0.2), 5.0, 0)
+            LureLoop.amplifier(mixed(1.0, 0.2)).certify(5.0, 0)
         with pytest.raises(ValueError, match="wrong shifted inertia"):
-            critical_gain(mixed(1.0, 0.2), 200.0, 2)
+            LureLoop.amplifier(mixed(1.0, 0.2)).certify(200.0, 2)
 
 
 class TestRateSelection:
@@ -219,9 +218,9 @@ class TestRateSelection:
         assert select_rate(p) == pytest.approx(5.5)
 
     def test_feasibility_window(self):
-        g = tf_build_mixed(mixed(1.0, 0.3))
+        loop = LureLoop.amplifier(mixed(1.0, 0.3))
         for lam in (10.5, 25.0, 55.0, 99.5):
-            assert count_unstable_shifted_poles(g, lam) == 2
+            assert loop.inertia(lam) == 2
 
     def test_midpoint_rate_matches_policy(self):
         g = tf_build_mixed(mixed(1.0, 0.3))
@@ -230,13 +229,13 @@ class TestRateSelection:
 
 class TestShiftedPoleCount:
     def test_stable_open_loop(self):
-        assert count_unstable_shifted_poles(tf_build_mixed(mixed(1.0, 0.2)), 0.0) == 0
+        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(0.0) == 0
 
     def test_two_after_midpoint_shift(self):
-        assert count_unstable_shifted_poles(tf_build_mixed(mixed(1.0, 0.2)), 55.0) == 2
+        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(55.0) == 2
 
     def test_all_three_for_large_rate(self):
-        assert count_unstable_shifted_poles(tf_build_mixed(mixed(1.0, 0.2)), 200.0) == 3
+        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(200.0) == 3
 
 
 class TestDominanceCertificate:
@@ -339,7 +338,7 @@ class TestNyquistLocus:
 
     def test_locus_below_critical_gain_stays_right_of_line(self):
         p1 = mixed(1.0, 0.2)
-        k0 = critical_gain(p1, 0.0, 0)
+        k0 = LureLoop.amplifier(p1).certify(0.0, 0).critical_gain
         p = mixed(0.9 * k0, 0.2)
         locus = nyquist_locus(tf_build_mixed(p), 0.0, FrequencyGrid(1e-3, 1e5))
         assert all(pt.re > -1.0 for pt in locus)

@@ -7,21 +7,17 @@ import pytest
 
 from conftest import brute_min_re, fold_point
 
-from mfa.equilibria import UNSTABLE
+from mfa.equilibria import UNSTABLE, LureLoop
 from mfa.freq_analysis import check_p_passivity
 from mfa.interconnect import (
     CompositionCertificate,
     InterfaceGains,
     LoadParams,
-    assemble_closed_loop,
-    check_load_passivity,
     compose_certificates,
-    find_equilibria_interconnected,
-    interconnection_openloop,
     load_from_json,
     load_tf,
 )
-from mfa.sim import Trajectory, detect_oscillation, integrate, linearize
+from mfa.sim import Trajectory, detect_oscillation, integrate
 from mfa.tf_core import AmplifierParams, tf_build_mixed, tf_eval
 
 AMP = AmplifierParams(0.01, 0.1, 1.0, k=10.0, beta=0.4)
@@ -53,15 +49,15 @@ class TestLoadTf:
 
 class TestLoadPassivity:
     def test_reference_parameters_pass(self):
-        cert = check_load_passivity(LOAD, 15.0)
+        cert = check_p_passivity(load_tf(LOAD), 15.0, 0)
         assert cert.passed and cert.min_re >= 0.0
 
     def test_velocity_feedback_alone_insufficient(self):
-        cert = check_load_passivity(LoadParams(350.0, 35.0, 1.0, 0.01), 15.0)
+        cert = check_p_passivity(load_tf(LoadParams(350.0, 35.0, 1.0, 0.01)), 15.0, 0)
         assert not cert.passed and cert.min_re < 0.0
 
     def test_unshifted_reduces_to_positive_realness(self):
-        cert = check_load_passivity(LOAD, 0.0)
+        cert = check_p_passivity(load_tf(LOAD), 0.0, 0)
         g = load_tf(LOAD)
         assert cert.passed == (brute_min_re(g, 0.0, 1e-3, 1e4) >= -1e-12)
 
@@ -71,16 +67,16 @@ class TestComposition:
         return check_p_passivity(tf_build_mixed(AMP), lam, 2)
 
     def test_two_plus_zero(self):
-        comp = compose_certificates(self.amp_cert(), check_load_passivity(LOAD, 15.0))
+        comp = compose_certificates(self.amp_cert(), check_p_passivity(load_tf(LOAD), 15.0, 0))
         assert comp == CompositionCertificate(2, 0, 15.0, 2, valid=True)
 
     def test_rate_mismatch(self):
         comp = compose_certificates(self.amp_cert(15.0),
-                                    check_load_passivity(LOAD, 50.0))
+                                    check_p_passivity(load_tf(LOAD), 50.0, 0))
         assert not comp.valid and comp.reason == "rate mismatch"
 
     def test_two_zero_passive_blocks(self):
-        c1 = check_load_passivity(LOAD, 15.0)
+        c1 = check_p_passivity(load_tf(LOAD), 15.0, 0)
         comp = compose_certificates(c1, c1)
         assert comp.valid and comp.p_total == 0
 
@@ -88,12 +84,12 @@ class TestComposition:
         from mfa.freq_analysis import check_p_dominance
 
         c_dom = check_p_dominance(tf_build_mixed(AMP), 15.0, 1.0, 2)
-        comp = compose_certificates(c_dom, check_load_passivity(LOAD, 15.0))
+        comp = compose_certificates(c_dom, check_p_passivity(load_tf(LOAD), 15.0, 0))
         assert not comp.valid and "passivity" in comp.reason
 
     def test_composition_matches_direct_loop_check(self):
-        comp = compose_certificates(self.amp_cert(), check_load_passivity(LOAD, 15.0))
-        gtot = interconnection_openloop(AMP, LOAD, IFACE)
+        comp = compose_certificates(self.amp_cert(), check_p_passivity(load_tf(LOAD), 15.0, 0))
+        gtot = LureLoop.load(AMP, LOAD, IFACE).g
         direct = check_p_passivity(gtot, 15.0, comp.p_total)
         assert comp.valid and direct.passed
 
@@ -104,14 +100,14 @@ class TestAssembly:
             InterfaceGains(-1.0, 1.0)
 
     def test_cascade_bit_match(self):
-        ss = assemble_closed_loop(AMP, LOAD, InterfaceGains(0.0, 1.0))
+        ss = LureLoop.load(AMP, LOAD, InterfaceGains(0.0, 1.0)).ss
         full = integrate(ss, (0.1, 0, 0, 0, 0), dt=5e-4, t_end=2.0)
         alone = integrate(AMP, (0.1, 0, 0), dt=5e-4, t_end=2.0)
         assert np.array_equal(full.states[:, :3], alone.states)
         assert np.abs(full.states[:, 3:]).max() > 0.0  # load is driven
 
     def test_severed_forward_path(self):
-        ss = assemble_closed_loop(AMP, LOAD, InterfaceGains(10.0, 0.0))
+        ss = LureLoop.load(AMP, LOAD, InterfaceGains(10.0, 0.0)).ss
         traj = integrate(ss, (0.1, 0, 0, 0.5, 0.5), dt=5e-4, t_end=3.0)
         assert np.abs(traj.states[-1, 3:]).max() < 1e-6  # load decays
         at_rest = integrate(ss, (0.1, 0, 0, 0.0, 0.0), dt=5e-4, t_end=3.0)
@@ -119,7 +115,7 @@ class TestAssembly:
         assert np.array_equal(at_rest.states[:, :3], alone.states)
 
     def test_extra_output_is_load_output(self):
-        ss = assemble_closed_loop(AMP, LOAD, IFACE)
+        ss = LureLoop.load(AMP, LOAD, IFACE).ss
         traj = integrate(ss, (0.1, 0, 0, 0.2, -0.3), dt=5e-4, t_end=0.01)
         expected = LOAD.kv * traj.states[:, 4] + LOAD.kp * traj.states[:, 3]
         assert traj.extra["ye"] == pytest.approx(expected)
@@ -127,16 +123,16 @@ class TestAssembly:
 
 class TestClosedLoopEquilibria:
     def test_reference_configuration_unique_unstable(self):
-        eqs = find_equilibria_interconnected(AMP, LOAD, IFACE, 0.0)
+        eqs = LureLoop.load(AMP, LOAD, IFACE).equilibria(0.0)
         assert len(eqs) == 1
         assert eqs[0].y_star == pytest.approx(0.0, abs=1e-9)
         assert eqs[0].stability == UNSTABLE
         assert len(eqs[0].eigenvalues) == 5
 
     def test_residual_of_field(self):
-        ss = assemble_closed_loop(AMP, LOAD, IFACE)
+        ss = LureLoop.load(AMP, LOAD, IFACE).ss
         for r in (0.0, 0.3, -0.7):
-            for eq in find_equilibria_interconnected(AMP, LOAD, IFACE, r):
+            for eq in LureLoop.load(AMP, LOAD, IFACE).equilibria(r):
                 a = ss.a_matrix()
                 b = np.asarray(ss.b)
                 state = np.asarray(eq.state)
@@ -152,19 +148,19 @@ class TestClosedLoopEquilibria:
         amp = AmplifierParams(0.01, 0.1, 1.0, k=2.0, beta=1.0, nonlinearity=tag)
         kappa = IFACE.ki * LOAD.kp * IFACE.ko / LOAD.a
         _, r_fold = fold_point(tag, 1.0 / (2.0 * (1.0 + kappa)))
-        eqs = find_equilibria_interconnected(amp, LOAD, IFACE, sign * (r_fold - delta))
+        eqs = LureLoop.load(amp, LOAD, IFACE).equilibria(sign * (r_fold - delta))
         assert len(eqs) == 3
 
     def test_zero_loop_gain(self):
         amp0 = AmplifierParams(0.01, 0.1, 1.0, k=10.0, beta=0.5)
-        eqs = find_equilibria_interconnected(amp0, LOAD, IFACE, 0.4)
+        eqs = LureLoop.load(amp0, LOAD, IFACE).equilibria(0.4)
         assert len(eqs) == 1 and eqs[0].y_star == 0.0
         assert eqs[0].state[0] == pytest.approx(0.4)
 
 
 class TestClosedLoopBehavior:
     def test_limit_cycle_on_both_outputs(self):
-        ss = assemble_closed_loop(AMP, LOAD, IFACE)
+        ss = LureLoop.load(AMP, LOAD, IFACE).ss
         traj = integrate(ss, (0.1, 0, 0, 0, 0), dt=5e-4, t_end=50.0)
         rep_y = detect_oscillation(traj, transient_fraction=0.4)
         rep_ye = detect_oscillation(
@@ -174,14 +170,14 @@ class TestClosedLoopBehavior:
         assert rep_y.period == pytest.approx(rep_ye.period, rel=0.02)
         # soundness: valid 2-passive composition + all equilibria unstable
         # + bounded trajectories => oscillation
-        eqs = find_equilibria_interconnected(AMP, LOAD, IFACE, 0.0)
+        eqs = LureLoop.load(AMP, LOAD, IFACE).equilibria(0.0)
         assert all(e.stability == UNSTABLE for e in eqs)
         assert np.abs(traj.states).max() < 1e3
 
     def test_linearize_consistent_with_equilibrium_eigs(self):
-        ss = assemble_closed_loop(AMP, LOAD, IFACE)
-        (eq,) = find_equilibria_interconnected(AMP, LOAD, IFACE, 0.0)
+        loop = LureLoop.load(AMP, LOAD, IFACE)
+        (eq,) = loop.equilibria(0.0)
         v = eq.y_star * (1.0 + IFACE.ki * LOAD.kp * IFACE.ko / LOAD.a)
-        eigs = sorted(np.linalg.eigvals(linearize(ss, v)),
+        eigs = sorted(np.linalg.eigvals(loop.jacobians([v])[0]),
                       key=lambda z: (z.real, z.imag))
         assert np.allclose(eigs, eq.eigenvalues)

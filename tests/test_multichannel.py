@@ -1,15 +1,15 @@
 """Channel banks: assembly, interlacing, extended loop, diagonal realization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import bisect_root, brute_min_re
 
-from mfa.freq_analysis import (
-    check_p_dominance,
-    count_unstable_shifted_poles,
-    midpoint_rate,
-)
+from mfa.equilibria import LureLoop
+from mfa.freq_analysis import check_p_dominance, midpoint_rate
+from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import (
     BETWEEN_NEGATIVE,
     BETWEEN_POSITIVE,
@@ -18,15 +18,11 @@ from mfa.multichannel import (
     ChannelBank,
     bank_critical_balance,
     bank_from_json,
-    bank_to_json,
     build_channel_tf,
-    build_extended_openloop,
     check_interlacing,
-    equivalent_params,
-    realize_diagonal,
 )
 from mfa.sim import integrate
-from mfa.tf_core import AmplifierParams, tf_build_mixed, tf_eval
+from mfa.tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed, tf_eval
 
 
 def single_banks(tau_p=0.1, tau_n=1.0):
@@ -56,6 +52,19 @@ def random_banks(rng, max_size=4, beta_lo=0.05, beta_hi=0.95):
                             for w, tau in zip(rho_n, taus[m:])), role="negative")
     beta = float(rng.uniform(beta_lo, beta_hi))
     return pos, neg, beta
+
+
+def random_loop(kind, rng):
+    """A Lure loop from one of the three constructors, at a random gain."""
+    if kind == "bank":
+        pos, neg, beta = random_banks(rng, max_size=3)
+        return LureLoop.bank(0.07, pos, neg, 4.2, beta)
+    amp = AmplifierParams(0.01, 0.1, 1.0, k=float(rng.uniform(0.5, 20.0)),
+                          beta=float(rng.uniform(0.0, 1.0)))
+    if kind == "amplifier":
+        return LureLoop.amplifier(amp)
+    load = LoadParams(*rng.uniform([250.0, 30.0, 0.5, 10.0], [450.0, 40.0, 1.5, 30.0]))
+    return LureLoop.load(amp, load, InterfaceGains(*rng.uniform([5.0, 0.5], [15.0, 1.5])))
 
 
 def bank_difference(pos, neg, beta, s):
@@ -179,7 +188,7 @@ class TestInterlacing:
 class TestExtendedOpenLoop:
     def test_base_case_reduces_to_three_state(self):
         pos, neg = single_banks()
-        gb = build_extended_openloop(0.01, pos, neg, 5.0, 0.8)
+        gb = LureLoop.bank(0.01, pos, neg, 5.0, 0.8).g
         ge = tf_build_mixed(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.8))
         assert np.allclose(gb.num.coeffs, ge.num.coeffs, rtol=1e-12)
         assert np.allclose(gb.den.coeffs, ge.den.coeffs, rtol=1e-12)
@@ -189,21 +198,22 @@ class TestExtendedOpenLoop:
         for _ in range(30):
             pos, neg, beta = random_banks(rng)
             k = float(rng.uniform(0.1, 20.0))
-            g = build_extended_openloop(17.0, pos, neg, k, beta)
+            g = LureLoop.bank(17.0, pos, neg, k, beta).g
             assert tf_eval(g, 0.0).real == pytest.approx(k * (1 - 2 * beta),
                                                          abs=1e-10)
 
     def test_pole_set(self):
         pos, neg = two_by_two()
-        g = build_extended_openloop(0.001, pos, neg, 2.0, 0.6)
+        g = LureLoop.bank(0.001, pos, neg, 2.0, 0.6).g
         got = sorted(p.real for p in g.poles())
         assert got == pytest.approx([-1000.0, -20.0, -10.0, -1.0, -0.5], rel=1e-7)
 
     def test_dominance_check_agrees_with_sweep_oracle(self):
         pos, neg = two_by_two()
-        g1 = build_extended_openloop(0.01, pos, neg, 1.0, 0.6)
+        loop = LureLoop.bank(0.01, pos, neg, 1.0, 0.6)
+        g1 = loop.g1
         lam = midpoint_rate(g1.poles())
-        assert count_unstable_shifted_poles(g1, lam) == 2
+        assert loop.inertia(lam) == 2
         cert = check_p_dominance(g1, lam, 1.0, 2)
         oracle = brute_min_re(g1, lam, 1e-4, 1e6)
         assert cert.min_re == pytest.approx(oracle, rel=1e-3)
@@ -212,27 +222,24 @@ class TestExtendedOpenLoop:
     def test_tau_l_collision_rejected(self):
         pos, neg = two_by_two()
         with pytest.raises(ValueError, match="tau_l"):
-            build_extended_openloop(0.05, pos, neg, 1.0, 0.5)
+            LureLoop.bank(0.05, pos, neg, 1.0, 0.5)
 
 
 class TestDiagonalRealization:
     def test_base_case_matches_amplifier(self):
-        from mfa.sim import amplifier_statespace
-
         pos, neg = single_banks()
-        ss = realize_diagonal(0.01, pos, neg, 5.0, 0.4)
-        ref = amplifier_statespace(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4))
+        ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
+        ref = LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).ss
         assert ss.a == ref.a and ss.b == ref.b and ss.c == ref.c
 
-    def test_transfer_function_agreement(self):
+    @pytest.mark.parametrize("kind", ["amplifier", "bank", "load"])
+    def test_transfer_function_agreement(self, kind):
         rng = np.random.default_rng(39)
-        pos, neg, beta = random_banks(rng, max_size=3)
-        k = 4.2
-        ss = realize_diagonal(0.07, pos, neg, k, beta)
-        g = build_extended_openloop(0.07, pos, neg, k, beta)
+        loop = random_loop(kind, rng)
+        ss, g = loop.ss, loop.g
         a = ss.a_matrix()
         b = np.asarray(ss.b)
-        c = np.asarray(ss.c)
+        c = np.asarray(ss.loop_row)
         eye = np.eye(ss.dim)
         for _ in range(16):
             s = complex(rng.normal(), rng.normal())
@@ -240,9 +247,27 @@ class TestDiagonalRealization:
             via_tf = tf_eval(g, s)
             assert abs(via_ss - via_tf) <= 1e-8 * abs(via_tf)
 
+    @pytest.mark.parametrize("kind", ["amplifier", "bank", "load"])
+    def test_equilibria_are_fixed_points(self, kind):
+        # A x* + b (r - phi(v*)) = 0 and c_loop x* = v*, with v* = v_per_y y*
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            loop = random_loop(kind, rng)
+            phi = get_nonlinearity(loop.ss.nonlinearity)[0]
+            a = loop.ss.a_matrix()
+            b = np.asarray(loop.ss.b)
+            c = np.asarray(loop.ss.loop_row)
+            for r in (0.0, 0.3, -0.7):
+                for eq in loop.equilibria(r):
+                    x = np.asarray(eq.state)
+                    v = eq.y_star * loop.v_per_y
+                    assert c @ x == pytest.approx(v, rel=1e-9, abs=1e-12)
+                    resid = a @ x + b * (r - phi(v))
+                    assert np.abs(resid).max() <= 1e-9 * np.abs(a).max()
+
     def test_steady_state_channels_track_load(self):
         pos, neg = two_by_two()
-        ss = realize_diagonal(0.01, pos, neg, 0.5, 0.3)
+        ss = LureLoop.bank(0.01, pos, neg, 0.5, 0.3).ss
         traj = integrate(ss, tuple([0.0] * ss.dim),
                          schedule=None, dt=1e-3, t_end=60.0)
         final = traj.states[-1]
@@ -253,7 +278,7 @@ class TestDiagonalRealization:
 
         pos = ChannelBank((Channel(0.5, 0.09), Channel(0.5, 0.11)), role="positive")
         neg = ChannelBank((Channel(0.5, 0.9), Channel(0.5, 1.1)), role="negative")
-        ss = realize_diagonal(0.01, pos, neg, 5.0, 0.4)
+        ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
         rep = detect_oscillation(integrate(ss, (0.1, 0, 0, 0, 0),
                                            dt=1e-3, t_end=50.0))
         ref = detect_oscillation(integrate(
@@ -267,7 +292,7 @@ class TestEquilibriumReuse:
     def test_counts_independent_of_bank_size(self):
         # unit-gain banks leave g0 = k(2 beta - 1) unchanged, so the scalar
         # equilibrium count matches the three-state case for any bank sizes
-        from mfa.equilibria import dc_loop_gain, find_equilibria, solve_phi_line
+        from mfa.equilibria import solve_phi_line
         from mfa.tf_core import get_nonlinearity
 
         rng = np.random.default_rng(41)
@@ -280,22 +305,21 @@ class TestEquilibriumReuse:
                 continue
             bank_count = len(solve_phi_line(phi, 1.0 / g0, 0.0, slope_inverse))
             ref = AmplifierParams(123.0, 0.1, 1.0, k, beta)
-            assert dc_loop_gain(ref) == pytest.approx(g0)
-            assert bank_count == len(find_equilibria(ref, 0.0))
+            assert LureLoop.amplifier(ref).g0 == pytest.approx(g0)
+            assert bank_count == len(LureLoop.amplifier(ref).equilibria(0.0))
 
 
 class TestBankJson:
     def test_round_trip(self):
         pos, neg = two_by_two()
-        text = bank_to_json(0.01, pos, neg, 5.0, 0.6)
+        text = json.dumps({
+            "tau_l": 0.01,
+            "positive": [{"rho": ch.rho, "tau": ch.tau} for ch in pos.channels],
+            "negative": [{"rho": ch.rho, "tau": ch.tau} for ch in neg.channels],
+            "k": 5.0,
+            "beta": 0.6,
+        })
         tau_l, p2, n2, k, beta = bank_from_json(text)
         assert (tau_l, k, beta) == (0.01, 5.0, 0.6)
         assert p2.channels == pos.channels
         assert n2.channels == neg.channels
-
-    def test_equivalent_params(self):
-        pos, neg = single_banks()
-        p = equivalent_params(0.01, pos, neg, 5.0, 0.4)
-        assert p == AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)
-        pos2, neg2 = two_by_two()
-        assert equivalent_params(0.01, pos2, neg2, 5.0, 0.4) is None

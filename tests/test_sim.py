@@ -7,26 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, reference_rk4
+from conftest import RECIPES_DIR, reference_rk4, vector_field
 
-from mfa.equilibria import STABLE, UNSTABLE, find_equilibria
-from mfa.interconnect import (
-    InterfaceGains,
-    LoadParams,
-    assemble_closed_loop,
-    load_from_json,
-)
+from mfa.equilibria import STABLE, UNSTABLE, LureLoop
+from mfa.interconnect import InterfaceGains, LoadParams, load_from_json
 from mfa.sim import (
     _BLOCK,
     InputSchedule,
     StateSpace,
     Trajectory,
-    amplifier_statespace,
     boundedness_check,
     detect_oscillation,
     integrate,
-    linearize,
-    vector_field,
 )
 from mfa.tf_core import AmplifierParams
 
@@ -39,7 +31,7 @@ def mixed(k, beta, taus=TAUS):
 
 def linear_decay_reference(params, ic, t):
     """Matrix-exponential solution of the k = 0 lag chain."""
-    a = amplifier_statespace(params).a_matrix()
+    a = LureLoop.amplifier(params).ss.a_matrix()
     vals, vecs = np.linalg.eig(a)
     c = np.linalg.solve(vecs, np.asarray(ic, dtype=complex))
     return (vecs @ (c * np.exp(vals * t))).real
@@ -55,7 +47,7 @@ class TestVectorField:
 
     def test_zero_at_solver_equilibria(self):
         p = mixed(5.0, 0.8)
-        for eq in find_equilibria(p, 0.2):
+        for eq in LureLoop.amplifier(p).equilibria(0.2):
             assert np.linalg.norm(vector_field(p, eq.state, 0.2)) < 1e-8
 
 
@@ -111,14 +103,14 @@ class TestIntegrate:
 
     def test_statespace_step_above_rk4_limit_warns(self):
         # A - b c_loop of the 5-state load loop has spectral radius ~127
-        ss = assemble_closed_loop(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
-                                  InterfaceGains(10.0, 1.0))
+        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                           InterfaceGains(10.0, 1.0)).ss
         with pytest.warns(UserWarning, match="RK4 stability limit"):
             integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=0.025, t_end=0.05)
 
     def test_statespace_step_within_rk4_limit_silent(self):
-        ss = assemble_closed_loop(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
-                                  InterfaceGains(10.0, 1.0))
+        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                           InterfaceGains(10.0, 1.0)).ss
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=0.05)
@@ -137,8 +129,18 @@ class TestIntegrate:
             with pytest.raises(ValueError, match=match):
                 integrate(mixed(5.0, 0.4), args.pop("ic"), **args)
 
+    @pytest.mark.parametrize("t_end", [0.4e-3, 1e-9])
+    def test_zero_steps_rejected(self, t_end):
+        # t_end is rounded to whole steps; rounding to none is an error
+        with pytest.raises(ValueError, match="rounds to zero steps"):
+            integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=1e-3, t_end=t_end)
+
+    def test_t_end_rounded_to_whole_steps(self):
+        traj = integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
+        assert len(traj.t) == 2 and traj.t[-1] == 1e-3
+
     def test_statespace_requires_dt(self):
-        ss = amplifier_statespace(mixed(1.0, 0.3))
+        ss = LureLoop.amplifier(mixed(1.0, 0.3)).ss
         with pytest.raises(ValueError, match="dt"):
             integrate(ss, (0.0, 0.0, 0.0))
 
@@ -150,14 +152,14 @@ class TestIntegrate:
 
     def test_stable_equilibrium_holds(self):
         p = AmplifierParams(0.01, 0.1, 0.3, k=5.0, beta=0.8)
-        eqs = find_equilibria(p, 0.0)
+        eqs = LureLoop.amplifier(p).equilibria(0.0)
         eq = next(e for e in eqs if e.stability == STABLE)
         traj = integrate(p, eq.state, dt=5e-4, t_end=30.0)  # 100 max(tau)
         assert np.abs(traj.states - np.asarray(eq.state)).max() < 1e-6
 
     def test_unstable_equilibrium_departs(self):
         p = mixed(5.0, 0.8)
-        eqs = find_equilibria(p, 0.05)
+        eqs = LureLoop.amplifier(p).equilibria(0.05)
         eq = next(e for e in eqs if e.stability == UNSTABLE)
         assert max(z.real for z in eq.eigenvalues) > 1e-2
         traj = integrate(p, eq.state, InputSchedule.constant(0.05),
@@ -177,7 +179,7 @@ class TestKernelBitIdentity:
     @staticmethod
     def check(system, ic, schedule=None, dt=1e-3, t_end=1.0):
         traj = integrate(system, ic, schedule, dt=dt, t_end=t_end)
-        ss = amplifier_statespace(system) if isinstance(system, AmplifierParams) else system
+        ss = LureLoop.amplifier(system).ss if isinstance(system, AmplifierParams) else system
         schedule = schedule or InputSchedule.constant(0.0)
         r_steps = schedule.values_for_steps(dt, len(traj.t) - 1)
         assert traj.states.tobytes() == reference_rk4(ss, ic, r_steps, dt).tobytes()
@@ -192,7 +194,7 @@ class TestKernelBitIdentity:
 
     def test_five_state_load_loop(self):
         load, iface = load_from_json(_recipe_data("load_msd.json"))
-        ss = assemble_closed_loop(mixed(10.0, 0.4), load, iface)
+        ss = LureLoop.load(mixed(10.0, 0.4), load, iface).ss
         traj = self.check(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=5.0)
         assert traj.states.shape == (10001, 5)
 
@@ -209,17 +211,16 @@ class TestKernelBitIdentity:
             system, dim = mixed(5.0, 0.4), 3
         elif loop == "load":
             load, iface = load_from_json(_recipe_data("load_msd.json"))
-            system, dim = assemble_closed_loop(mixed(10.0, 0.4), load, iface), 5
+            system, dim = LureLoop.load(mixed(10.0, 0.4), load, iface).ss, 5
         else:
             system, dim = StateSpace(a=((1.0,),), b=(0.0,), c=(1.0,), labels=("x",)), 1
         traj = self.check(system, (zero,) * dim, dt=5e-4, t_end=0.01)
         assert not np.signbit(traj.states[1:]).any()
 
-    @pytest.mark.parametrize("n_steps", [0, 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):
         dt = 1e-3
-        t_end = n_steps * dt if n_steps else 0.4 * dt
-        traj = self.check(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=dt, t_end=t_end)
+        traj = self.check(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt)
         assert len(traj.t) == n_steps + 1
 
     @pytest.mark.parametrize("a, dt", [(5.0, 0.5), (1.0, 0.1)])
@@ -296,10 +297,12 @@ class TestBoundedness:
 
 class TestLinearize:
     def test_matches_equilibrium_jacobian(self):
-        from mfa.equilibria import jacobian_at
-
         p = mixed(5.0, 0.8)
-        ss = amplifier_statespace(p)
-        for eq in find_equilibria(p, 0.0):
-            assert linearize(ss, eq.y_star) == pytest.approx(
-                jacobian_at(p, eq.y_star))
+        loop = LureLoop.amplifier(p)
+        for eq in loop.equilibria(0.0):
+            s = p.dphi(eq.y_star)
+            assert loop.jacobians([eq.y_star])[0] == pytest.approx(np.array([
+                [-100.0, 400.0 * s, -100.0 * s],
+                [10.0, -10.0, 0.0],
+                [1.0, 0.0, -1.0],
+            ]))
