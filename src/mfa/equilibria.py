@@ -173,10 +173,10 @@ class LureLoop:
 
     ``ss`` realizes the loop at gain ``k``.  ``g0`` is the DC loop gain seen
     by the saturation input, so the equilibria solve phi(v) = r + v/g0; a
-    root v lifts to the output y = v / v_per_y and the state
-    u x_u + y x_y with u = r - phi(v).  ``unit_tf`` builds the transfer function u -> v at unit
-    gain (at gain k it is k times that); it runs on first use, and the poles
-    are taken once per loop.
+    root v lifts to the output y = v / v_per_y and the state u x_u + y x_y,
+    with u = r - phi(v).  ``unit_tf`` builds the transfer function u -> v at
+    unit gain (at gain k it is k times that) on first use, so a map column
+    of loops that differ in gain builds it once; its poles are taken once.
     """
 
     ss: StateSpace
@@ -302,6 +302,7 @@ class LureLoop:
 
     @property
     def poles(self) -> list[complex]:
+        """Poles of the loop's transfer function, which do not depend on k."""
         return self.g1.poles()
 
     def inertia(self, lam: float) -> int:
@@ -373,16 +374,18 @@ def _equilibria(loops, r: float) -> list[list[Equilibrium]]:
         phi, _, slope_inverse = get_nonlinearity(loop.ss.nonlinearity)
         roots.append([0.0] if loop.g0 == 0.0
                      else solve_phi_line(phi, 1.0 / loop.g0, r, slope_inverse))
-    n = sum(len(vs) for vs in roots)
-    eigs_all = iter(np.linalg.eigvals(_jacobians(loops, roots)) if n else ())
+    eigs_all = iter(())
+    if any(roots):
+        # complex sort orders by real part, then imaginary part
+        eigs = np.linalg.eigvals(_jacobians(loops, roots)).astype(complex)
+        eigs_all = iter(np.sort(eigs, axis=1, kind="stable").tolist())
     out = []
     for loop, vs in zip(loops, roots):
         phi = get_nonlinearity(loop.ss.nonlinearity)[0]
         cell = []
         for v in vs:
             u, y = r - phi(v), v / loop.v_per_y
-            eigs = tuple(sorted((complex(e) for e in next(eigs_all)),
-                                key=lambda z: (z.real, z.imag)))
+            eigs = tuple(next(eigs_all))
             # adding 0.0 turns the -0.0 of a zero coefficient times a
             # negative value into 0.0
             state = tuple(u * a + y * b + 0.0 for a, b in zip(loop.x_u, loop.x_y))
