@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -102,16 +103,16 @@ def _print_json(obj):
 # ---------------------------------------------------------------------------
 # analyze
 
-def _loop_report(loop: LureLoop, r: float, lam: float, policy: str,
-                 head: dict, between: dict, tail: dict) -> dict:
-    """Report of one loop at one point, with the fields ``analyze`` and
-    ``multichannel`` share in their order: poles, zeros, ``between``, the
-    rate, the shifted inertia, g0, the critical gains, the equilibria and the
-    regime, then ``tail``.  A pole on the shifted axis raises
-    ``ArithmeticError``."""
+def _loop_report(loop: LureLoop, args, lam: float, head: dict, between: dict,
+                 tail: dict) -> dict:
+    """Report of one loop at the reference ``args.r`` and rate ``lam``, with
+    the fields ``analyze`` and ``multichannel`` share in their order: poles,
+    zeros, ``between``, the rate, the shifted inertia, g0, the critical
+    gains, the equilibria and the regime, then ``tail``.  A pole on the
+    shifted axis raises ``ArithmeticError``."""
     zeros = loop.g.zeros()
     inertia = loop.inertia(lam)
-    cell = loop.classify(r, lam)
+    cell = loop.classify(args.r, lam)
     return {
         "tool": "mfa",
         "version": __version__,
@@ -120,7 +121,7 @@ def _loop_report(loop: LureLoop, r: float, lam: float, policy: str,
         "zeros": _complex_pairs(zeros),
         **between,
         "lambda": lam,
-        "lambda_policy": policy,
+        "lambda_policy": "midpoint" if args.lam is None else "user",
         "shifted_unstable_poles": inertia,
         "g0": loop.g0,
         "k0_bar": _tag_gain(cell.k0_bar),
@@ -130,10 +131,6 @@ def _loop_report(loop: LureLoop, r: float, lam: float, policy: str,
         "reason": cell.reason,
         **tail,
     }
-
-
-def _policy(args) -> str:
-    return "midpoint" if args.lam is None else "user"
 
 
 def _amp_from_args(args) -> AmplifierParams:
@@ -153,8 +150,8 @@ def cmd_analyze(args) -> int:
         "zero": tf_zero_mixed(params) if params.k > 0 else None,
         "beta_star": critical_balance(params.tau_p, params.tau_n),
     }
-    _print_json(_loop_report(LureLoop.amplifier(params), args.r, lam, _policy(args),
-                             head, between, {"min_re_method": "stationary_points"}))
+    _print_json(_loop_report(LureLoop.amplifier(params), args, lam, head, between,
+                             {"min_re_method": "stationary_points"}))
     return 0
 
 
@@ -251,7 +248,7 @@ def cmd_multichannel(args) -> int:
     interlacing = check_interlacing(pos, neg, beta) if 0.0 < beta < 1.0 else None
     lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
     _print_json(_loop_report(
-        loop, args.r, lam, _policy(args), {"bank": bank_data},
+        loop, args, lam, {"bank": bank_data},
         {"beta_star": bank_critical_balance(pos, neg)},
         {"interlacing": interlacing.to_json_dict() if interlacing else None}))
     return 0
@@ -329,8 +326,18 @@ def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads a negative number in exponent form, such
+    as ``--r -6e-05``, as a value: argparse's own pattern for negative numbers
+    has no exponent, so it took ``-6e-05`` for an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfa",
         description="Mixed feedback amplifier analysis and simulation")
     parser.add_argument("--version", action="version",

@@ -52,6 +52,12 @@ class TestAnalyze:
                      "--lambda", "10"])  # rate exactly on a pole
         assert code == 4
 
+    def test_negative_value_in_exponent_form(self, capsys):
+        args = ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--r"]
+        code, exponent = run(capsys, [*args, "-1e-05"])
+        assert code == 0
+        assert exponent == run(capsys, [*args, "-0.00001"])[1]
+
     def test_json_round_trip_bit_identical(self, capsys):
         _, out = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5",
                               "--beta", "0.8", "--lambda", "50"])
