@@ -37,6 +37,7 @@ from .freq_analysis import (
 from .equilibria import (
     Equilibrium,
     LureLoop,
+    MapCell,
     RegimeClassification,
     classify_stability,
     dominance_map,

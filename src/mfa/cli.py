@@ -300,19 +300,32 @@ def cmd_interconnect(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _finite_float(text: str) -> float:
+    """argparse type of a float option: text that is not a number, nan and
+    inf are refused (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"requires a finite number, got {text!r}")
+    return value
+
+
 def _add_amp_flags(p: argparse.ArgumentParser, required: bool = True):
-    p.add_argument("--tau-l", dest="tau_l", type=float, required=required)
-    p.add_argument("--tau-p", dest="tau_p", type=float, required=required)
-    p.add_argument("--tau-n", dest="tau_n", type=float, required=required)
-    p.add_argument("--k", type=float, required=required)
-    p.add_argument("--beta", type=float, required=required)
+    p.add_argument("--tau-l", dest="tau_l", type=_finite_float, required=required)
+    p.add_argument("--tau-p", dest="tau_p", type=_finite_float, required=required)
+    p.add_argument("--tau-n", dest="tau_n", type=_finite_float, required=required)
+    p.add_argument("--k", type=_finite_float, required=required)
+    p.add_argument("--beta", type=_finite_float, required=required)
     p.add_argument("--nonlinearity", default="tanh")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
     p.add_argument("--schedule", help="input schedule JSON file")
-    p.add_argument("--r", type=float, default=0.0,
+    p.add_argument("--r", type=_finite_float, default=0.0,
                    help="constant reference when no schedule file is given")
+    # integrate checks dt and t_end itself and names them in its error
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", dest="t_end", type=float, default=50.0,
                    help="end time, rounded to a whole number of steps of dt")
@@ -320,9 +333,9 @@ def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
     p.add_argument("--detect", action="store_true",
                    help="print an oscillation report JSON instead of CSV")
     p.add_argument("--transient-fraction", dest="transient_fraction",
-                   type=float, default=0.5)
+                   type=_finite_float, default=0.5)
     p.add_argument("--amp-threshold", dest="amp_threshold",
-                   type=float, default=1e-3)
+                   type=_finite_float, default=1e-3)
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 
@@ -346,23 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis report (JSON)")
     _add_amp_flags(p)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("map", help="(gain, balance) regime map (CSV)")
-    p.add_argument("--tau-l", dest="tau_l", type=float, required=True)
-    p.add_argument("--tau-p", dest="tau_p", type=float, required=True)
-    p.add_argument("--tau-n", dest="tau_n", type=float, required=True)
+    p.add_argument("--tau-l", dest="tau_l", type=_finite_float, required=True)
+    p.add_argument("--tau-p", dest="tau_p", type=_finite_float, required=True)
+    p.add_argument("--tau-n", dest="tau_n", type=_finite_float, required=True)
     p.add_argument("--nonlinearity", default="tanh")
-    p.add_argument("--k-min", dest="k_min", type=float, required=True)
-    p.add_argument("--k-max", dest="k_max", type=float, required=True)
-    p.add_argument("--beta-min", dest="beta_min", type=float, default=0.0)
-    p.add_argument("--beta-max", dest="beta_max", type=float, default=1.0)
+    p.add_argument("--k-min", dest="k_min", type=_finite_float, required=True)
+    p.add_argument("--k-max", dest="k_max", type=_finite_float, required=True)
+    p.add_argument("--beta-min", dest="beta_min", type=_finite_float, default=0.0)
+    p.add_argument("--beta-max", dest="beta_max", type=_finite_float, default=1.0)
     p.add_argument("--rows", type=int, required=True, help="number of gain values")
     p.add_argument("--cols", type=int, required=True, help="number of balance values")
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted and ignored: maps run serially")
     p.add_argument("--output", help="write CSV here instead of stdout")
@@ -376,17 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nyquist", help="shifted Nyquist locus (CSV)")
     _add_amp_flags(p, required=False)
     p.add_argument("--load", help="load JSON file (use the load transfer function)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=2000)
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=None)
+    p.add_argument("--omega-min", dest="omega_min", type=_finite_float, default=None)
+    p.add_argument("--omega-max", dest="omega_max", type=_finite_float, default=None)
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_nyquist)
 
     p = sub.add_parser("multichannel", help="channel-bank analysis report (JSON)")
     p.add_argument("--bank", required=True, help="bank JSON file")
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--nonlinearity", default="tanh")
     p.set_defaults(func=cmd_multichannel)
 
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_amp_flags(p)
     p.add_argument("--load", required=True,
                    help="load JSON file with a, b, kv, kp, ki, ko")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--certify", action="store_true",
                    help="print passivity/composition certificates (JSON)")
     _add_sim_flags(p, dim=5)

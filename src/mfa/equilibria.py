@@ -7,7 +7,10 @@ bank and the amplifier-plus-load interconnection are its three constructors.
 With a constant reference r the equilibria solve the scalar equation
 phi(v) = r + v/g0, where g0 is the DC loop gain seen by the saturation input;
 each root lifts to a state and an output.  Stability is read off the
-eigenvalues of the Jacobian A - phi'(v) b c_loop.
+eigenvalues of the Jacobian A - phi'(v) b c_loop.  A regime map needs only
+counts: for the amplifier an equilibrium is unstable exactly when
+phi'(v) k exceeds the loop's crossing gain T, so map cells are counted from
+the signs of phi(v) - v/g0 - r at a few nodes, with no root and no eigenvalue.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .tf_core import (
 __all__ = [
     "Equilibrium",
     "LureLoop",
+    "MapCell",
     "RegimeClassification",
     "MARGINAL",
     "STABLE",
@@ -92,6 +96,19 @@ class RegimeClassification:
     @property
     def n_unstable(self) -> int:
         return sum(1 for e in self.equilibria if e.stability == UNSTABLE)
+
+
+class MapCell(NamedTuple):
+    """One (gain, balance) cell of a regime map: the regime, the column's
+    critical gains and crossing gain T, and the equilibrium counts."""
+
+    regime: str
+    k0_bar: float
+    k2_bar: float
+    crossing_gain: float
+    n_equilibria: int
+    n_unstable: int
+    reason: str = ""
 
 
 def _bisect(f, a, b, fa):
@@ -175,8 +192,8 @@ class LureLoop:
     by the saturation input, so the equilibria solve phi(v) = r + v/g0; a
     root v lifts to the output y = v / v_per_y and the state u x_u + y x_y,
     with u = r - phi(v).  ``unit_tf`` builds the transfer function u -> v at
-    unit gain (at gain k it is k times that) on first use, so a map column
-    of loops that differ in gain builds it once; its poles are taken once.
+    unit gain (at gain k it is k times that) on first use, so a loop that is
+    only simulated never builds it; its poles are taken once.
     """
 
     ss: StateSpace
@@ -328,13 +345,66 @@ class LureLoop:
             raise ValueError("wrong shifted inertia")
         return check_p_dominance(self.g1, lam, self.k, p)
 
+    @cached_property
+    def crossing_gain(self) -> float:
+        """Smallest gain T >= 0 at which den + T num of the unit-gain transfer
+        function stops being Hurwitz, or inf; a closed-loop linearization
+        den + K num with 0 <= K < T is stable and with K > T unstable.
+
+        For a stable third-order den and a numerator of degree at most one,
+        only the Routh-Hurwitz terms c0 = a0 + K n0 and
+        a2 c1 - a3 c0 = (a1 a2 - a0 a3) + K (a2 n1 - a3 n0) depend on K, both
+        linearly, so each gives at most one bound: -a0/n0 is the real-axis
+        crossing of G at w = 0 (the fold gain 1/(2 beta - 1) of the
+        amplifier), the other the crossing at w > 0.  Other loops raise
+        ``ValueError``.
+        """
+        den, num = self.g1.den.coeffs, self.g1.num.coeffs
+        if len(den) != 4 or len(num) > 2:
+            raise ValueError("requires a third-order loop with a first-order numerator")
+        a0, a1, a2, a3 = den
+        n0, n1 = (num + (0.0,))[:2]
+        hurwitz = a1 * a2 - a0 * a3
+        if not (min(den) > 0.0 and hurwitz > 0.0):
+            raise ValueError("requires a stable open loop")
+        bounds = [math.inf]
+        if n0 < 0.0:
+            bounds.append(-a0 / n0)
+        if a2 * n1 - a3 * n0 < 0.0:
+            bounds.append(hurwitz / (a3 * n0 - a2 * n1))
+        return min(bounds)
+
     def jacobians(self, vs) -> np.ndarray:
-        """Closed-loop Jacobians at the saturation inputs ``vs``, stacked."""
-        return _jacobians((self,), (vs,))
+        """Closed-loop Jacobians A - phi'(v) b c_loop at the saturation
+        inputs ``vs``, stacked."""
+        dphi = get_nonlinearity(self.ss.nonlinearity)[1]
+        slopes = np.array([dphi(v) for v in vs])
+        bc = np.outer(self.ss.b, self.ss.loop_row)
+        return np.array(self.ss.a) - slopes[:, None, None] * bc
 
     def equilibria(self, r: float) -> list[Equilibrium]:
-        """All equilibria for the constant reference r, sorted by y."""
-        return _equilibria((self,), r)[0]
+        """All equilibria for the constant reference r, sorted by y.
+
+        One :func:`solve_phi_line` call (with g0 = 0 the saturation input is
+        identically zero at steady state, so v = 0 is the one root), and one
+        stacked eigenvalue call for the Jacobians of every equilibrium.
+        """
+        phi, _, slope_inverse = get_nonlinearity(self.ss.nonlinearity)
+        vs = [0.0] if self.g0 == 0.0 else solve_phi_line(phi, 1.0 / self.g0, r,
+                                                          slope_inverse)
+        if not vs:
+            return []
+        # complex sort orders by real part, then imaginary part
+        eigs = np.linalg.eigvals(self.jacobians(vs)).astype(complex)
+        out = []
+        for v, e in zip(vs, np.sort(eigs, axis=1, kind="stable").tolist()):
+            u, y = r - phi(v), v / self.v_per_y
+            # adding 0.0 turns the -0.0 of a zero coefficient times a
+            # negative value into 0.0
+            state = tuple(u * a + y * b + 0.0 for a, b in zip(self.x_u, self.x_y))
+            out.append(Equilibrium(y_star=y, state=state, eigenvalues=tuple(e),
+                                   stability=classify_stability(e)))
+        return out
 
     def classify(self, r: float, lam: float) -> RegimeClassification:
         """Regime at reference r and rate lam.
@@ -345,113 +415,115 @@ class LureLoop:
         shifted-unstable poles gives Unclassified, and so does a numerical
         error, with its reason.
         """
-        return _classify((self,), r, lam)[0]
+        try:
+            two, k0_bar, k2_bar = _critical_gains(self, lam)
+        except (ArithmeticError, ValueError) as exc:
+            return RegimeClassification(REGIME_UNCLASSIFIED, math.nan, math.nan,
+                                        (), reason=str(exc))
+        try:
+            equilibria = self.equilibria(r)
+        except (ArithmeticError, ValueError) as exc:
+            return RegimeClassification(REGIME_UNCLASSIFIED, k0_bar, math.nan,
+                                        (), reason=str(exc))
+        labels = [e.stability for e in equilibria]
+        regime, reason = _regime(self.k, two, k0_bar, k2_bar, len(labels),
+                                 labels.count(UNSTABLE), labels.count(MARGINAL))
+        return RegimeClassification(regime, k0_bar, k2_bar, tuple(equilibria), reason)
 
 
-def _jacobians(loops, roots) -> np.ndarray:
-    """A - phi'(v) b c_loop for every root v of every loop (loops of one
-    dimension), in order, as one broadcast over the stacked realizations."""
-    owner, slopes = [], []
-    for i, (loop, vs) in enumerate(zip(loops, roots)):
-        dphi = get_nonlinearity(loop.ss.nonlinearity)[1]
-        owner += [i] * len(vs)
-        slopes += [dphi(v) for v in vs]
-    a = np.array([loop.ss.a for loop in loops])[owner]
-    b = np.array([loop.ss.b for loop in loops])[owner]
-    c = np.array([loop.ss.loop_row for loop in loops])[owner]
-    return a - np.array(slopes)[:, None, None] * (b[:, :, None] * c[:, None, :])
+def _critical_gains(loop: LureLoop, lam: float) -> tuple[bool, float, float]:
+    """Whether rate lam leaves two shifted-unstable poles, and k0_bar and
+    k2_bar (nan without two)."""
+    two = loop.inertia(lam) == 2
+    k0_bar = loop.certify(0.0, 0).critical_gain
+    k2_bar = loop.certify(lam, 2).critical_gain if two else math.nan
+    return two, k0_bar, k2_bar
 
 
-def _equilibria(loops, r: float) -> list[list[Equilibrium]]:
-    """Equilibria of each loop for the constant reference r.
-
-    One solve_phi_line call per loop (with g0 = 0 the saturation input is
-    identically zero at steady state, so v = 0 is the one root), and one
-    stacked eigenvalue call for the Jacobians of every equilibrium.
-    """
-    roots = []
-    for loop in loops:
-        phi, _, slope_inverse = get_nonlinearity(loop.ss.nonlinearity)
-        roots.append([0.0] if loop.g0 == 0.0
-                     else solve_phi_line(phi, 1.0 / loop.g0, r, slope_inverse))
-    eigs_all = iter(())
-    if any(roots):
-        # complex sort orders by real part, then imaginary part
-        eigs = np.linalg.eigvals(_jacobians(loops, roots)).astype(complex)
-        eigs_all = iter(np.sort(eigs, axis=1, kind="stable").tolist())
-    out = []
-    for loop, vs in zip(loops, roots):
-        phi = get_nonlinearity(loop.ss.nonlinearity)[0]
-        cell = []
-        for v in vs:
-            u, y = r - phi(v), v / loop.v_per_y
-            eigs = tuple(next(eigs_all))
-            # adding 0.0 turns the -0.0 of a zero coefficient times a
-            # negative value into 0.0
-            state = tuple(u * a + y * b + 0.0 for a, b in zip(loop.x_u, loop.x_y))
-            cell.append(Equilibrium(y_star=y, state=state, eigenvalues=eigs,
-                                    stability=classify_stability(eigs)))
-        out.append(cell)
-    return out
-
-
-def _regime(k: float, k0_bar: float, k2_bar: float, equilibria) -> tuple[str, str]:
+def _regime(k: float, two: bool, k0_bar: float, k2_bar: float, n_equilibria: int,
+            n_unstable: int, n_marginal: int) -> tuple[str, str]:
+    if not two:
+        return REGIME_UNCLASSIFIED, "shifted inertia != 2"
     if k < k0_bar:
         return REGIME_ZERO_DOMINANT, ""
     if k < k2_bar:
-        labels = [e.stability for e in equilibria]
-        if any(s == STABLE for s in labels):
+        if n_unstable + n_marginal < n_equilibria:
             return REGIME_MULTISTABLE, ""
-        if labels and all(s == UNSTABLE for s in labels):
+        if n_equilibria and not n_marginal:
             return REGIME_OSCILLATION, ""
         return REGIME_UNCLASSIFIED, "marginal equilibrium"
     return REGIME_UNCLASSIFIED, "gain at or above both critical gains"
 
 
-def _classify(loops, r: float, lam: float) -> list[RegimeClassification]:
-    """Regimes of loops that differ in gain only, such as a map column.
+def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
+                 ) -> tuple[int, int, int]:
+    """Numbers of equilibria, unstable ones and marginal ones of
+    phi(v) = r + v/g0, where an equilibrium at v is unstable when
+    phi'(v) > s and marginal when phi'(v) = s.
 
-    The critical gains do not depend on the gain, so the first loop's
-    certificates serve all of them; the equilibria go through one
-    :func:`_equilibria` call.  An error in either step marks every loop
-    Unclassified with its reason.
+    phi' is even and decreases in |v| from phi'(0) = 1, so phi'(v) > s holds
+    exactly on |v| < y_s = slope_inverse(s) when s < 1, and nowhere when
+    s >= 1 (at s = 1, v = 0 is marginal).  The nodes of
+    :func:`solve_phi_line` and +-y_s cut the line into pieces on each of
+    which h(v) = phi(v) - v/g0 - r is monotone and the label is constant.
+    A piece whose end values of h differ in sign holds one equilibrium with
+    the piece's label, and a zero of h at a node is one equilibrium, marginal
+    at +-y_s.  No root is located.
     """
-    head = loops[0]
-    try:
-        two = head.inertia(lam) == 2
-        k0_bar = head.certify(0.0, 0).critical_gain
-        k2_bar = head.certify(lam, 2).critical_gain if two else math.nan
-    except (ArithmeticError, ValueError) as exc:
-        return [RegimeClassification(REGIME_UNCLASSIFIED, math.nan, math.nan,
-                                     (), reason=str(exc)) for _ in loops]
-    try:
-        columns = _equilibria(loops, r)
-    except (ArithmeticError, ValueError) as exc:
-        return [RegimeClassification(REGIME_UNCLASSIFIED, k0_bar, math.nan,
-                                     (), reason=str(exc)) for _ in loops]
-    cells = []
-    for loop, equilibria in zip(loops, columns):
-        if two:
-            regime, reason = _regime(loop.k, k0_bar, k2_bar, equilibria)
-        else:
-            regime, reason = REGIME_UNCLASSIFIED, "shifted inertia != 2"
-        cells.append(RegimeClassification(regime, k0_bar, k2_bar,
-                                          tuple(equilibria), reason))
-    return cells
+    if s < 1.0:
+        y_s = slope_inverse(s)
+    else:
+        y_s = 0.0 if s == 1.0 else -1.0  # -1: no v has phi'(v) >= s
+    if g0 == 0.0:
+        # v = 0 is the one equilibrium, as in LureLoop.equilibria
+        return 1, int(y_s > 0.0), int(y_s == 0.0)
+    slope = 1.0 / g0
+    pos = {(1.0 + abs(r)) / abs(slope) + 1.0}
+    if 0.0 < slope < 1.0:
+        pos.add(slope_inverse(slope))
+    if y_s >= 0.0:
+        pos.add(y_s)
+    pos = sorted(pos)
+    nodes = [-y for y in reversed(pos) if y] + pos
+    n = unstable = marginal = 0
+    a = fa = None
+    for b in nodes:
+        fb = phi(b) - slope * b - r
+        if fb == 0.0:
+            n += 1
+            if abs(b) == y_s:
+                marginal += 1
+            elif abs(b) < y_s:
+                unstable += 1
+        elif fa and (fa < 0.0) != (fb < 0.0):
+            n += 1
+            if -y_s <= a and b <= y_s:
+                unstable += 1
+        a, fa = b, fb
+    return n, unstable, marginal
 
 
 def dominance_map(tau_l: float, tau_p: float, tau_n: float,
                   k_values, beta_values, r: float = 0.0,
                   lam: float | None = None, nonlinearity: str = "tanh"
-                  ) -> list[list[RegimeClassification]]:
-    """Regime classification over a (gain, balance) grid.
+                  ) -> list[list[MapCell]]:
+    """Regime cells over a (gain, balance) grid, indexed [k_index][beta_index].
 
-    Returns a matrix indexed [k_index][beta_index].  The critical gains only
-    depend on the balance column, so they are computed once per column.
-    Errors are recorded as Unclassified with a reason.
+    Each balance column is one unit-gain amplifier loop.  Its critical gains
+    k0_bar and k2_bar and its crossing gain T (:attr:`LureLoop.crossing_gain`)
+    do not depend on k, so they are taken once.  At gain k an equilibrium at
+    v has the linearization den + phi'(v) k num, unstable exactly when
+    phi'(v) > T/k, so each cell is counted by :func:`_cell_counts` from the
+    signs of phi(v) - v/g0 - r at a few nodes, with no root bisected and no
+    eigenvalue taken.  "Marginal" is then exact: phi'(v) k = T.  When T is
+    the fold gain 1/(2 beta - 1), T/k is taken as 1/g0, its value in exact
+    arithmetic, so that a tangent (double) equilibrium is marginal.
+    A certificate error marks the column Unclassified with its reason.
     """
     k_values = [float(k) for k in k_values]
     beta_values = [float(b) for b in beta_values]
+    if not k_values or not beta_values:
+        raise ValueError("requires at least one gain and one balance")
     if any(k <= 0.0 for k in k_values):
         raise ValueError("requires positive gains")
     if any(not 0.0 <= b <= 1.0 for b in beta_values):
@@ -459,11 +531,27 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     if lam is None:
         lam = select_rate(AmplifierParams(tau_l, tau_p, tau_n, 1.0, 0.0,
                                           nonlinearity=nonlinearity))
+    phi, _, slope_inverse = get_nonlinearity(nonlinearity)
     columns = []
     for beta in beta_values:
-        proto = AmplifierParams(tau_l, tau_p, tau_n, k=1.0, beta=beta,
-                                nonlinearity=nonlinearity)
-        columns.append(_classify([LureLoop.amplifier(proto.with_gain(k))
-                                  for k in k_values], r, lam))
+        loop = LureLoop.amplifier(AmplifierParams(tau_l, tau_p, tau_n, 1.0, beta,
+                                                  nonlinearity=nonlinearity))
+        try:
+            two, k0_bar, k2_bar = _critical_gains(loop, lam)
+            t = loop.crossing_gain
+        except (ArithmeticError, ValueError) as exc:
+            cell = MapCell(REGIME_UNCLASSIFIED, math.nan, math.nan, math.nan, 0, 0,
+                           str(exc))
+            columns.append([cell] * len(k_values))
+            continue
+        fold = loop.g0 > 0.0 and t == 1.0 / loop.g0
+        column = []
+        for k in k_values:
+            g0 = k * (2.0 * beta - 1.0)
+            n, unstable, marginal = _cell_counts(phi, slope_inverse, g0, r,
+                                                 1.0 / g0 if fold else t / k)
+            regime, reason = _regime(k, two, k0_bar, k2_bar, n, unstable, marginal)
+            column.append(MapCell(regime, k0_bar, k2_bar, t, n, unstable, reason))
+        columns.append(column)
     return [[columns[ib][ik] for ib in range(len(beta_values))]
             for ik in range(len(k_values))]
