@@ -127,6 +127,18 @@ def _bisect(f, a, b, fa):
     return m
 
 
+def _line_nodes(slope: float, r: float, slope_inverse, *cuts: float) -> list[float]:
+    """Sorted nodes +-bound, +-y_c (when 0 < slope < 1) and +-c for each
+    c >= 0 in ``cuts``, one each for zero.  No root of
+    phi(y) = r + slope*y (slope != 0) lies outside (-bound, bound), and
+    h(y) = phi(y) - slope*y - r is monotone between adjacent nodes."""
+    pos = {(1.0 + abs(r)) / abs(slope) + 1.0, *cuts}
+    if 0.0 < slope < 1.0:
+        pos.add(slope_inverse(slope))
+    pos = sorted(pos)
+    return [-y for y in reversed(pos) if y] + pos
+
+
 def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     """All real solutions y of phi(y) = r + slope*y, sorted, for a registered phi.
 
@@ -151,17 +163,11 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
             hi *= 2.0
         return [_bisect(lambda y: phi(y) - r, lo, hi, phi(lo) - r)]
 
-    bound = (1.0 + abs(r)) / abs(slope) + 1.0
-
     def h(y):
         # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
         return phi(y) - slope * y - r
 
-    nodes = [-bound, bound]
-    if 0.0 < slope < 1.0:
-        y_c = slope_inverse(slope)
-        if y_c > 0.0:
-            nodes[1:1] = [-y_c, y_c]
+    nodes = _line_nodes(slope, r, slope_inverse)
     hv = [h(y) for y in nodes]
     roots: list[float] = []
     for i, (y, fy) in enumerate(zip(nodes, hv)):
@@ -351,8 +357,9 @@ class LureLoop:
         function stops being Hurwitz, or inf; a closed-loop linearization
         den + K num with 0 <= K < T is stable and with K > T unstable.
 
-        For a stable third-order den and a numerator of degree at most one,
-        only the Routh-Hurwitz terms c0 = a0 + K n0 and
+        For a third-order den with positive coefficients and
+        a1 a2 > a0 a3 (every loop here with three lags), and a numerator of
+        degree at most one, only the Routh-Hurwitz terms c0 = a0 + K n0 and
         a2 c1 - a3 c0 = (a1 a2 - a0 a3) + K (a2 n1 - a3 n0) depend on K, both
         linearly, so each gives at most one bound: -a0/n0 is the real-axis
         crossing of G at w = 0 (the fold gain 1/(2 beta - 1) of the
@@ -364,14 +371,11 @@ class LureLoop:
             raise ValueError("requires a third-order loop with a first-order numerator")
         a0, a1, a2, a3 = den
         n0, n1 = (num + (0.0,))[:2]
-        hurwitz = a1 * a2 - a0 * a3
-        if not (min(den) > 0.0 and hurwitz > 0.0):
-            raise ValueError("requires a stable open loop")
         bounds = [math.inf]
         if n0 < 0.0:
             bounds.append(-a0 / n0)
         if a2 * n1 - a3 * n0 < 0.0:
-            bounds.append(hurwitz / (a3 * n0 - a2 * n1))
+            bounds.append((a1 * a2 - a0 * a3) / (a3 * n0 - a2 * n1))
         return min(bounds)
 
     def jacobians(self, vs) -> np.ndarray:
@@ -463,12 +467,11 @@ def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
 
     phi' is even and decreases in |v| from phi'(0) = 1, so phi'(v) > s holds
     exactly on |v| < y_s = slope_inverse(s) when s < 1, and nowhere when
-    s >= 1 (at s = 1, v = 0 is marginal).  The nodes of
-    :func:`solve_phi_line` and +-y_s cut the line into pieces on each of
-    which h(v) = phi(v) - v/g0 - r is monotone and the label is constant.
-    A piece whose end values of h differ in sign holds one equilibrium with
-    the piece's label, and a zero of h at a node is one equilibrium, marginal
-    at +-y_s.  No root is located.
+    s >= 1 (at s = 1, v = 0 is marginal).  With +-y_s among the nodes
+    (:func:`_line_nodes`), h(v) = phi(v) - v/g0 - r is monotone and the label
+    constant between adjacent nodes: a sign change of h there is one
+    equilibrium with that label, and a zero of h at a node is one
+    equilibrium, marginal at +-y_s.  No root is located.
     """
     if s < 1.0:
         y_s = slope_inverse(s)
@@ -478,16 +481,9 @@ def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
         # v = 0 is the one equilibrium, as in LureLoop.equilibria
         return 1, int(y_s > 0.0), int(y_s == 0.0)
     slope = 1.0 / g0
-    pos = {(1.0 + abs(r)) / abs(slope) + 1.0}
-    if 0.0 < slope < 1.0:
-        pos.add(slope_inverse(slope))
-    if y_s >= 0.0:
-        pos.add(y_s)
-    pos = sorted(pos)
-    nodes = [-y for y in reversed(pos) if y] + pos
     n = unstable = marginal = 0
     a = fa = None
-    for b in nodes:
+    for b in _line_nodes(slope, r, slope_inverse, *((y_s,) if y_s >= 0.0 else ())):
         fb = phi(b) - slope * b - r
         if fb == 0.0:
             n += 1

@@ -137,6 +137,45 @@ class TestMap:
         assert code == 0 and with_jobs == serial
 
 
+MAP_FLAGS = ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50", "--lambda", "50"]
+
+
+class TestInputChecks:
+    """Bad map and point inputs exit 2 with an error line."""
+
+    @pytest.mark.parametrize("size", [["--rows", "0", "--cols", "3"],
+                                      ["--rows", "3", "--cols", "0"]])
+    def test_empty_map_exit_2(self, capsys, size):
+        code = main([*MAP_FLAGS, *size])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "at least one gain" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        [*MAP_FLAGS, "--rows", "3", "--cols", "3", "--r", "nan"],
+        ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "inf", "--rows", "3", "--cols", "3"],
+        [*MAP_FLAGS, "--rows", "3", "--cols", "3", "--beta-min", "nan"],
+        ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--r", "nan"],
+        ["analyze", *AMP_FLAGS, "--k", "inf", "--beta", "0.4"],
+        ["multichannel", "--bank", BANK_SINGLE, "--r", "inf"],
+        ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
+         "--certify", "--r", "inf"],
+    ])
+    def test_non_finite_value_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error: argument --" in captured.err
+        assert "requires a finite number" in captured.err
+
+    def test_map_negative_value_in_exponent_form(self, capsys):
+        args = [*MAP_FLAGS, "--rows", "3", "--cols", "3", "--r"]
+        code, exponent = run(capsys, [*args, "-6e-05"])
+        assert code == 0
+        assert exponent == run(capsys, [*args, "-0.00006"])[1]
+
+
 class TestParserReuse:
     def test_one_parser_fresh_namespace_per_call(self, capsys, monkeypatch, tmp_path):
         built = []

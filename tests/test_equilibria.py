@@ -199,6 +199,167 @@ class TestDominanceMap:
         second = dominance_map(*TAUS, ks, betas, lam=50.0)
         assert first == second
 
+    def test_empty_grid_rejected(self):
+        for ks, betas in (([], [0.5]), ([1.0], [])):
+            with pytest.raises(ValueError, match="at least one gain"):
+                dominance_map(*TAUS, ks, betas)
+
+    def test_map_makes_no_per_cell_numerics(self, monkeypatch):
+        """A column builds one loop and locates no root and no eigenvalue."""
+        import mfa.equilibria as eq
+
+        calls = {"solve_phi_line": 0, "eigvals": 0, "LureLoop": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(eq, "solve_phi_line", counted("solve_phi_line", eq.solve_phi_line))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(LureLoop, "__init__", counted("LureLoop", LureLoop.__init__))
+        for beta in (0.2, 0.4, 0.8):
+            calls.update(dict.fromkeys(calls, 0))
+            cells = dominance_map(*TAUS, np.geomspace(0.1, 1000.0, 60), [beta], lam=50.0)
+            assert sum(c[0].n_equilibria for c in cells) >= 60
+            assert calls == {"solve_phi_line": 0, "eigvals": 0, "LureLoop": 1}
+
+
+RECIPE_TAUS = {"map_fast_load": ((0.01, 0.1, 1.0), 50.0),
+               "map_slow_load": ((10.0, 0.1, 1.0), 5.0),
+               "map_fast_load_reduced_separation": ((0.01, 0.1, 0.3), 50.0),
+               "map_slow_load_reduced_separation": ((10.0, 0.1, 0.3), 5.0)}
+
+
+def _hurwitz(poly) -> bool:
+    return bool(np.roots(poly).real.max() < 0.0)
+
+
+def _characteristic(taus, beta, gain):
+    """den(s) + gain num1(s) of the amplifier, descending, built here from
+    den = (tl s + 1)(tp s + 1)(tn s + 1), num1 = -[(beta(tn + tp) - tp) s + 2 beta - 1]."""
+    tl, tp, tn = taus
+    den = np.polymul(np.polymul([tl, 1.0], [tp, 1.0]), [tn, 1.0])
+    num = np.array([-(beta * (tn + tp) - tp), -(2.0 * beta - 1.0)])
+    return np.polyadd(den, gain * num)
+
+
+class TestCrossingGain:
+    def test_hurwitz_oracle(self):
+        """T separates Hurwitz from non-Hurwitz closed loops, by np.roots."""
+        rng = np.random.default_rng(23)
+        finite = 0
+        for i in range(300):
+            tp, tn = sorted(10.0 ** rng.uniform(-2.0, 1.0, 2))
+            taus = (float(10.0 ** rng.uniform(-2.0, 1.0)), float(tp), float(tn))
+            beta = float((0.0, 0.5, 1.0)[i] if i < 3 else rng.uniform(0.0, 1.0))
+            t = LureLoop.amplifier(AmplifierParams(*taus, 1.0, beta)).crossing_gain
+            if math.isinf(t):
+                for gain in np.geomspace(1e-3, 1e9, 49):
+                    assert _hurwitz(_characteristic(taus, beta, gain)), (taus, beta, gain)
+                continue
+            finite += 1
+            assert _hurwitz(_characteristic(taus, beta, t * (1.0 - 1e-9))), (taus, beta)
+            assert not _hurwitz(_characteristic(taus, beta, t * (1.0 + 1e-9))), (taus, beta)
+        assert 50 < finite < 290
+
+    def test_fold_gain_and_no_crossing(self):
+        # beta = 1: the w = 0 crossing 1/(2 beta - 1) = 1 binds; beta = 0: no crossing
+        assert LureLoop.amplifier(mixed(5.0, 1.0)).crossing_gain == 1.0
+        assert LureLoop.amplifier(mixed(5.0, 0.0)).crossing_gain == math.inf
+
+    def test_only_third_order_loops(self):
+        from mfa.interconnect import InterfaceGains, LoadParams
+
+        loop = LureLoop.load(mixed(5.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                             InterfaceGains(10.0, 1.0))
+        with pytest.raises(ValueError, match="third-order"):
+            loop.crossing_gain
+
+
+class TestMapCountsAgainstEigenvalues:
+    """dominance_map counts against per-cell LureLoop.equilibria labels.
+
+    Every cell the eigenvalue path calls marginal (an eigenvalue within
+    1e-8 of the axis) is listed with what the exact rule says there:
+    - k = 1, beta = 1, r = 0: g0 = 1, and v = 0 has phi'(0) k = 1 = T, so
+      it is marginal;
+    - slow load (tau_l = 10), k = 10, beta = 0.55, r = 0:
+      g0 = 1 + 9e-16 and T = 1/(2 beta - 1) = 10 - 9e-15.  v = 0 has
+      phi'(0) k = 10 > T, so it is unstable; the two pitchfork roots next to
+      it have phi'(v) k < k/g0 = T, so they are stable.
+    """
+
+    KS = sorted({1.0, 10.0} | set(10.0 ** np.random.default_rng(11).uniform(-1.0, 3.0, 38)))
+    BETAS = np.linspace(0.0, 1.0, 41)
+    REFERENCES = (0.0, 0.2, -0.5)
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_TAUS))
+    def test_seeded_grid(self, recipe, tag):
+        taus, lam = RECIPE_TAUS[recipe]
+        assert len(self.KS) == 40
+        expected_marginal = {(0.0, 1.0, 1.0): (1, 0, REGIME_UNCLASSIFIED)}
+        if taus[0] == 10.0:
+            expected_marginal[(0.0, 10.0, 0.55)] = (3, 1, REGIME_MULTISTABLE)
+        loops = [[LureLoop.amplifier(AmplifierParams(*taus, k, float(beta), nonlinearity=tag))
+                  for beta in self.BETAS] for k in self.KS]
+        marginal = {}
+        for r in self.REFERENCES:
+            cells = dominance_map(*taus, self.KS, self.BETAS, r=r, lam=lam, nonlinearity=tag)
+            for k, row, loop_row in zip(self.KS, cells, loops):
+                for beta, cell, loop in zip(self.BETAS, row, loop_row):
+                    labels = [e.stability for e in loop.equilibria(r)]
+                    counts = (cell.n_equilibria, cell.n_unstable)
+                    if MARGINAL in labels:
+                        marginal[(r, k, round(float(beta), 12))] = (*counts, cell.regime)
+                    else:
+                        assert counts == (len(labels), labels.count(UNSTABLE)), (r, k, beta)
+        assert marginal == expected_marginal
+
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k, beta", [(2.0, 1.0), (6.0, 0.92), (5.0, 0.97)])
+    def test_tangency(self, k, beta, sign, tag):
+        """At r = +-r_fold the tangent root is one marginal equilibrium: T is
+        the fold gain here, and T/k and 1/g0 differ in the last digit for
+        the last two balances."""
+        loop = LureLoop.amplifier(AmplifierParams(*TAUS, k, beta, nonlinearity=tag))
+        r = sign * fold_point(tag, 1.0 / loop.g0)[1]
+        labels = [e.stability for e in loop.equilibria(r)]
+        assert sorted(labels) == [MARGINAL, STABLE]
+        (cell,), = dominance_map(*TAUS, [k], [beta], r=r, lam=50.0, nonlinearity=tag)
+        assert (cell.n_equilibria, cell.n_unstable) == (2, 0)
+
+    @pytest.mark.parametrize("recipe", ["map_fast_load", "map_slow_load_reduced_separation"])
+    def test_recipe_map(self, recipe):
+        """The 60 x 60 recipe map, cell by cell, against the eigenvalue path."""
+        taus, lam = RECIPE_TAUS[recipe]
+        ks, betas = np.geomspace(0.1, 1000.0, 60), np.linspace(0.0, 1.0, 60)
+        cells = dominance_map(*taus, ks, betas, r=0.0, lam=lam)
+        for ib, beta in enumerate(betas):
+            head = LureLoop.amplifier(AmplifierParams(*taus, ks[0], beta))
+            assert head.inertia(lam) == 2
+            k0_bar = head.certify(0.0, 0).critical_gain
+            k2_bar = head.certify(lam, 2).critical_gain
+            for ik, k in enumerate(ks):
+                labels = [e.stability for e in
+                          LureLoop.amplifier(AmplifierParams(*taus, k, beta)).equilibria(0.0)]
+                assert MARGINAL not in labels
+                if k < k0_bar:
+                    regime = REGIME_ZERO_DOMINANT
+                elif k >= k2_bar:
+                    regime = REGIME_UNCLASSIFIED
+                elif STABLE in labels:
+                    regime = REGIME_MULTISTABLE
+                else:
+                    regime = REGIME_OSCILLATION
+                cell = cells[ik][ib]
+                assert (cell.regime, cell.k0_bar, cell.k2_bar, cell.n_equilibria,
+                        cell.n_unstable) == (regime, k0_bar, k2_bar, len(labels),
+                                             labels.count(UNSTABLE)), (k, beta)
+
 
 
 class TestSolvePhiLine:
