@@ -199,7 +199,8 @@ class LureLoop:
     root v lifts to the output y = v / v_per_y and the state u x_u + y x_y,
     with u = r - phi(v).  ``unit_tf`` builds the transfer function u -> v at
     unit gain (at gain k it is k times that) on first use, so a loop that is
-    only simulated never builds it; its poles are taken once.
+    only simulated never builds it; its poles are the -1/tau of its lags
+    and, for the load loop, the load's poles.
     """
 
     ss: StateSpace
@@ -239,7 +240,7 @@ class LureLoop:
         Both banks have unit DC gain, so g0 = k(2 beta - 1) and every state
         equals u at equilibrium, for any bank sizes.  The transfer function is
         -k C(s)/(tau_l s + 1) with C from :func:`build_channel_tf`, assembled
-        without cancellation.
+        without cancellation; its poles are -1/tau for tau_l and every channel.
         """
         if not tau_l > 0.0:
             raise ValueError("requires tau_l > 0")
@@ -270,7 +271,8 @@ class LureLoop:
             nonlinearity=nonlinearity,
         )
         return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim,
-                   lambda: RationalTF(-1.0 * c.num, Polynomial([1.0, tau_l]) * c.den))
+                   lambda: RationalTF(-1.0 * c.num, Polynomial([1.0, tau_l]) * c.den,
+                                      [*c.poles(), -1.0 / tau_l]))
 
     @classmethod
     def load(cls, amp: AmplifierParams, load: LoadParams,
@@ -305,7 +307,8 @@ class LureLoop:
 
         def unit_tf():
             lt = load_tf(load)
-            branch = RationalTF(lt.den + Polynomial([ki * ko]) * lt.num, lt.den)
+            branch = RationalTF(lt.den + Polynomial([ki * ko]) * lt.num, lt.den,
+                                lt.poles())
             return tf_multiply(tf_build_mixed(amp.with_gain(1.0)), branch)
 
         kappa = ki * load.kp * ko / load.a
@@ -321,7 +324,7 @@ class LureLoop:
     @property
     def g(self) -> RationalTF:
         """Transfer function u -> v at the loop's gain."""
-        return RationalTF(self.g1.num * self.k, self.g1.den)
+        return RationalTF(self.g1.num * self.k, self.g1.den, self.g1.poles())
 
     @property
     def poles(self) -> list[complex]:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .freq_analysis import DominanceCertificate, INFINITE_SECTOR
-from .tf_core import Polynomial, RationalTF
+from .tf_core import Polynomial, RationalTF, poly_roots
 
 __all__ = [
     "CompositionCertificate",
@@ -47,6 +48,11 @@ class LoadParams:
         for name in ("a", "b", "kv", "kp"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"requires {name} > 0")
+
+    @cached_property
+    def poles(self) -> tuple[complex, ...]:
+        """Roots of s^2 + b s + a, taken once per load."""
+        return tuple(poly_roots(Polynomial([self.a, self.b, 1.0])))
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,9 @@ class CompositionCertificate:
 
 
 def load_tf(load: LoadParams) -> RationalTF:
-    """(kv s + kp)/(s^2 + b s + a)."""
+    """(kv s + kp)/(s^2 + b s + a), with the load's poles."""
     return RationalTF(Polynomial([load.kp, load.kv]),
-                      Polynomial([load.a, load.b, 1.0]))
+                      Polynomial([load.a, load.b, 1.0]), load.poles)
 
 
 def compose_certificates(c_amp: DominanceCertificate,

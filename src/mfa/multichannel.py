@@ -91,8 +91,8 @@ def build_channel_tf(pos: ChannelBank, neg: ChannelBank, beta: float) -> Rationa
     """Weighted bank difference beta*Cp - (1-beta)*Cn over the common denominator.
 
     The denominator is the product of all (tau s + 1) factors, positive bank
-    first (ascending tau); no cancellation is performed, so deg(den) = m + n
-    and deg(num) <= m + n - 1.
+    first (ascending tau), with the poles -1/tau; no cancellation is
+    performed, so deg(den) = m + n and deg(num) <= m + n - 1.
     """
     _check_separation(pos, neg)
     if not 0.0 <= beta <= 1.0:
@@ -109,7 +109,7 @@ def build_channel_tf(pos: ChannelBank, neg: ChannelBank, beta: float) -> Rationa
             if j != i:
                 term = term * Polynomial([1.0, tau])
         num = num + term
-    return RationalTF(num, den)
+    return RationalTF(num, den, [-1.0 / tau for _, tau in chans])
 
 
 def bank_critical_balance(pos: ChannelBank, neg: ChannelBank) -> float:

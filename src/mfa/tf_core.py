@@ -9,7 +9,7 @@ ever performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -97,20 +97,40 @@ class Polynomial:
     __rmul__ = __mul__
 
     def shifted(self, lam: float) -> "Polynomial":
-        """Coefficients of p(s - lam), by binomial re-expansion."""
-        out = [0.0]
-        power = [1.0]  # (s - lam)**k, ascending
-        for a in self.coeffs:
-            out = _poly_add(out, [a * c for c in power])
-            power = _poly_mul(power, [-lam, 1.0])
+        """Coefficients of p(s - lam), by binomial re-expansion.
+
+        out = sum_j a_j (s - lam)**j, with each power taken from the last by
+        the recurrence power[i] <- power[i] (-lam) + power[i - 1], and the
+        terms added in ascending j.  At lam = 0 the coefficients come back
+        unchanged, except that -0.0 becomes 0.0 as in the sum.
+        """
+        if lam == 0.0:
+            return Polynomial([c + 0.0 for c in self.coeffs])
+        neg = -lam
+        out = [0.0] * len(self.coeffs)
+        power = [1.0]  # (s - lam)**j, ascending
+        for j, a in enumerate(self.coeffs):
+            if j:
+                power.append(power[-1])
+                for i in range(j - 1, 0, -1):
+                    power[i] = power[i] * neg + power[i - 1]
+                power[0] *= neg
+            for i, c in enumerate(power):
+                out[i] += a * c
         return Polynomial(out)
+
+
+def _root_order(z: complex):
+    return (z.real, z.imag)
 
 
 def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
     """All roots of ``p`` (with multiplicity) via companion-matrix eigenvalues.
 
-    Roots are ordered by ascending real part, then ascending imaginary part,
-    which places each conjugate pair adjacently.  The scaled residual
+    A degree-1 polynomial gives -a0/a1, the eigenvalue of its 1x1 companion
+    matrix, without the eigenvalue call.  Roots are ordered by ascending real
+    part, then ascending imaginary part, which places each conjugate pair
+    adjacently.  The scaled residual
     ``|p(root)| / sum_k |a_k| |root|^k`` is checked against ``tol``.
     """
     if p.is_zero:
@@ -119,14 +139,18 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
         return []
     if p.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"polynomial degree {p.degree} above supported cap {MAX_ROOT_DEGREE}")
-    raw = np.roots(p.coeffs[::-1])
+    if p.degree == 1:
+        # adding 0.0 gives the 0.0 that np.roots returns for a root at 0
+        raw = [-p.coeffs[0] / p.coeffs[1] + 0.0]
+    else:
+        raw = np.roots(p.coeffs[::-1])
     roots = []
     for z in raw:
         z = complex(z)
         if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
             z = complex(z.real, 0.0)
         roots.append(z)
-    roots.sort(key=lambda z: (z.real, z.imag))
+    roots.sort(key=_root_order)
     for z in roots:
         scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
         if abs(p(z)) > tol * max(scale, 1e-300):
@@ -136,23 +160,39 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Proper rational transfer function num(s)/den(s), real coefficients."""
+    """Proper rational transfer function num(s)/den(s), real coefficients.
+
+    ``den_roots`` are the roots of ``den`` when the constructor knows them,
+    as for a product of lags (tau s + 1), whose roots are -1/tau; they are
+    stored in the order of :func:`poly_roots`.
+    """
 
     num: Polynomial
     den: Polynomial
+    den_roots: tuple[complex, ...] | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.den.is_zero:
             raise ValueError("zero denominator")
         if not self.num.is_zero and self.num.degree > self.den.degree:
             raise ValueError("improper transfer function")
+        if self.den_roots is not None:
+            roots = sorted((complex(z) for z in self.den_roots), key=_root_order)
+            if len(roots) != self.den.degree:
+                raise ValueError("requires one root per denominator degree")
+            object.__setattr__(self, "den_roots", tuple(roots))
 
     @cached_property
     def _poles(self) -> tuple[complex, ...]:
+        if self.den_roots is not None:
+            return self.den_roots
         return tuple(poly_roots(self.den))
 
     def poles(self) -> list[complex]:
-        """Roots of the denominator, taken once per transfer function."""
+        """Roots of the denominator: ``den_roots`` when the transfer function
+        was built from factors with known roots, otherwise :func:`poly_roots`
+        of ``den``, taken once per transfer function."""
         return list(self._poles)
 
     def zeros(self) -> list[complex]:
@@ -262,14 +302,14 @@ def tf_build_mixed(params: AmplifierParams) -> RationalTF:
     """Open-loop transfer function u -> y of the mixed feedback amplifier.
 
     num = -k[(beta(tau_n+tau_p) - tau_p) s + (2 beta - 1)],
-    den = (tau_l s + 1)(tau_p s + 1)(tau_n s + 1);
+    den = (tau_l s + 1)(tau_p s + 1)(tau_n s + 1), with the poles -1/tau;
     the DC value is k(1 - 2 beta).
     """
     tl, tp, tn = params.taus
     k, beta = params.k, params.beta
     num = Polynomial([-k * (2.0 * beta - 1.0), -k * (beta * (tn + tp) - tp)])
     den = Polynomial([1.0, tl]) * Polynomial([1.0, tp]) * Polynomial([1.0, tn])
-    return RationalTF(num, den)
+    return RationalTF(num, den, (-1.0 / tl, -1.0 / tp, -1.0 / tn))
 
 
 def tf_shift(g: RationalTF, lam: float) -> RationalTF:
@@ -294,8 +334,9 @@ def tf_zero_mixed(params: AmplifierParams):
 
 
 def tf_multiply(a: RationalTF, b: RationalTF) -> RationalTF:
-    """Product a*b over the product denominators; no cancellation."""
-    return RationalTF(a.num * b.num, a.den * b.den)
+    """Product a*b over the product denominators; no cancellation, so its
+    poles are the poles of a and of b."""
+    return RationalTF(a.num * b.num, a.den * b.den, a.poles() + b.poles())
 
 
 def tf_eval(g: RationalTF, s: complex, tol: float = 1e-12) -> complex:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from mfa.sim import _sparse
-from mfa.tf_core import RationalTF, get_nonlinearity, tf_shift
+from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
 
 RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
@@ -74,8 +74,6 @@ def fold_point(tag: str, slope: float) -> tuple[float, float]:
 
 def random_proper_tf(rng: np.random.Generator, max_deg: int = 6) -> RationalTF:
     """Random proper transfer function with O(1) coefficients."""
-    from mfa.tf_core import Polynomial
-
     nd = int(rng.integers(1, max_deg + 1))
     nn = int(rng.integers(0, nd + 1))
     den = rng.uniform(-2.0, 2.0, nd + 1)
@@ -109,6 +107,24 @@ def vector_field(params, state, r: float):
     y = params.k * (-params.beta * xp + (1.0 - params.beta) * xn)
     u = r - params.phi(y)
     return ((-x + u) / tl, (x - xp) / tp, (x - xn) / tn)
+
+
+def reference_shift(coeffs, lam: float) -> tuple[float, ...]:
+    """The binomial re-expansion loop that ``Polynomial.shifted`` replaced:
+    the coefficients of p(s - lam), ascending, with each power
+    (s - lam)**j formed by ``np.convolve`` and the terms added as lists.
+    Trailing zeros are stripped as a ``Polynomial`` strips them."""
+    def add(a, b):
+        n = max(len(a), len(b))
+        return [(a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
+                for i in range(n)]
+
+    out = [0.0]
+    power = [1.0]
+    for a in coeffs:
+        out = add(out, [a * c for c in power])
+        power = list(np.convolve(power, [-lam, 1.0]))
+    return Polynomial(out).coeffs
 
 
 def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, formats, determinism, round trips."""
 
+import hashlib
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -435,19 +437,24 @@ class TestInterconnect:
 
 
 class TestRootCalls:
-    """Each polynomial's roots are taken once per command."""
+    """Poles come from the lags and loads a transfer function is built from,
+    so ``poly_roots`` runs only on what has no known factors: the amplifier's
+    degree-1 numerator (``analyze``), the bank numerators, once for the
+    report's zeros and once for the interlacing check (``multichannel``), and
+    the load quadratic, once per command (``interconnect --certify``).  A map
+    column takes none."""
 
     @pytest.mark.parametrize("argv, calls", [
-        (["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"], 2),
+        (["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"], 1),
         (["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "1000", "--rows", "60",
-          "--cols", "1", "--beta-min", "0.4", "--beta-max", "0.4", "--lambda", "50"], 1),
+          "--cols", "1", "--beta-min", "0.4", "--beta-max", "0.4", "--lambda", "50"], 0),
         (["multichannel", "--bank", os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json")],
-         3),
+         2),
         (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
-          "--lambda", "15", "--certify"], 3),
-    ])
+          "--lambda", "15", "--certify"], 1),
+    ], ids=["analyze", "map", "multichannel", "interconnect"])
     def test_poly_roots_calls(self, capsys, monkeypatch, argv, calls):
-        from mfa import tf_core
+        from mfa import interconnect, tf_core
 
         counted = []
 
@@ -456,9 +463,42 @@ class TestRootCalls:
             return poly_roots(*args, **kwargs)
 
         poly_roots = tf_core.poly_roots
-        monkeypatch.setattr(tf_core, "poly_roots", counting)
+        for module in (tf_core, interconnect):
+            monkeypatch.setattr(module, "poly_roots", counting)
         code, _ = run(capsys, argv)
         assert code == 0 and len(counted) == calls
+
+
+def recipe_argv(name: str, output: str) -> list[str]:
+    """The ``mfa`` arguments of a recipe script, with its ``--output`` file
+    replaced by ``output``."""
+    with open(os.path.join(RECIPES_DIR, f"{name}.sh")) as fh:
+        text = fh.read().replace("\\\n", " ")
+    (command,) = [line for line in text.splitlines() if line.startswith("python3 -m mfa ")]
+    argv = shlex.split(command)[3:]
+    argv[argv.index("--output") + 1] = output
+    return argv
+
+
+class TestRecipeMaps:
+    """The four recipe maps, byte for byte: a change to the certificates or
+    the cell counts that moves any digit or label fails here."""
+
+    SHA256 = {
+        "map_fast_load": "143d8323442c580867190983362954a649b3a13a794225cec269d77b33ebdffa",
+        "map_fast_load_reduced_separation":
+            "b6810ca1a9601715f0c51b78c1140aa0149b56c1fd74122267f58538b9a6c95e",
+        "map_slow_load": "f67dafe26dc35ecb78d627d676219bc67e515d0e6d5d27855e374b2748393214",
+        "map_slow_load_reduced_separation":
+            "4e29d27bed138c5828e2cf9919ad267518f05ba66d13126ba1a891502ce65014",
+    }
+
+    @pytest.mark.parametrize("name", SHA256)
+    def test_csv_digest(self, tmp_path, name):
+        path = str(tmp_path / f"{name}.csv")
+        assert main(recipe_argv(name, path)) == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
 
 
 class TestRecipeData:

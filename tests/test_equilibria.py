@@ -20,8 +20,17 @@ from mfa.equilibria import (
     dominance_map,
     solve_phi_line,
 )
+from mfa.freq_analysis import midpoint_rate, select_rate
+from mfa.interconnect import InterfaceGains, LoadParams
+from mfa.multichannel import Channel, ChannelBank, build_channel_tf
 from mfa.sim import integrate
-from mfa.tf_core import AmplifierParams, get_nonlinearity
+from mfa.tf_core import (
+    AmplifierParams,
+    Polynomial,
+    get_nonlinearity,
+    poly_roots,
+    tf_build_mixed,
+)
 
 TAUS = (0.01, 0.1, 1.0)
 
@@ -414,3 +423,59 @@ class TestSolvePhiLine:
         assert len(ys) == 3
         assert [ys[0], ys[2]] == pytest.approx([-1.3 * g0, 0.7 * g0], rel=1e-9)
         assert abs(math.tanh(ys[1]) - 0.3 - ys[1] / g0) < 1e-12
+
+
+def _root_order(z):
+    # the order of poly_roots: real part, then imaginary part
+    return (z.real, z.imag)
+
+
+def _bank(*taus):
+    return ChannelBank(tuple(Channel(1.0 / len(taus), t) for t in taus))
+
+
+POS2, NEG2 = _bank(0.05, 0.1), _bank(1.0, 2.0)
+POS3, NEG3 = _bank(0.02, 0.07, 0.15), _bank(0.6, 1.3, 2.9)
+LOAD = LoadParams(a=350.0, b=35.0, kv=1.0, kp=20.0)
+
+
+class TestConstructedPoles:
+    """Poles taken from the lags and loads a transfer function is built from:
+    each lag gives exactly -1/tau, the load its two roots, in the order of
+    poly_roots, and together they are the roots of the expanded denominator."""
+
+    CASES = {
+        "amplifier": (lambda: tf_build_mixed(mixed(5.0, 0.4)), TAUS, False),
+        "bank 2+2": (lambda: build_channel_tf(POS2, NEG2, 0.6),
+                     POS2.taus + NEG2.taus, False),
+        "bank 3+3": (lambda: build_channel_tf(POS3, NEG3, 0.3),
+                     POS3.taus + NEG3.taus, False),
+        "bank loop": (lambda: LureLoop.bank(0.01, POS3, NEG3, 4.0, 0.3).g1,
+                      (0.01,) + POS3.taus + NEG3.taus, False),
+        "load loop": (lambda: LureLoop.load(mixed(10.0, 0.4), LOAD,
+                                            InterfaceGains(10.0, 1.0)).g, TAUS, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_poles(self, case):
+        build, lags, with_load = self.CASES[case]
+        g = build()
+        poles = g.poles()
+        expected = [complex(-1.0 / t) for t in lags]
+        if with_load:
+            expected += poly_roots(Polynomial([LOAD.a, LOAD.b, 1.0]))
+        assert poles == sorted(expected, key=_root_order)
+        roots = sorted((complex(z) for z in np.roots(g.den.coeffs[::-1])), key=_root_order)
+        assert len(roots) == len(poles)
+        for pole, root in zip(poles, roots):
+            assert abs(pole - root) <= 1e-9 * abs(root)
+
+    def test_midpoint_rate_is_select_rate(self):
+        # both add the same two pole magnitudes, so they agree bit for bit
+        rng = np.random.default_rng(1204)
+        for _ in range(2000):
+            tp = float(10.0 ** rng.uniform(-3, 1))
+            tn = tp * float(10.0 ** rng.uniform(0.01, 2))
+            tl = float(10.0 ** rng.uniform(-3, 2))
+            p = AmplifierParams(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
+            assert midpoint_rate(tf_build_mixed(p).poles()) == select_rate(p)

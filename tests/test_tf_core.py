@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_shift
+
 from mfa.tf_core import (
     INFINITE_ZERO,
     AmplifierParams,
@@ -58,6 +60,18 @@ class TestPolyRoots:
         roots = poly_roots(Polynomial([2.0, 0.0, 1.0]))  # +/- j sqrt(2)
         assert roots[0].imag < 0 < roots[1].imag
         assert roots[0] == roots[1].conjugate()
+
+    def test_linear_root_is_the_companion_eigenvalue(self):
+        # -a0/a1 is the eigenvalue np.roots takes of the 1x1 companion
+        # matrix, bit for bit; a root at 0 is 0.0 either way
+        rng = np.random.default_rng(1203)
+        for i in range(2000):
+            c0, c1 = rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(-8, 8, 2)
+            if i % 10 == 0:
+                c0 = -0.0 if i % 20 else 0.0
+            (got,) = poly_roots(Polynomial([c0, c1]))
+            want = complex(np.roots([c1, c0])[0])
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_root_coefficient_round_trip(self):
         rng = np.random.default_rng(7)
@@ -124,6 +138,32 @@ class TestShift:
         gs = tf_shift(g, 5.0)
         assert gs.den.coeffs == pytest.approx((-4.0, 1.0))
 
+    def test_zero_rate_turns_negative_zero_positive(self):
+        # at beta = 0.5 the numerator's constant is -k * 0.0 = -0.0; the
+        # re-expansion sum gives 0.0, and so does the rate-0 shortcut
+        g = tf_build_mixed(mixed(2.0, 0.5))
+        assert g.num.coeffs[0].hex() == "-0x0.0p+0"
+        gs = tf_shift(g, 0.0)
+        for got, poly in ((gs.num, g.num), (gs.den, g.den)):
+            want = reference_shift(poly.coeffs, 0.0)
+            assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
+        assert gs.num.coeffs[0].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_recurrence_matches_convolution_loop(self, degree):
+        rng = np.random.default_rng(1200 + degree)
+        for _ in range(200):
+            coeffs = rng.uniform(-1, 1, degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1)
+            if degree and rng.uniform() < 0.3:
+                coeffs[rng.integers(0, degree)] = rng.choice([0.0, -0.0])
+            p = Polynomial(coeffs)
+            rates = (0.0, -float(10.0 ** rng.uniform(-3, 4)), float(10.0 ** rng.uniform(-3, 4)),
+                     1e4, -1e4)
+            for lam in rates:
+                got, want = p.shifted(lam).coeffs, reference_shift(p.coeffs, lam)
+                assert got == want
+                assert [c.hex() for c in got] == [c.hex() for c in want]
+
     def test_pole_translation_mixed(self):
         g = tf_build_mixed(mixed(1.0, 0.2))
         shifted = sorted(z.real for z in tf_shift(g, 55.0).poles())
@@ -142,6 +182,28 @@ class TestShift:
                 scale = max(1.0, max(abs(c) for c in pa.coeffs))
                 assert max(abs(x - y) for x, y in zip(pa.coeffs, pb.coeffs)) \
                     < 1e-12 * scale
+
+
+class TestKnownPoles:
+    def test_mixed_poles_are_the_lags(self):
+        g = tf_build_mixed(mixed(5.0, 0.4))
+        assert g.poles() == [-100.0, -10.0, -1.0]
+        assert g.den_roots == (-100.0, -10.0, -1.0)
+
+    def test_roots_sorted_like_poly_roots(self):
+        g = RationalTF(Polynomial([1.0]), Polynomial([2.0, 0.0, 1.0]),
+                       [complex(0.0, 2.0 ** 0.5), complex(0.0, -(2.0 ** 0.5))])
+        assert g.poles() == poly_roots(g.den)
+
+    def test_root_count_checked(self):
+        with pytest.raises(ValueError, match="one root per denominator degree"):
+            RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0, 1.0]), [-1.0])
+
+    def test_product_merges_poles(self):
+        a = tf_build_mixed(mixed(1.0, 0.3))
+        b = RationalTF(Polynomial([1.0]), Polynomial([350.0, 35.0, 1.0]))
+        assert tf_multiply(a, b).poles() == sorted(a.poles() + b.poles(),
+                                                   key=lambda z: (z.real, z.imag))
 
 
 class TestZeroMixed:
