@@ -185,11 +185,6 @@ class TestShift:
 
 
 class TestKnownPoles:
-    def test_mixed_poles_are_the_lags(self):
-        g = tf_build_mixed(mixed(5.0, 0.4))
-        assert g.poles() == [-100.0, -10.0, -1.0]
-        assert g.den_roots == (-100.0, -10.0, -1.0)
-
     def test_roots_sorted_like_poly_roots(self):
         g = RationalTF(Polynomial([1.0]), Polynomial([2.0, 0.0, 1.0]),
                        [complex(0.0, 2.0 ** 0.5), complex(0.0, -(2.0 ** 0.5))])
@@ -198,12 +193,6 @@ class TestKnownPoles:
     def test_root_count_checked(self):
         with pytest.raises(ValueError, match="one root per denominator degree"):
             RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0, 1.0]), [-1.0])
-
-    def test_product_merges_poles(self):
-        a = tf_build_mixed(mixed(1.0, 0.3))
-        b = RationalTF(Polynomial([1.0]), Polynomial([350.0, 35.0, 1.0]))
-        assert tf_multiply(a, b).poles() == sorted(a.poles() + b.poles(),
-                                                   key=lambda z: (z.real, z.imag))
 
 
 class TestZeroMixed:
