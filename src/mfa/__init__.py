@@ -31,8 +31,8 @@ from .freq_analysis import (
     check_p_passivity,
     critical_balance,
     min_real_part,
+    midpoint_rate,
     nyquist_locus,
-    select_rate,
 )
 from .equilibria import (
     Equilibrium,

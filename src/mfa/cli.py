@@ -6,7 +6,11 @@ values, and ``.`` decimals.  JSON uses the tags "unbounded" for an infinite
 critical gain and "infinite" for a zero or frequency at infinity.  Exit
 codes: 0 success, 2 invalid parameters (a run too large to allocate
 included), 3 file/parse errors, 4 numerical errors.  CSV output is streamed
-in chunks of rows, never built as one string.
+in blocks of rows, never built as one string.  The all-float CSVs of
+``simulate``, ``interconnect`` and ``nyquist`` are formatted by
+:func:`mfa.csvtext.format_block`, one numpy kernel per block, with the same
+bytes as ``%.17g``; the map's rows, which mix labels and counts with floats,
+keep a ``%`` row format.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .freq_analysis import (
     default_grid,
     midpoint_rate,
     nyquist_locus,
-    select_rate,
 )
 from .interconnect import compose_certificates, load_from_json, load_tf
 from .multichannel import bank_critical_balance, bank_from_json, check_interlacing
@@ -68,31 +71,39 @@ def _equilibrium_dicts(equilibria) -> list[dict]:
     ]
 
 
-#: Rows per formatted chunk of CSV output.
-_CSV_ROWS = 4096
+#: Rows per block of CSV output.
+_CSV_ROWS = 1024
 
 
-def _write_csv(path: str | None, header: str, row_format: str, rows):
+def _write_csv(path: str | None, header: str, rows, row_format: str | None = None):
     """Write a CSV to ``path``, or to stdout when ``path`` is None.
 
-    The version comment and ``header`` come first, then ``rows`` (a 2-D float
-    array or a list of row tuples) in chunks of :data:`_CSV_ROWS`, each chunk
-    formatted by one ``%`` operation with ``row_format`` repeated per row, so
-    the whole text is never held at once.  ``%.17g`` gives the same text as
-    ``format(x, ".17g")``, ``-0``, ``inf`` and ``nan`` included.
+    The version comment and ``header`` come first, then ``rows`` in blocks of
+    :data:`_CSV_ROWS`, so the whole text is never held at once.  Without a
+    ``row_format``, ``rows`` is a 2-D float array and each block is one call
+    of :func:`mfa.csvtext.format_block`, which gives the bytes of
+    ``format(x, ".17g")`` for every value, ``-0``, ``inf`` and ``nan``
+    included.  With one, ``rows`` is a list of row tuples and each block is
+    one ``%`` operation with ``row_format`` repeated per row.  A file is
+    written as bytes.
     """
-    out = sys.stdout if path is None else open(path, "w")
+    if row_format is None:
+        # imported here: its tables take about a megabyte and a few
+        # milliseconds to build, which the JSON commands and maps do not use
+        from .csvtext import format_block as block_text
+    else:
+        def block_text(block):
+            values = tuple(v for row in block for v in row)
+            return ((row_format * len(block)) % values).encode()
+
+    out = None if path is None else open(path, "wb")
     try:
-        out.write(f"# mfa {__version__}\n{header}\n")
+        write = out.write if out is not None else (lambda data: sys.stdout.write(data.decode()))
+        write(f"# mfa {__version__}\n{header}\n".encode())
         for i in range(0, len(rows), _CSV_ROWS):
-            chunk = rows[i:i + _CSV_ROWS]
-            if isinstance(chunk, np.ndarray):
-                values = chunk.ravel().tolist()
-            else:
-                values = [v for row in chunk for v in row]
-            out.write((row_format * len(chunk)) % tuple(values))
+            write(block_text(rows[i:i + _CSV_ROWS]))
     finally:
-        if path is not None:
+        if out is not None:
             out.close()
 
 
@@ -103,14 +114,13 @@ def _print_json(obj):
 # ---------------------------------------------------------------------------
 # analyze
 
-def _loop_report(loop: LureLoop, args, lam: float, head: dict, between: dict,
+def _loop_report(loop: LureLoop, args, lam: float, zeros, head: dict, between: dict,
                  tail: dict) -> dict:
-    """Report of one loop at the reference ``args.r`` and rate ``lam``, with
-    the fields ``analyze`` and ``multichannel`` share in their order: poles,
-    zeros, ``between``, the rate, the shifted inertia, g0, the critical
-    gains, the equilibria and the regime, then ``tail``.  A pole on the
-    shifted axis raises ``ArithmeticError``."""
-    zeros = loop.g.zeros()
+    """Report of one loop with its ``zeros`` at the reference ``args.r`` and
+    rate ``lam``, with the fields ``analyze`` and ``multichannel`` share in
+    their order: poles, zeros, ``between``, the rate, the shifted inertia,
+    g0, the critical gains, the equilibria and the regime, then ``tail``.  A
+    pole on the shifted axis raises ``ArithmeticError``."""
     inertia = loop.inertia(lam)
     cell = loop.classify(args.r, lam)
     return {
@@ -140,7 +150,8 @@ def _amp_from_args(args) -> AmplifierParams:
 
 def cmd_analyze(args) -> int:
     params = _amp_from_args(args)
-    lam = select_rate(params) if args.lam is None else args.lam
+    loop = LureLoop.amplifier(params)
+    lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
     head = {"params": {
         "tau_l": params.tau_l, "tau_p": params.tau_p, "tau_n": params.tau_n,
         "k": params.k, "beta": params.beta, "r": args.r,
@@ -150,7 +161,7 @@ def cmd_analyze(args) -> int:
         "zero": tf_zero_mixed(params) if params.k > 0 else None,
         "beta_star": critical_balance(params.tau_p, params.tau_n),
     }
-    _print_json(_loop_report(LureLoop.amplifier(params), args, lam, head, between,
+    _print_json(_loop_report(loop, args, lam, loop.g.zeros(), head, between,
                              {"min_re_method": "stationary_points"}))
     return 0
 
@@ -167,7 +178,7 @@ def cmd_map(args) -> int:
              cell.n_equilibria, cell.n_unstable)
             for k, row in zip(ks, cells) for beta, cell in zip(betas, row)]
     _write_csv(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable",
-               "%.17g,%.17g,%s,%.17g,%.17g,%d,%d\n", rows)
+               rows, "%.17g,%.17g,%s,%.17g,%.17g,%d,%d\n")
     return 0
 
 
@@ -191,7 +202,7 @@ def _parse_ic(text: str, dim: int) -> tuple[float, ...]:
 def _write_trajectory(traj: Trajectory, path: str | None):
     cols = ["t", *traj.labels, "y", *traj.extra.keys()]
     data = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
-    _write_csv(path, ",".join(cols), ",".join(["%.17g"] * len(cols)) + "\n", data)
+    _write_csv(path, ",".join(cols), data)
 
 
 def cmd_simulate(args) -> int:
@@ -232,8 +243,8 @@ def cmd_nyquist(args) -> int:
     else:
         grid = default_grid(g, lam, n_points=args.grid_points)
     locus = nyquist_locus(g, lam, grid)
-    rows = [(p.omega, p.re, p.im) for p in locus]
-    _write_csv(args.output, "omega,re,im", "%.17g,%.17g,%.17g\n", rows)
+    rows = np.array([(p.omega, p.re, p.im) for p in locus])
+    _write_csv(args.output, "omega,re,im", rows)
     return 0
 
 
@@ -245,10 +256,13 @@ def cmd_multichannel(args) -> int:
         bank_data = json.loads(fh.read())
     tau_l, pos, neg, k, beta = bank_from_json(bank_data)
     loop = LureLoop.bank(tau_l, pos, neg, k, beta, args.nonlinearity)
-    interlacing = check_interlacing(pos, neg, beta) if 0.0 < beta < 1.0 else None
+    # the loop's unit-gain numerator is the bank difference's up to sign, so
+    # one root call serves the report and the interlacing check
+    zeros = loop.g1.zeros()
+    interlacing = check_interlacing(pos, neg, beta, zeros) if 0.0 < beta < 1.0 else None
     lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
     _print_json(_loop_report(
-        loop, args, lam, {"bank": bank_data},
+        loop, args, lam, zeros if k > 0.0 else [], {"bank": bank_data},
         {"beta_star": bank_critical_balance(pos, neg)},
         {"interlacing": interlacing.to_json_dict() if interlacing else None}))
     return 0
@@ -261,10 +275,11 @@ def cmd_interconnect(args) -> int:
     with open(args.load) as fh:
         load, iface = load_from_json(fh.read())
     amp = _amp_from_args(args)
-    lam = args.lam if args.lam is not None else select_rate(amp)
     loop = LureLoop.load(amp, load, iface)
     if args.certify:
-        c_amp = check_p_passivity(tf_build_mixed(amp), lam, 2)
+        g_amp = tf_build_mixed(amp)
+        lam = midpoint_rate(g_amp.poles()) if args.lam is None else args.lam
+        c_amp = check_p_passivity(g_amp, lam, 2)
         c_load = check_p_passivity(load_tf(load), lam, 0)
         comp = compose_certificates(c_amp, c_load)
         c_tot = check_p_passivity(loop.g, lam, comp.p_total)

@@ -26,7 +26,7 @@ from .freq_analysis import (
     DominanceCertificate,
     _check_axis_clear,
     check_p_dominance,
-    select_rate,
+    midpoint_rate,
 )
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank, build_channel_tf
@@ -517,7 +517,8 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     eigenvalue taken.  "Marginal" is then exact: phi'(v) k = T.  When T is
     the fold gain 1/(2 beta - 1), T/k is taken as 1/g0, its value in exact
     arithmetic, so that a tangent (double) equilibrium is marginal.
-    A certificate error marks the column Unclassified with its reason.
+    A certificate error marks the column Unclassified with its reason.  The
+    rate ``lam`` defaults to :func:`midpoint_rate` of the lags' poles.
     """
     k_values = [float(k) for k in k_values]
     beta_values = [float(b) for b in beta_values]
@@ -527,14 +528,14 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
         raise ValueError("requires positive gains")
     if any(not 0.0 <= b <= 1.0 for b in beta_values):
         raise ValueError("requires 0 <= beta <= 1")
-    if lam is None:
-        lam = select_rate(AmplifierParams(tau_l, tau_p, tau_n, 1.0, 0.0,
-                                          nonlinearity=nonlinearity))
     phi, _, slope_inverse = get_nonlinearity(nonlinearity)
     columns = []
     for beta in beta_values:
         loop = LureLoop.amplifier(AmplifierParams(tau_l, tau_p, tau_n, 1.0, beta,
                                                   nonlinearity=nonlinearity))
+        if lam is None:
+            # the lags' poles, and so the rate, do not depend on the balance
+            lam = midpoint_rate(loop.poles)
         try:
             two, k0_bar, k2_bar = _critical_gains(loop, lam)
             t = loop.crossing_gain

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tf_core import AmplifierParams, RationalTF, tf_shift
+from .tf_core import RationalTF, tf_shift
 
 __all__ = [
     "INFINITE_SECTOR",
@@ -29,7 +29,6 @@ __all__ = [
     "midpoint_rate",
     "min_real_part",
     "nyquist_locus",
-    "select_rate",
 ]
 
 #: Sector tag that turns the circle criterion into a positive-realness check.
@@ -238,29 +237,21 @@ def critical_balance(tau_p: float, tau_n: float) -> float:
 
 
 def midpoint_rate(poles) -> float:
-    """Rate splitting off the two slowest poles as the dominant pair.
+    """Rate splitting off the two slowest poles as the dominant pair: the
+    default rate of every command.
 
     Midpoint between the real parts of the second and third slowest poles,
     so shifting leaves exactly two unstable poles; a stable and an unstable
-    shifted pole of equal magnitude then cancel in phase.  For three poles
-    this is the midpoint of the two left-most pole locations.
+    shifted pole of equal magnitude then cancel in phase.  For the
+    amplifier's three lags this is (1/tau_1 + 1/tau_2)/2 over its two
+    fastest lags.  Any rate strictly between those two pole magnitudes
+    works, and callers may pass their own.
     """
     res = sorted((p.real if isinstance(p, complex) else float(p) for p in poles),
                  reverse=True)
     if len(res) < 3:
         raise ValueError("requires at least three poles")
     return -(res[1] + res[2]) / 2.0
-
-
-def select_rate(params: AmplifierParams) -> float:
-    """Rate-selection policy: midpoint of the two fastest pole magnitudes.
-
-    Splitting the two left-most poles guarantees exactly two shifted-unstable
-    poles; any rate strictly between those two magnitudes works, and callers
-    may override the policy with their own value.
-    """
-    mags = sorted((1.0 / t for t in params.taus), reverse=True)
-    return (mags[0] + mags[1]) / 2.0
 
 
 def check_p_dominance(g: RationalTF, lam: float, K, p: int) -> DominanceCertificate:

@@ -148,23 +148,23 @@ class InterlacingReport:
         }
 
 
-def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float
-                      ) -> InterlacingReport:
+def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
+                      zeros=None) -> InterlacingReport:
     """Verify the zero-interlacing pattern of the bank difference.
 
     For banks of sizes m and n the difference must have m + n - 1 real
     zeros: m - 1 interlaced with the positive-bank poles, n - 1 with the
     negative-bank poles, and one outer zero beyond the pole span.  Any
     violation (complex zero, missing or doubled gap occupancy, wrong count)
-    yields satisfied = False with the diagnostic pattern.
+    yields satisfied = False with the diagnostic pattern.  ``zeros`` are the
+    roots of the difference's numerator when the caller has them, as the
+    bank loop does: its unit-gain transfer function has the same numerator
+    up to sign.  Otherwise they are found from :func:`build_channel_tf`.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("requires 0 < beta < 1")
-    c = build_channel_tf(pos, neg, beta)
+    roots = build_channel_tf(pos, neg, beta).zeros() if zeros is None else zeros
     m, n = len(pos.channels), len(neg.channels)
-    if c.num.is_zero or c.num.degree == 0:
-        return InterlacingReport((), (), satisfied=False)
-    roots = c.zeros()
     pos_poles = pos.poles()
     neg_poles = neg.poles()
     lo = min(pos_poles + neg_poles)

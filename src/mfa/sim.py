@@ -175,20 +175,21 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     """Straight-line RK4 over a block of steps, for the loop's sparsity pattern.
 
     Returns ``block(rs, s0, ..., s{n-1}, out)``: one step per reference value
-    in ``rs``, each new state's components appended to ``out``; it returns
-    early, storing nothing more, at the first state with a non-finite
-    component.  The source names only state components, stages and
-    coefficient positions; the coefficients themselves are bound as
-    arguments of the enclosing factory, never formatted into the text.  The
-    arithmetic is that of the generic loop term for term, so trajectories are
-    bit-deterministic: ``y = 0.0 + c_j s_j + ...`` and each derivative row
+    in ``rs``, each new state's components appended to ``out``.  It does not
+    test the states for finiteness; the caller checks each block once.  A
+    non-finite state only makes the later ones inf or nan, since float
+    arithmetic, ``tanh`` and ``atan`` raise nothing on them.  The source
+    names only state components, stages and coefficient positions; the
+    coefficients themselves are bound as arguments of the enclosing factory,
+    never formatted into the text.  The arithmetic is that of the generic
+    loop term for term, so trajectories are bit-deterministic:
+    ``y = 0.0 + c_j s_j + ...`` and each derivative row
     ``(0.0 + a_ij s_j + ...) + b_i u`` in index order, the stage points
     ``s + half k1``, ``s + half k2``, ``s + dt k3`` and the update
     ``s + sixth (k1 + 2 (k2 + k3) + k4)``.
     """
     n = ss.dim
-    coeffs = {"phi": phi, "isfinite": math.isfinite,
-              "dt": dt, "half": dt / 2.0, "sixth": dt / 6.0}
+    coeffs = {"phi": phi, "dt": dt, "half": dt / 2.0, "sixth": dt / 6.0}
     c_sum = "0.0"
     for j, cj in _sparse(ss.loop_row):
         coeffs[f"c_{j}"] = cj
@@ -220,9 +221,7 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     body = [*stage(1, None), *stage(2, "half"), *stage(3, "half"), *stage(4, "dt")]
     body += [f"s{i} = s{i} + sixth*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i})"
              for i in range(n)]
-    body += [f"if not ({' and '.join(f'isfinite(s{i})' for i in range(n))}):",
-             "    return",
-             f"store(({state},))"]
+    body.append(f"store(({state},))")
     src = "\n".join([
         f"def factory({', '.join(coeffs)}):",
         f"    def block(rs, {state}, out):",
@@ -251,7 +250,7 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
     sparsity pattern (:func:`_rk4_kernel`).  A non-finite initial state,
     ``dt`` or ``t_end``, or a ``t_end`` that rounds to zero steps, is a
     ``ValueError``; a non-finite state along the way aborts with the offending
-    time.
+    time, found once per block of steps.
     """
     if isinstance(system, AmplifierParams):
         from .equilibria import LureLoop  # equilibria builds on this module
@@ -298,10 +297,11 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
         rs = r_steps[i0:i0 + _BLOCK].tolist()
         out = []
         block(rs, *s, out)
-        m = len(out) // n
-        if m < len(rs):
-            raise ArithmeticError(f"divergence at t={(i0 + m + 1) * dt:.6g}")
-        states[i0 + 1:i0 + 1 + m] = np.reshape(out, (m, n))
+        chunk = states[i0 + 1:i0 + 1 + len(rs)]
+        chunk[:] = np.reshape(out, (len(rs), n))
+        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+        if len(bad):
+            raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         s = out[-n:]
 
     t = np.arange(n_steps + 1) * dt

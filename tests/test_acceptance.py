@@ -34,7 +34,7 @@ from mfa.equilibria import (
 from mfa.freq_analysis import (
     check_p_passivity,
     critical_balance,
-    select_rate,
+    midpoint_rate,
 )
 from mfa.interconnect import (
     InterfaceGains,
@@ -152,7 +152,8 @@ def test_criterion_2_critical_balance():
         beta = float(rng.uniform(bs + 1e-9, 1.0))
         p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.05, 200.0)),
                             beta=beta)
-        cert = check_p_passivity(tf_build_mixed(p), select_rate(p), 2)
+        g = tf_build_mixed(p)
+        cert = check_p_passivity(g, midpoint_rate(g.poles()), 2)
         failures += 0 if cert.passed else 1
     assert failures == 0
 
@@ -171,7 +172,7 @@ def test_criterion_3_critical_gain_oracle():
         if trial % 2 == 0:
             lam, deg = 0.0, 0
         else:
-            lam, deg = select_rate(p), 2
+            lam, deg = midpoint_rate(tf_build_mixed(p).poles()), 2
         got = LureLoop.amplifier(p).certify(lam, deg).critical_gain
         corners = [1.0 / t for t in p.taus]
         oracle_min = brute_min_re(tf_build_mixed(p), lam,

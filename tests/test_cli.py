@@ -439,17 +439,17 @@ class TestInterconnect:
 class TestRootCalls:
     """Poles come from the lags and loads a transfer function is built from,
     so ``poly_roots`` runs only on what has no known factors: the amplifier's
-    degree-1 numerator (``analyze``), the bank numerators, once for the
-    report's zeros and once for the interlacing check (``multichannel``), and
-    the load quadratic, once per command (``interconnect --certify``).  A map
-    column takes none."""
+    degree-1 numerator (``analyze``), the bank difference's numerator, once
+    for both the report's zeros and the interlacing check (``multichannel``),
+    and the load quadratic, once per command (``interconnect --certify``).  A
+    map column takes none."""
 
     @pytest.mark.parametrize("argv, calls", [
         (["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"], 1),
         (["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "1000", "--rows", "60",
           "--cols", "1", "--beta-min", "0.4", "--beta-max", "0.4", "--lambda", "50"], 0),
         (["multichannel", "--bank", os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json")],
-         2),
+         1),
         (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
           "--lambda", "15", "--certify"], 1),
     ], ids=["analyze", "map", "multichannel", "interconnect"])
@@ -470,11 +470,12 @@ class TestRootCalls:
 
 
 def recipe_argv(name: str, output: str) -> list[str]:
-    """The ``mfa`` arguments of a recipe script, with its ``--output`` file
-    replaced by ``output``."""
+    """The ``mfa`` arguments of the command of a recipe script that writes
+    its ``--output`` file, with that file replaced by ``output``."""
     with open(os.path.join(RECIPES_DIR, f"{name}.sh")) as fh:
         text = fh.read().replace("\\\n", " ")
-    (command,) = [line for line in text.splitlines() if line.startswith("python3 -m mfa ")]
+    (command,) = [line for line in text.splitlines()
+                  if line.startswith("python3 -m mfa ") and "--output" in line]
     argv = shlex.split(command)[3:]
     argv[argv.index("--output") + 1] = output
     return argv
@@ -495,6 +496,32 @@ class TestRecipeMaps:
 
     @pytest.mark.parametrize("name", SHA256)
     def test_csv_digest(self, tmp_path, name):
+        path = str(tmp_path / f"{name}.csv")
+        assert main(recipe_argv(name, path)) == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
+
+
+class TestRecipeOutputs:
+    """The recipe trajectories and Nyquist loci, byte for byte, generated from
+    the scripts' own flags in the recipe directory, where their input files
+    are: a change to the integrator, the loci or the CSV text that moves any
+    byte fails here."""
+
+    SHA256 = {
+        "sim_oscillation": "a5cc6353771e92d1a05d69fa1a20ab005272528d931a47050528998f266b723f",
+        "sim_stable_return": "a58349c564dc875612d89a6d242d64b972c26f353a6dc999c5777c47625cf4ce",
+        "sim_bistable_switch": "bbde74dc7bc0b5bfa1fc1f55da55d91b249bfcc60d5f21902d785a4020fe570f",
+        "interconnect_limit_cycle":
+            "a8dfaae01eedb1e0dd7ad1ba48558cc953073dd23dcb954a487a526aad9f3d4d",
+        "nyquist_openloop": "b9318c41878bbccf6e088439bdd48aebee41af9de25888c89508ed74ed030e0a",
+        "nyquist_shifted_load":
+            "c75ae555ebaeeefe509f2ea6fb44297ecc401d54cc7fc0ed4bcb0e6147964a87",
+    }
+
+    @pytest.mark.parametrize("name", SHA256)
+    def test_csv_digest(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(RECIPES_DIR)
         path = str(tmp_path / f"{name}.csv")
         assert main(recipe_argv(name, path)) == 0
         with open(path, "rb") as fh:

@@ -20,7 +20,7 @@ from mfa.equilibria import (
     dominance_map,
     solve_phi_line,
 )
-from mfa.freq_analysis import midpoint_rate, select_rate
+from mfa.freq_analysis import midpoint_rate
 from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank, build_channel_tf
 from mfa.sim import integrate
@@ -470,12 +470,14 @@ class TestConstructedPoles:
         for pole, root in zip(poles, roots):
             assert abs(pole - root) <= 1e-9 * abs(root)
 
-    def test_midpoint_rate_is_select_rate(self):
-        # both add the same two pole magnitudes, so they agree bit for bit
+    def test_midpoint_rate_closed_form(self):
+        # the lag poles are exactly -1/tau, so the midpoint rate is the closed
+        # form (1/tau_1 + 1/tau_2)/2 of the two fastest lags, bit for bit
         rng = np.random.default_rng(1204)
         for _ in range(2000):
             tp = float(10.0 ** rng.uniform(-3, 1))
             tn = tp * float(10.0 ** rng.uniform(0.01, 2))
             tl = float(10.0 ** rng.uniform(-3, 2))
             p = AmplifierParams(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
-            assert midpoint_rate(tf_build_mixed(p).poles()) == select_rate(p)
+            tau_1, tau_2 = sorted(p.taus)[:2]
+            assert midpoint_rate(tf_build_mixed(p).poles()) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0

@@ -160,6 +160,16 @@ class TestInterlacing:
             assert rep.count(BETWEEN_NEGATIVE) == n - 1
             assert rep.count(OUTER) == 1
 
+    def test_loop_zeros_give_the_same_report(self):
+        # the bank loop's unit-gain numerator is -C, whose roots are those of
+        # C bit for bit, so the zeros the loop hands over change nothing
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            pos, neg, beta = random_banks(rng)
+            loop = LureLoop.bank(0.003, pos, neg, float(rng.uniform(0.5, 20.0)), beta)
+            assert (check_interlacing(pos, neg, beta, loop.g1.zeros())
+                    == check_interlacing(pos, neg, beta))
+
     def test_sign_change_witness(self):
         # the difference flips sign across each same-bank pole gap
         rng = np.random.default_rng(35)
