@@ -26,10 +26,9 @@ from .tf_core import (
 )
 from .freq_analysis import (
     DominanceCertificate,
-    FrequencyGrid,
-    check_p_dominance,
     check_p_passivity,
     critical_balance,
+    critical_gain,
     min_real_part,
     midpoint_rate,
     nyquist_locus,

@@ -20,16 +20,15 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .equilibria import LureLoop, dominance_map
 from .freq_analysis import (
-    FrequencyGrid,
     check_p_passivity,
     critical_balance,
-    default_grid,
     midpoint_rate,
     nyquist_locus,
 )
@@ -111,6 +110,24 @@ def _print_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+class _MalformedInput(Exception):
+    """An input file that parses but lacks a field or has one of the wrong
+    type (exit 3, like a file that does not parse)."""
+
+
+@contextmanager
+def _input_file(path: str):
+    """Open ``path`` for reading; a ``KeyError`` or ``TypeError`` raised while
+    the block reads its fields becomes :class:`_MalformedInput`."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except KeyError as exc:
+            raise _MalformedInput(f"{path}: missing field {exc}") from None
+        except TypeError as exc:
+            raise _MalformedInput(f"{path}: malformed input: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -187,7 +204,7 @@ def cmd_map(args) -> int:
 
 def _read_schedule(args) -> InputSchedule:
     if args.schedule is not None:
-        with open(args.schedule) as fh:
+        with _input_file(args.schedule) as fh:
             return InputSchedule.from_json(fh.read())
     return InputSchedule.constant(args.r)
 
@@ -229,7 +246,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_nyquist(args) -> int:
     if args.load is not None:
-        with open(args.load) as fh:
+        with _input_file(args.load) as fh:
             load, _ = load_from_json(fh.read())
         g = load_tf(load)
     else:
@@ -238,13 +255,20 @@ def cmd_nyquist(args) -> int:
                 raise ValueError("requires --load or the full amplifier parameter set")
         g = tf_build_mixed(_amp_from_args(args))
     lam = args.lam if args.lam is not None else 0.0
-    if args.omega_min is not None and args.omega_max is not None:
-        grid = FrequencyGrid(args.omega_min, args.omega_max, args.grid_points)
-    else:
-        grid = default_grid(g, lam, n_points=args.grid_points)
-    locus = nyquist_locus(g, lam, grid)
-    rows = np.array([(p.omega, p.re, p.im) for p in locus])
-    _write_csv(args.output, "omega,re,im", rows)
+    lo, hi = args.omega_min, args.omega_max
+    if lo is None or hi is None:
+        # each missing bound lies three decades beyond the pole and zero
+        # corner magnitudes of g, before and after the shift
+        corners = [c for z in g.poles() + g.zeros() for c in (abs(z), abs(z + lam))
+                   if c > 1e-12] or [1.0]
+        lo = 1e-3 * min(corners) if lo is None else lo
+        hi = 1e3 * max(corners) if hi is None else hi
+    if not 0.0 < lo < hi:
+        raise ValueError("requires 0 < omega_min < omega_max")
+    if args.grid_points < 2:
+        raise ValueError("requires n_points >= 2")
+    _write_csv(args.output, "omega,re,im",
+               nyquist_locus(g, lam, np.geomspace(lo, hi, args.grid_points)))
     return 0
 
 
@@ -252,9 +276,9 @@ def cmd_nyquist(args) -> int:
 # multichannel
 
 def cmd_multichannel(args) -> int:
-    with open(args.bank) as fh:
+    with _input_file(args.bank) as fh:
         bank_data = json.loads(fh.read())
-    tau_l, pos, neg, k, beta = bank_from_json(bank_data)
+        tau_l, pos, neg, k, beta = bank_from_json(bank_data)
     loop = LureLoop.bank(tau_l, pos, neg, k, beta, args.nonlinearity)
     # the loop's unit-gain numerator is the bank difference's up to sign, so
     # one root call serves the report and the interlacing check
@@ -272,7 +296,7 @@ def cmd_multichannel(args) -> int:
 # interconnect
 
 def cmd_interconnect(args) -> int:
-    with open(args.load) as fh:
+    with _input_file(args.load) as fh:
         load, iface = load_from_json(fh.read())
     amp = _amp_from_args(args)
     loop = LureLoop.load(amp, load, iface)
@@ -444,7 +468,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, _MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, MemoryError) as exc:

@@ -22,12 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .freq_analysis import (
-    DominanceCertificate,
-    _check_axis_clear,
-    check_p_dominance,
-    midpoint_rate,
-)
+from .freq_analysis import _check_axis_clear, critical_gain, midpoint_rate
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank, build_channel_tf
 from .sim import StateSpace
@@ -89,14 +84,6 @@ class RegimeClassification:
     equilibria: tuple[Equilibrium, ...]
     reason: str = ""
 
-    @property
-    def n_equilibria(self) -> int:
-        return len(self.equilibria)
-
-    @property
-    def n_unstable(self) -> int:
-        return sum(1 for e in self.equilibria if e.stability == UNSTABLE)
-
 
 class MapCell(NamedTuple):
     """One (gain, balance) cell of a regime map: the regime, the column's
@@ -145,24 +132,13 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     ``slope_inverse`` maps s in (0, 1) to the y > 0 with phi'(y) = s.  Since
     phi' is even and strictly decreasing in |y|, h(y) = phi(y) - slope*y - r
     is strictly monotone on the whole line unless 0 < slope < 1, and then on
-    each of the three pieces that +-slope_inverse(slope) cut it into.  For
-    slope != 0 every solution satisfies |y| <= (1 + |r|)/|slope|, so the
-    pieces are bounded; each holds at most one root, bisected to 1e-12.  A
-    zero of h at a cut point is a tangency (double root), reported once.
-    For slope == 0 the equation phi(y) = r has one solution when |r| < 1 and
-    none otherwise.
+    each of the three pieces that +-slope_inverse(slope) cut it into.  Every
+    solution satisfies |y| <= (1 + |r|)/|slope|, so the pieces are bounded;
+    each holds at most one root, bisected to 1e-12.  A zero of h at a cut
+    point is a tangency (double root), reported once.  Requires slope != 0:
+    every loop here has a finite gain, and a loop with g0 = 0 has the one
+    root v = 0 (:meth:`LureLoop.equilibria`).
     """
-    if slope == 0.0:
-        if abs(r) >= 1.0:
-            return []
-        lo = -1.0
-        while phi(lo) >= r and lo > -1e12:
-            lo *= 2.0
-        hi = 1.0
-        while phi(hi) <= r and hi < 1e12:
-            hi *= 2.0
-        return [_bisect(lambda y: phi(y) - r, lo, hi, phi(lo) - r)]
-
     def h(y):
         # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
         return phi(y) - slope * y - r
@@ -248,6 +224,8 @@ class LureLoop:
             raise ValueError("requires tau_l distinct from every channel tau")
         if not k >= 0.0:
             raise ValueError("requires k >= 0")
+        if k == math.inf:
+            raise ValueError("requires a finite k")
         c = build_channel_tf(pos, neg, beta)
         pos_ch, neg_ch = pos.sorted_channels(), neg.sorted_channels()
         dim = 1 + len(pos_ch) + len(neg_ch)
@@ -335,24 +313,6 @@ class LureLoop:
         """Number of poles right of -lam; a pole on the shifted axis raises
         ``ArithmeticError``."""
         return sum(1 for p in _check_axis_clear(self.g1, lam) if p.real > -lam)
-
-    def certify(self, lam: float, p: int) -> DominanceCertificate:
-        """Circle-criterion p-dominance certificate of the loop at rate lam.
-
-        The unit-gain transfer function is checked against the sector
-        [0, k], so the certificate's ``critical_gain``, -1/min_re or inf, is
-        the gain below which the loop is p-dominant: k0_bar for p = 0, which
-        requires lam = 0, and k2_bar for p = 2, which requires exactly two
-        shifted-unstable poles.
-        """
-        if p == 0:
-            if lam != 0.0:
-                raise ValueError("requires lambda = 0 for the 0-dominance gain")
-        elif p != 2:
-            raise ValueError("requires p in {0, 2}")
-        elif self.inertia(lam) != 2:
-            raise ValueError("wrong shifted inertia")
-        return check_p_dominance(self.g1, lam, self.k, p)
 
     @cached_property
     def crossing_gain(self) -> float:
@@ -442,8 +402,8 @@ def _critical_gains(loop: LureLoop, lam: float) -> tuple[bool, float, float]:
     """Whether rate lam leaves two shifted-unstable poles, and k0_bar and
     k2_bar (nan without two)."""
     two = loop.inertia(lam) == 2
-    k0_bar = loop.certify(0.0, 0).critical_gain
-    k2_bar = loop.certify(lam, 2).critical_gain if two else math.nan
+    k0_bar = critical_gain(loop.g1, 0.0)
+    k2_bar = critical_gain(loop.g1, lam) if two else math.nan
     return two, k0_bar, k2_bar
 
 

@@ -1,88 +1,46 @@
-"""Frequency-domain dominance and passivity certification.
+"""Frequency-domain critical gains and passivity certification.
 
 The central object is the minimum over frequency of Re G(jw - lambda): its
-sign decides passivity, and its reciprocal gives the critical gain below
-which the circle criterion certifies p-dominance for the saturated loop
-(sector slope in [0, 1], so K = 1 in the amplifier checks; the operations
-stay generic in K for load reuse).
+sign decides passivity, and its reciprocal gives the critical gain
+-1/min_re below which the circle criterion certifies p-dominance for the
+loop closed through a sector-[0, k] slope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .tf_core import RationalTF, tf_shift
 
 __all__ = [
-    "INFINITE_SECTOR",
     "DominanceCertificate",
-    "FrequencyGrid",
-    "LocusPoint",
-    "check_p_dominance",
     "check_p_passivity",
     "critical_balance",
-    "default_grid",
+    "critical_gain",
     "midpoint_rate",
     "min_real_part",
     "nyquist_locus",
 ]
 
-#: Sector tag that turns the circle criterion into a positive-realness check.
-INFINITE_SECTOR = "infinite"
-
 #: Absolute slack on |Re(pole) + lambda| below which a pole is considered to
 #: sit on the shifted imaginary axis.
 _AXIS_TOL = 1e-9
 
-#: Strictness margin for the finite-sector Nyquist condition.
-_STRICT_MARGIN = 1e-12
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Logarithmic frequency samples for Nyquist loci.
-
-    ``n_points`` log-spaced samples on [omega_min, omega_max].
-    """
-
-    omega_min: float
-    omega_max: float
-    n_points: int = 2000
-
-    def __post_init__(self):
-        if not 0.0 < self.omega_min < self.omega_max:
-            raise ValueError("requires 0 < omega_min < omega_max")
-        if self.n_points < 2:
-            raise ValueError("requires n_points >= 2")
-
-    def omegas(self) -> np.ndarray:
-        return np.geomspace(self.omega_min, self.omega_max, self.n_points)
-
-
-def default_grid(g: RationalTF, lam: float = 0.0, n_points: int = 2000) -> FrequencyGrid:
-    """Grid bracketing by three decades the pole/zero corner magnitudes of g,
-    before and after shifting."""
-    corners = []
-    for root in g.poles() + g.zeros():
-        corners.append(abs(root))
-        corners.append(abs(root + lam))
-    corners = [c for c in corners if c > 1e-12] or [1.0]
-    return FrequencyGrid(1e-3 * min(corners), 1e3 * max(corners), n_points=n_points)
-
 
 @dataclass(frozen=True)
 class DominanceCertificate:
-    """Outcome of the three-condition circle-criterion check.
+    """Outcome of the p-passivity check of G(s - lambda).
 
     conditions = (no pole on the shifted axis,
                   shifted unstable pole count equals p,
-                  Nyquist locus right of the -1/K line).
-    ``critical_gain`` is the extra gain the checked transfer function could
-    absorb before losing positive realness (inf when min_re >= 0);
-    ``margin`` is the distance between min_re and the sector line.
+                  min_re >= 0).
+    ``critical_gain`` is the gain the checked transfer function could absorb
+    before losing positive realness, as in :func:`critical_gain`.
+    Failures are encoded, not raised: a pole on the shifted axis gives nan
+    for min_re, omega_at_min and critical_gain.
     """
 
     p: int
@@ -91,9 +49,10 @@ class DominanceCertificate:
     omega_at_min: float
     critical_gain: float
     conditions: tuple[bool, bool, bool]
-    passed: bool
-    sector: object
-    margin: float
+
+    @property
+    def passed(self) -> bool:
+        return all(self.conditions)
 
     def to_json_dict(self) -> dict:
         def _num(x):
@@ -111,23 +70,29 @@ class DominanceCertificate:
             "critical_gain": _num(self.critical_gain),
             "conditions": list(self.conditions),
             "passed": self.passed,
-            "sector": self.sector if isinstance(self.sector, str) else float(self.sector),
-            "margin": _num(self.margin),
+            # passivity is the circle criterion for the infinite sector, whose
+            # line -1/K sits at 0, so the margin to it is min_re
+            "sector": "infinite",
+            "margin": _num(self.min_re),
         }
 
 
-class LocusPoint(NamedTuple):
-    omega: float
-    re: float
-    im: float
-    near_pole: bool
+def _on_axis(poles, lam: float) -> bool:
+    """Whether a pole lies within _AXIS_TOL of the shifted imaginary axis."""
+    return any(abs(p.real + lam) < _AXIS_TOL for p in poles)
 
 
 def _check_axis_clear(g: RationalTF, lam: float) -> list[complex]:
     poles = g.poles()
-    if any(abs(p.real + lam) < _AXIS_TOL for p in poles):
+    if _on_axis(poles, lam):
         raise ArithmeticError("pole on shifted imaginary axis")
     return poles
+
+
+def _gain(min_re: float) -> float:
+    """Critical gain of a minimum real part: inf when it is not negative,
+    nan for nan."""
+    return math.inf if min_re >= 0.0 else -1.0 / min_re
 
 
 def _re_at(shifted: RationalTF, omega: float) -> float:
@@ -254,60 +219,35 @@ def midpoint_rate(poles) -> float:
     return -(res[1] + res[2]) / 2.0
 
 
-def check_p_dominance(g: RationalTF, lam: float, K, p: int) -> DominanceCertificate:
-    """Three-condition circle-criterion check; failures are encoded, not raised.
-
-    K is a sector bound K >= 0 or :data:`INFINITE_SECTOR`.  With a finite
-    sector the Nyquist condition is strict (min_re > -1/K plus a 1e-12
-    margin; K = 0 puts the line at -inf, so it always holds); with the
-    infinite sector it relaxes to min_re >= 0.
-    """
-    if K != INFINITE_SECTOR and not float(K) >= 0.0:
-        raise ValueError("requires K >= 0 or the infinite-sector tag")
-    poles = g.poles()
-    cond1 = all(abs(pl.real + lam) >= _AXIS_TOL for pl in poles)
-    n_unstable = sum(1 for pl in poles if pl.real > -lam)
-    cond2 = n_unstable == p
-    if cond1:
-        min_re, w_at = min_real_part(g, lam)
-    else:
-        min_re, w_at = math.nan, math.nan
-    if K == INFINITE_SECTOR:
-        line = 0.0
-        cond3 = min_re >= 0.0
-    else:
-        line = -1.0 / float(K) if K else -math.inf
-        cond3 = min_re > line + _STRICT_MARGIN
-    margin = min_re - line
-    if math.isnan(min_re):
-        crit = math.nan
-    elif min_re >= 0.0:
-        crit = math.inf
-    else:
-        crit = -1.0 / min_re
-    return DominanceCertificate(
-        p=p, rate=lam, min_re=min_re, omega_at_min=w_at, critical_gain=crit,
-        conditions=(cond1, cond2, bool(cond3)), passed=bool(cond1 and cond2 and cond3),
-        sector=K, margin=margin,
-    )
+def critical_gain(g: RationalTF, lam: float) -> float:
+    """Gain below which the loop closed around g through a sector-[0, k]
+    slope is p-dominant at rate lam, from the minimum of Re G(jw - lam) over
+    w (inf when it is not negative).  A pole on the shifted axis raises
+    ``ArithmeticError``."""
+    return _gain(min_real_part(g, lam)[0])
 
 
 def check_p_passivity(g: RationalTF, lam: float, p: int) -> DominanceCertificate:
-    """Positive-realness check of the shifted transfer function (K infinite)."""
-    return check_p_dominance(g, lam, INFINITE_SECTOR, p)
+    """Positive-realness check of G(s - lam) with p shifted-unstable poles."""
+    poles = g.poles()
+    clear = not _on_axis(poles, lam)
+    n_unstable = sum(1 for pl in poles if pl.real > -lam)
+    min_re, w_at = min_real_part(g, lam) if clear else (math.nan, math.nan)
+    return DominanceCertificate(
+        p=p, rate=lam, min_re=min_re, omega_at_min=w_at, critical_gain=_gain(min_re),
+        conditions=(clear, n_unstable == p, min_re >= 0.0))
 
 
-def nyquist_locus(g: RationalTF, lam: float, grid: FrequencyGrid
-                  ) -> list[LocusPoint]:
-    """Samples of G(jw - lambda) over the grid, omega ascending.
+def nyquist_locus(g: RationalTF, lam: float, omegas) -> np.ndarray:
+    """Rows (omega, Re, Im) of G(jw - lambda) at the frequencies ``omegas``.
 
-    Only w >= 0 is emitted (the locus at -w is the mirror image).  Samples
-    whose denominator magnitude falls below evaluation tolerance are flagged
-    ``near_pole`` and carry NaN values instead of raising.
+    Only w >= 0 is meaningful (the locus at -w is the mirror image).  A
+    sample whose denominator magnitude falls below evaluation tolerance
+    carries NaN values instead of raising.
     """
     _check_axis_clear(g, lam)
     shifted = tf_shift(g, lam)
-    w = grid.omegas()
+    w = np.asarray(omegas, dtype=float)
     s = 1j * w
     num_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.num.coeffs))
     den_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.den.coeffs))
@@ -315,7 +255,4 @@ def nyquist_locus(g: RationalTF, lam: float, grid: FrequencyGrid
         np.abs(s), np.abs(np.asarray(shifted.den.coeffs)))
     near = np.abs(den_v) <= 1e-12 * np.maximum(scale, 1e-300)
     vals = np.where(near, np.nan + 0j, num_v / np.where(near, 1.0, den_v))
-    return [
-        LocusPoint(float(wi), float(v.real), float(v.imag), bool(fl))
-        for wi, v, fl in zip(w, vals, near)
-    ]
+    return np.column_stack([w, vals.real, vals.imag])

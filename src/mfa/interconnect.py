@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freq_analysis import DominanceCertificate, INFINITE_SECTOR
+from .freq_analysis import DominanceCertificate
 from .tf_core import Polynomial, RationalTF, poly_roots
 
 __all__ = [
@@ -101,14 +101,10 @@ def compose_certificates(c_amp: DominanceCertificate,
                          c_load: DominanceCertificate) -> CompositionCertificate:
     """Add passivity degrees of two certificates sharing the same rate.
 
-    Both inputs must be passivity certificates (infinite sector); a rate
-    mismatch beyond 1e-12 or a failed component is encoded as invalid.
+    A rate mismatch beyond 1e-12 or a failed component is encoded as invalid.
     """
     p_total = c_amp.p + c_load.p
     rate = c_amp.rate
-    if c_amp.sector != INFINITE_SECTOR or c_load.sector != INFINITE_SECTOR:
-        return CompositionCertificate(c_amp.p, c_load.p, rate, p_total,
-                                      valid=False, reason="not passivity certificates")
     if abs(c_amp.rate - c_load.rate) > 1e-12:
         return CompositionCertificate(c_amp.p, c_load.p, rate, p_total,
                                       valid=False, reason="rate mismatch")

@@ -50,7 +50,6 @@ class ChannelBank:
     """A parallel of first-order channels with unit collective DC gain."""
 
     channels: tuple[Channel, ...]
-    role: str = ""
 
     def __post_init__(self):
         if not self.channels:
@@ -75,10 +74,6 @@ class ChannelBank:
     def poles(self) -> list[float]:
         """Pole locations -1/tau, ascending (most negative first)."""
         return sorted(-1.0 / ch.tau for ch in self.channels)
-
-    def response(self, s: complex) -> complex:
-        """Direct evaluation sum_i rho_i/(tau_i s + 1)."""
-        return sum(ch.rho / (ch.tau * s + 1.0) for ch in self.channels)
 
 
 def _check_separation(pos: ChannelBank, neg: ChannelBank):
@@ -136,9 +131,6 @@ class InterlacingReport:
     zeros: tuple[float, ...]
     pattern: tuple[str, ...]
     satisfied: bool
-
-    def count(self, label: str) -> int:
-        return sum(1 for p in self.pattern if p == label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,7 +207,7 @@ def bank_from_json(data) -> tuple[float, ChannelBank, ChannelBank, float, float]
     if isinstance(data, str):
         data = json.loads(data)
     pos = ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
-                            for ch in data["positive"]), role="positive")
+                            for ch in data["positive"]))
     neg = ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
-                            for ch in data["negative"]), role="negative")
+                            for ch in data["negative"]))
     return float(data["tau_l"]), pos, neg, float(data["k"]), float(data["beta"])

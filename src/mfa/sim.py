@@ -74,9 +74,6 @@ class StateSpace:
     def loop_row(self) -> tuple[float, ...]:
         return self.c if self.c_loop is None else self.c_loop
 
-    def a_matrix(self) -> np.ndarray:
-        return np.array(self.a)
-
 
 @dataclass(frozen=True)
 class InputSchedule:
@@ -101,9 +98,6 @@ class InputSchedule:
     def from_json(cls, text: str) -> "InputSchedule":
         data = json.loads(text)
         return cls(tuple((float(e["t"]), float(e["r"])) for e in data))
-
-    def to_json(self) -> str:
-        return json.dumps([{"t": t, "r": r} for t, r in self.entries])
 
     def values_for_steps(self, dt: float, n_steps: int) -> np.ndarray:
         """Reference value for each step; a change applies at the first
@@ -266,7 +260,7 @@ def integrate(system, ic, schedule: InputSchedule | None = None,
         ss = system
         if dt is None:
             raise ValueError("requires dt for StateSpace systems")
-        a = ss.a_matrix()
+        a = np.array(ss.a)
         rho = max(np.max(np.abs(np.linalg.eigvals(m)))
                   for m in (a, a - np.outer(ss.b, ss.loop_row)))
         if dt * rho > _RK4_REAL_LIMIT:
@@ -377,7 +371,7 @@ def detect_oscillation(traj: Trajectory, transient_fraction: float = 0.5,
 
 
 def boundedness_check(traj: Trajectory, r_max: float, margin: float = 0.1,
-                      settle_time: float = 0.0, columns=None) -> bool | None:
+                      settle_time: float = 0.0) -> bool | None:
     """Ultimate-bound check sup|state| <= r_max + 1 + margin after settling.
 
     The bound follows from |phi| <= 1 and the unit-DC lag chain; callers
@@ -388,8 +382,5 @@ def boundedness_check(traj: Trajectory, r_max: float, margin: float = 0.1,
     mask = traj.t >= settle_time
     if not mask.any():
         return None
-    states = traj.states[mask]
-    if columns is not None:
-        states = states[:, list(columns)]
     bound = r_max + 1.0 + margin
-    return bool(np.all(np.abs(states) <= bound))
+    return bool(np.all(np.abs(traj.states[mask]) <= bound))

@@ -255,10 +255,10 @@ class AmplifierParams:
     """Parameter set of the mixed feedback amplifier.
 
     tau_l, tau_p, tau_n are the load, positive-channel and negative-channel
-    time constants (seconds); k >= 0 is the collective feedback gain and
-    beta in [0, 1] the positive/negative balance.  The positive channel must
-    be strictly faster than the negative one (tau_p < tau_n) and the load
-    time constant must differ from both.
+    time constants (seconds); a finite k >= 0 is the collective feedback
+    gain and beta in [0, 1] the positive/negative balance.  The positive
+    channel must be strictly faster than the negative one (tau_p < tau_n) and
+    the load time constant must differ from both.
     """
 
     tau_l: float
@@ -278,6 +278,8 @@ class AmplifierParams:
             raise ValueError("requires tau_l distinct from tau_p and tau_n")
         if not self.k >= 0.0:
             raise ValueError("requires k >= 0")
+        if self.k == math.inf:
+            raise ValueError("requires a finite k")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("requires 0 <= beta <= 1")
         get_nonlinearity(self.nonlinearity)
@@ -285,14 +287,6 @@ class AmplifierParams:
     @property
     def taus(self) -> tuple[float, float, float]:
         return (self.tau_l, self.tau_p, self.tau_n)
-
-    @property
-    def phi(self):
-        return get_nonlinearity(self.nonlinearity)[0]
-
-    @property
-    def dphi(self):
-        return get_nonlinearity(self.nonlinearity)[1]
 
     def with_gain(self, k: float) -> "AmplifierParams":
         return replace(self, k=k)

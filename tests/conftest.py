@@ -105,7 +105,7 @@ def vector_field(params, state, r: float):
     x, xp, xn = state
     tl, tp, tn = params.taus
     y = params.k * (-params.beta * xp + (1.0 - params.beta) * xn)
-    u = r - params.phi(y)
+    u = r - get_nonlinearity(params.nonlinearity)[0](y)
     return ((-x + u) / tl, (x - xp) / tp, (x - xn) / tn)
 
 

@@ -34,6 +34,7 @@ from mfa.equilibria import (
 from mfa.freq_analysis import (
     check_p_passivity,
     critical_balance,
+    critical_gain,
     midpoint_rate,
 )
 from mfa.interconnect import (
@@ -173,7 +174,7 @@ def test_criterion_3_critical_gain_oracle():
             lam, deg = 0.0, 0
         else:
             lam, deg = midpoint_rate(tf_build_mixed(p).poles()), 2
-        got = LureLoop.amplifier(p).certify(lam, deg).critical_gain
+        got = critical_gain(LureLoop.amplifier(p).g1, lam)
         corners = [1.0 / t for t in p.taus]
         oracle_min = brute_min_re(tf_build_mixed(p), lam,
                                   1e-3 * min(corners), 1e3 * max(corners))
@@ -227,9 +228,9 @@ def test_criterion_5_interlacing_suite():
         rep = check_interlacing(pos, neg, beta)
         assert rep.satisfied, (taus, beta)
         assert len(rep.zeros) == m + n - 1
-        assert rep.count("between-positive-poles") == m - 1
-        assert rep.count("between-negative-poles") == n - 1
-        assert rep.count("outer") == 1
+        assert rep.pattern.count("between-positive-poles") == m - 1
+        assert rep.pattern.count("between-negative-poles") == n - 1
+        assert rep.pattern.count("outer") == 1
     elapsed = time.perf_counter() - t0
     print(f"  [criterion 5 runtime {elapsed:.2f}s]")
     assert elapsed < 5.0

@@ -8,8 +8,10 @@ of that end to end; the trajectory workload is covered by the cheaper
 ``cli.integrate`` checks below.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -17,6 +19,7 @@ import pytest
 
 from conftest import RECIPES_DIR
 
+import mfa
 import mfa.cli as cli
 import mfa.sim as sim
 
@@ -33,6 +36,21 @@ def test_traced_bench_run_correct(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["correct"] is True
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(mfa.__path__)
+                                  if m.name != "__main__"])
+def test_exports_resolve(name):
+    # the tracer wraps the functions each module names in __all__ and skips
+    # a name it cannot find, so a stale export would drop a span silently
+    module = importlib.import_module(f"mfa.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_star_import():
+    namespace = {}
+    exec("from mfa import *", namespace)
+    assert {"LureLoop", "critical_gain", "check_p_passivity"} <= namespace.keys()
 
 
 def test_cli_integrate_is_sim_integrate():

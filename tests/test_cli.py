@@ -54,6 +54,17 @@ class TestAnalyze:
                      "--lambda", "10"])  # rate exactly on a pole
         assert code == 4
 
+    def test_pole_on_axis_at_rate_zero_unclassified(self, capsys):
+        # a 1e10 s lag puts a pole at -1e-10, within 1e-9 of the axis at
+        # rate 0, where k0_bar is taken
+        code, out = run(capsys, ["analyze", "--tau-l", "0.01", "--tau-p", "0.1",
+                                 "--tau-n", "1e10", "--k", "5", "--beta", "0.4"])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["regime"] == "Unclassified"
+        assert rep["reason"] == "pole on shifted imaginary axis"
+        assert rep["k0_bar"] is None and rep["k2_bar"] is None
+
     def test_negative_value_in_exponent_form(self, capsys):
         args = ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--r"]
         code, exponent = run(capsys, [*args, "-1e-05"])
@@ -131,6 +142,15 @@ class TestMap:
         assert lines[1] == "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable"
         assert len(lines) == 2 + 3 * 4
 
+    def test_pole_on_axis_at_rate_zero_unclassified(self, capsys):
+        code, out = run(capsys, ["map", "--tau-l", "0.01", "--tau-p", "0.1",
+                                 "--tau-n", "1e10", "--k-min", "0.5", "--k-max", "50",
+                                 "--rows", "3", "--cols", "2"])
+        rows = [l.split(",") for l in out.splitlines()[2:]]
+        assert code == 0 and len(rows) == 6
+        for row in rows:
+            assert row[2:] == ["Unclassified", "nan", "nan", "0", "0"]
+
     def test_jobs_accepted_and_ignored(self, capsys):
         args = ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50",
                 "--rows", "3", "--cols", "4", "--lambda", "50"]
@@ -176,6 +196,36 @@ class TestInputChecks:
         code, exponent = run(capsys, [*args, "-6e-05"])
         assert code == 0
         assert exponent == run(capsys, [*args, "-0.00006"])[1]
+
+
+class TestInputFiles:
+    """An input file that parses but lacks a field, or has one of the wrong
+    type, exits 3 with one error line, like a file that does not parse."""
+
+    @pytest.mark.parametrize("command, content, expected", [
+        (["multichannel", "--bank"],
+         {"tau_l": 0.01, "positive": [{"rho": 1, "tau": 0.1}], "k": 5, "beta": 0.4},
+         "missing field 'negative'"),
+        (["multichannel", "--bank"], [], "malformed input"),
+        (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--certify", "--load"],
+         {"a": 350, "b": 35, "kp": 20, "ki": 10, "ko": 1}, "missing field 'kv'"),
+        (["nyquist", "--load"], {"a": 350, "b": 35, "kp": 20, "ki": 10, "ko": 1},
+         "missing field 'kv'"),
+        (["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--schedule"],
+         {"t": 0, "r": 1}, "malformed input"),
+        (["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--schedule"],
+         [{"t": 0}], "missing field 'r'"),
+    ], ids=["bank-without-negative", "bank-list", "interconnect-load-without-kv",
+            "nyquist-load-without-kv", "schedule-object", "schedule-without-r"])
+    def test_malformed_input_file_exit_3(self, capsys, tmp_path, command, content,
+                                         expected):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {expected}")
+        assert captured.err.count("\n") == 1
 
 
 class TestParserReuse:
@@ -361,6 +411,35 @@ class TestNyquist:
 
     def test_requires_some_system(self, capsys):
         assert main(["nyquist", "--lambda", "0"]) == 2
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--omega-min", "10", "--omega-max", "10"], "requires 0 < omega_min < omega_max"),
+        (["--omega-min", "10", "--omega-max", "1"], "requires 0 < omega_min < omega_max"),
+        (["--omega-min", "0", "--omega-max", "1"], "requires 0 < omega_min < omega_max"),
+        (["--grid-points", "1"], "requires n_points >= 2"),
+        (["--omega-min", "1e9"], "requires 0 < omega_min < omega_max"),
+        (["--omega-max", "1e-9"], "requires 0 < omega_min < omega_max"),
+    ], ids=["equal-bounds", "reversed-bounds", "zero-min", "one-point",
+            "lone-min-above-default-max", "lone-max-below-default-min"])
+    def test_invalid_grid_exit_2(self, capsys, flags, reason):
+        code = main(["nyquist", "--load", LOAD_JSON, *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("flag, value, end", [("--omega-min", "0.5", 0),
+                                                   ("--omega-max", "200", -1)])
+    def test_lone_bound_replaces_its_end(self, capsys, flag, value, end):
+        def omegas(argv):
+            code, out = run(capsys, ["nyquist", "--load", LOAD_JSON, "--lambda", "15",
+                                     "--grid-points", "16", *argv])
+            assert code == 0
+            return [float(l.split(",")[0]) for l in out.splitlines()[2:]]
+
+        default, lone = omegas([]), omegas([flag, value])
+        assert lone[end] == float(value)
+        assert lone[-1 - end] == default[-1 - end]
+        assert lone != default
 
 
 class TestMultichannel:

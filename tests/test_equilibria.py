@@ -20,7 +20,7 @@ from mfa.equilibria import (
     dominance_map,
     solve_phi_line,
 )
-from mfa.freq_analysis import midpoint_rate
+from mfa.freq_analysis import critical_gain, midpoint_rate
 from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank, build_channel_tf
 from mfa.sim import integrate
@@ -166,7 +166,7 @@ class TestClassifyRegime:
     def test_supporting_data_attached(self):
         rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 50.0)
         assert rc.k0_bar < 5.0 and math.isinf(rc.k2_bar)
-        assert rc.n_equilibria == 1 and rc.n_unstable == 1
+        assert [e.stability for e in rc.equilibria] == [UNSTABLE]
 
     def test_zero_dominant_converges_from_random_states(self):
         p = mixed(5.0, 0.2)
@@ -350,8 +350,8 @@ class TestMapCountsAgainstEigenvalues:
         for ib, beta in enumerate(betas):
             head = LureLoop.amplifier(AmplifierParams(*taus, ks[0], beta))
             assert head.inertia(lam) == 2
-            k0_bar = head.certify(0.0, 0).critical_gain
-            k2_bar = head.certify(lam, 2).critical_gain
+            k0_bar = critical_gain(head.g1, 0.0)
+            k2_bar = critical_gain(head.g1, lam)
             for ik, k in enumerate(ks):
                 labels = [e.stability for e in
                           LureLoop.amplifier(AmplifierParams(*taus, k, beta)).equilibria(0.0)]

@@ -124,6 +124,8 @@ class TestBuildMixed:
             AmplifierParams(0.01, 0.1, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError, match="k >= 0"):
             AmplifierParams(0.01, 0.1, 1.0, -1.0, 0.5)
+        with pytest.raises(ValueError, match="finite k"):
+            AmplifierParams(0.01, 0.1, 1.0, math.inf, 0.5)
 
 
 class TestShift:
