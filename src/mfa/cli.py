@@ -9,8 +9,9 @@ included), 3 file/parse errors, 4 numerical errors.  CSV output is streamed
 in blocks of rows, never built as one string.  The all-float CSVs of
 ``simulate``, ``interconnect`` and ``nyquist`` are formatted by
 :func:`mfa.csvtext.format_block`, one numpy kernel per block, with the same
-bytes as ``%.17g``; the map's rows, which mix labels and counts with floats,
-keep a ``%`` row format.
+bytes as ``%.17g``.  The map formats each gain and each column's balance
+and critical gains once, by position in the grid, and joins its rows from
+those strings; both kinds go through :func:`_write_csv`.
 """
 
 from __future__ import annotations
@@ -74,26 +75,23 @@ def _equilibrium_dicts(equilibria) -> list[dict]:
 _CSV_ROWS = 1024
 
 
-def _write_csv(path: str | None, header: str, rows, row_format: str | None = None):
+def _write_csv(path: str | None, header: str, rows):
     """Write a CSV to ``path``, or to stdout when ``path`` is None.
 
     The version comment and ``header`` come first, then ``rows`` in blocks of
-    :data:`_CSV_ROWS`, so the whole text is never held at once.  Without a
-    ``row_format``, ``rows`` is a 2-D float array and each block is one call
-    of :func:`mfa.csvtext.format_block`, which gives the bytes of
+    :data:`_CSV_ROWS`, so the whole text is never held at once.  ``rows`` is
+    either a 2-D float array, each block one call of
+    :func:`mfa.csvtext.format_block`, which gives the bytes of
     ``format(x, ".17g")`` for every value, ``-0``, ``inf`` and ``nan``
-    included.  With one, ``rows`` is a list of row tuples and each block is
-    one ``%`` operation with ``row_format`` repeated per row.  A file is
-    written as bytes.
+    included, or a list of ready text lines.  A file is written as bytes.
     """
-    if row_format is None:
+    if isinstance(rows, np.ndarray):
         # imported here: its tables take about a megabyte and a few
         # milliseconds to build, which the JSON commands and maps do not use
         from .csvtext import format_block as block_text
     else:
         def block_text(block):
-            values = tuple(v for row in block for v in row)
-            return ((row_format * len(block)) % values).encode()
+            return "".join(block).encode()
 
     out = None if path is None else open(path, "wb")
     try:
@@ -191,11 +189,13 @@ def cmd_map(args) -> int:
     betas = np.linspace(args.beta_min, args.beta_max, args.cols)
     cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas,
                           r=args.r, lam=args.lam, nonlinearity=args.nonlinearity)
-    rows = [(k, beta, cell.regime, cell.k0_bar, cell.k2_bar,
-             cell.n_equilibria, cell.n_unstable)
-            for k, row in zip(ks, cells) for beta, cell in zip(betas, row)]
-    _write_csv(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable",
-               rows, "%.17g,%.17g,%s,%.17g,%.17g,%d,%d\n")
+    # a column's balance and critical gains repeat in every row: format once
+    k_text = ["%.17g," % k for k in ks]
+    col_text = [("%.17g," % beta, ",%.17g,%.17g," % (cell.k0_bar, cell.k2_bar))
+                for beta, cell in zip(betas, cells[0])]
+    lines = [f"{kt}{bt}{cell.regime}{gt}{cell.n_equilibria},{cell.n_unstable}\n"
+             for kt, row in zip(k_text, cells) for (bt, gt), cell in zip(col_text, row)]
+    _write_csv(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable", lines)
     return 0
 
 

@@ -282,16 +282,22 @@ class LureLoop:
             extra_outputs=(("ye", (0.0, 0.0, 0.0, load.kp, load.kv)),),
             c_loop=(0.0, -k * beta, k * (1.0 - beta), ki * load.kp, ki * load.kv),
         )
+        kappa = ki * load.kp * ko / load.a
+        g0 = k * (2.0 * beta - 1.0) * (1.0 + kappa)
+        overflow = "requires finite loop gains (a product of k, ki, ko and the load overflows)"
+        if not all(map(math.isfinite, (kappa, g0, *ss.a[4], *ss.c_loop))):
+            raise ValueError(overflow)
 
         def unit_tf():
             lt = load_tf(load)
             branch = RationalTF(lt.den + Polynomial([ki * ko]) * lt.num, lt.den,
                                 lt.poles())
-            return tf_multiply(tf_build_mixed(amp.with_gain(1.0)), branch)
+            g1 = tf_multiply(tf_build_mixed(amp.with_gain(1.0)), branch)
+            if not all(map(math.isfinite, g1.num.coeffs + g1.den.coeffs)):
+                raise ValueError(overflow)
+            return g1
 
-        kappa = ki * load.kp * ko / load.a
-        g0 = k * (2.0 * beta - 1.0)
-        return cls(ss, k, g0 * (1.0 + kappa), 1.0 + kappa, (1.0, 1.0, 1.0, 0.0, 0.0),
+        return cls(ss, k, g0, 1.0 + kappa, (1.0, 1.0, 1.0, 0.0, 0.0),
                    (0.0, 0.0, 0.0, ko / load.a, 0.0), unit_tf)
 
     @cached_property
@@ -400,11 +406,10 @@ class LureLoop:
 
 def _critical_gains(loop: LureLoop, lam: float) -> tuple[bool, float, float]:
     """Whether rate lam leaves two shifted-unstable poles, and k0_bar and
-    k2_bar (nan without two)."""
+    k2_bar (nan without two), from one :func:`critical_gain` call."""
     two = loop.inertia(lam) == 2
-    k0_bar = critical_gain(loop.g1, 0.0)
-    k2_bar = critical_gain(loop.g1, lam) if two else math.nan
-    return two, k0_bar, k2_bar
+    gains = critical_gain(loop.g1, (0.0, lam) if two else (0.0,))
+    return two, gains[0], gains[1] if two else math.nan
 
 
 def _regime(k: float, two: bool, k0_bar: float, k2_bar: float, n_equilibria: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import RationalTF, tf_shift
+from .tf_core import RationalTF, _companion_roots, tf_shift
 
 __all__ = [
     "DominanceCertificate",
@@ -130,17 +130,17 @@ def _der(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
 
-def _stationary_omegas(shifted: RationalTF) -> np.ndarray:
-    """Frequencies sqrt(Re z) for every root z, Re z > 0, of P'Q - PQ' in u = w**2.
+def _stationary_poly(shifted: RationalTF) -> tuple[float, np.ndarray]:
+    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2,
+    whose roots z with Re z > 0 give the stationary frequencies w0 sqrt(Re z).
 
-    Frequencies are scaled by w0 = |d_0/d_n|**(1/n) of the denominator, so
-    that its lowest and highest coefficients match in size before the roots
-    are taken.
+    w0 = |d_0/d_n|**(1/n) of the denominator makes its lowest and highest
+    coefficients match in size before the roots are taken.
     """
     den = shifted.den.coeffs
     n = len(den) - 1
     if n == 0:
-        return np.zeros(0)
+        return 1.0, np.zeros(0)
     w0 = abs(den[0] / den[-1]) ** (1.0 / n)
     ne, no = _axis_parts(shifted.num.coeffs, w0)
     de, do = _axis_parts(den, w0)
@@ -149,17 +149,16 @@ def _stationary_omegas(shifted: RationalTF) -> np.ndarray:
     qq = _add(conv(de, de), np.append(0.0, conv(do, do)))
     nonzero = np.flatnonzero(pp)
     if len(nonzero) == 0:
-        return np.zeros(0)
+        return w0, np.zeros(0)
     pp = pp[:nonzero[-1] + 1]
     rr = _add(conv(_der(pp), qq), -conv(pp, _der(qq)))
     # deg P = p, deg Q = q = n; the u**(p+q-1) coefficient of P'Q - PQ' is
     # (p - q) P_p Q_q, exactly 0 when p = q, so its rounding is dropped
     p, q = len(pp) - 1, n
-    z = np.roots(rr[:p + q - (p == q)][::-1])
-    return w0 * np.sqrt(z.real[z.real > 0.0])
+    return w0, rr[:p + q - (p == q)][::-1]
 
 
-def min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
+def min_real_part(g: RationalTF, lam):
     """Global minimum of Re G(jw - lambda) over w >= 0, exact up to rounding.
 
     With u = w**2 the shifted numerator splits as N(jw) = Ne(u) + jw No(u),
@@ -172,21 +171,23 @@ def min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     Candidates are evaluated by Horner's rule on the shifted transfer
     function.  Returns (min_re, omega_at_min); omega_at_min is inf when the
     asymptotic limit is the minimum.  A zero numerator gives (0.0, 0.0).
+    For a tuple of rates ``lam``, a tuple of such pairs, one per rate, from
+    one root call (:func:`mfa.tf_core._companion_roots`) for all rates.
     """
-    _check_axis_clear(g, lam)
+    rates = lam if isinstance(lam, tuple) else (lam,)
+    for rate in rates:
+        _check_axis_clear(g, rate)
     if g.num.is_zero:
-        return 0.0, 0.0
-    shifted = tf_shift(g, lam)
-    best_re = _re_at(shifted, 0.0)
-    best_w = 0.0
-    re_inf = _asymptotic_re(g)
-    if re_inf < best_re:
-        best_re, best_w = re_inf, math.inf
-    for w in _stationary_omegas(shifted):
-        v = _re_at(shifted, float(w))
-        if v < best_re:
-            best_re, best_w = v, float(w)
-    return best_re, best_w
+        return ((0.0, 0.0),) * len(rates) if isinstance(lam, tuple) else (0.0, 0.0)
+    shifted = [tf_shift(g, rate) for rate in rates]
+    polys = [_stationary_poly(s) for s in shifted]
+    mins = []
+    for s, (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
+        # min keeps the first of equal values: w = 0, then infinity, then roots
+        cands = [(_re_at(s, 0.0), 0.0), (_asymptotic_re(g), math.inf)]
+        cands += [(_re_at(s, w), w) for w in map(float, w0 * np.sqrt(z.real[z.real > 0.0]))]
+        mins.append(min(cands, key=lambda c: c[0]))
+    return tuple(mins) if isinstance(lam, tuple) else mins[0]
 
 
 def critical_balance(tau_p: float, tau_n: float) -> float:
@@ -219,12 +220,14 @@ def midpoint_rate(poles) -> float:
     return -(res[1] + res[2]) / 2.0
 
 
-def critical_gain(g: RationalTF, lam: float) -> float:
+def critical_gain(g: RationalTF, lam):
     """Gain below which the loop closed around g through a sector-[0, k]
     slope is p-dominant at rate lam, from the minimum of Re G(jw - lam) over
-    w (inf when it is not negative).  A pole on the shifted axis raises
+    w (inf when it is not negative); for a tuple of rates, a tuple of gains
+    from one :func:`min_real_part` call.  A pole on the shifted axis raises
     ``ArithmeticError``."""
-    return _gain(min_real_part(g, lam)[0])
+    mins = min_real_part(g, lam)
+    return tuple(_gain(m) for m, _ in mins) if isinstance(lam, tuple) else _gain(mins[0])
 
 
 def check_p_passivity(g: RationalTF, lam: float, p: int) -> DominanceCertificate:

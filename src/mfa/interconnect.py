@@ -14,6 +14,7 @@ itself is :meth:`mfa.equilibria.LureLoop.load`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +47,8 @@ class LoadParams:
 
     def __post_init__(self):
         for name in ("a", "b", "kv", "kp"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"requires {name} > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"requires finite {name} > 0")
 
     @cached_property
     def poles(self) -> tuple[complex, ...]:
@@ -65,8 +66,8 @@ class InterfaceGains:
     ko: float
 
     def __post_init__(self):
-        if self.ki < 0.0 or self.ko < 0.0:
-            raise ValueError("requires ki >= 0 and ko >= 0")
+        if not (0.0 <= self.ki < math.inf and 0.0 <= self.ko < math.inf):
+            raise ValueError("requires finite ki >= 0 and ko >= 0")
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,26 @@ def _root_order(z: complex):
     return (z.real, z.imag)
 
 
+def _companion_roots(polys, zero_roots: bool = False) -> list[np.ndarray]:
+    """Roots of each polynomial in ``polys`` (coefficients descending), bit for
+    bit as ``np.roots`` takes them: zeros stripped from both ends, companion
+    first row -c[1:]/c[0] and ones below the diagonal, but one stacked
+    eigenvalue call per matrix size.  The roots at 0 of the trailing zeros
+    come last with ``zero_roots``, as in ``np.roots``, and are dropped without."""
+    out, by_size = [], {}
+    for c in map(np.asarray, polys):
+        nz = np.flatnonzero(c)
+        out.append(np.zeros(len(c) - nz[-1] - 1 if len(nz) and zero_roots else 0))
+        if len(nz) and nz[-1] > nz[0]:
+            by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, c[nz[0]:nz[-1] + 1]))
+    for n, group in by_size.items():
+        a = np.tile(np.eye(n, k=-1), (len(group), 1, 1))
+        a[:, 0] = [-c[1:] / c[0] for _, c in group]
+        for (i, _), z in zip(group, np.linalg.eigvals(a)):
+            out[i] = np.concatenate((z, out[i]))
+    return out
+
+
 def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
     """All roots of ``p`` (with multiplicity) via companion-matrix eigenvalues.
 
@@ -143,7 +163,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
         # adding 0.0 gives the 0.0 that np.roots returns for a root at 0
         raw = [-p.coeffs[0] / p.coeffs[1] + 0.0]
     else:
-        raw = np.roots(p.coeffs[::-1])
+        raw = _companion_roots([p.coeffs[::-1]], zero_roots=True)[0]
     roots = []
     for z in raw:
         z = complex(z)

@@ -176,3 +176,51 @@ def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:
             raise ArithmeticError(f"divergence at t={(step + 1) * dt:.6g}")
         states[step + 1] = s
     return states
+
+
+def reference_map_text(ks, betas, cells) -> str:
+    """Rows of a map CSV with one ``%`` row format for every cell, as the map
+    wrote them before it formatted each value once by its grid position."""
+    row = "%.17g,%.17g,%s,%.17g,%.17g,%d,%d\n"
+    values = tuple(v for k, cells_k in zip(ks, cells) for beta, c in zip(betas, cells_k)
+                   for v in (k, beta, c.regime, c.k0_bar, c.k2_bar, c.n_equilibria,
+                             c.n_unstable))
+    return (row * (len(ks) * len(betas))) % values
+
+
+def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
+    """min Re G(jw - lam) with the stationary points from one ``np.roots``
+    call per rate: the one-rate path of ``freq_analysis.min_real_part``
+    before its companion matrices were stacked."""
+    from mfa.freq_analysis import (_add, _asymptotic_re, _axis_parts,
+                                   _check_axis_clear, _der, _re_at)
+
+    _check_axis_clear(g, lam)
+    if g.num.is_zero:
+        return 0.0, 0.0
+    shifted = tf_shift(g, lam)
+    den = shifted.den.coeffs
+    n = len(den) - 1
+    omegas = np.zeros(0)
+    if n > 0:
+        w0 = abs(den[0] / den[-1]) ** (1.0 / n)
+        ne, no = _axis_parts(shifted.num.coeffs, w0)
+        de, do = _axis_parts(den, w0)
+        pp = _add(np.convolve(ne, de), np.append(0.0, np.convolve(no, do)))
+        qq = _add(np.convolve(de, de), np.append(0.0, np.convolve(do, do)))
+        nonzero = np.flatnonzero(pp)
+        if len(nonzero):
+            pp = pp[:nonzero[-1] + 1]
+            rr = _add(np.convolve(_der(pp), qq), -np.convolve(pp, _der(qq)))
+            p = len(pp) - 1
+            z = np.roots(rr[:p + n - (p == n)][::-1])
+            omegas = w0 * np.sqrt(z.real[z.real > 0.0])
+    best_re, best_w = _re_at(shifted, 0.0), 0.0
+    re_inf = _asymptotic_re(g)
+    if re_inf < best_re:
+        best_re, best_w = re_inf, math.inf
+    for w in omegas:
+        v = _re_at(shifted, float(w))
+        if v < best_re:
+            best_re, best_w = v, float(w)
+    return best_re, best_w

@@ -8,6 +8,8 @@ of that end to end; the trajectory workload is covered by the cheaper
 ``cli.integrate`` checks below.
 """
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -45,6 +47,24 @@ def test_exports_resolve(name):
     # a name it cannot find, so a stale export would drop a span silently
     module = importlib.import_module(f"mfa.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_no_np_roots_in_program():
+    # every polynomial root comes from tf_core._companion_roots, one stacked
+    # eigenvalue call per matrix size, which test_freq_analysis holds to the
+    # bits of np.roots; a direct np.roots call would bypass both
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "roots"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append((os.path.basename(path), node.lineno))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [(os.path.basename(path), node.lineno)
+                          for alias in node.names if alias.name == "roots"]
+    assert found == []
 
 
 def test_star_import():

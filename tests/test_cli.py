@@ -9,11 +9,12 @@ import shlex
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, fold_point
+from conftest import RECIPES_DIR, fold_point, reference_map_text
 
 import mfa.cli as cli
 from mfa import __version__
 from mfa.cli import main
+from mfa.equilibria import dominance_map
 from mfa.sim import InputSchedule, Trajectory
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
@@ -160,6 +161,71 @@ class TestMap:
 
 
 MAP_FLAGS = ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "50", "--lambda", "50"]
+
+
+def _map_case(i, rng):
+    """Seeded map flags: random lags (a 1e10 s lag, whose columns are
+    Unclassified with nan gains, every fourth case), gains, balances and
+    grid sizes, with a reference r != 0 and a user rate in some."""
+    tp = float(10.0 ** rng.uniform(-2.0, 0.0))
+    taus = (float(10.0 ** rng.uniform(-3.0, 1.0)), tp,
+            1e10 if i % 4 == 0 else tp * float(10.0 ** rng.uniform(0.1, 1.5)))
+    rows, cols = [(1, 1), (3, 4), (60, 1), (5, 7)][i % 4]
+    argv = ["map", "--tau-l", repr(taus[0]), "--tau-p", repr(taus[1]), "--tau-n",
+            repr(taus[2]), "--k-min", repr(float(10.0 ** rng.uniform(-2.0, 0.0))),
+            "--k-max", repr(float(10.0 ** rng.uniform(1.0, 3.0))),
+            "--rows", str(rows), "--cols", str(cols)]
+    if i % 3 == 1:
+        argv += ["--r", repr(float(rng.uniform(-1.0, 1.0)))]
+    if i % 5 == 2:
+        argv += ["--lambda", repr(float(10.0 ** rng.uniform(0.0, 2.0))), "--nonlinearity", "atan"]
+    return argv
+
+
+class TestMapText:
+    """The map's rows, formatted once per gain and per column, have the bytes
+    of the one-format-per-cell reference."""
+
+    @staticmethod
+    def expected(argv):
+        args = cli.build_parser().parse_args(argv)
+        ks = np.geomspace(args.k_min, args.k_max, args.rows)
+        betas = np.linspace(args.beta_min, args.beta_max, args.cols)
+        cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas, r=args.r,
+                              lam=args.lam, nonlinearity=args.nonlinearity)
+        text = reference_map_text(ks, betas, cells)
+        return (f"# mfa {__version__}\nk,beta,regime,k0_bar,k2_bar,n_equilibria,"
+                f"n_unstable\n{text}"), cells
+
+    def check(self, capsys, tmp_path, argv):
+        want, cells = self.expected(argv)
+        code, out = run(capsys, argv)
+        assert code == 0 and out == want
+        dest = tmp_path / "map.csv"
+        assert run(capsys, [*argv, "--output", str(dest)]) == (0, "")
+        assert dest.read_bytes() == want.encode()
+        return cells
+
+    def test_seeded_grids(self, capsys, tmp_path):
+        rng = np.random.default_rng(1503)
+        regimes = set()
+        for i in range(40):
+            cells = self.check(capsys, tmp_path, _map_case(i, rng))
+            regimes |= {(c.regime, c.reason) for row in cells for c in row}
+        assert ("Unclassified", "pole on shifted imaginary axis") in regimes
+        assert {"ZeroDominantStable", "TwoDominantOscillation"} <= {r for r, _ in regimes}
+
+    @pytest.mark.parametrize("extra", [
+        ["--rows", "1", "--cols", "1", "--beta-min", "0.2", "--beta-max", "0.2"],
+        ["--rows", "3", "--cols", "4"],
+        ["--rows", "60", "--cols", "1", "--beta-min", "0.4", "--beta-max", "0.4"],
+        ["--rows", "4", "--cols", "3", "--r", "-0.3"],
+    ], ids=["1x1", "3x4", "60x1", "r"])
+    def test_fixed_grids(self, capsys, tmp_path, extra):
+        cells = self.check(capsys, tmp_path, [*MAP_FLAGS, *extra])
+        if "0.2" in extra:
+            # an unbounded k2_bar prints as inf
+            assert math.isinf(cells[0][0].k2_bar)
 
 
 class TestInputChecks:
@@ -513,6 +579,63 @@ class TestInterconnect:
                                  "--ic", "0.1,0,0,0,0"])
         assert code == 0
         assert out.splitlines()[1] == "t,x,xp,xn,q,qdot,y,ye"
+
+
+LOAD = {"a": 350.0, "b": 35.0, "kv": 1.0, "kp": 20.0, "ki": 10.0, "ko": 1.0}
+LOAD_COMMANDS = {
+    "certify": ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--certify"],
+    "simulate": ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4",
+                 "--dt", "1e-3", "--t-end", "0.01"],
+    "nyquist": ["nyquist", "--grid-points", "5"],
+}
+
+
+class TestNonFiniteLoad:
+    """A load file with a value that is not finite, or with gains whose
+    product overflows, exits 2 with a ``requires finite`` line."""
+
+    @staticmethod
+    def run_load(capsys, tmp_path, command, text):
+        path = tmp_path / "load.json"
+        path.write_text(text)
+        code = main([*LOAD_COMMANDS[command], "--load", str(path)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(LOAD_COMMANDS))
+    @pytest.mark.parametrize("field, value, message", [
+        ("ki", "NaN", "requires finite ki >= 0 and ko >= 0"),
+        ("ko", "Infinity", "requires finite ki >= 0 and ko >= 0"),
+        ("a", "Infinity", "requires finite a > 0"),
+        ("kv", "NaN", "requires finite kv > 0"),
+    ])
+    def test_non_finite_value_exit_2(self, capsys, tmp_path, command, field, value,
+                                     message):
+        text = json.dumps(LOAD).replace(f'"{field}": {LOAD[field]}', f'"{field}": {value}')
+        code, captured = self.run_load(capsys, tmp_path, command, text)
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_overflowing_loop_gain_exit_2(self, capsys, tmp_path, command):
+        text = json.dumps({**LOAD, "ki": 1e300, "ko": 1e300})
+        code, captured = self.run_load(capsys, tmp_path, command, text)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: requires finite loop gains")
+
+    def test_overflow_in_transfer_function_exit_2(self, capsys, tmp_path):
+        # ki ko overflows, but ki kp ko / a and the realization stay finite
+        text = json.dumps({**LOAD, "kp": 1e-300, "ki": 1e200, "ko": 1e200})
+        code, captured = self.run_load(capsys, tmp_path, "certify", text)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: requires finite loop gains")
+
+    def test_nyquist_uses_the_load_alone(self, capsys, tmp_path):
+        # nyquist --load draws the load's own transfer function, which the
+        # interface gains do not enter, so their product cannot overflow it
+        big = self.run_load(capsys, tmp_path, "nyquist",
+                            json.dumps({**LOAD, "ki": 1e300, "ko": 1e300}))
+        assert big == self.run_load(capsys, tmp_path, "nyquist", json.dumps(LOAD))
+        assert big[0] == 0
 
 
 class TestRootCalls:

@@ -214,7 +214,9 @@ class TestDominanceMap:
                 dominance_map(*TAUS, ks, betas)
 
     def test_map_makes_no_per_cell_numerics(self, monkeypatch):
-        """A column builds one loop and locates no root and no eigenvalue."""
+        """A column builds one loop and locates no root and no eigenvalue of
+        its cells: its one eigenvalue call roots the stationary-point
+        polynomials of both critical gains, whatever the number of rows."""
         import mfa.equilibria as eq
 
         calls = {"solve_phi_line": 0, "eigvals": 0, "LureLoop": 0}
@@ -229,10 +231,12 @@ class TestDominanceMap:
         monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(LureLoop, "__init__", counted("LureLoop", LureLoop.__init__))
         for beta in (0.2, 0.4, 0.8):
-            calls.update(dict.fromkeys(calls, 0))
-            cells = dominance_map(*TAUS, np.geomspace(0.1, 1000.0, 60), [beta], lam=50.0)
-            assert sum(c[0].n_equilibria for c in cells) >= 60
-            assert calls == {"solve_phi_line": 0, "eigvals": 0, "LureLoop": 1}
+            for rows in (1, 60):
+                calls.update(dict.fromkeys(calls, 0))
+                cells = dominance_map(*TAUS, np.geomspace(0.1, 1000.0, rows), [beta],
+                                      lam=50.0)
+                assert sum(c[0].n_equilibria for c in cells) >= rows
+                assert calls == {"solve_phi_line": 0, "eigvals": 1, "LureLoop": 1}
 
 
 RECIPE_TAUS = {"map_fast_load": ((0.01, 0.1, 1.0), 50.0),

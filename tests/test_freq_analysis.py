@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, brute_min_re
+from conftest import RECIPES_DIR, brute_min_re, reference_min_real_part
 
 from mfa.freq_analysis import (
     check_p_passivity,
@@ -16,13 +16,14 @@ from mfa.freq_analysis import (
     nyquist_locus,
 )
 from mfa.equilibria import LureLoop
-from mfa.interconnect import LoadParams, load_from_json, load_tf
+from mfa.interconnect import InterfaceGains, LoadParams, load_from_json, load_tf
 from mfa.multichannel import Channel, ChannelBank
 from mfa.tf_core import (
     AmplifierParams,
     INFINITE_ZERO,
     Polynomial,
     RationalTF,
+    _companion_roots,
     tf_build_mixed,
     tf_shift,
     tf_zero_mixed,
@@ -168,6 +169,83 @@ class TestExactMinimum:
         mr, w_at = assert_exact_min(g, 0.0)
         assert abs(mr - m) <= 1e-12
         assert w_at == pytest.approx(2.0, rel=1e-3)
+
+
+def _hex(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def _seeded_loops(rng):
+    """Amplifiers, 2+2 and 3+3 banks and load loops with random lags and
+    gains, 100 of each."""
+    def lags(n):
+        return sorted(float(t) for t in 10.0 ** rng.uniform(-3.0, 1.0, n))
+
+    for i in range(400):
+        kind = i % 4
+        if kind == 0:
+            tl, tp, tn = lags(3)
+            yield LureLoop.amplifier(AmplifierParams(
+                float(rng.uniform(0.001, 10.0)), tp, tn, 1.0, float(rng.uniform(0.0, 1.0))))
+        elif kind in (1, 2):
+            m = 1 + kind
+            taus = lags(2 * m + 1)
+            rho = rng.uniform(0.1, 1.0, 2 * m)
+            pos = ChannelBank(tuple(Channel(float(r / rho[:m].sum()), t)
+                                    for r, t in zip(rho[:m], taus[:m])))
+            neg = ChannelBank(tuple(Channel(float(r / rho[m:].sum()), t)
+                                    for r, t in zip(rho[m:], taus[m:2 * m])))
+            yield LureLoop.bank(taus[-1], pos, neg, 1.0, float(rng.uniform(0.0, 1.0)))
+        else:
+            tl, tp, tn = lags(3)
+            amp = AmplifierParams(float(rng.uniform(0.001, 10.0)), tp, tn,
+                                  float(10.0 ** rng.uniform(-1.0, 2.0)),
+                                  float(rng.uniform(0.0, 1.0)))
+            load = LoadParams(*(float(v) for v in 10.0 ** rng.uniform(-1.0, 3.0, 4)))
+            iface = InterfaceGains(*(float(v) for v in rng.uniform(0.0, 2.0, 2)))
+            yield LureLoop.load(amp, load, iface)
+
+
+class TestStackedRoots:
+    """Stationary points come from companion matrices stacked into one
+    eigenvalue call, with the same bits as one ``np.roots`` call each."""
+
+    def test_companion_roots_are_np_roots(self):
+        rng = np.random.default_rng(1501)
+        polys = []
+        for i in range(3000):
+            c = rng.uniform(-1.0, 1.0, int(rng.integers(3, 10)))
+            c *= 10.0 ** rng.uniform(-8.0, 8.0, len(c))
+            if i % 5 == 0:
+                c[-int(rng.integers(1, 3)):] = 0.0  # roots at 0
+            if i % 7 == 0:
+                c[0] = 0.0  # a leading zero
+            polys.append(c)
+        polys += [np.zeros(4), np.array([0.0, 2.0, 0.0]), np.array([3.0])]
+        stacked = _companion_roots(polys, zero_roots=True)
+        for c, z in zip(polys, stacked):
+            assert _hex(z) == _hex(np.roots(c))
+            assert _hex(_companion_roots([c], zero_roots=True)[0]) == _hex(z)
+            nonzero = np.flatnonzero(c)
+            tail = len(c) - nonzero[-1] - 1 if len(nonzero) else 0
+            assert _hex(_companion_roots([c])[0]) == _hex(z[:len(z) - tail])
+
+    def test_min_real_part_matches_np_roots_path(self):
+        rng = np.random.default_rng(1502)
+        checked = 0
+        for loop in _seeded_loops(rng):
+            try:
+                lam = midpoint_rate(loop.poles)
+                want = [reference_min_real_part(loop.g1, r) for r in (0.0, lam)]
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    min_real_part(loop.g1, (0.0, lam))
+                continue
+            got = min_real_part(loop.g1, (0.0, lam))
+            assert [min_real_part(loop.g1, r) for r in (0.0, lam)] == list(got)
+            assert [(m.hex(), w.hex()) for m, w in got] == [(m.hex(), w.hex()) for m, w in want]
+            checked += 1
+        assert checked > 350
 
 
 class TestCriticalGain:

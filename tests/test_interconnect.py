@@ -92,6 +92,28 @@ class TestAssembly:
         with pytest.raises(ValueError, match="ki >= 0"):
             InterfaceGains(-1.0, 1.0)
 
+    @pytest.mark.parametrize("gains", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_interface_gains_finite(self, gains):
+        with pytest.raises(ValueError, match="requires finite ki >= 0 and ko >= 0"):
+            InterfaceGains(*gains)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_load_values_finite(self, index, value):
+        values = [350.0, 35.0, 1.0, 20.0]
+        values[index] = value
+        with pytest.raises(ValueError, match="requires finite (a|b|kv|kp) > 0"):
+            LoadParams(*values)
+
+    @pytest.mark.parametrize("load, iface", [
+        (LOAD, InterfaceGains(1e300, 1e300)),  # ki kp ko / a overflows
+        (LOAD, InterfaceGains(0.0, 1e308)),  # ko k in the realization overflows
+        (LoadParams(1e-300, 35.0, 1.0, 20.0), InterfaceGains(1e10, 1e10)),
+    ])
+    def test_overflowing_loop_gain_refused(self, load, iface):
+        with pytest.raises(ValueError, match="requires finite loop gains"):
+            LureLoop.load(AMP, load, iface)
+
     def test_cascade_bit_match(self):
         ss = LureLoop.load(AMP, LOAD, InterfaceGains(0.0, 1.0)).ss
         full = integrate(ss, (0.1, 0, 0, 0, 0), dt=5e-4, t_end=2.0)
