@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .freq_analysis import _check_axis_clear, critical_gain, midpoint_rate
+from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_part
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank, build_channel_tf
 from .sim import StateSpace
@@ -406,9 +406,9 @@ class LureLoop:
 
 def _critical_gains(loop: LureLoop, lam: float) -> tuple[bool, float, float]:
     """Whether rate lam leaves two shifted-unstable poles, and k0_bar and
-    k2_bar (nan without two), from one :func:`critical_gain` call."""
+    k2_bar (nan without two), from one :func:`min_real_part` call."""
     two = loop.inertia(lam) == 2
-    gains = critical_gain(loop.g1, (0.0, lam) if two else (0.0,))
+    gains = [_gain(m) for m, _ in min_real_part(loop.g1, (0.0, lam) if two else (0.0,))]
     return two, gains[0], gains[1] if two else math.nan
 
 

@@ -220,14 +220,12 @@ def midpoint_rate(poles) -> float:
     return -(res[1] + res[2]) / 2.0
 
 
-def critical_gain(g: RationalTF, lam):
+def critical_gain(g: RationalTF, lam: float) -> float:
     """Gain below which the loop closed around g through a sector-[0, k]
     slope is p-dominant at rate lam, from the minimum of Re G(jw - lam) over
-    w (inf when it is not negative); for a tuple of rates, a tuple of gains
-    from one :func:`min_real_part` call.  A pole on the shifted axis raises
+    w (inf when it is not negative).  A pole on the shifted axis raises
     ``ArithmeticError``."""
-    mins = min_real_part(g, lam)
-    return tuple(_gain(m) for m, _ in mins) if isinstance(lam, tuple) else _gain(mins[0])
+    return _gain(min_real_part(g, lam)[0])
 
 
 def check_p_passivity(g: RationalTF, lam: float, p: int) -> DominanceCertificate:

@@ -178,7 +178,7 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     never formatted into the text.  The arithmetic is that of the generic
     loop term for term, so trajectories are bit-deterministic:
     ``y = 0.0 + c_j s_j + ...`` and each derivative row
-    ``(0.0 + a_ij s_j + ...) + b_i u`` in index order, the stage points ``s``,
+    ``(0.0 + a_ij s_j + ...) + b_i u`` in index order, the stage points
     ``s + half k1``, ``s + half k2``, ``s + dt k3`` and the update
     ``s + sixth (k1 + 2 (k2 + k3) + k4)``.
     """
@@ -187,28 +187,28 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     c_sum = "0.0"
     for j, cj in _sparse(ss.loop_row):
         coeffs[f"c_{j}"] = cj
-        c_sum += f" + c_{j}*{{v}}{j}"
+        c_sum += f" + c_{j}*p{j}"
     rows = []
     b = dict(_sparse(ss.b))
     for i, row in enumerate(_sparse(ss.a)):
         expr = "0.0"
         for j, aij in row:
             coeffs[f"a_{i}_{j}"] = aij
-            expr += f" + a_{i}_{j}*{{v}}{j}"
+            expr += f" + a_{i}_{j}*p{j}"
         if i in b:
             coeffs[f"b_{i}"] = b[i]
             expr += f" + b_{i}*u"
         rows.append(expr)
 
     def stage(k, point):
-        # stage k's derivatives k{k}_i, evaluated at the state s_i for the
-        # first stage and at p_i = s_i + point * k{k-1}_i after it
+        # stage k's derivatives k{k}_i, evaluated at p_i = s_i for the first
+        # stage and at p_i = s_i + point * k{k-1}_i after it
         if point is None:
-            lines, v = [], "s"
+            lines = [f"p{i} = s{i}" for i in range(n)]
         else:
-            lines, v = [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)], "p"
-        lines += [f"y = {c_sum.format(v=v)}", "u = r - phi(y)"]
-        lines += [f"k{k}_{i} = {expr.format(v=v)}" for i, expr in enumerate(rows)]
+            lines = [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)]
+        lines += [f"y = {c_sum}", "u = r - phi(y)"]
+        lines += [f"k{k}_{i} = {expr}" for i, expr in enumerate(rows)]
         return lines
 
     state = ", ".join(f"s{i}" for i in range(n))

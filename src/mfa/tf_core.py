@@ -124,16 +124,15 @@ def _root_order(z: complex):
     return (z.real, z.imag)
 
 
-def _companion_roots(polys, zero_roots: bool = False) -> list[np.ndarray]:
+def _companion_roots(polys) -> list[np.ndarray]:
     """Roots of each polynomial in ``polys`` (coefficients descending), bit for
-    bit as ``np.roots`` takes them: zeros stripped from both ends, companion
-    first row -c[1:]/c[0] and ones below the diagonal, but one stacked
-    eigenvalue call per matrix size.  The roots at 0 of the trailing zeros
-    come last with ``zero_roots``, as in ``np.roots``, and are dropped without."""
+    bit as ``np.roots``: zeros stripped from both ends, companion first row
+    -c[1:]/c[0] and ones below the diagonal, the roots at 0 of the trailing
+    zeros last, but one stacked eigenvalue call per matrix size."""
     out, by_size = [], {}
     for c in map(np.asarray, polys):
         nz = np.flatnonzero(c)
-        out.append(np.zeros(len(c) - nz[-1] - 1 if len(nz) and zero_roots else 0))
+        out.append(np.zeros(len(c) - nz[-1] - 1 if len(nz) else 0))
         if len(nz) and nz[-1] > nz[0]:
             by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, c[nz[0]:nz[-1] + 1]))
     for n, group in by_size.items():
@@ -163,7 +162,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
         # adding 0.0 gives the 0.0 that np.roots returns for a root at 0
         raw = [-p.coeffs[0] / p.coeffs[1] + 0.0]
     else:
-        raw = _companion_roots([p.coeffs[::-1]], zero_roots=True)[0]
+        raw = _companion_roots([p.coeffs[::-1]])[0]
     roots = []
     for z in raw:
         z = complex(z)

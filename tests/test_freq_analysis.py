@@ -222,13 +222,10 @@ class TestStackedRoots:
                 c[0] = 0.0  # a leading zero
             polys.append(c)
         polys += [np.zeros(4), np.array([0.0, 2.0, 0.0]), np.array([3.0])]
-        stacked = _companion_roots(polys, zero_roots=True)
+        stacked = _companion_roots(polys)
         for c, z in zip(polys, stacked):
             assert _hex(z) == _hex(np.roots(c))
-            assert _hex(_companion_roots([c], zero_roots=True)[0]) == _hex(z)
-            nonzero = np.flatnonzero(c)
-            tail = len(c) - nonzero[-1] - 1 if len(nonzero) else 0
-            assert _hex(_companion_roots([c])[0]) == _hex(z[:len(z) - tail])
+            assert _hex(_companion_roots([c])[0]) == _hex(z)
 
     def test_min_real_part_matches_np_roots_path(self):
         rng = np.random.default_rng(1502)
