@@ -19,7 +19,6 @@ from .tf_core import (
     RationalTF,
     poly_roots,
     tf_build_mixed,
-    tf_eval,
     tf_multiply,
     tf_shift,
     tf_zero_mixed,
@@ -28,7 +27,6 @@ from .freq_analysis import (
     DominanceCertificate,
     check_p_passivity,
     critical_balance,
-    critical_gain,
     min_real_part,
     midpoint_rate,
     nyquist_locus,

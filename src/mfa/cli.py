@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .equilibria import LureLoop, dominance_map
 from .freq_analysis import (
+    _tag_json,
     check_p_passivity,
     critical_balance,
     midpoint_rate,
@@ -45,14 +46,6 @@ from .sim import (
 from .tf_core import AmplifierParams, tf_build_mixed, tf_zero_mixed
 
 __all__ = ["main", "entrypoint"]
-
-
-def _tag_gain(x: float):
-    if math.isinf(x):
-        return "unbounded"
-    if math.isnan(x):
-        return None
-    return x
 
 
 def _complex_pairs(values) -> list[list[float]]:
@@ -149,8 +142,8 @@ def _loop_report(loop: LureLoop, args, lam: float, zeros, head: dict, between: d
         "lambda_policy": "midpoint" if args.lam is None else "user",
         "shifted_unstable_poles": inertia,
         "g0": loop.g0,
-        "k0_bar": _tag_gain(cell.k0_bar),
-        "k2_bar": _tag_gain(cell.k2_bar),
+        "k0_bar": _tag_json(cell.k0_bar),
+        "k2_bar": _tag_json(cell.k2_bar),
         "equilibria": _equilibrium_dicts(cell.equilibria),
         "regime": cell.regime,
         "reason": cell.reason,
@@ -176,7 +169,9 @@ def cmd_analyze(args) -> int:
         "zero": tf_zero_mixed(params) if params.k > 0 else None,
         "beta_star": critical_balance(params.tau_p, params.tau_n),
     }
-    _print_json(_loop_report(loop, args, lam, loop.g.zeros(), head, between,
+    # the zeros do not depend on k > 0; at k = 0 the numerator vanishes
+    zeros = loop.g1.zeros() if params.k > 0 else []
+    _print_json(_loop_report(loop, args, lam, zeros, head, between,
                              {"min_re_method": "stationary_points"}))
     return 0
 
@@ -301,12 +296,13 @@ def cmd_interconnect(args) -> int:
     amp = _amp_from_args(args)
     loop = LureLoop.load(amp, load, iface)
     if args.certify:
-        g_amp = tf_build_mixed(amp)
+        # every certificate is taken at unit gain and scaled by its gain
+        g_amp = tf_build_mixed(amp.with_gain(1.0))
         lam = midpoint_rate(g_amp.poles()) if args.lam is None else args.lam
-        c_amp = check_p_passivity(g_amp, lam, 2)
-        c_load = check_p_passivity(load_tf(load), lam, 0)
+        c_amp = check_p_passivity(g_amp, lam, 2, amp.k)
+        c_load = check_p_passivity(load_tf(load), lam, 0, 1.0)
         comp = compose_certificates(c_amp, c_load)
-        c_tot = check_p_passivity(loop.g, lam, comp.p_total)
+        c_tot = check_p_passivity(loop.g1, lam, comp.p_total, amp.k)
         equilibria = loop.equilibria(args.r)
         _print_json({
             "tool": "mfa",

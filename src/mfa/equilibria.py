@@ -306,11 +306,6 @@ class LureLoop:
         return self.unit_tf()
 
     @property
-    def g(self) -> RationalTF:
-        """Transfer function u -> v at the loop's gain."""
-        return RationalTF(self.g1.num * self.k, self.g1.den, self.g1.poles())
-
-    @property
     def poles(self) -> list[complex]:
         """Poles of the loop's transfer function, which do not depend on k."""
         return self.g1.poles()

@@ -3,7 +3,9 @@
 The central object is the minimum over frequency of Re G(jw - lambda): its
 sign decides passivity, and its reciprocal gives the critical gain
 -1/min_re below which the circle criterion certifies p-dominance for the
-loop closed through a sector-[0, k] slope.
+loop closed through a sector-[0, k] slope.  Every minimum is taken on a
+loop's unit-gain transfer function G1: for k > 0,
+min Re kG1(jw - lambda) = k min Re G1(jw - lambda) at the same frequency.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "DominanceCertificate",
     "check_p_passivity",
     "critical_balance",
-    "critical_gain",
     "midpoint_rate",
     "min_real_part",
     "nyquist_locus",
@@ -38,9 +39,9 @@ class DominanceCertificate:
                   shifted unstable pole count equals p,
                   min_re >= 0).
     ``critical_gain`` is the gain the checked transfer function could absorb
-    before losing positive realness, as in :func:`critical_gain`.
-    Failures are encoded, not raised: a pole on the shifted axis gives nan
-    for min_re, omega_at_min and critical_gain.
+    before losing positive realness, -1/min_re (inf when min_re is not
+    negative).  Failures are encoded, not raised: a pole on the shifted axis
+    gives nan for min_re, omega_at_min and critical_gain.
     """
 
     p: int
@@ -55,26 +56,29 @@ class DominanceCertificate:
         return all(self.conditions)
 
     def to_json_dict(self) -> dict:
-        def _num(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "unbounded"
-            if isinstance(x, float) and math.isnan(x):
-                return None
-            return x
-
         return {
             "p": self.p,
             "lambda": self.rate,
-            "min_re": _num(self.min_re),
-            "omega_at_min": "infinite" if math.isinf(self.omega_at_min) else _num(self.omega_at_min),
-            "critical_gain": _num(self.critical_gain),
+            "min_re": _tag_json(self.min_re),
+            "omega_at_min": "infinite" if math.isinf(self.omega_at_min)
+            else _tag_json(self.omega_at_min),
+            "critical_gain": _tag_json(self.critical_gain),
             "conditions": list(self.conditions),
             "passed": self.passed,
             # passivity is the circle criterion for the infinite sector, whose
             # line -1/K sits at 0, so the margin to it is min_re
             "sector": "infinite",
-            "margin": _num(self.min_re),
+            "margin": _tag_json(self.min_re),
         }
+
+
+def _tag_json(x: float):
+    """A float as JSON writes it here: inf as "unbounded", nan as null."""
+    if math.isinf(x):
+        return "unbounded"
+    if math.isnan(x):
+        return None
+    return x
 
 
 def _on_axis(poles, lam: float) -> bool:
@@ -220,20 +224,24 @@ def midpoint_rate(poles) -> float:
     return -(res[1] + res[2]) / 2.0
 
 
-def critical_gain(g: RationalTF, lam: float) -> float:
-    """Gain below which the loop closed around g through a sector-[0, k]
-    slope is p-dominant at rate lam, from the minimum of Re G(jw - lam) over
-    w (inf when it is not negative).  A pole on the shifted axis raises
-    ``ArithmeticError``."""
-    return _gain(min_real_part(g, lam)[0])
+def check_p_passivity(g1: RationalTF, lam: float, p: int, k: float) -> DominanceCertificate:
+    """Positive-realness check of k G1(s - lam) with p shifted-unstable poles.
 
-
-def check_p_passivity(g: RationalTF, lam: float, p: int) -> DominanceCertificate:
-    """Positive-realness check of G(s - lam) with p shifted-unstable poles."""
-    poles = g.poles()
+    ``g1`` is the unit-gain transfer function and ``k >= 0`` the loop gain:
+    the minimum is k times that of G1, at the same frequency, and the poles
+    do not depend on k.  At k = 0 the certificate is the zero transfer
+    function's, min_re 0 at w = 0.
+    """
+    poles = g1.poles()
     clear = not _on_axis(poles, lam)
     n_unstable = sum(1 for pl in poles if pl.real > -lam)
-    min_re, w_at = min_real_part(g, lam) if clear else (math.nan, math.nan)
+    if not clear:
+        min_re, w_at = math.nan, math.nan
+    elif k == 0.0:
+        min_re, w_at = 0.0, 0.0
+    else:
+        m1, w_at = min_real_part(g1, lam)
+        min_re = k * m1
     return DominanceCertificate(
         p=p, rate=lam, min_re=min_re, omega_at_min=w_at, critical_gain=_gain(min_re),
         conditions=(clear, n_unstable == p, min_re >= 0.0))

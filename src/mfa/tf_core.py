@@ -23,7 +23,6 @@ __all__ = [
     "get_nonlinearity",
     "poly_roots",
     "tf_build_mixed",
-    "tf_eval",
     "tf_multiply",
     "tf_shift",
     "tf_zero_mixed",
@@ -223,12 +222,6 @@ class RationalTF:
     def is_biproper(self) -> bool:
         return self.num.degree == self.den.degree and not self.num.is_zero
 
-    def __call__(self, s):
-        return tf_eval(self, s)
-
-    def __mul__(self, other: "RationalTF") -> "RationalTF":
-        return tf_multiply(self, other)
-
 
 def _tanh_slope(y: float) -> float:
     t = math.tanh(y)
@@ -350,13 +343,3 @@ def tf_multiply(a: RationalTF, b: RationalTF) -> RationalTF:
     """Product a*b over the product denominators; no cancellation, so its
     poles are the poles of a and of b."""
     return RationalTF(a.num * b.num, a.den * b.den, a.poles() + b.poles())
-
-
-def tf_eval(g: RationalTF, s: complex, tol: float = 1e-12) -> complex:
-    """num(s)/den(s) by Horner evaluation; raises near a pole."""
-    s = complex(s)
-    den_v = g.den(s)
-    scale = sum(abs(c) * abs(s) ** k for k, c in enumerate(g.den.coeffs))
-    if abs(den_v) <= tol * max(scale, 1e-300):
-        raise ArithmeticError("pole proximity")
-    return g.num(s) / den_v

@@ -49,6 +49,12 @@ def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
     return min(cands)
 
 
+def gain_scaled(g1: RationalTF, k: float) -> RationalTF:
+    """k G1, with the numerator scaled coefficient by coefficient and the
+    poles of G1."""
+    return RationalTF(Polynomial([k * c for c in g1.num.coeffs]), g1.den, g1.poles())
+
+
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     """Plain bisection; requires a sign change on [lo, hi]."""
     flo = f(lo)

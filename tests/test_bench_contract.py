@@ -70,7 +70,7 @@ def test_no_np_roots_in_program():
 def test_star_import():
     namespace = {}
     exec("from mfa import *", namespace)
-    assert {"LureLoop", "critical_gain", "check_p_passivity"} <= namespace.keys()
+    assert {"LureLoop", "min_real_part", "check_p_passivity"} <= namespace.keys()
 
 
 def test_cli_integrate_is_sim_integrate():

@@ -572,6 +572,43 @@ class TestInterconnect:
         assert rep["loop_certificate"]["passed"] is True
         assert [e["stability"] for e in rep["equilibria"]] == ["unstable"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_certify_huge_gain(self, capsys):
+        # the certificates are taken on the unit-gain loops and scaled by k,
+        # so a gain near the top of the float range does not overflow them
+        code = main(["interconnect", *AMP_FLAGS, "--k", "1e300", "--beta", "0.4",
+                     "--load", LOAD_JSON, "--certify"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        rep = json.loads(captured.out, parse_constant=refuse)
+        for name in ("amplifier_certificate", "load_certificate", "loop_certificate"):
+            cert = rep[name]
+            assert cert["lambda"] == rep["lambda"] == 55.0
+            assert cert["passed"] == all(cert["conditions"])
+            assert isinstance(cert["min_re"], float) and cert["min_re"] == cert["margin"]
+        assert rep["amplifier_certificate"]["passed"] is True
+
+    def test_certify_zero_gain(self, capsys):
+        # at k = 0 the amplifier and the loop certify the zero transfer
+        # function: min Re 0 at w = 0; the load certificate does not use k
+        def certify(k):
+            code, out = run(capsys, ["interconnect", *AMP_FLAGS, "--k", k, "--beta", "0.4",
+                                     "--load", LOAD_JSON, "--certify"])
+            assert code == 0
+            return json.loads(out)
+
+        rep = certify("0")
+        for name in ("amplifier_certificate", "loop_certificate"):
+            cert = rep[name]
+            assert (cert["min_re"], cert["omega_at_min"], cert["critical_gain"]) \
+                == (0.0, 0.0, "unbounded")
+            assert cert["conditions"][2] is True
+        assert rep["load_certificate"] == certify("10")["load_certificate"]
+
     def test_trajectory_columns(self, capsys):
         code, out = run(capsys, ["interconnect", *AMP_FLAGS, "--k", "10",
                                  "--beta", "0.4", "--load", LOAD_JSON,
@@ -671,14 +708,18 @@ class TestRootCalls:
         assert code == 0 and len(counted) == calls
 
 
+def recipe_commands(name: str) -> list[list[str]]:
+    """The ``mfa`` arguments of each command of a recipe script, in order."""
+    with open(os.path.join(RECIPES_DIR, f"{name}.sh")) as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line)[3:] for line in text.splitlines()
+            if line.startswith("python3 -m mfa ")]
+
+
 def recipe_argv(name: str, output: str) -> list[str]:
     """The ``mfa`` arguments of the command of a recipe script that writes
     its ``--output`` file, with that file replaced by ``output``."""
-    with open(os.path.join(RECIPES_DIR, f"{name}.sh")) as fh:
-        text = fh.read().replace("\\\n", " ")
-    (command,) = [line for line in text.splitlines()
-                  if line.startswith("python3 -m mfa ") and "--output" in line]
-    argv = shlex.split(command)[3:]
+    (argv,) = [argv for argv in recipe_commands(name) if "--output" in argv]
     argv[argv.index("--output") + 1] = output
     return argv
 
@@ -728,6 +769,32 @@ class TestRecipeOutputs:
         assert main(recipe_argv(name, path)) == 0
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
+
+
+class TestRecipeReports:
+    """The JSON the recipe scripts print, byte for byte, by script and
+    command index: the certificates and the oscillation report of
+    ``interconnect_limit_cycle.sh`` and the channel-bank report of
+    ``multichannel_interlaced_bank.sh``."""
+
+    SHA256 = {
+        ("interconnect_limit_cycle", 0):
+            "405fc5317a06863293f3485f5187268ac41b8d1529b974df17d2af2d80768d28",
+        ("interconnect_limit_cycle", 1):
+            "f9ebc26859e709c69b9e9196aae86024031157d943e65ac0b43754c13833efd2",
+        ("multichannel_interlaced_bank", 0):
+            "7c84eecdfdba4ecbbec3917b7e48af3cdcf3619e0de192661c719a27876b656a",
+    }
+
+    @pytest.mark.parametrize("name, index", SHA256)
+    def test_stdout_digest(self, tmp_path, monkeypatch, capsys, name, index):
+        monkeypatch.chdir(RECIPES_DIR)
+        argv = recipe_commands(name)[index]
+        if "--output" in argv:
+            argv[argv.index("--output") + 1] = str(tmp_path / "out.csv")
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, index]
 
 
 class TestRecipeData:

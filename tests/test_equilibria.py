@@ -20,7 +20,7 @@ from mfa.equilibria import (
     dominance_map,
     solve_phi_line,
 )
-from mfa.freq_analysis import critical_gain, midpoint_rate
+from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
 from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank, build_channel_tf
 from mfa.sim import integrate
@@ -354,8 +354,7 @@ class TestMapCountsAgainstEigenvalues:
         for ib, beta in enumerate(betas):
             head = LureLoop.amplifier(AmplifierParams(*taus, ks[0], beta))
             assert head.inertia(lam) == 2
-            k0_bar = critical_gain(head.g1, 0.0)
-            k2_bar = critical_gain(head.g1, lam)
+            k0_bar, k2_bar = (_gain(min_real_part(head.g1, rate)[0]) for rate in (0.0, lam))
             for ik, k in enumerate(ks):
                 labels = [e.stability for e in
                           LureLoop.amplifier(AmplifierParams(*taus, k, beta)).equilibria(0.0)]
@@ -457,7 +456,7 @@ class TestConstructedPoles:
         "bank loop": (lambda: LureLoop.bank(0.01, POS3, NEG3, 4.0, 0.3).g1,
                       (0.01,) + POS3.taus + NEG3.taus, False),
         "load loop": (lambda: LureLoop.load(mixed(10.0, 0.4), LOAD,
-                                            InterfaceGains(10.0, 1.0)).g, TAUS, True),
+                                            InterfaceGains(10.0, 1.0)).g1, TAUS, True),
     }
 
     @pytest.mark.parametrize("case", CASES)

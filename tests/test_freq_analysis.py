@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, brute_min_re, reference_min_real_part
+from conftest import RECIPES_DIR, brute_min_re, gain_scaled, reference_min_real_part
 
 from mfa.freq_analysis import (
+    _gain,
     check_p_passivity,
     critical_balance,
-    critical_gain,
     midpoint_rate,
     min_real_part,
     nyquist_locus,
@@ -66,9 +66,10 @@ class TestMinRealPart:
 
 
 
-def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7):
-    """min_real_part against the zoomed brute-force sweep, to 1e-9 of
-    max |G(jw - lam)|, and its value is Re G at its own frequency."""
+def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7, got=None):
+    """min_real_part, or the (min_re, omega_at_min) pair ``got`` in its place,
+    against the zoomed brute-force sweep, to 1e-9 of max |G(jw - lam)|, and
+    its value is Re G at its own frequency."""
     gs = tf_shift(g, lam)
 
     def resp(w):
@@ -76,7 +77,7 @@ def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7):
         return (np.polynomial.polynomial.polyval(s, gs.num.coeffs)
                 / np.polynomial.polynomial.polyval(s, gs.den.coeffs))
 
-    mr, w_at = min_real_part(g, lam)
+    mr, w_at = min_real_part(g, lam) if got is None else got
     oracle = brute_min_re(g, lam, omega_lo, omega_hi, n=50_000, zoom=3)
     scale = float(np.abs(resp(np.append(0.0, np.geomspace(omega_lo, omega_hi, 2000)))).max())
     assert abs(mr - oracle) <= 1e-9 * scale, (mr, oracle, scale)
@@ -129,7 +130,7 @@ class TestExactMinimum:
             load, iface = load_from_json(fh.read())
         for k in (1.0, 10.0, 100.0):
             for beta in (0.1, 0.4, 0.8):
-                g = LureLoop.load(mixed(k, beta), load, iface).g
+                g = gain_scaled(LureLoop.load(mixed(k, beta), load, iface).g1, k)
                 for lam in (0.0, 15.0, 55.0):
                     assert_exact_min(g, lam)
 
@@ -245,6 +246,10 @@ class TestStackedRoots:
         assert checked > 350
 
 
+def critical_gain(g, lam):
+    return _gain(min_real_part(g, lam)[0])
+
+
 class TestCriticalGain:
     def test_pure_negative_feedback_finite(self):
         p = mixed(1.0, 0.0)
@@ -308,43 +313,76 @@ class TestDominanceCertificate:
         assert critical_gain(tf_build_mixed(mixed(1.0, 0.2)), 0.0) > 1.0
 
     def test_fails_condition3_at_large_gain(self):
-        g = tf_build_mixed(mixed(1000.0, 0.2))
-        assert critical_gain(g, 0.0) < 1.0
-        cert = check_p_passivity(g, 0.0, 0)
+        g1 = tf_build_mixed(mixed(1.0, 0.2))
+        assert critical_gain(g1, 0.0) < 1000.0
+        cert = check_p_passivity(g1, 0.0, 0, 1000.0)
         assert not cert.passed
         assert cert.conditions[0] and cert.conditions[1] and not cert.conditions[2]
 
     def test_two_passive_for_any_gain(self):
         for k in (0.1, 10.0, 1000.0):
-            cert = check_p_passivity(tf_build_mixed(mixed(k, 0.4)), 55.0, 2)
+            cert = check_p_passivity(tf_build_mixed(mixed(1.0, 0.4)), 55.0, 2, k)
             assert cert.passed
             assert cert.critical_gain == math.inf
 
     def test_certificate_invariants(self):
         for beta in (0.05, 0.4):  # below and above beta* = 1/11
-            cert = check_p_passivity(tf_build_mixed(mixed(1.0, beta)), 55.0, 2)
+            cert = check_p_passivity(tf_build_mixed(mixed(1.0, beta)), 55.0, 2, 1.0)
             assert cert.passed == all(cert.conditions)
             assert math.isinf(cert.critical_gain) == (cert.min_re >= 0.0)
             if cert.min_re < 0.0:
                 assert cert.critical_gain == -1.0 / cert.min_re
 
     def test_failure_encoded_not_raised(self):
-        cert = check_p_passivity(tf_build_mixed(mixed(1.0, 0.2)), 10.0, 2)
+        cert = check_p_passivity(tf_build_mixed(mixed(1.0, 0.2)), 10.0, 2, 1.0)
         assert not cert.passed and not cert.conditions[0]
         assert math.isnan(cert.min_re) and math.isnan(cert.critical_gain)
 
 
+class TestUnitGainCertificate:
+    """A certificate taken on the unit-gain loop and scaled by k is the
+    certificate of the gain-k transfer function: for k > 0,
+    min Re kG1(jw - lam) = k min Re G1(jw - lam), and the poles do not
+    depend on k."""
+
+    @staticmethod
+    def loops():
+        rng = np.random.default_rng(16)
+        with open(f"{RECIPES_DIR}/data/load_msd.json") as fh:
+            load, iface = load_from_json(fh.read())
+        for trial in range(24):
+            tp = float(rng.uniform(0.01, 0.5))
+            tn = tp * float(rng.uniform(1.5, 30.0))
+            tl = float(rng.uniform(0.005, 20.0))
+            amp = AmplifierParams(tl, tp, tn, k=float(10.0 ** rng.uniform(-1.0, 3.0)),
+                                  beta=float(rng.uniform(0.0, 1.0)))
+            g_amp = tf_build_mixed(amp.with_gain(1.0))
+            lam = midpoint_rate(g_amp.poles())
+            g1 = g_amp if trial % 2 == 0 else LureLoop.load(amp, load, iface).g1
+            yield amp.k, g1, lam
+
+    def test_unit_gain_matches_gain_k(self):
+        for k, g1, lam in self.loops():
+            gk = gain_scaled(g1, k)
+            for rate in (0.0, lam):
+                unit = check_p_passivity(g1, rate, 2, k)
+                direct = check_p_passivity(gk, rate, 2, 1.0)
+                assert unit.conditions == direct.conditions, (k, rate)
+                assert math.isinf(unit.critical_gain) == math.isinf(direct.critical_gain)
+                assert_exact_min(gk, rate, got=(unit.min_re, unit.omega_at_min))
+
+
 class TestPassivity:
     def test_positive_real_lag(self):
-        assert check_p_passivity(unit_lag(), 0.0, 0).passed
+        assert check_p_passivity(unit_lag(), 0.0, 0, 1.0).passed
 
     def test_mass_spring_damper_shifted(self):
-        cert = check_p_passivity(load_tf(LoadParams(350.0, 35.0, 1.0, 20.0)), 15.0, 0)
+        cert = check_p_passivity(load_tf(LoadParams(350.0, 35.0, 1.0, 20.0)), 15.0, 0, 1.0)
         assert cert.passed
 
     def test_below_critical_balance_reports_min(self):
         p = mixed(1.0, 0.05)  # below beta* = 1/11
-        cert = check_p_passivity(tf_build_mixed(p), 55.0, 2)
+        cert = check_p_passivity(tf_build_mixed(p), 55.0, 2, 1.0)
         assert not math.isnan(cert.min_re)
         assert cert.min_re < 0.0 and not cert.passed
 
@@ -379,8 +417,8 @@ class TestTheoremSixProperty:
             beta = float(rng.uniform(bstar + 1e-6, 1.0))
             p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.1, 100.0)),
                                 beta=beta)
-            g = tf_build_mixed(p)
-            cert = check_p_passivity(g, midpoint_rate(g.poles()), 2)
+            g1 = tf_build_mixed(p.with_gain(1.0))
+            cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, p.k)
             assert cert.passed, (tl, tp, tn, beta)
 
 

@@ -18,7 +18,7 @@ from mfa.interconnect import (
     load_tf,
 )
 from mfa.sim import Trajectory, detect_oscillation, integrate
-from mfa.tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed, tf_eval
+from mfa.tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed
 
 AMP = AmplifierParams(0.01, 0.1, 1.0, k=10.0, beta=0.4)
 LOAD = LoadParams(a=350.0, b=35.0, kv=1.0, kp=20.0)
@@ -33,7 +33,8 @@ class TestLoadTf:
         assert poles[1] == pytest.approx(complex(-17.5, +imag), rel=1e-12)
 
     def test_dc_gain(self):
-        assert tf_eval(load_tf(LOAD), 0.0).real == pytest.approx(20.0 / 350.0)
+        g = load_tf(LOAD)
+        assert g.num(0.0) / g.den(0.0) == pytest.approx(20.0 / 350.0)
 
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError, match="kv > 0"):
@@ -49,41 +50,43 @@ class TestLoadTf:
 
 class TestLoadPassivity:
     def test_reference_parameters_pass(self):
-        cert = check_p_passivity(load_tf(LOAD), 15.0, 0)
+        cert = check_p_passivity(load_tf(LOAD), 15.0, 0, 1.0)
         assert cert.passed and cert.min_re >= 0.0
 
     def test_velocity_feedback_alone_insufficient(self):
-        cert = check_p_passivity(load_tf(LoadParams(350.0, 35.0, 1.0, 0.01)), 15.0, 0)
+        cert = check_p_passivity(load_tf(LoadParams(350.0, 35.0, 1.0, 0.01)), 15.0, 0, 1.0)
         assert not cert.passed and cert.min_re < 0.0
 
     def test_unshifted_reduces_to_positive_realness(self):
-        cert = check_p_passivity(load_tf(LOAD), 0.0, 0)
+        cert = check_p_passivity(load_tf(LOAD), 0.0, 0, 1.0)
         g = load_tf(LOAD)
         assert cert.passed == (brute_min_re(g, 0.0, 1e-3, 1e4) >= -1e-12)
 
 
 class TestComposition:
     def amp_cert(self, lam=15.0):
-        return check_p_passivity(tf_build_mixed(AMP), lam, 2)
+        return check_p_passivity(tf_build_mixed(AMP.with_gain(1.0)), lam, 2, AMP.k)
 
     def test_two_plus_zero(self):
-        comp = compose_certificates(self.amp_cert(), check_p_passivity(load_tf(LOAD), 15.0, 0))
+        comp = compose_certificates(self.amp_cert(),
+                                    check_p_passivity(load_tf(LOAD), 15.0, 0, 1.0))
         assert comp == CompositionCertificate(2, 0, 15.0, 2, valid=True)
 
     def test_rate_mismatch(self):
         comp = compose_certificates(self.amp_cert(15.0),
-                                    check_p_passivity(load_tf(LOAD), 50.0, 0))
+                                    check_p_passivity(load_tf(LOAD), 50.0, 0, 1.0))
         assert not comp.valid and comp.reason == "rate mismatch"
 
     def test_two_zero_passive_blocks(self):
-        c1 = check_p_passivity(load_tf(LOAD), 15.0, 0)
+        c1 = check_p_passivity(load_tf(LOAD), 15.0, 0, 1.0)
         comp = compose_certificates(c1, c1)
         assert comp.valid and comp.p_total == 0
 
     def test_composition_matches_direct_loop_check(self):
-        comp = compose_certificates(self.amp_cert(), check_p_passivity(load_tf(LOAD), 15.0, 0))
-        gtot = LureLoop.load(AMP, LOAD, IFACE).g
-        direct = check_p_passivity(gtot, 15.0, comp.p_total)
+        comp = compose_certificates(self.amp_cert(),
+                                    check_p_passivity(load_tf(LOAD), 15.0, 0, 1.0))
+        g1 = LureLoop.load(AMP, LOAD, IFACE).g1
+        direct = check_p_passivity(g1, 15.0, comp.p_total, AMP.k)
         assert comp.valid and direct.passed
 
 

@@ -15,7 +15,6 @@ from mfa.tf_core import (
     get_nonlinearity,
     poly_roots,
     tf_build_mixed,
-    tf_eval,
     tf_multiply,
     tf_shift,
     tf_zero_mixed,
@@ -90,7 +89,7 @@ class TestPolyRoots:
 class TestBuildMixed:
     def test_dc_value(self):
         g = tf_build_mixed(mixed(5.0, 0.2))
-        assert tf_eval(g, 0.0) == pytest.approx(3.0, rel=1e-14)
+        assert g.num(0.0) / g.den(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_balanced_numerator_has_zero_constant(self):
         g = tf_build_mixed(mixed(2.0, 0.5))
@@ -112,7 +111,7 @@ class TestBuildMixed:
             p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0, 50)),
                                 beta=float(rng.uniform(0, 1)))
             g = tf_build_mixed(p)
-            assert tf_eval(g, 0.0).real == pytest.approx(
+            assert g.num(0.0) / g.den(0.0) == pytest.approx(
                 p.k * (1 - 2 * p.beta), abs=1e-12)
 
     def test_parameter_invariants(self):
@@ -250,20 +249,16 @@ class TestMultiplyEval:
         assert ge.den.degree == g.den.degree + e.den.degree
 
     def test_pure_feedback_dc_signs(self):
-        assert tf_eval(tf_build_mixed(mixed(1.0, 0.0)), 0.0).real == pytest.approx(1.0)
-        assert tf_eval(tf_build_mixed(mixed(1.0, 1.0)), 0.0).real == pytest.approx(-1.0)
+        for beta, dc in ((0.0, 1.0), (1.0, -1.0)):
+            g = tf_build_mixed(mixed(1.0, beta))
+            assert g.num(0.0) / g.den(0.0) == pytest.approx(dc)
 
     def test_high_frequency_rolloff(self):
         g = tf_build_mixed(mixed(1.0, 0.2))
-        hi = abs(tf_eval(g, 1j * 1e6))
-        lo = abs(tf_eval(g, 1j * 1e5))
+        hi = abs(g.num(1j * 1e6) / g.den(1j * 1e6))
+        lo = abs(g.num(1j * 1e5) / g.den(1j * 1e5))
         assert hi / lo == pytest.approx(1e-2, rel=1e-2)  # |G| ~ w^-2
         assert hi < 1e-9
-
-    def test_pole_proximity_error(self):
-        g = RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
-        with pytest.raises(ArithmeticError, match="pole proximity"):
-            tf_eval(g, -1.0)
 
     def test_conjugate_symmetry_random(self):
         rng = np.random.default_rng(13)
@@ -272,11 +267,8 @@ class TestMultiplyEval:
         for _ in range(300):
             g = random_proper_tf(rng)
             w = float(rng.uniform(0.01, 100.0))
-            try:
-                v1 = tf_eval(g, 1j * w)
-                v2 = tf_eval(g, -1j * w)
-            except ArithmeticError:
-                continue
+            v1 = g.num(1j * w) / g.den(1j * w)
+            v2 = g.num(-1j * w) / g.den(-1j * w)
             assert abs(v2 - v1.conjugate()) <= 1e-13 * max(1.0, abs(v1))
 
 
