@@ -217,18 +217,27 @@ def _write_trajectory(traj: Trajectory, path: str | None):
     _write_csv(path, ",".join(cols), data)
 
 
-def cmd_simulate(args) -> int:
-    params = _amp_from_args(args)
+def _simulate(loop: LureLoop, amp: AmplifierParams, args) -> Trajectory:
+    """Trajectory of ``loop`` from the schedule, initial condition and step
+    flags, written as CSV unless only ``--detect`` is asked for; ``dt``
+    defaults to the amplifier's smallest time constant over 20."""
     schedule = _read_schedule(args)
-    ic = _parse_ic(args.ic, 3)
-    traj = integrate(params, ic, schedule, dt=args.dt, t_end=args.t_end)
+    ic = _parse_ic(args.ic, loop.ss.dim)
+    dt = args.dt if args.dt is not None else min(amp.taus) / 20.0
+    traj = integrate(loop.ss, ic, schedule, dt=dt, t_end=args.t_end)
     if args.output is not None or not args.detect:
         _write_trajectory(traj, args.output)
+    return traj
+
+
+def cmd_simulate(args) -> int:
+    params = _amp_from_args(args)
+    traj = _simulate(LureLoop.amplifier(params), params, args)
     if args.detect:
         report = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
         bounded = boundedness_check(
-            traj, r_max=schedule.max_abs_value,
+            traj, r_max=traj.schedule.max_abs_value,
             settle_time=10.0 * max(params.taus))
         out = report.to_json_dict()
         out["bounded"] = bounded
@@ -298,7 +307,7 @@ def cmd_interconnect(args) -> int:
     if args.certify:
         # every certificate is taken at unit gain and scaled by its gain
         g_amp = tf_build_mixed(amp.with_gain(1.0))
-        lam = midpoint_rate(g_amp.poles()) if args.lam is None else args.lam
+        lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
         c_amp = check_p_passivity(g_amp, lam, 2, amp.k)
         c_load = check_p_passivity(load_tf(load), lam, 0, 1.0)
         comp = compose_certificates(c_amp, c_load)
@@ -315,12 +324,7 @@ def cmd_interconnect(args) -> int:
             "equilibria": _equilibrium_dicts(equilibria),
         })
         return 0
-    schedule = _read_schedule(args)
-    ic = _parse_ic(args.ic, 5)
-    dt = args.dt if args.dt is not None else min(amp.taus) / 20.0
-    traj = integrate(loop.ss, ic, schedule, dt=dt, t_end=args.t_end)
-    if args.output is not None or not args.detect:
-        _write_trajectory(traj, args.output)
+    traj = _simulate(loop, amp, args)
     if args.detect:
         rep_y = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                    amp_threshold=args.amp_threshold)

@@ -156,49 +156,30 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
     if not 0.0 < beta < 1.0:
         raise ValueError("requires 0 < beta < 1")
     roots = build_channel_tf(pos, neg, beta).zeros() if zeros is None else zeros
-    m, n = len(pos.channels), len(neg.channels)
-    pos_poles = pos.poles()
-    neg_poles = neg.poles()
-    lo = min(pos_poles + neg_poles)
-    hi = max(pos_poles + neg_poles)
-
-    zeros = []
-    pattern = []
-    pos_gap_hits = [0] * (m - 1)
-    neg_gap_hits = [0] * (n - 1)
-    all_real = True
+    gaps = [(label, left, right)
+            for label, poles in ((BETWEEN_POSITIVE, pos.poles()), (BETWEEN_NEGATIVE, neg.poles()))
+            for left, right in zip(poles, poles[1:])]
+    hits = [0] * len(gaps)
+    span = pos.poles() + neg.poles()
+    lo, hi = min(span), max(span)
+    zeros, pattern = [], []
     for z in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-            all_real = False
-            zeros.append(z.real)
-            pattern.append(COMPLEX_ZERO)
-            continue
         x = z.real
         zeros.append(x)
-        label = UNPLACED
-        for i in range(m - 1):
-            if pos_poles[i] < x < pos_poles[i + 1]:
-                label = BETWEEN_POSITIVE
-                pos_gap_hits[i] += 1
-                break
-        if label == UNPLACED:
-            for i in range(n - 1):
-                if neg_poles[i] < x < neg_poles[i + 1]:
-                    label = BETWEEN_NEGATIVE
-                    neg_gap_hits[i] += 1
-                    break
-        if label == UNPLACED and (x < lo or x > hi):
-            label = OUTER
-        pattern.append(label)
+        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+            pattern.append(COMPLEX_ZERO)
+            continue
+        i = next((i for i, (_, left, right) in enumerate(gaps) if left < x < right), None)
+        if i is not None:
+            hits[i] += 1
+            pattern.append(gaps[i][0])
+        else:
+            pattern.append(OUTER if x < lo or x > hi else UNPLACED)
 
-    satisfied = (
-        all_real
-        and len(zeros) == m + n - 1
-        and all(h == 1 for h in pos_gap_hits)
-        and all(h == 1 for h in neg_gap_hits)
-        and pattern.count(OUTER) == 1
-        and UNPLACED not in pattern
-    )
+    # one zero in every gap and one outer zero already make m + n - 1, so a
+    # complex or unplaced zero fails the count
+    satisfied = (len(zeros) == len(span) - 1 and all(h == 1 for h in hits)
+                 and pattern.count(OUTER) == 1)
     return InterlacingReport(tuple(zeros), tuple(pattern), satisfied)
 
 

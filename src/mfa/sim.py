@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tf_core import AmplifierParams, get_nonlinearity
+from .tf_core import get_nonlinearity
 
 __all__ = [
     "InputSchedule",
@@ -31,6 +31,10 @@ __all__ = [
 #: Classical RK4 is stable for dt * |eigenvalue| up to about 2.785 on the
 #: negative real axis.
 _RK4_REAL_LIMIT = 2.78
+
+#: Accuracy holds while dt stays within a fifth of the fastest open-loop time
+#: constant, i.e. dt times the spectral radius of A within 0.2.
+_ACCURACY_LIMIT = 0.2
 
 
 @dataclass(frozen=True)
@@ -229,43 +233,35 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     return namespace["factory"](**coeffs)
 
 
-def integrate(system, ic, schedule: InputSchedule | None = None,
+def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
               dt: float | None = None, t_end: float = 50.0) -> Trajectory:
-    """Classical fixed-step RK4 integration of a Lure loop.
+    """Classical fixed-step RK4 integration of the Lure loop realized by ``ss``.
 
-    ``system`` is an :class:`AmplifierParams` (dt defaults to the smallest
-    time constant over 20) or a :class:`StateSpace` (dt required; a warning
-    when dt times the larger spectral radius of the loop's Jacobians at
-    saturation slope 0 and 1, A and A - b c_loop, exceeds the RK4 limit).  The
-    run takes ``round(t_end / dt)`` steps, so it ends at that many times
-    ``dt``, not necessarily at ``t_end``.  The reference is held constant over
-    each step at the value in effect at the step's left endpoint.  The steps
-    run in a straight-line kernel generated once per call for the loop's
-    sparsity pattern (:func:`_rk4_kernel`).  A non-finite initial state,
-    ``dt`` or ``t_end``, or a ``t_end`` that rounds to zero steps, is a
-    ``ValueError``; a non-finite state along the way aborts with the offending
-    time, found once per block of steps.
+    ``dt`` is required.  Two step checks warn, from the spectral radii of the
+    loop's Jacobians at saturation slope 0 and 1, A and A - b c_loop: an
+    accuracy warning when dt times the radius of A exceeds 0.2 (dt above a
+    fifth of the fastest open-loop time constant), and a stability warning
+    when dt times the larger radius exceeds the RK4 limit.  The run takes
+    ``round(t_end / dt)`` steps, so it ends at that many times ``dt``, not
+    necessarily at ``t_end``.  The reference is held constant over each step
+    at the value in effect at the step's left endpoint.  The steps run in a
+    straight-line kernel generated once per call for the loop's sparsity
+    pattern (:func:`_rk4_kernel`).  A non-finite initial state, ``dt`` or
+    ``t_end``, or a ``t_end`` that rounds to zero steps, is a ``ValueError``;
+    a non-finite state along the way aborts with the offending time, found
+    once per block of steps.
     """
-    if isinstance(system, AmplifierParams):
-        from .equilibria import LureLoop  # equilibria builds on this module
-
-        ss = LureLoop.amplifier(system).ss
-        tau_min = min(system.taus)
-        if dt is None:
-            dt = tau_min / 20.0
-        if dt > tau_min / 5.0:
-            warnings.warn("dt above min time constant / 5; accuracy degraded",
-                          stacklevel=2)
-    else:
-        ss = system
-        if dt is None:
-            raise ValueError("requires dt for StateSpace systems")
-        a = np.array(ss.a)
-        rho = max(np.max(np.abs(np.linalg.eigvals(m)))
-                  for m in (a, a - np.outer(ss.b, ss.loop_row)))
-        if dt * rho > _RK4_REAL_LIMIT:
-            warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
-                          f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
+    if dt is None:
+        raise ValueError("requires dt")
+    a = np.array(ss.a)
+    rho_open, rho_closed = (np.max(np.abs(np.linalg.eigvals(m)))
+                            for m in (a, a - np.outer(ss.b, ss.loop_row)))
+    if dt * rho_open > _ACCURACY_LIMIT:
+        warnings.warn("dt above min time constant / 5; accuracy degraded", stacklevel=2)
+    rho = max(rho_open, rho_closed)
+    if dt * rho > _RK4_REAL_LIMIT:
+        warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
+                      f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
     if not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
     if not 0.0 < t_end < math.inf:

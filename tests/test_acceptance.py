@@ -90,11 +90,11 @@ def reference_runs():
     pulse = recipe_schedule("pulse_return.json")
     switch = recipe_schedule("pulse_switch.json")
     t0 = time.perf_counter()
-    run_a = integrate(AmplifierParams(*TAUS, 5.0, 0.2), IC, pulse,
+    run_a = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.2)).ss, IC, pulse,
                       dt=DT, t_end=50.0)
-    run_b = integrate(AmplifierParams(*TAUS, 5.0, 0.4), IC,
+    run_b = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.4)).ss, IC,
                       InputSchedule.constant(0.0), dt=DT, t_end=50.0)
-    run_c = integrate(AmplifierParams(*TAUS, 5.0, 0.8), IC, switch,
+    run_c = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.8)).ss, IC, switch,
                       dt=DT, t_end=50.0)
     elapsed = time.perf_counter() - t0
     return {"a": run_a, "b": run_b, "c": run_c, "sim_seconds": elapsed}
@@ -275,7 +275,8 @@ def test_criterion_7_numerical_hygiene(reference_runs):
     def endpoint(dt):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return integrate(p_lin, (1.0, 1.0, 1.0), dt=dt, t_end=1.0).states[-1]
+            return integrate(LureLoop.amplifier(p_lin).ss, (1.0, 1.0, 1.0), dt=dt,
+                             t_end=1.0).states[-1]
 
     ref = endpoint(0.05 / 16)
     e1 = np.abs(endpoint(0.05) - ref).sum()

@@ -67,6 +67,28 @@ def test_no_np_roots_in_program():
     assert found == []
 
 
+@pytest.mark.parametrize("name", ["tf_core", "freq_analysis", "sim", "multichannel",
+                                  "interconnect", "csvtext"])
+def test_lower_modules_do_not_import_upward(name):
+    # equilibria assembles every Lure loop from these modules and cli runs on
+    # top of both; an import of either from below, a lazy one included, would
+    # be a cycle
+    with open(os.path.join(os.path.dirname(mfa.__file__), f"{name}.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["mfa" if node.level else "", node.module]))
+            paths = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [(path, node.lineno) for path in paths
+                  if path.split(".")[:2] in (["mfa", "equilibria"], ["mfa", "cli"])]
+    assert found == []
+
+
 def test_star_import():
     namespace = {}
     exec("from mfa import *", namespace)

@@ -14,8 +14,11 @@ from conftest import RECIPES_DIR, fold_point, reference_map_text
 import mfa.cli as cli
 from mfa import __version__
 from mfa.cli import main
-from mfa.equilibria import dominance_map
+from mfa.equilibria import LureLoop, dominance_map
+from mfa.freq_analysis import midpoint_rate
+from mfa.interconnect import load_from_json
 from mfa.sim import InputSchedule, Trajectory
+from mfa.tf_core import AmplifierParams
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
 LOAD_JSON = os.path.join(RECIPES_DIR, "data", "load_msd.json")
@@ -377,7 +380,7 @@ class TestSimulate:
         (["--t-end", "inf"], "finite t_end"),
         (["--dt", "inf"], "finite dt"),
     ])
-    @pytest.mark.filterwarnings("ignore:dt above")
+    @pytest.mark.filterwarnings("ignore:dt")
     def test_non_finite_inputs_exit_2(self, capsys, flags, reason):
         code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
                      "--t-end", "0.01", *flags])
@@ -407,6 +410,21 @@ class TestSimulate:
                      "--dt", "1e-9", "--t-end", "1e3"])
         assert code == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        # dt = 5e-4 by default: within a fifth of tau_l, but the closed-loop
+        # radius at k = 1e5 puts dt * rho at 2.94
+        (["simulate", *AMP_FLAGS, "--k", "1e5", "--beta", "0.4", "--t-end", "0.05"],
+         "RK4 stability limit"),
+        # dt * rho(A) = 0.005 * 100 = 0.5, while the closed loop stays within
+        # the RK4 limit
+        (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
+          "--dt", "0.005", "--t-end", "0.05"], "accuracy degraded"),
+    ], ids=["simulate-rk4", "interconnect-accuracy"])
+    def test_step_checks_for_every_loop(self, capsys, argv, expected):
+        with pytest.warns(UserWarning) as record:
+            code, _ = run(capsys, argv)
+        assert code == 0 and len(record) == 1 and expected in str(record[0].message)
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "traj.csv"
@@ -585,12 +603,28 @@ class TestInterconnect:
             raise ValueError(f"not JSON: {name}")
 
         rep = json.loads(captured.out, parse_constant=refuse)
+        with open(LOAD_JSON) as fh:
+            loop_poles = LureLoop.load(AmplifierParams(0.01, 0.1, 1.0, 1e300, 0.4),
+                                       *load_from_json(fh.read())).poles
         for name in ("amplifier_certificate", "load_certificate", "loop_certificate"):
             cert = rep[name]
-            assert cert["lambda"] == rep["lambda"] == 55.0
+            assert cert["lambda"] == rep["lambda"] == midpoint_rate(loop_poles)
             assert cert["passed"] == all(cert["conditions"])
             assert isinstance(cert["min_re"], float) and cert["min_re"] == cert["margin"]
         assert rep["amplifier_certificate"]["passed"] is True
+
+    def test_certify_default_rate_is_the_loops(self, capsys):
+        # without --lambda the rate splits the loop's poles, the load's
+        # included, as in analyze and multichannel: right of the load poles
+        # (real part -17.5) the load certificate would fail
+        code, out = run(capsys, ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4",
+                                 "--load", LOAD_JSON, "--certify"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["lambda"] == pytest.approx(13.75, rel=1e-12)
+        for name in ("amplifier_certificate", "load_certificate", "loop_certificate"):
+            assert rep[name]["passed"] is True
+        assert rep["composition"]["valid"] is True
 
     def test_certify_zero_gain(self, capsys):
         # at k = 0 the amplifier and the loop certify the zero transfer
@@ -745,11 +779,13 @@ class TestRecipeMaps:
             assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
 
 
+@pytest.mark.filterwarnings("error")
 class TestRecipeOutputs:
     """The recipe trajectories and Nyquist loci, byte for byte, generated from
     the scripts' own flags in the recipe directory, where their input files
     are: a change to the integrator, the loci or the CSV text that moves any
-    byte fails here."""
+    byte fails here.  A warning is an error, so every recipe step passes the
+    integrator's step checks."""
 
     SHA256 = {
         "sim_oscillation": "a5cc6353771e92d1a05d69fa1a20ab005272528d931a47050528998f266b723f",
@@ -771,11 +807,13 @@ class TestRecipeOutputs:
             assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
 
 
+@pytest.mark.filterwarnings("error")
 class TestRecipeReports:
     """The JSON the recipe scripts print, byte for byte, by script and
     command index: the certificates and the oscillation report of
     ``interconnect_limit_cycle.sh`` and the channel-bank report of
-    ``multichannel_interlaced_bank.sh``."""
+    ``multichannel_interlaced_bank.sh``.  A warning is an error, as in
+    :class:`TestRecipeOutputs`."""
 
     SHA256 = {
         ("interconnect_limit_cycle", 0):

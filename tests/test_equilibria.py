@@ -176,7 +176,7 @@ class TestClassifyRegime:
         rng = np.random.default_rng(9)
         for _ in range(10):
             ic = tuple(rng.uniform(-2, 2, 3))
-            traj = integrate(p, ic, dt=1e-3, t_end=25.0)
+            traj = integrate(LureLoop.amplifier(p).ss, ic, dt=1e-3, t_end=25.0)
             assert np.abs(traj.states[-1] - target).max() < 1e-4
 
 

@@ -120,7 +120,7 @@ class TestAssembly:
     def test_cascade_bit_match(self):
         ss = LureLoop.load(AMP, LOAD, InterfaceGains(0.0, 1.0)).ss
         full = integrate(ss, (0.1, 0, 0, 0, 0), dt=5e-4, t_end=2.0)
-        alone = integrate(AMP, (0.1, 0, 0), dt=5e-4, t_end=2.0)
+        alone = integrate(LureLoop.amplifier(AMP).ss, (0.1, 0, 0), dt=5e-4, t_end=2.0)
         assert np.array_equal(full.states[:, :3], alone.states)
         assert np.abs(full.states[:, 3:]).max() > 0.0  # load is driven
 
@@ -129,7 +129,7 @@ class TestAssembly:
         traj = integrate(ss, (0.1, 0, 0, 0.5, 0.5), dt=5e-4, t_end=3.0)
         assert np.abs(traj.states[-1, 3:]).max() < 1e-6  # load decays
         at_rest = integrate(ss, (0.1, 0, 0, 0.0, 0.0), dt=5e-4, t_end=3.0)
-        alone = integrate(AMP, (0.1, 0, 0), dt=5e-4, t_end=3.0)
+        alone = integrate(LureLoop.amplifier(AMP).ss, (0.1, 0, 0), dt=5e-4, t_end=3.0)
         assert np.array_equal(at_rest.states[:, :3], alone.states)
 
     def test_extra_output_is_load_output(self):

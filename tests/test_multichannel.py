@@ -13,7 +13,9 @@ from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import (
     BETWEEN_NEGATIVE,
     BETWEEN_POSITIVE,
+    COMPLEX_ZERO,
     OUTER,
+    UNPLACED,
     Channel,
     ChannelBank,
     bank_critical_balance,
@@ -152,6 +154,18 @@ class TestInterlacing:
         rep = check_interlacing(pos, neg, 0.6)
         assert rep.satisfied
         assert rep.pattern == (BETWEEN_POSITIVE, BETWEEN_NEGATIVE, OUTER)
+        # hand-made zeros against the poles -20, -10 (positive bank) and -1,
+        # -0.5 (negative bank): a complex pair, two zeros in the positive gap
+        # with none in the negative one, and a zero between the banks
+        for zeros, pattern in [
+            ([-15.0, complex(-3.0, 2.0), complex(-3.0, -2.0)],
+             (BETWEEN_POSITIVE, COMPLEX_ZERO, COMPLEX_ZERO)),
+            ([-16.0, -12.0, -30.0], (OUTER, BETWEEN_POSITIVE, BETWEEN_POSITIVE)),
+            ([-15.0, -5.0, -0.7], (BETWEEN_POSITIVE, UNPLACED, BETWEEN_NEGATIVE)),
+        ]:
+            rep = check_interlacing(pos, neg, 0.6, zeros)
+            assert rep.pattern == pattern and not rep.satisfied
+            assert rep.zeros == tuple(sorted(complex(z).real for z in zeros))
 
     def test_random_banks_property(self):
         rng = np.random.default_rng(33)
@@ -302,7 +316,7 @@ class TestDiagonalRealization:
         rep = detect_oscillation(integrate(ss, (0.1, 0, 0, 0, 0),
                                            dt=1e-3, t_end=50.0))
         ref = detect_oscillation(integrate(
-            AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4), (0.1, 0, 0),
+            LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).ss, (0.1, 0, 0),
             dt=1e-3, t_end=50.0))
         assert rep.oscillating and ref.oscillating
         assert rep.period == pytest.approx(ref.period, rel=0.05)

@@ -29,6 +29,11 @@ def mixed(k, beta, taus=TAUS):
     return AmplifierParams(*taus, k=k, beta=beta)
 
 
+def amp_ss(params):
+    """Realization of the amplifier loop, which ``integrate`` runs."""
+    return LureLoop.amplifier(params).ss
+
+
 def linear_decay_reference(params, ic, t):
     """Matrix-exponential solution of the k = 0 lag chain."""
     a = np.array(LureLoop.amplifier(params).ss.a)
@@ -75,7 +80,7 @@ class TestIntegrate:
     def test_linear_decay_endpoint(self):
         p = mixed(0.0, 0.3)
         ic = (1.0, 1.0, 1.0)
-        traj = integrate(p, ic, dt=0.001, t_end=1.0)  # dt = tau_min / 10
+        traj = integrate(amp_ss(p), ic, dt=0.001, t_end=1.0)  # dt = tau_min / 10
         exact = linear_decay_reference(p, ic, 1.0)
         assert np.abs(traj.states[-1] - exact).max() < 1e-6
 
@@ -86,7 +91,7 @@ class TestIntegrate:
         def endpoint(dt):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return integrate(p, ic, dt=dt, t_end=1.0).states[-1]
+                return integrate(amp_ss(p), ic, dt=dt, t_end=1.0).states[-1]
 
         ref = endpoint(0.05 / 16)
         e1 = np.abs(endpoint(0.05) - ref).sum()
@@ -95,19 +100,23 @@ class TestIntegrate:
 
     def test_coarse_step_warns(self):
         with pytest.warns(UserWarning, match="dt"):
-            integrate(mixed(0.0, 0.3), (1.0, 0.0, 0.0), dt=0.01, t_end=0.1)
+            integrate(amp_ss(mixed(0.0, 0.3)), (1.0, 0.0, 0.0), dt=0.01, t_end=0.1)
 
+    @pytest.mark.filterwarnings("ignore:dt above")
     def test_divergence_reported_with_time(self):
         ss = StateSpace(a=((5.0,),), b=(0.0,), c=(1.0,), labels=("x",))
         with pytest.raises(ArithmeticError, match="divergence at t="):
             integrate(ss, (1.0,), dt=0.5, t_end=1000.0)
 
     def test_statespace_step_above_rk4_limit_warns(self):
-        # A - b c_loop of the 5-state load loop has spectral radius ~127
+        # A - b c_loop of the 5-state load loop has spectral radius ~127, and
+        # A has 100 (tau_l = 0.01), so both step checks warn
         ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
                            InterfaceGains(10.0, 1.0)).ss
-        with pytest.warns(UserWarning, match="RK4 stability limit"):
+        with pytest.warns(UserWarning) as record:
             integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=0.025, t_end=0.05)
+        assert "accuracy degraded" in str(record[0].message)
+        assert "RK4 stability limit" in str(record[1].message) and len(record) == 2
 
     def test_statespace_step_within_rk4_limit_silent(self):
         ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
@@ -128,16 +137,16 @@ class TestIntegrate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match=match):
-                integrate(mixed(5.0, 0.4), args.pop("ic"), **args)
+                integrate(amp_ss(mixed(5.0, 0.4)), args.pop("ic"), **args)
 
     @pytest.mark.parametrize("t_end", [0.4e-3, 1e-9])
     def test_zero_steps_rejected(self, t_end):
         # t_end is rounded to whole steps; rounding to none is an error
         with pytest.raises(ValueError, match="rounds to zero steps"):
-            integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=1e-3, t_end=t_end)
+            integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=t_end)
 
     def test_t_end_rounded_to_whole_steps(self):
-        traj = integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
+        traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
         assert len(traj.t) == 2 and traj.t[-1] == 1e-3
 
     def test_statespace_requires_dt(self):
@@ -147,15 +156,15 @@ class TestIntegrate:
 
     def test_odd_symmetry(self):
         p = mixed(5.0, 0.4)
-        a = integrate(p, (0.1, 0.0, 0.0), dt=5e-4, t_end=5.0)
-        b = integrate(p, (-0.1, 0.0, 0.0), dt=5e-4, t_end=5.0)
+        a = integrate(amp_ss(p), (0.1, 0.0, 0.0), dt=5e-4, t_end=5.0)
+        b = integrate(amp_ss(p), (-0.1, 0.0, 0.0), dt=5e-4, t_end=5.0)
         assert np.abs(a.states + b.states).max() < 1e-10
 
     def test_stable_equilibrium_holds(self):
         p = AmplifierParams(0.01, 0.1, 0.3, k=5.0, beta=0.8)
         eqs = LureLoop.amplifier(p).equilibria(0.0)
         eq = next(e for e in eqs if e.stability == STABLE)
-        traj = integrate(p, eq.state, dt=5e-4, t_end=30.0)  # 100 max(tau)
+        traj = integrate(amp_ss(p), eq.state, dt=5e-4, t_end=30.0)  # 100 max(tau)
         assert np.abs(traj.states - np.asarray(eq.state)).max() < 1e-6
 
     def test_unstable_equilibrium_departs(self):
@@ -163,7 +172,7 @@ class TestIntegrate:
         eqs = LureLoop.amplifier(p).equilibria(0.05)
         eq = next(e for e in eqs if e.stability == UNSTABLE)
         assert max(z.real for z in eq.eigenvalues) > 1e-2
-        traj = integrate(p, eq.state, InputSchedule.constant(0.05),
+        traj = integrate(amp_ss(p), eq.state, InputSchedule.constant(0.05),
                          dt=1e-3, t_end=100.0)
         dist = np.abs(traj.states - np.asarray(eq.state)).max(axis=1)
         assert dist.max() > 1e-3
@@ -178,9 +187,8 @@ class TestKernelBitIdentity:
     """The generated RK4 kernel against the generic closure loop it replaced."""
 
     @staticmethod
-    def check(system, ic, schedule=None, dt=1e-3, t_end=1.0):
-        traj = integrate(system, ic, schedule, dt=dt, t_end=t_end)
-        ss = LureLoop.amplifier(system).ss if isinstance(system, AmplifierParams) else system
+    def check(ss, ic, schedule=None, dt=1e-3, t_end=1.0):
+        traj = integrate(ss, ic, schedule, dt=dt, t_end=t_end)
         schedule = schedule or InputSchedule.constant(0.0)
         r_steps = schedule.values_for_steps(dt, len(traj.t) - 1)
         assert traj.states.tobytes() == reference_rk4(ss, ic, r_steps, dt).tobytes()
@@ -191,7 +199,7 @@ class TestKernelBitIdentity:
         # the switches at t = 20 and t = 30 land on steps 10000 and 15000,
         # inside the third and fourth blocks
         assert 10000 % _BLOCK and 15000 % _BLOCK
-        self.check(mixed(5.0, 0.8), (0.1, 0.0, 0.0), sched, dt=2e-3, t_end=35.0)
+        self.check(amp_ss(mixed(5.0, 0.8)), (0.1, 0.0, 0.0), sched, dt=2e-3, t_end=35.0)
 
     def test_five_state_load_loop(self):
         load, iface = load_from_json(_recipe_data("load_msd.json"))
@@ -201,7 +209,7 @@ class TestKernelBitIdentity:
 
     def test_atan(self):
         p = AmplifierParams(*TAUS, k=5.0, beta=0.4, nonlinearity="atan")
-        self.check(p, (0.1, -0.02, 0.01), InputSchedule.constant(0.3), t_end=5.0)
+        self.check(amp_ss(p), (0.1, -0.02, 0.01), InputSchedule.constant(0.3), t_end=5.0)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     @pytest.mark.parametrize("loop", ["amplifier", "load", "scalar"])
@@ -209,7 +217,7 @@ class TestKernelBitIdentity:
         # every sum starts from 0.0, so no derivative is -0.0; the
         # input-free scalar x' = x keeps a -0.0 state only if one were
         if loop == "amplifier":
-            system, dim = mixed(5.0, 0.4), 3
+            system, dim = amp_ss(mixed(5.0, 0.4)), 3
         elif loop == "load":
             load, iface = load_from_json(_recipe_data("load_msd.json"))
             system, dim = LureLoop.load(mixed(10.0, 0.4), load, iface).ss, 5
@@ -221,10 +229,11 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):
         dt = 1e-3
-        traj = self.check(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt)
+        traj = self.check(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt)
         assert len(traj.t) == n_steps + 1
 
     @pytest.mark.parametrize("a, dt", [(5.0, 0.5), (1.0, 0.1)])
+    @pytest.mark.filterwarnings("ignore:dt above")
     def test_divergence_at_same_time(self, a, dt):
         # the first case overflows inside the first block, the second after it
         ss = StateSpace(a=((a,),), b=(0.0,), c=(1.0,), labels=("x",))
@@ -263,7 +272,7 @@ class TestDetectOscillation:
             detect_oscillation(traj)
 
     def test_oscillating_regime(self):
-        traj = integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), dt=5e-4, t_end=50.0)
+        traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=5e-4, t_end=50.0)
         rep = detect_oscillation(traj)
         assert rep.oscillating and rep.period > 0.0
         assert rep.method_agreement < 0.02
@@ -271,12 +280,12 @@ class TestDetectOscillation:
 
 class TestBoundedness:
     def test_decay_to_zero(self):
-        traj = integrate(mixed(0.0, 0.3), (1.0, 1.0, 1.0), dt=1e-3, t_end=5.0)
+        traj = integrate(amp_ss(mixed(0.0, 0.3)), (1.0, 1.0, 1.0), dt=1e-3, t_end=5.0)
         assert boundedness_check(traj, r_max=0.0, margin=0.1)
 
     def test_pulse_run_bounded(self):
         sched = InputSchedule(((0.0, 0.0), (2.0, -0.5), (3.0, 0.0)))
-        traj = integrate(mixed(5.0, 0.4), (0.1, 0.0, 0.0), sched,
+        traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), sched,
                          dt=1e-3, t_end=15.0)
         assert boundedness_check(traj, r_max=0.5, margin=0.1, settle_time=10.0)
 
@@ -290,7 +299,7 @@ class TestBoundedness:
     def test_ultimate_bound_over_tunings(self):
         for k in (0.1, 5.0, 100.0):
             for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-                traj = integrate(mixed(k, beta), (0.5, -0.5, 0.2),
+                traj = integrate(amp_ss(mixed(k, beta)), (0.5, -0.5, 0.2),
                                  dt=2e-3, t_end=15.0)
                 assert boundedness_check(traj, r_max=0.0, margin=0.1,
                                          settle_time=10.0), (k, beta)
