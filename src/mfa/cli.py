@@ -17,6 +17,7 @@ those strings; both kinds go through :func:`_write_csv`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -27,13 +28,7 @@ import numpy as np
 
 from . import __version__
 from .equilibria import LureLoop, dominance_map
-from .freq_analysis import (
-    _tag_json,
-    check_p_passivity,
-    critical_balance,
-    midpoint_rate,
-    nyquist_locus,
-)
+from .freq_analysis import _tag_json, check_p_passivity, critical_balance, nyquist_locus
 from .interconnect import compose_certificates, load_from_json, load_tf
 from .multichannel import bank_critical_balance, bank_from_json, check_interlacing
 from .sim import (
@@ -159,7 +154,7 @@ def _amp_from_args(args) -> AmplifierParams:
 def cmd_analyze(args) -> int:
     params = _amp_from_args(args)
     loop = LureLoop.amplifier(params)
-    lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
+    lam = loop.rate(args.lam)
     head = {"params": {
         "tau_l": params.tau_l, "tau_p": params.tau_p, "tau_n": params.tau_n,
         "k": params.k, "beta": params.beta, "r": args.r,
@@ -204,7 +199,10 @@ def _read_schedule(args) -> InputSchedule:
     return InputSchedule.constant(args.r)
 
 
-def _parse_ic(text: str, dim: int) -> tuple[float, ...]:
+def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
+    """The ``--ic`` components, or the zero state when ``text`` is None."""
+    if text is None:
+        return (0.0,) * dim
     parts = [float(v) for v in text.split(",")]
     if len(parts) != dim:
         raise ValueError(f"requires {dim} initial-condition components")
@@ -217,14 +215,13 @@ def _write_trajectory(traj: Trajectory, path: str | None):
     _write_csv(path, ",".join(cols), data)
 
 
-def _simulate(loop: LureLoop, amp: AmplifierParams, args) -> Trajectory:
+def _simulate(loop: LureLoop, args) -> Trajectory:
     """Trajectory of ``loop`` from the schedule, initial condition and step
-    flags, written as CSV unless only ``--detect`` is asked for; ``dt``
-    defaults to the amplifier's smallest time constant over 20."""
+    flags, written as CSV unless only ``--detect`` is asked for; without
+    ``--dt`` the integrator picks the step from the loop."""
     schedule = _read_schedule(args)
     ic = _parse_ic(args.ic, loop.ss.dim)
-    dt = args.dt if args.dt is not None else min(amp.taus) / 20.0
-    traj = integrate(loop.ss, ic, schedule, dt=dt, t_end=args.t_end)
+    traj = integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end)
     if args.output is not None or not args.detect:
         _write_trajectory(traj, args.output)
     return traj
@@ -232,16 +229,14 @@ def _simulate(loop: LureLoop, amp: AmplifierParams, args) -> Trajectory:
 
 def cmd_simulate(args) -> int:
     params = _amp_from_args(args)
-    traj = _simulate(LureLoop.amplifier(params), params, args)
+    traj = _simulate(LureLoop.amplifier(params), args)
     if args.detect:
         report = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
         bounded = boundedness_check(
             traj, r_max=traj.schedule.max_abs_value,
             settle_time=10.0 * max(params.taus))
-        out = report.to_json_dict()
-        out["bounded"] = bounded
-        _print_json(out)
+        _print_json({**dataclasses.asdict(report), "bounded": bounded})
     return 0
 
 
@@ -288,11 +283,11 @@ def cmd_multichannel(args) -> int:
     # one root call serves the report and the interlacing check
     zeros = loop.g1.zeros()
     interlacing = check_interlacing(pos, neg, beta, zeros) if 0.0 < beta < 1.0 else None
-    lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
+    lam = loop.rate(args.lam)
     _print_json(_loop_report(
         loop, args, lam, zeros if k > 0.0 else [], {"bank": bank_data},
         {"beta_star": bank_critical_balance(pos, neg)},
-        {"interlacing": interlacing.to_json_dict() if interlacing else None}))
+        {"interlacing": dataclasses.asdict(interlacing) if interlacing else None}))
     return 0
 
 
@@ -306,9 +301,8 @@ def cmd_interconnect(args) -> int:
     loop = LureLoop.load(amp, load, iface)
     if args.certify:
         # every certificate is taken at unit gain and scaled by its gain
-        g_amp = tf_build_mixed(amp.with_gain(1.0))
-        lam = midpoint_rate(loop.poles) if args.lam is None else args.lam
-        c_amp = check_p_passivity(g_amp, lam, 2, amp.k)
+        lam = loop.rate(args.lam)
+        c_amp = check_p_passivity(LureLoop.amplifier(amp).g1, lam, 2, amp.k)
         c_load = check_p_passivity(load_tf(load), lam, 0, 1.0)
         comp = compose_certificates(c_amp, c_load)
         c_tot = check_p_passivity(loop.g1, lam, comp.p_total, amp.k)
@@ -324,7 +318,7 @@ def cmd_interconnect(args) -> int:
             "equilibria": _equilibrium_dicts(equilibria),
         })
         return 0
-    traj = _simulate(loop, amp, args)
+    traj = _simulate(loop, args)
     if args.detect:
         rep_y = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                    amp_threshold=args.amp_threshold)
@@ -332,7 +326,7 @@ def cmd_interconnect(args) -> int:
                              traj.schedule, traj.labels)
         rep_ye = detect_oscillation(traj_ye, transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
-        _print_json({"y": rep_y.to_json_dict(), "ye": rep_ye.to_json_dict()})
+        _print_json({"y": dataclasses.asdict(rep_y), "ye": dataclasses.asdict(rep_ye)})
     return 0
 
 
@@ -360,7 +354,7 @@ def _add_amp_flags(p: argparse.ArgumentParser, required: bool = True):
     p.add_argument("--nonlinearity", default="tanh")
 
 
-def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
+def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--schedule", help="input schedule JSON file")
     p.add_argument("--r", type=_finite_float, default=0.0,
                    help="constant reference when no schedule file is given")
@@ -368,7 +362,7 @@ def _add_sim_flags(p: argparse.ArgumentParser, dim: int):
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-end", dest="t_end", type=float, default=50.0,
                    help="end time, rounded to a whole number of steps of dt")
-    p.add_argument("--ic", default=",".join(["0"] * dim))
+    p.add_argument("--ic")
     p.add_argument("--detect", action="store_true",
                    help="print an oscillation report JSON instead of CSV")
     p.add_argument("--transient-fraction", dest="transient_fraction",
@@ -422,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the amplifier (CSV)")
     _add_amp_flags(p)
-    _add_sim_flags(p, dim=3)
+    _add_sim_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("nyquist", help="shifted Nyquist locus (CSV)")
@@ -450,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--certify", action="store_true",
                    help="print passivity/composition certificates (JSON)")
-    _add_sim_flags(p, dim=5)
+    _add_sim_flags(p)
     p.set_defaults(func=cmd_interconnect)
 
     return parser

@@ -63,6 +63,9 @@ REGIME_UNCLASSIFIED = "Unclassified"
 
 _BISECT_TOL = 1e-12
 
+#: Eigenvalue real parts within this of zero make an equilibrium marginal.
+_STABILITY_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -114,16 +117,30 @@ def _bisect(f, a, b, fa):
     return m
 
 
-def _line_nodes(slope: float, r: float, slope_inverse, *cuts: float) -> list[float]:
-    """Sorted nodes +-bound, +-y_c (when 0 < slope < 1) and +-c for each
-    c >= 0 in ``cuts``, one each for zero.  No root of
-    phi(y) = r + slope*y (slope != 0) lies outside (-bound, bound), and
-    h(y) = phi(y) - slope*y - r is monotone between adjacent nodes."""
+def _sign_changes(phi, slope: float, r: float, slope_inverse, *cuts: float
+                  ) -> list[tuple[float, float, float]]:
+    """The roots of h(y) = phi(y) - slope*y - r (slope != 0), located on the
+    sorted nodes +-bound, +-y_c (when 0 < slope < 1) and +-c for each c >= 0
+    in ``cuts``, one each for zero.  No root lies outside (-bound, bound)
+    and h is monotone between adjacent nodes, so each root is a node where
+    h is exactly zero, given as (y, y, 0.0), or lies between adjacent nodes
+    a < b where h is nonzero with opposite signs, given as (a, b, h(a)).
+    h is evaluated once per node."""
     pos = {(1.0 + abs(r)) / abs(slope) + 1.0, *cuts}
     if 0.0 < slope < 1.0:
         pos.add(slope_inverse(slope))
     pos = sorted(pos)
-    return [-y for y in reversed(pos) if y] + pos
+    out = []
+    a = fa = 0.0
+    for b in [-y for y in reversed(pos) if y] + pos:
+        # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
+        fb = phi(b) - slope * b - r
+        if fb == 0.0:
+            out.append((b, b, fb))
+        elif fa and (fa < 0.0) != (fb < 0.0):
+            out.append((a, b, fa))
+        a, fa = b, fb
+    return out
 
 
 def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
@@ -140,28 +157,20 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     root v = 0 (:meth:`LureLoop.equilibria`).
     """
     def h(y):
-        # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
         return phi(y) - slope * y - r
 
-    nodes = _line_nodes(slope, r, slope_inverse)
-    hv = [h(y) for y in nodes]
-    roots: list[float] = []
-    for i, (y, fy) in enumerate(zip(nodes, hv)):
-        if fy == 0.0:
-            roots.append(y)
-        elif i + 1 < len(nodes) and hv[i + 1] != 0.0 and (fy < 0.0) != (hv[i + 1] < 0.0):
-            roots.append(_bisect(h, y, nodes[i + 1], fy))
-    return roots
+    return [a if a == b else _bisect(h, a, b, fa)
+            for a, b, fa in _sign_changes(phi, slope, r, slope_inverse)]
 
 
-def classify_stability(eigs, tol_margin: float = 1e-8) -> str:
+def classify_stability(eigs) -> str:
     """stable / unstable / marginal from eigenvalue real parts."""
     res = [complex(e).real for e in eigs]
     if not res:
         raise ValueError("requires at least one eigenvalue")
-    if all(x < -tol_margin for x in res):
+    if all(x < -_STABILITY_MARGIN for x in res):
         return STABLE
-    if any(x > tol_margin for x in res):
+    if any(x > _STABILITY_MARGIN for x in res):
         return UNSTABLE
     return MARGINAL
 
@@ -188,35 +197,51 @@ class LureLoop:
     unit_tf: Callable[[], RationalTF] = field(repr=False, compare=False)
 
     @classmethod
-    def amplifier(cls, params: AmplifierParams) -> "LureLoop":
-        """The three-state mixed feedback amplifier: a load lag x driving a
-        positive and a negative channel lag, y = k(-beta xp + (1 - beta) xn),
-        v = y and x = xp = xn = u at equilibrium."""
-        tl, tp, tn = params.taus
-        k, beta = params.k, params.beta
-        ss = StateSpace(
-            a=((-1.0 / tl, 0.0, 0.0),
-               (1.0 / tp, -1.0 / tp, 0.0),
-               (1.0 / tn, 0.0, -1.0 / tn)),
-            b=(1.0 / tl, 0.0, 0.0),
-            c=(0.0, -k * beta, k * (1.0 - beta)),
-            labels=("x", "xp", "xn"),
-            nonlinearity=params.nonlinearity,
-        )
-        return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0, 1.0, 1.0),
-                   (0.0, 0.0, 0.0), lambda: tf_build_mixed(params.with_gain(1.0)))
-
-    @classmethod
-    def bank(cls, tau_l: float, pos: ChannelBank, neg: ChannelBank, k: float,
-             beta: float, nonlinearity: str = "tanh") -> "LureLoop":
-        """Load lag x driving every channel of two banks, one lag state each.
+    def _lags(cls, tau_l: float, pos, neg, k: float, beta: float, nonlinearity: str,
+              unit_tf) -> "LureLoop":
+        """Load lag x driving first-order channels, each a (rho, tau) pair.
 
         Each channel follows tau_i x_i' = x - x_i, and the output mixes the
         channel states, y = k(-beta sum rho_i xp_i + (1 - beta) sum rho_j xn_j).
         Both banks have unit DC gain, so g0 = k(2 beta - 1) and every state
-        equals u at equilibrium, for any bank sizes.  The transfer function is
-        -k C(s)/(tau_l s + 1) with C from :func:`build_channel_tf`, assembled
-        without cancellation; its poles are -1/tau for tau_l and every channel.
+        equals u at equilibrium, for any bank sizes.  A bank of one channel
+        names its state xp or xn, a larger one xp1, xp2, ... in its order.
+        """
+        chans = [(-k * beta * rho, tau) for rho, tau in pos]
+        chans += [(k * (1.0 - beta) * rho, tau) for rho, tau in neg]
+        dim = 1 + len(chans)
+        rows = [(-1.0 / tau_l,) + (0.0,) * (dim - 1)]
+        for i, (_, tau) in enumerate(chans, 1):
+            row = [0.0] * dim
+            row[0], row[i] = 1.0 / tau, -1.0 / tau
+            rows.append(tuple(row))
+        labels = ["x"]
+        for name, bank in (("xp", pos), ("xn", neg)):
+            labels += [name] if len(bank) == 1 else [f"{name}{i}" for i in range(1, len(bank) + 1)]
+        ss = StateSpace(a=tuple(rows), b=(1.0 / tau_l,) + (0.0,) * (dim - 1),
+                        c=(0.0, *(w for w, _ in chans)), labels=tuple(labels),
+                        nonlinearity=nonlinearity)
+        return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim, unit_tf)
+
+    @classmethod
+    def amplifier(cls, params: AmplifierParams) -> "LureLoop":
+        """The three-state mixed feedback amplifier: a load lag x driving a
+        positive and a negative channel lag, y = k(-beta xp + (1 - beta) xn),
+        v = y and x = xp = xn = u at equilibrium (:meth:`_lags` with one
+        unit-weight channel per bank)."""
+        return cls._lags(params.tau_l, [(1.0, params.tau_p)], [(1.0, params.tau_n)],
+                         params.k, params.beta, params.nonlinearity,
+                         lambda: tf_build_mixed(params.with_gain(1.0)))
+
+    @classmethod
+    def bank(cls, tau_l: float, pos: ChannelBank, neg: ChannelBank, k: float,
+             beta: float, nonlinearity: str = "tanh") -> "LureLoop":
+        """Load lag x driving every channel of two banks, one lag state each
+        (:meth:`_lags`), channels in ascending tau per bank.
+
+        The transfer function is -k C(s)/(tau_l s + 1) with C from
+        :func:`build_channel_tf`, assembled without cancellation; its poles
+        are -1/tau for tau_l and every channel.
         """
         if not tau_l > 0.0:
             raise ValueError("requires tau_l > 0")
@@ -227,37 +252,19 @@ class LureLoop:
         if k == math.inf:
             raise ValueError("requires a finite k")
         c = build_channel_tf(pos, neg, beta)
-        pos_ch, neg_ch = pos.sorted_channels(), neg.sorted_channels()
-        dim = 1 + len(pos_ch) + len(neg_ch)
-        rows = [tuple([-1.0 / tau_l] + [0.0] * (dim - 1))]
-        for offset, ch in enumerate(pos_ch + neg_ch):
-            row = [0.0] * dim
-            row[0] = 1.0 / ch.tau
-            row[1 + offset] = -1.0 / ch.tau
-            rows.append(tuple(row))
-        c_y = [0.0]
-        c_y += [-k * beta * ch.rho for ch in pos_ch]
-        c_y += [k * (1.0 - beta) * ch.rho for ch in neg_ch]
-        labels = ["x"]
-        labels += [f"xp{i + 1}" for i in range(len(pos_ch))]
-        labels += [f"xn{i + 1}" for i in range(len(neg_ch))]
-        ss = StateSpace(
-            a=tuple(rows),
-            b=tuple([1.0 / tau_l] + [0.0] * (dim - 1)),
-            c=tuple(c_y),
-            labels=tuple(labels),
-            nonlinearity=nonlinearity,
-        )
-        return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim,
-                   lambda: RationalTF(-1.0 * c.num, Polynomial([1.0, tau_l]) * c.den,
-                                      [*c.poles(), -1.0 / tau_l]))
+        return cls._lags(tau_l, [(ch.rho, ch.tau) for ch in pos.sorted_channels()],
+                         [(ch.rho, ch.tau) for ch in neg.sorted_channels()],
+                         k, beta, nonlinearity,
+                         lambda: RationalTF(-1.0 * c.num, Polynomial([1.0, tau_l]) * c.den,
+                                            [*c.poles(), -1.0 / tau_l]))
 
     @classmethod
     def load(cls, amp: AmplifierParams, load: LoadParams,
              iface: InterfaceGains) -> "LureLoop":
         """Five-state loop of the amplifier and a mass-spring-damper load.
 
-        States (x, xp, xn, q, qdot): the load sees the force k_o y and its
+        States (x, xp, xn, q, qdot): the amplifier loop's realization,
+        bordered by the load.  The load sees the force k_o y and its
         output y_e = kv qdot + kp q joins the saturation junction,
         v = y + k_i y_e, so the transfer function u -> v is
         G (1 + k_i k_o L).  With k_i = 0 the amplifier runs autonomously and
@@ -266,24 +273,23 @@ class LureLoop:
         q = k_o y / a and qdot = 0, so v = (1 + kappa) y with
         kappa = k_i kp k_o / a.
         """
-        tl, tp, tn = amp.taus
+        inner = cls.amplifier(amp)
+        s = inner.ss
         k, beta = amp.k, amp.beta
         ki, ko = iface.ki, iface.ko
         ss = StateSpace(
-            a=((-1.0 / tl, 0.0, 0.0, 0.0, 0.0),
-               (1.0 / tp, -1.0 / tp, 0.0, 0.0, 0.0),
-               (1.0 / tn, 0.0, -1.0 / tn, 0.0, 0.0),
+            a=(*(row + (0.0, 0.0) for row in s.a),
                (0.0, 0.0, 0.0, 0.0, 1.0),
                (0.0, -ko * k * beta, ko * k * (1.0 - beta), -load.a, -load.b)),
-            b=(1.0 / tl, 0.0, 0.0, 0.0, 0.0),
-            c=(0.0, -k * beta, k * (1.0 - beta), 0.0, 0.0),
-            labels=("x", "xp", "xn", "q", "qdot"),
+            b=s.b + (0.0, 0.0),
+            c=s.c + (0.0, 0.0),
+            labels=s.labels + ("q", "qdot"),
             nonlinearity=amp.nonlinearity,
             extra_outputs=(("ye", (0.0, 0.0, 0.0, load.kp, load.kv)),),
-            c_loop=(0.0, -k * beta, k * (1.0 - beta), ki * load.kp, ki * load.kv),
+            c_loop=s.c + (ki * load.kp, ki * load.kv),
         )
         kappa = ki * load.kp * ko / load.a
-        g0 = k * (2.0 * beta - 1.0) * (1.0 + kappa)
+        g0 = inner.g0 * (1.0 + kappa)
         overflow = "requires finite loop gains (a product of k, ki, ko and the load overflows)"
         if not all(map(math.isfinite, (kappa, g0, *ss.a[4], *ss.c_loop))):
             raise ValueError(overflow)
@@ -292,13 +298,13 @@ class LureLoop:
             lt = load_tf(load)
             branch = RationalTF(lt.den + Polynomial([ki * ko]) * lt.num, lt.den,
                                 lt.poles())
-            g1 = tf_multiply(tf_build_mixed(amp.with_gain(1.0)), branch)
+            g1 = tf_multiply(inner.g1, branch)
             if not all(map(math.isfinite, g1.num.coeffs + g1.den.coeffs)):
                 raise ValueError(overflow)
             return g1
 
-        return cls(ss, k, g0, 1.0 + kappa, (1.0, 1.0, 1.0, 0.0, 0.0),
-                   (0.0, 0.0, 0.0, ko / load.a, 0.0), unit_tf)
+        return cls(ss, k, g0, 1.0 + kappa, inner.x_u + (0.0, 0.0),
+                   inner.x_y + (ko / load.a, 0.0), unit_tf)
 
     @cached_property
     def g1(self) -> RationalTF:
@@ -309,6 +315,11 @@ class LureLoop:
     def poles(self) -> list[complex]:
         """Poles of the loop's transfer function, which do not depend on k."""
         return self.g1.poles()
+
+    def rate(self, lam: float | None = None) -> float:
+        """``lam``, or when it is None the default rate of every command,
+        :func:`midpoint_rate` of the loop's poles."""
+        return midpoint_rate(self.poles) if lam is None else lam
 
     def inertia(self, lam: float) -> int:
         """Number of poles right of -lam; a pole on the shifted axis raises
@@ -346,9 +357,7 @@ class LureLoop:
         """Closed-loop Jacobians A - phi'(v) b c_loop at the saturation
         inputs ``vs``, stacked."""
         dphi = get_nonlinearity(self.ss.nonlinearity)[1]
-        slopes = np.array([dphi(v) for v in vs])
-        bc = np.outer(self.ss.b, self.ss.loop_row)
-        return np.array(self.ss.a) - slopes[:, None, None] * bc
+        return self.ss.jacobians([dphi(v) for v in vs])
 
     def equilibria(self, r: float) -> list[Equilibrium]:
         """All equilibria for the constant reference r, sorted by y.
@@ -430,11 +439,12 @@ def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
 
     phi' is even and decreases in |v| from phi'(0) = 1, so phi'(v) > s holds
     exactly on |v| < y_s = slope_inverse(s) when s < 1, and nowhere when
-    s >= 1 (at s = 1, v = 0 is marginal).  With +-y_s among the nodes
-    (:func:`_line_nodes`), h(v) = phi(v) - v/g0 - r is monotone and the label
-    constant between adjacent nodes: a sign change of h there is one
-    equilibrium with that label, and a zero of h at a node is one
-    equilibrium, marginal at +-y_s.  No root is located.
+    s >= 1 (at s = 1, v = 0 is marginal).  With +-y_s among the nodes of
+    :func:`_sign_changes`, the scan :func:`solve_phi_line` bisects,
+    h(v) = phi(v) - v/g0 - r is monotone and the label constant between
+    adjacent nodes: a sign change of h there is one equilibrium with that
+    label, and a zero of h at a node is one equilibrium, marginal at +-y_s.
+    No root is located.
     """
     if s < 1.0:
         y_s = slope_inverse(s)
@@ -444,22 +454,14 @@ def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
         # v = 0 is the one equilibrium, as in LureLoop.equilibria
         return 1, int(y_s > 0.0), int(y_s == 0.0)
     slope = 1.0 / g0
-    n = unstable = marginal = 0
-    a = fa = None
-    for b in _line_nodes(slope, r, slope_inverse, *((y_s,) if y_s >= 0.0 else ())):
-        fb = phi(b) - slope * b - r
-        if fb == 0.0:
-            n += 1
-            if abs(b) == y_s:
-                marginal += 1
-            elif abs(b) < y_s:
-                unstable += 1
-        elif fa and (fa < 0.0) != (fb < 0.0):
-            n += 1
-            if -y_s <= a and b <= y_s:
-                unstable += 1
-        a, fa = b, fb
-    return n, unstable, marginal
+    roots = _sign_changes(phi, slope, r, slope_inverse, *((y_s,) if y_s >= 0.0 else ()))
+    unstable = marginal = 0
+    for a, b, _ in roots:
+        if a == b and abs(b) == y_s:
+            marginal += 1
+        elif -y_s <= a and b <= y_s:
+            unstable += 1
+    return len(roots), unstable, marginal
 
 
 def dominance_map(tau_l: float, tau_p: float, tau_n: float,
@@ -493,9 +495,8 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     for beta in beta_values:
         loop = LureLoop.amplifier(AmplifierParams(tau_l, tau_p, tau_n, 1.0, beta,
                                                   nonlinearity=nonlinearity))
-        if lam is None:
-            # the lags' poles, and so the rate, do not depend on the balance
-            lam = midpoint_rate(loop.poles)
+        # the lags' poles, and so the rate, do not depend on the balance
+        lam = loop.rate(lam)
         try:
             two, k0_bar, k2_bar = _critical_gains(loop, lam)
             t = loop.crossing_gain
@@ -507,7 +508,7 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
         fold = loop.g0 > 0.0 and t == 1.0 / loop.g0
         column = []
         for k in k_values:
-            g0 = k * (2.0 * beta - 1.0)
+            g0 = k * loop.g0
             n, unstable, marginal = _cell_counts(phi, slope_inverse, g0, r,
                                                  1.0 / g0 if fold else t / k)
             regime, reason = _regime(k, two, k0_bar, k2_bar, n, unstable, marginal)

@@ -132,13 +132,6 @@ class InterlacingReport:
     pattern: tuple[str, ...]
     satisfied: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "zeros": list(self.zeros),
-            "pattern": list(self.pattern),
-            "satisfied": self.satisfied,
-        }
-
 
 def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
                       zeros=None) -> InterlacingReport:

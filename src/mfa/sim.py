@@ -78,6 +78,12 @@ class StateSpace:
     def loop_row(self) -> tuple[float, ...]:
         return self.c if self.c_loop is None else self.c_loop
 
+    def jacobians(self, slopes) -> np.ndarray:
+        """Jacobians A - s b c_loop of the loop at the saturation slopes s in
+        ``slopes``, stacked."""
+        slopes = np.asarray(slopes, dtype=float)
+        return np.array(self.a) - slopes[:, None, None] * np.outer(self.b, self.loop_row)
+
 
 @dataclass(frozen=True)
 class InputSchedule:
@@ -144,15 +150,6 @@ class OscillationReport:
     period: float | None
     method_agreement: float | None
     n_crossings: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "oscillating": self.oscillating,
-            "amplitude": self.amplitude,
-            "period": self.period,
-            "method_agreement": self.method_agreement,
-            "n_crossings": self.n_crossings,
-        }
 
 
 def _sparse(vec_or_rows):
@@ -237,35 +234,37 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
               dt: float | None = None, t_end: float = 50.0) -> Trajectory:
     """Classical fixed-step RK4 integration of the Lure loop realized by ``ss``.
 
-    ``dt`` is required.  Two step checks warn, from the spectral radii of the
-    loop's Jacobians at saturation slope 0 and 1, A and A - b c_loop: an
-    accuracy warning when dt times the radius of A exceeds 0.2 (dt above a
-    fifth of the fastest open-loop time constant), and a stability warning
-    when dt times the larger radius exceeds the RK4 limit.  The run takes
+    A non-finite ``dt`` or ``t_end`` is a ``ValueError`` before anything
+    else.  Two step checks warn, from the spectral radii of the loop's
+    Jacobians at saturation slope 0 and 1, A and A - b c_loop: an accuracy
+    warning when dt times the radius of A exceeds 0.2 (dt above a fifth of
+    the fastest open-loop time constant), and a stability warning when dt
+    times the larger radius exceeds the RK4 limit.  ``dt`` defaults to 0.05
+    over the radius of A, or to one over the larger radius when that is
+    smaller, and so trips neither check.  The run takes
     ``round(t_end / dt)`` steps, so it ends at that many times ``dt``, not
     necessarily at ``t_end``.  The reference is held constant over each step
     at the value in effect at the step's left endpoint.  The steps run in a
     straight-line kernel generated once per call for the loop's sparsity
-    pattern (:func:`_rk4_kernel`).  A non-finite initial state, ``dt`` or
-    ``t_end``, or a ``t_end`` that rounds to zero steps, is a ``ValueError``;
-    a non-finite state along the way aborts with the offending time, found
-    once per block of steps.
+    pattern (:func:`_rk4_kernel`).  A non-finite initial state, or a
+    ``t_end`` that rounds to zero steps, is a ``ValueError``; a non-finite
+    state along the way aborts with the offending time, found once per
+    block of steps.
     """
-    if dt is None:
-        raise ValueError("requires dt")
-    a = np.array(ss.a)
-    rho_open, rho_closed = (np.max(np.abs(np.linalg.eigvals(m)))
-                            for m in (a, a - np.outer(ss.b, ss.loop_row)))
-    if dt * rho_open > _ACCURACY_LIMIT:
-        warnings.warn("dt above min time constant / 5; accuracy degraded", stacklevel=2)
-    rho = max(rho_open, rho_closed)
-    if dt * rho > _RK4_REAL_LIMIT:
-        warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
-                      f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
-    if not 0.0 < dt < math.inf:
+    if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
     if not 0.0 < t_end < math.inf:
         raise ValueError("requires finite t_end > 0")
+    rho_open, rho_closed = np.max(np.abs(np.linalg.eigvals(ss.jacobians([0.0, 1.0]))),
+                                  axis=1)
+    rho = max(rho_open, rho_closed)
+    if dt is None:
+        dt = float(min(_ACCURACY_LIMIT / 4.0 / rho_open, 1.0 / rho))
+    if dt * rho_open > _ACCURACY_LIMIT:
+        warnings.warn("dt above min time constant / 5; accuracy degraded", stacklevel=2)
+    if dt * rho > _RK4_REAL_LIMIT:
+        warnings.warn(f"dt * spectral radius = {dt * rho:.3g} above the RK4 "
+                      f"stability limit {_RK4_REAL_LIMIT}", stacklevel=2)
     if schedule is None:
         schedule = InputSchedule.constant(0.0)
 
@@ -366,9 +365,9 @@ def detect_oscillation(traj: Trajectory, transient_fraction: float = 0.5,
     return OscillationReport(True, amplitude, period_zc, agreement, n_crossings)
 
 
-def boundedness_check(traj: Trajectory, r_max: float, margin: float = 0.1,
+def boundedness_check(traj: Trajectory, r_max: float,
                       settle_time: float = 0.0) -> bool | None:
-    """Ultimate-bound check sup|state| <= r_max + 1 + margin after settling.
+    """Ultimate-bound check sup|state| <= r_max + 1 + 0.1 after settling.
 
     The bound follows from |phi| <= 1 and the unit-DC lag chain; callers
     should pass a ``settle_time`` of about ten times the slowest time
@@ -378,5 +377,5 @@ def boundedness_check(traj: Trajectory, r_max: float, margin: float = 0.1,
     mask = traj.t >= settle_time
     if not mask.any():
         return None
-    bound = r_max + 1.0 + margin
+    bound = r_max + 1.0 + 0.1
     return bool(np.all(np.abs(traj.states[mask]) <= bound))

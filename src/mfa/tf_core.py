@@ -142,14 +142,14 @@ def _companion_roots(polys) -> list[np.ndarray]:
     return out
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
+def poly_roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` (with multiplicity) via companion-matrix eigenvalues.
 
     A degree-1 polynomial gives -a0/a1, the eigenvalue of its 1x1 companion
     matrix, without the eigenvalue call.  Roots are ordered by ascending real
     part, then ascending imaginary part, which places each conjugate pair
     adjacently.  The scaled residual
-    ``|p(root)| / sum_k |a_k| |root|^k`` is checked against ``tol``.
+    ``|p(root)| / sum_k |a_k| |root|^k`` is checked against 1e-8.
     """
     if p.is_zero:
         raise ValueError("degenerate polynomial")
@@ -171,7 +171,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-8) -> list[complex]:
     roots.sort(key=_root_order)
     for z in roots:
         scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
-        if abs(p(z)) > tol * max(scale, 1e-300):
+        if abs(p(z)) > 1e-8 * max(scale, 1e-300):
             raise ArithmeticError("root residual above tolerance")
     return roots
 

@@ -315,7 +315,7 @@ def test_criterion_7_numerical_hygiene(reference_runs):
     for key in ("a", "b", "c"):
         traj = reference_runs[key]
         r_max = traj.schedule.max_abs_value
-        assert boundedness_check(traj, r_max=r_max, margin=0.1,
+        assert boundedness_check(traj, r_max=r_max,
                                  settle_time=settle), key
 
 

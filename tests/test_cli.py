@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -376,17 +377,21 @@ class TestSimulate:
         assert code == 3
 
     @pytest.mark.parametrize("flags, reason", [
-        (["--ic", "nan,0,0"], "finite initial condition"),
-        (["--t-end", "inf"], "finite t_end"),
-        (["--dt", "inf"], "finite dt"),
+        (["simulate", "--ic", "nan,0,0"], "finite initial condition"),
+        (["simulate", "--t-end", "inf"], "finite t_end"),
+        (["simulate", "--dt", "inf"], "finite dt"),
+        (["interconnect", "--load", LOAD_JSON, "--dt", "inf"], "finite dt"),
     ])
-    @pytest.mark.filterwarnings("ignore:dt")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_inputs_exit_2(self, capsys, flags, reason):
-        code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
-                     "--t-end", "0.01", *flags])
+        # dt and t_end are refused before the step checks, so no warning
+        # precedes the one error line
+        code = main([flags[0], *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                     "--t-end", "0.01", *flags[1:]])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and reason in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4"],
@@ -412,19 +417,26 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
 
     @pytest.mark.parametrize("argv, expected", [
-        # dt = 5e-4 by default: within a fifth of tau_l, but the closed-loop
-        # radius at k = 1e5 puts dt * rho at 2.94
+        # by default dt is one over the closed-loop radius at k = 1e5, which
+        # trips neither check
         (["simulate", *AMP_FLAGS, "--k", "1e5", "--beta", "0.4", "--t-end", "0.05"],
-         "RK4 stability limit"),
+         None),
+        # dt = 5e-4 is within a fifth of tau_l, but the closed-loop radius at
+        # k = 1e5 puts dt * rho at 2.94
+        (["simulate", *AMP_FLAGS, "--k", "1e5", "--beta", "0.4", "--dt", "5e-4",
+          "--t-end", "0.05"], "RK4 stability limit"),
         # dt * rho(A) = 0.005 * 100 = 0.5, while the closed loop stays within
         # the RK4 limit
         (["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON,
           "--dt", "0.005", "--t-end", "0.05"], "accuracy degraded"),
-    ], ids=["simulate-rk4", "interconnect-accuracy"])
+    ], ids=["simulate-default", "simulate-rk4", "interconnect-accuracy"])
     def test_step_checks_for_every_loop(self, capsys, argv, expected):
-        with pytest.warns(UserWarning) as record:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
             code, _ = run(capsys, argv)
-        assert code == 0 and len(record) == 1 and expected in str(record[0].message)
+        messages = [str(w.message) for w in record]
+        assert code == 0 and len(messages) == (expected is not None)
+        assert all(expected in m for m in messages)
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "traj.csv"

@@ -484,3 +484,46 @@ class TestConstructedPoles:
             p = AmplifierParams(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
             tau_1, tau_2 = sorted(p.taus)[:2]
             assert midpoint_rate(tf_build_mixed(p).poles()) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0
+
+
+class TestOneOwner:
+    """The amplifier, bank and load loops share one lag realization, one
+    linearization and one rate; checked bit for bit on seeded loops."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def loops(self):
+        rng = np.random.default_rng(1806)
+        for _ in range(200):
+            tp = float(10.0 ** rng.uniform(-3, 1))
+            tn = tp * float(10.0 ** rng.uniform(0.01, 2))
+            tl = float(10.0 ** rng.uniform(-3, 2))
+            k, beta = float(10.0 ** rng.uniform(-2, 3)), float(rng.uniform())
+            load = LoadParams(*(float(10.0 ** rng.uniform(-1, 2)) for _ in range(4)))
+            iface = InterfaceGains(*(float(10.0 ** rng.uniform(-2, 1)) for _ in range(2)))
+            yield tl, tp, tn, k, beta, load, iface
+
+    def test_realizations(self):
+        bits = self.bits
+        for tl, tp, tn, k, beta, load, iface in self.loops():
+            p = AmplifierParams(tl, tp, tn, k, beta)
+            amp = LureLoop.amplifier(p)
+            bank = LureLoop.bank(tl, ChannelBank((Channel(1.0, tp),)),
+                                 ChannelBank((Channel(1.0, tn),)), k, beta)
+            for x in ("a", "b", "c"):
+                assert bits(getattr(bank.ss, x)) == bits(getattr(amp.ss, x))
+            loaded = LureLoop.load(p, load, iface)
+            assert bits([row[:3] for row in loaded.ss.a[:3]]) == bits(amp.ss.a)
+
+    def test_linearization_and_rate(self):
+        for tl, tp, tn, k, beta, load, iface in self.loops():
+            p = AmplifierParams(tl, tp, tn, k, beta)
+            for loop in (LureLoop.amplifier(p), LureLoop.load(p, load, iface)):
+                ss = loop.ss
+                a = np.array(ss.a)
+                assert self.bits(ss.jacobians([0.0, 1.0])) == self.bits(
+                    [a, a - np.outer(ss.b, ss.loop_row)])
+                assert loop.rate() == midpoint_rate(loop.poles)
+                assert loop.rate(7.0) == 7.0

@@ -149,10 +149,17 @@ class TestIntegrate:
         traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
         assert len(traj.t) == 2 and traj.t[-1] == 1e-3
 
-    def test_statespace_requires_dt(self):
-        ss = LureLoop.amplifier(mixed(1.0, 0.3)).ss
-        with pytest.raises(ValueError, match="dt"):
-            integrate(ss, (0.0, 0.0, 0.0))
+    @pytest.mark.filterwarnings("error")
+    def test_default_step_from_radii(self):
+        # 0.05 / rho(A) at k = 1; at k = 1e5 one over the closed-loop radius
+        # is the smaller; neither step warns
+        for k, binding in ((1.0, 0), (1e5, 1)):
+            ss = LureLoop.amplifier(mixed(k, 0.4)).ss
+            rho_open, rho_closed = (max(abs(np.linalg.eigvals(m)))
+                                    for m in ss.jacobians([0.0, 1.0]))
+            steps = [0.05 / rho_open, 1.0 / max(rho_open, rho_closed)]
+            traj = integrate(ss, (0.0, 0.0, 0.0), t_end=0.01)
+            assert traj.t[1] == steps[binding] == min(steps)
 
     def test_odd_symmetry(self):
         p = mixed(5.0, 0.4)
@@ -281,27 +288,27 @@ class TestDetectOscillation:
 class TestBoundedness:
     def test_decay_to_zero(self):
         traj = integrate(amp_ss(mixed(0.0, 0.3)), (1.0, 1.0, 1.0), dt=1e-3, t_end=5.0)
-        assert boundedness_check(traj, r_max=0.0, margin=0.1)
+        assert boundedness_check(traj, r_max=0.0)
 
     def test_pulse_run_bounded(self):
         sched = InputSchedule(((0.0, 0.0), (2.0, -0.5), (3.0, 0.0)))
         traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), sched,
                          dt=1e-3, t_end=15.0)
-        assert boundedness_check(traj, r_max=0.5, margin=0.1, settle_time=10.0)
+        assert boundedness_check(traj, r_max=0.5, settle_time=10.0)
 
     def test_diverging_series_rejected(self):
         t = np.arange(0.0, 10.0, 1e-2)
         states = np.exp(t)[:, None] * np.ones((1, 3))
         traj = Trajectory(t, states, states[:, 0],
                           InputSchedule.constant(0.0), ("x", "xp", "xn"))
-        assert not boundedness_check(traj, r_max=0.0, margin=0.1)
+        assert not boundedness_check(traj, r_max=0.0)
 
     def test_ultimate_bound_over_tunings(self):
         for k in (0.1, 5.0, 100.0):
             for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
                 traj = integrate(amp_ss(mixed(k, beta)), (0.5, -0.5, 0.2),
                                  dt=2e-3, t_end=15.0)
-                assert boundedness_check(traj, r_max=0.0, margin=0.1,
+                assert boundedness_check(traj, r_max=0.0,
                                          settle_time=10.0), (k, beta)
 
 
