@@ -18,7 +18,6 @@ from .tf_core import (
     Polynomial,
     RationalTF,
     poly_roots,
-    tf_build_mixed,
     tf_multiply,
     tf_shift,
     tf_zero_mixed,
@@ -53,7 +52,6 @@ from .multichannel import (
     ChannelBank,
     InterlacingReport,
     bank_critical_balance,
-    build_channel_tf,
     check_interlacing,
 )
 from .interconnect import (

@@ -38,7 +38,7 @@ from .sim import (
     detect_oscillation,
     integrate,
 )
-from .tf_core import AmplifierParams, tf_build_mixed, tf_zero_mixed
+from .tf_core import AmplifierParams, RationalTF, tf_zero_mixed
 
 __all__ = ["main", "entrypoint"]
 
@@ -252,7 +252,9 @@ def cmd_nyquist(args) -> int:
         for name in ("tau_l", "tau_p", "tau_n", "k", "beta"):
             if getattr(args, name) is None:
                 raise ValueError("requires --load or the full amplifier parameter set")
-        g = tf_build_mixed(_amp_from_args(args))
+        amp = _amp_from_args(args)
+        g1 = LureLoop.amplifier(amp).g1
+        g = RationalTF(amp.k * g1.num, g1.den, g1.den_roots)
     lam = args.lam if args.lam is not None else 0.0
     lo, hi = args.omega_min, args.omega_max
     if lo is None or hi is None:
@@ -282,7 +284,7 @@ def cmd_multichannel(args) -> int:
     # the loop's unit-gain numerator is the bank difference's up to sign, so
     # one root call serves the report and the interlacing check
     zeros = loop.g1.zeros()
-    interlacing = check_interlacing(pos, neg, beta, zeros) if 0.0 < beta < 1.0 else None
+    interlacing = check_interlacing(pos, neg, zeros) if 0.0 < beta < 1.0 else None
     lam = loop.rate(args.lam)
     _print_json(_loop_report(
         loop, args, lam, zeros if k > 0.0 else [], {"bank": bank_data},
@@ -372,14 +374,18 @@ def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--output", help="write CSV here instead of stdout")
 
 
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that reads a negative number in exponent form, such
-    as ``--r -6e-05``, as a value: argparse's own pattern for negative numbers
-    has no exponent, so it took ``-6e-05`` for an unknown option."""
+    as ``--r -6e-05``, and a comma list of numbers that starts with a negative
+    one, such as ``--ic -0.5,0,0``, as a value: argparse's own pattern for
+    negative numbers has neither, so it took them for unknown options."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

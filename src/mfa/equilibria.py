@@ -24,16 +24,9 @@ import numpy as np
 
 from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_part
 from .interconnect import InterfaceGains, LoadParams, load_tf
-from .multichannel import ChannelBank, build_channel_tf
+from .multichannel import ChannelBank
 from .sim import StateSpace
-from .tf_core import (
-    AmplifierParams,
-    Polynomial,
-    RationalTF,
-    get_nonlinearity,
-    tf_build_mixed,
-    tf_multiply,
-)
+from .tf_core import AmplifierParams, Polynomial, RationalTF, get_nonlinearity, tf_multiply
 
 __all__ = [
     "Equilibrium",
@@ -175,6 +168,34 @@ def classify_stability(eigs) -> str:
     return MARGINAL
 
 
+def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
+    """Unit-gain transfer function u -> v of :meth:`LureLoop._lags`,
+    -(beta Cp - (1 - beta) Cn)/(tau_l s + 1) with each bank C = sum
+    rho_i/(tau_i s + 1), over the product of every lag without cancellation.
+
+    With P = sum_pos rho_i prod_{j != i} (tau_j s + 1) and M the same sum
+    over the negative bank, the numerator is -(beta (P + M) - M),
+    coefficient by coefficient, and the denominator the product of
+    (tau s + 1) over tau_l, the positive and the negative bank in order,
+    with the poles -1/tau.  Every product is built one lag at a time by
+    out[i] = p[i] + tau p[i - 1].  For one unit-weight channel per bank the
+    numerator is -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s].
+    """
+    taus = [tau for _, tau in (*pos, *neg)]
+
+    def times_lags(p, skip=-1):
+        for j, tau in enumerate(taus):
+            if j != skip:
+                p = [a + tau * b for a, b in zip(p + [0.0], [0.0] + p)]
+        return p
+
+    terms = [times_lags([rho], i) for i, (rho, _) in enumerate((*pos, *neg))]
+    p, m = ([sum(c) for c in zip(*bank)] for bank in (terms[:len(pos)], terms[len(pos):]))
+    return RationalTF(Polynomial([-(beta * (a + b) - b) for a, b in zip(p, m)]),
+                      Polynomial(times_lags([1.0, tau_l])),
+                      [-1.0 / tau for tau in (tau_l, *taus)])
+
+
 @dataclass(frozen=True)
 class LureLoop:
     """A linear part closed through one saturation, u = r - phi(c_loop x).
@@ -185,7 +206,8 @@ class LureLoop:
     with u = r - phi(v).  ``unit_tf`` builds the transfer function u -> v at
     unit gain (at gain k it is k times that) on first use, so a loop that is
     only simulated never builds it; its poles are the -1/tau of its lags
-    and, for the load loop, the load's poles.
+    and, for the load loop, the load's poles.  Every channel loop builds it
+    with :func:`_lags_tf`.
     """
 
     ss: StateSpace
@@ -197,8 +219,8 @@ class LureLoop:
     unit_tf: Callable[[], RationalTF] = field(repr=False, compare=False)
 
     @classmethod
-    def _lags(cls, tau_l: float, pos, neg, k: float, beta: float, nonlinearity: str,
-              unit_tf) -> "LureLoop":
+    def _lags(cls, tau_l: float, pos, neg, k: float, beta: float,
+              nonlinearity: str) -> "LureLoop":
         """Load lag x driving first-order channels, each a (rho, tau) pair.
 
         Each channel follows tau_i x_i' = x - x_i, and the output mixes the
@@ -221,7 +243,8 @@ class LureLoop:
         ss = StateSpace(a=tuple(rows), b=(1.0 / tau_l,) + (0.0,) * (dim - 1),
                         c=(0.0, *(w for w, _ in chans)), labels=tuple(labels),
                         nonlinearity=nonlinearity)
-        return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim, unit_tf)
+        return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim,
+                   lambda: _lags_tf(tau_l, pos, neg, beta))
 
     @classmethod
     def amplifier(cls, params: AmplifierParams) -> "LureLoop":
@@ -230,18 +253,18 @@ class LureLoop:
         v = y and x = xp = xn = u at equilibrium (:meth:`_lags` with one
         unit-weight channel per bank)."""
         return cls._lags(params.tau_l, [(1.0, params.tau_p)], [(1.0, params.tau_n)],
-                         params.k, params.beta, params.nonlinearity,
-                         lambda: tf_build_mixed(params.with_gain(1.0)))
+                         params.k, params.beta, params.nonlinearity)
 
     @classmethod
     def bank(cls, tau_l: float, pos: ChannelBank, neg: ChannelBank, k: float,
              beta: float, nonlinearity: str = "tanh") -> "LureLoop":
         """Load lag x driving every channel of two banks, one lag state each
-        (:meth:`_lags`), channels in ascending tau per bank.
+        (:meth:`_lags`), channels in ascending tau per bank.  Every
+        positive-bank tau must be smaller than every negative-bank tau.
 
-        The transfer function is -k C(s)/(tau_l s + 1) with C from
-        :func:`build_channel_tf`, assembled without cancellation; its poles
-        are -1/tau for tau_l and every channel.
+        The transfer function is -k C(s)/(tau_l s + 1) with C the bank
+        difference beta Cp - (1 - beta) Cn (:func:`_lags_tf`); its poles are
+        -1/tau for tau_l and every channel.
         """
         if not tau_l > 0.0:
             raise ValueError("requires tau_l > 0")
@@ -251,12 +274,14 @@ class LureLoop:
             raise ValueError("requires k >= 0")
         if k == math.inf:
             raise ValueError("requires a finite k")
-        c = build_channel_tf(pos, neg, beta)
+        if max(pos.taus) >= min(neg.taus):
+            raise ValueError("time-scale ordering: every positive-bank tau must be "
+                             "smaller than every negative-bank tau")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("requires 0 <= beta <= 1")
         return cls._lags(tau_l, [(ch.rho, ch.tau) for ch in pos.sorted_channels()],
                          [(ch.rho, ch.tau) for ch in neg.sorted_channels()],
-                         k, beta, nonlinearity,
-                         lambda: RationalTF(-1.0 * c.num, Polynomial([1.0, tau_l]) * c.den,
-                                            [*c.poles(), -1.0 / tau_l]))
+                         k, beta, nonlinearity)
 
     @classmethod
     def load(cls, amp: AmplifierParams, load: LoadParams,

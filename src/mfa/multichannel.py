@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .tf_core import Polynomial, RationalTF
-
 __all__ = [
     "BETWEEN_NEGATIVE",
     "BETWEEN_POSITIVE",
@@ -26,7 +24,6 @@ __all__ = [
     "InterlacingReport",
     "bank_critical_balance",
     "bank_from_json",
-    "build_channel_tf",
     "check_interlacing",
 ]
 
@@ -76,37 +73,6 @@ class ChannelBank:
         return sorted(-1.0 / ch.tau for ch in self.channels)
 
 
-def _check_separation(pos: ChannelBank, neg: ChannelBank):
-    if max(pos.taus) >= min(neg.taus):
-        raise ValueError("time-scale ordering: every positive-bank tau must be "
-                         "smaller than every negative-bank tau")
-
-
-def build_channel_tf(pos: ChannelBank, neg: ChannelBank, beta: float) -> RationalTF:
-    """Weighted bank difference beta*Cp - (1-beta)*Cn over the common denominator.
-
-    The denominator is the product of all (tau s + 1) factors, positive bank
-    first (ascending tau), with the poles -1/tau; no cancellation is
-    performed, so deg(den) = m + n and deg(num) <= m + n - 1.
-    """
-    _check_separation(pos, neg)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("requires 0 <= beta <= 1")
-    chans = [(beta * ch.rho, ch.tau) for ch in pos.sorted_channels()]
-    chans += [(-(1.0 - beta) * ch.rho, ch.tau) for ch in neg.sorted_channels()]
-    den = Polynomial([1.0])
-    for _, tau in chans:
-        den = den * Polynomial([1.0, tau])
-    num = Polynomial([0.0])
-    for i, (w, _) in enumerate(chans):
-        term = Polynomial([w])
-        for j, (_, tau) in enumerate(chans):
-            if j != i:
-                term = term * Polynomial([1.0, tau])
-        num = num + term
-    return RationalTF(num, den, [-1.0 / tau for _, tau in chans])
-
-
 def bank_critical_balance(pos: ChannelBank, neg: ChannelBank) -> float:
     """Balance at which the outer zero escapes to infinity.
 
@@ -133,8 +99,7 @@ class InterlacingReport:
     satisfied: bool
 
 
-def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
-                      zeros=None) -> InterlacingReport:
+def check_interlacing(pos: ChannelBank, neg: ChannelBank, zeros) -> InterlacingReport:
     """Verify the zero-interlacing pattern of the bank difference.
 
     For banks of sizes m and n the difference must have m + n - 1 real
@@ -142,23 +107,19 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
     negative-bank poles, and one outer zero beyond the pole span.  Any
     violation (complex zero, missing or doubled gap occupancy, wrong count)
     yields satisfied = False with the diagnostic pattern.  ``zeros`` are the
-    roots of the difference's numerator when the caller has them, as the
-    bank loop does: its unit-gain transfer function has the same numerator
-    up to sign.  Otherwise they are found from :func:`build_channel_tf`.
+    roots of the difference's numerator, which the bank loop's unit-gain
+    transfer function has up to sign (:meth:`mfa.equilibria.LureLoop.bank`).
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("requires 0 < beta < 1")
-    roots = build_channel_tf(pos, neg, beta).zeros() if zeros is None else zeros
     gaps = [(label, left, right)
             for label, poles in ((BETWEEN_POSITIVE, pos.poles()), (BETWEEN_NEGATIVE, neg.poles()))
             for left, right in zip(poles, poles[1:])]
     hits = [0] * len(gaps)
     span = pos.poles() + neg.poles()
     lo, hi = min(span), max(span)
-    zeros, pattern = [], []
-    for z in sorted(roots, key=lambda z: (z.real, z.imag)):
+    reals, pattern = [], []
+    for z in sorted(zeros, key=lambda z: (z.real, z.imag)):
         x = z.real
-        zeros.append(x)
+        reals.append(x)
         if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
             pattern.append(COMPLEX_ZERO)
             continue
@@ -171,9 +132,9 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, beta: float,
 
     # one zero in every gap and one outer zero already make m + n - 1, so a
     # complex or unplaced zero fails the count
-    satisfied = (len(zeros) == len(span) - 1 and all(h == 1 for h in hits)
+    satisfied = (len(reals) == len(span) - 1 and all(h == 1 for h in hits)
                  and pattern.count(OUTER) == 1)
-    return InterlacingReport(tuple(zeros), tuple(pattern), satisfied)
+    return InterlacingReport(tuple(reals), tuple(pattern), satisfied)
 
 
 def bank_from_json(data) -> tuple[float, ChannelBank, ChannelBank, float, float]:

@@ -241,7 +241,8 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     the fastest open-loop time constant), and a stability warning when dt
     times the larger radius exceeds the RK4 limit.  ``dt`` defaults to 0.05
     over the radius of A, or to one over the larger radius when that is
-    smaller, and so trips neither check.  The run takes
+    smaller, and so trips neither check; a radius of 0 bounds no step, and
+    with both radii 0 ``dt`` is required.  The run takes
     ``round(t_end / dt)`` steps, so it ends at that many times ``dt``, not
     necessarily at ``t_end``.  The reference is held constant over each step
     at the value in effect at the step's left endpoint.  The steps run in a
@@ -259,7 +260,10 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
                                   axis=1)
     rho = max(rho_open, rho_closed)
     if dt is None:
-        dt = float(min(_ACCURACY_LIMIT / 4.0 / rho_open, 1.0 / rho))
+        steps = [lim / r for lim, r in ((_ACCURACY_LIMIT / 4.0, rho_open), (1.0, rho)) if r > 0.0]
+        if not steps:
+            raise ValueError("requires dt: both spectral radii are 0")
+        dt = float(min(steps))
     if dt * rho_open > _ACCURACY_LIMIT:
         warnings.warn("dt above min time constant / 5; accuracy degraded", stacklevel=2)
     if dt * rho > _RK4_REAL_LIMIT:

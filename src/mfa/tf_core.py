@@ -9,7 +9,7 @@ ever performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "RationalTF",
     "get_nonlinearity",
     "poly_roots",
-    "tf_build_mixed",
     "tf_multiply",
     "tf_shift",
     "tf_zero_mixed",
@@ -299,23 +298,6 @@ class AmplifierParams:
     @property
     def taus(self) -> tuple[float, float, float]:
         return (self.tau_l, self.tau_p, self.tau_n)
-
-    def with_gain(self, k: float) -> "AmplifierParams":
-        return replace(self, k=k)
-
-
-def tf_build_mixed(params: AmplifierParams) -> RationalTF:
-    """Open-loop transfer function u -> y of the mixed feedback amplifier.
-
-    num = -k[(beta(tau_n+tau_p) - tau_p) s + (2 beta - 1)],
-    den = (tau_l s + 1)(tau_p s + 1)(tau_n s + 1), with the poles -1/tau;
-    the DC value is k(1 - 2 beta).
-    """
-    tl, tp, tn = params.taus
-    k, beta = params.k, params.beta
-    num = Polynomial([-k * (2.0 * beta - 1.0), -k * (beta * (tn + tp) - tp)])
-    den = Polynomial([1.0, tl]) * Polynomial([1.0, tp]) * Polynomial([1.0, tn])
-    return RationalTF(num, den, (-1.0 / tl, -1.0 / tp, -1.0 / tn))
 
 
 def tf_shift(g: RationalTF, lam: float) -> RationalTF:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +54,27 @@ def gain_scaled(g1: RationalTF, k: float) -> RationalTF:
     """k G1, with the numerator scaled coefficient by coefficient and the
     poles of G1."""
     return RationalTF(Polynomial([k * c for c in g1.num.coeffs]), g1.den, g1.poles())
+
+
+def exact_bank_numerator(pos, neg, beta: float) -> tuple[list[Fraction], list[Fraction]]:
+    """-(beta Cp - (1 - beta) Cn) over the product of every channel's
+    (tau s + 1), expanded in exact rational arithmetic from the double
+    inputs: the ascending coefficients, and for each the sum of the absolute
+    values of its terms w_i prod_{j != i} (tau_j s + 1)."""
+    b = Fraction(beta)
+    chans = [(-b * Fraction(ch.rho), Fraction(ch.tau)) for ch in pos.channels]
+    chans += [((1 - b) * Fraction(ch.rho), Fraction(ch.tau)) for ch in neg.channels]
+    coeffs = [Fraction(0)] * len(chans)
+    scales = [Fraction(0)] * len(chans)
+    for i, (w, _) in enumerate(chans):
+        term = [w]
+        for j, (_, tau) in enumerate(chans):
+            if j != i:
+                term = [a + tau * c for a, c in zip(term + [0], [0] + term)]
+        for d, c in enumerate(term):
+            coeffs[d] += c
+            scales[d] += abs(c)
+    return coeffs, scales
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:

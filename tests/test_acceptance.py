@@ -18,6 +18,7 @@ from conftest import (
     bisect_root,
     brute_min_re,
     fd_jacobian,
+    gain_scaled,
     random_proper_tf,
     vector_field,
 )
@@ -55,7 +56,6 @@ from mfa.sim import (
 from mfa.tf_core import (
     INFINITE_ZERO,
     AmplifierParams,
-    tf_build_mixed,
     tf_shift,
     tf_zero_mixed,
 )
@@ -153,7 +153,7 @@ def test_criterion_2_critical_balance():
         beta = float(rng.uniform(bs + 1e-9, 1.0))
         p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.05, 200.0)),
                             beta=beta)
-        g1 = tf_build_mixed(p.with_gain(1.0))
+        g1 = LureLoop.amplifier(p).g1
         cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, p.k)
         failures += 0 if cert.passed else 1
     assert failures == 0
@@ -173,10 +173,10 @@ def test_criterion_3_critical_gain_oracle():
         if trial % 2 == 0:
             lam, deg = 0.0, 0
         else:
-            lam, deg = midpoint_rate(tf_build_mixed(p).poles()), 2
+            lam, deg = midpoint_rate(LureLoop.amplifier(p).poles), 2
         got = _gain(min_real_part(LureLoop.amplifier(p).g1, lam)[0])
         corners = [1.0 / t for t in p.taus]
-        oracle_min = brute_min_re(tf_build_mixed(p), lam,
+        oracle_min = brute_min_re(gain_scaled(LureLoop.amplifier(p).g1, p.k), lam,
                                   1e-3 * min(corners), 1e3 * max(corners))
         oracle = math.inf if oracle_min >= 0.0 else -1.0 / oracle_min
         if math.isinf(oracle):
@@ -225,7 +225,7 @@ def test_criterion_5_interlacing_suite():
         neg = ChannelBank(tuple(Channel(float(w), float(t))
                                 for w, t in zip(rho_n, taus[m:])))
         beta = float(rng.uniform(0.05, 0.95))
-        rep = check_interlacing(pos, neg, beta)
+        rep = check_interlacing(pos, neg, LureLoop.bank(0.003, pos, neg, 1.0, beta).g1.zeros())
         assert rep.satisfied, (taus, beta)
         assert len(rep.zeros) == m + n - 1
         assert rep.pattern.count("between-positive-poles") == m - 1
@@ -245,7 +245,7 @@ def test_criterion_6_interconnection():
 
     c_load = check_p_passivity(load_tf(load), 15.0, 0, 1.0)
     assert c_load.passed
-    c_amp = check_p_passivity(tf_build_mixed(amp.with_gain(1.0)), 15.0, 2, amp.k)
+    c_amp = check_p_passivity(LureLoop.amplifier(amp).g1, 15.0, 2, amp.k)
     comp = compose_certificates(c_amp, c_load)
     assert comp.valid and comp.p_total == 2
 

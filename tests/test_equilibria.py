@@ -22,14 +22,13 @@ from mfa.equilibria import (
 )
 from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
 from mfa.interconnect import InterfaceGains, LoadParams
-from mfa.multichannel import Channel, ChannelBank, build_channel_tf
+from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import integrate
 from mfa.tf_core import (
     AmplifierParams,
     Polynomial,
     get_nonlinearity,
     poly_roots,
-    tf_build_mixed,
 )
 
 TAUS = (0.01, 0.1, 1.0)
@@ -448,11 +447,11 @@ class TestConstructedPoles:
     poly_roots, and together they are the roots of the expanded denominator."""
 
     CASES = {
-        "amplifier": (lambda: tf_build_mixed(mixed(5.0, 0.4)), TAUS, False),
-        "bank 2+2": (lambda: build_channel_tf(POS2, NEG2, 0.6),
-                     POS2.taus + NEG2.taus, False),
-        "bank 3+3": (lambda: build_channel_tf(POS3, NEG3, 0.3),
-                     POS3.taus + NEG3.taus, False),
+        "amplifier": (lambda: LureLoop.amplifier(mixed(5.0, 0.4)).g1, TAUS, False),
+        "bank 2+2": (lambda: LureLoop.bank(0.003, POS2, NEG2, 1.0, 0.6).g1,
+                     (0.003,) + POS2.taus + NEG2.taus, False),
+        "bank 3+3": (lambda: LureLoop.bank(5.0, POS3, NEG3, 1.0, 0.3).g1,
+                     (5.0,) + POS3.taus + NEG3.taus, False),
         "bank loop": (lambda: LureLoop.bank(0.01, POS3, NEG3, 4.0, 0.3).g1,
                       (0.01,) + POS3.taus + NEG3.taus, False),
         "load loop": (lambda: LureLoop.load(mixed(10.0, 0.4), LOAD,
@@ -483,12 +482,19 @@ class TestConstructedPoles:
             tl = float(10.0 ** rng.uniform(-3, 2))
             p = AmplifierParams(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
             tau_1, tau_2 = sorted(p.taus)[:2]
-            assert midpoint_rate(tf_build_mixed(p).poles()) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0
+            assert midpoint_rate(LureLoop.amplifier(p).poles) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0
 
 
 class TestOneOwner:
     """The amplifier, bank and load loops share one lag realization, one
-    linearization and one rate; checked bit for bit on seeded loops."""
+    transfer-function builder, one linearization and one rate; checked bit
+    for bit on seeded loops."""
+
+    @staticmethod
+    def balance(i, tp, tn, beta):
+        """The balances 0, 0.5, 1 and the critical tau_p/(tau_p + tau_n) in
+        turn with the seeded ``beta``."""
+        return (0.0, 0.5, 1.0, tp / (tp + tn), beta)[i % 5]
 
     @staticmethod
     def bits(x):
@@ -516,6 +522,44 @@ class TestOneOwner:
                 assert bits(getattr(bank.ss, x)) == bits(getattr(amp.ss, x))
             loaded = LureLoop.load(p, load, iface)
             assert bits([row[:3] for row in loaded.ss.a[:3]]) == bits(amp.ss.a)
+
+    def test_transfer_functions(self):
+        # the amplifier is the bank with one unit-weight channel per side
+        bits = self.bits
+        for i, (tl, tp, tn, k, beta, _, _) in enumerate(self.loops()):
+            beta = self.balance(i, tp, tn, beta)
+            amp = LureLoop.amplifier(AmplifierParams(tl, tp, tn, k, beta)).g1
+            bank = LureLoop.bank(tl, ChannelBank((Channel(1.0, tp),)),
+                                 ChannelBank((Channel(1.0, tn),)), k, beta).g1
+            assert bits(bank.num.coeffs) == bits(amp.num.coeffs)
+            assert bits(bank.den.coeffs) == bits(amp.den.coeffs)
+            assert bank.poles() == amp.poles()
+
+    def test_nyquist_transfer_function(self, capsys, monkeypatch):
+        # the gain-k locus that nyquist draws has the coefficients of the
+        # amplifier's closed form, written out here as the reference
+        import mfa.cli as cli
+
+        drawn = []
+
+        def capture(g, lam, omegas):
+            drawn.append(g)
+            return np.zeros((0, 3))
+
+        monkeypatch.setattr(cli, "nyquist_locus", capture)
+        for i, (tl, tp, tn, k, beta, _, _) in enumerate(self.loops()):
+            k, beta = (0.0, 1e300, 5e-324, k)[i % 4], self.balance(i // 4, tp, tn, beta)
+            argv = ["nyquist", "--tau-l", repr(tl), "--tau-p", repr(tp), "--tau-n", repr(tn),
+                    "--k", repr(k), "--beta", repr(beta)]
+            assert cli.main(argv) == 0
+            num = Polynomial([-k * (2.0 * beta - 1.0), -k * (beta * (tn + tp) - tp)])
+            den = Polynomial([1.0, tl]) * Polynomial([1.0, tp]) * Polynomial([1.0, tn])
+            g = drawn.pop()
+            assert self.bits(g.num.coeffs) == self.bits(num.coeffs)
+            assert self.bits(g.den.coeffs) == self.bits(den.coeffs)
+            assert g.poles() == sorted([complex(-1.0 / t) for t in (tl, tp, tn)],
+                                       key=_root_order)
+        capsys.readouterr()
 
     def test_linearization_and_rate(self):
         for tl, tp, tn, k, beta, load, iface in self.loops():

@@ -24,7 +24,6 @@ from mfa.tf_core import (
     Polynomial,
     RationalTF,
     _companion_roots,
-    tf_build_mixed,
     tf_shift,
     tf_zero_mixed,
 )
@@ -47,7 +46,7 @@ class TestMinRealPart:
 
     def test_negative_dip_matches_oracle(self):
         p = mixed(1.0, 0.2)
-        g = tf_build_mixed(p)
+        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
         mr, _ = min_real_part(g, 0.0)
         oracle = brute_min_re(g, 0.0, 1e-3, 1e5)
         assert mr < 0.0
@@ -55,14 +54,14 @@ class TestMinRealPart:
 
     def test_shifted_positive_realness(self):
         p = mixed(1.0, 0.4)
-        g = tf_build_mixed(p)
+        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
         mr, _ = min_real_part(g, 55.0)
         assert mr >= 0.0
         assert brute_min_re(g, 55.0, 1e-3, 1e5) >= 0.0
 
     def test_pole_on_shifted_axis(self):
         with pytest.raises(ArithmeticError, match="shifted imaginary axis"):
-            min_real_part(tf_build_mixed(mixed(1.0, 0.4)), 10.0)
+            min_real_part(LureLoop.amplifier(mixed(1.0, 0.4)).g1, 10.0)
 
 
 
@@ -113,7 +112,7 @@ class TestExactMinimum:
             if tl == tp or tl == tn:
                 tl *= 1.0001
             p = AmplifierParams(tl, tp, tn, k=1.0, beta=float(rng.uniform(0.0, 1.0)))
-            g = tf_build_mixed(p)
+            g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
             assert_exact_min(g, 0.0)
             assert_exact_min(g, midpoint_rate(g.poles()))
 
@@ -254,7 +253,7 @@ class TestCriticalGain:
     def test_pure_negative_feedback_finite(self):
         p = mixed(1.0, 0.0)
         k0 = critical_gain(LureLoop.amplifier(p).g1, 0.0)
-        g = tf_build_mixed(p)
+        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
         oracle = -1.0 / brute_min_re(g, 0.0, 1e-3, 1e5)
         assert 0.0 < k0 < math.inf
         assert k0 == pytest.approx(oracle, rel=1e-6)
@@ -265,8 +264,8 @@ class TestCriticalGain:
     def test_gain_linearity(self):
         # min_re of G(s,k,b) is k times min_re of G(s,1,b), same frequency
         p1, p9 = mixed(1.0, 0.2), mixed(9.0, 0.2)
-        m1, w1 = min_real_part(tf_build_mixed(p1), 0.0)
-        m9, w9 = min_real_part(tf_build_mixed(p9), 0.0)
+        m1, w1 = min_real_part(gain_scaled(LureLoop.amplifier(p1).g1, p1.k), 0.0)
+        m9, w9 = min_real_part(gain_scaled(LureLoop.amplifier(p9).g1, p9.k), 0.0)
         assert m9 == pytest.approx(9.0 * m1, rel=1e-6)
         assert w9 == pytest.approx(w1, rel=1e-6)
 
@@ -280,11 +279,11 @@ class TestCriticalGain:
 
 class TestRateSelection:
     def test_fast_load(self):
-        assert midpoint_rate(tf_build_mixed(mixed(1.0, 0.2)).poles()) == pytest.approx(55.0)
+        assert midpoint_rate(LureLoop.amplifier(mixed(1.0, 0.2)).g1.poles()) == pytest.approx(55.0)
 
     def test_slow_load(self):
         p = AmplifierParams(10.0, 0.1, 1.0, k=1.0, beta=0.2)
-        assert midpoint_rate(tf_build_mixed(p).poles()) == pytest.approx(5.5)
+        assert midpoint_rate(LureLoop.amplifier(p).poles) == pytest.approx(5.5)
 
     def test_feasibility_window(self):
         loop = LureLoop.amplifier(mixed(1.0, 0.3))
@@ -292,7 +291,7 @@ class TestRateSelection:
             assert loop.inertia(lam) == 2
 
     def test_midpoint_rate_matches_policy(self):
-        g = tf_build_mixed(mixed(1.0, 0.3))
+        g = LureLoop.amplifier(mixed(1.0, 0.3)).g1
         assert midpoint_rate(g.poles()) == pytest.approx(55.0, rel=1e-9)
 
 
@@ -310,10 +309,10 @@ class TestShiftedPoleCount:
 class TestDominanceCertificate:
     def test_zero_dominant_at_small_gain(self):
         # gain 1 lies below the unit-gain loop's critical gain at rate 0
-        assert critical_gain(tf_build_mixed(mixed(1.0, 0.2)), 0.0) > 1.0
+        assert critical_gain(LureLoop.amplifier(mixed(1.0, 0.2)).g1, 0.0) > 1.0
 
     def test_fails_condition3_at_large_gain(self):
-        g1 = tf_build_mixed(mixed(1.0, 0.2))
+        g1 = LureLoop.amplifier(mixed(1.0, 0.2)).g1
         assert critical_gain(g1, 0.0) < 1000.0
         cert = check_p_passivity(g1, 0.0, 0, 1000.0)
         assert not cert.passed
@@ -321,20 +320,20 @@ class TestDominanceCertificate:
 
     def test_two_passive_for_any_gain(self):
         for k in (0.1, 10.0, 1000.0):
-            cert = check_p_passivity(tf_build_mixed(mixed(1.0, 0.4)), 55.0, 2, k)
+            cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, 0.4)).g1, 55.0, 2, k)
             assert cert.passed
             assert cert.critical_gain == math.inf
 
     def test_certificate_invariants(self):
         for beta in (0.05, 0.4):  # below and above beta* = 1/11
-            cert = check_p_passivity(tf_build_mixed(mixed(1.0, beta)), 55.0, 2, 1.0)
+            cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, beta)).g1, 55.0, 2, 1.0)
             assert cert.passed == all(cert.conditions)
             assert math.isinf(cert.critical_gain) == (cert.min_re >= 0.0)
             if cert.min_re < 0.0:
                 assert cert.critical_gain == -1.0 / cert.min_re
 
     def test_failure_encoded_not_raised(self):
-        cert = check_p_passivity(tf_build_mixed(mixed(1.0, 0.2)), 10.0, 2, 1.0)
+        cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, 0.2)).g1, 10.0, 2, 1.0)
         assert not cert.passed and not cert.conditions[0]
         assert math.isnan(cert.min_re) and math.isnan(cert.critical_gain)
 
@@ -356,7 +355,7 @@ class TestUnitGainCertificate:
             tl = float(rng.uniform(0.005, 20.0))
             amp = AmplifierParams(tl, tp, tn, k=float(10.0 ** rng.uniform(-1.0, 3.0)),
                                   beta=float(rng.uniform(0.0, 1.0)))
-            g_amp = tf_build_mixed(amp.with_gain(1.0))
+            g_amp = LureLoop.amplifier(amp).g1
             lam = midpoint_rate(g_amp.poles())
             g1 = g_amp if trial % 2 == 0 else LureLoop.load(amp, load, iface).g1
             yield amp.k, g1, lam
@@ -382,7 +381,7 @@ class TestPassivity:
 
     def test_below_critical_balance_reports_min(self):
         p = mixed(1.0, 0.05)  # below beta* = 1/11
-        cert = check_p_passivity(tf_build_mixed(p), 55.0, 2, 1.0)
+        cert = check_p_passivity(gain_scaled(LureLoop.amplifier(p).g1, p.k), 55.0, 2, 1.0)
         assert not math.isnan(cert.min_re)
         assert cert.min_re < 0.0 and not cert.passed
 
@@ -417,7 +416,7 @@ class TestTheoremSixProperty:
             beta = float(rng.uniform(bstar + 1e-6, 1.0))
             p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.1, 100.0)),
                                 beta=beta)
-            g1 = tf_build_mixed(p.with_gain(1.0))
+            g1 = LureLoop.amplifier(p).g1
             cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, p.k)
             assert cert.passed, (tl, tp, tn, beta)
 
@@ -439,5 +438,6 @@ class TestNyquistLocus:
         p1 = mixed(1.0, 0.2)
         k0 = critical_gain(LureLoop.amplifier(p1).g1, 0.0)
         p = mixed(0.9 * k0, 0.2)
-        locus = nyquist_locus(tf_build_mixed(p), 0.0, np.geomspace(1e-3, 1e5, 2000))
+        locus = nyquist_locus(gain_scaled(LureLoop.amplifier(p).g1, p.k), 0.0,
+                              np.geomspace(1e-3, 1e5, 2000))
         assert np.all(locus[:, 1] > -1.0)

@@ -18,7 +18,7 @@ from mfa.interconnect import (
     load_tf,
 )
 from mfa.sim import Trajectory, detect_oscillation, integrate
-from mfa.tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed
+from mfa.tf_core import AmplifierParams, get_nonlinearity
 
 AMP = AmplifierParams(0.01, 0.1, 1.0, k=10.0, beta=0.4)
 LOAD = LoadParams(a=350.0, b=35.0, kv=1.0, kp=20.0)
@@ -65,7 +65,7 @@ class TestLoadPassivity:
 
 class TestComposition:
     def amp_cert(self, lam=15.0):
-        return check_p_passivity(tf_build_mixed(AMP.with_gain(1.0)), lam, 2, AMP.k)
+        return check_p_passivity(LureLoop.amplifier(AMP).g1, lam, 2, AMP.k)
 
     def test_two_plus_zero(self):
         comp = compose_certificates(self.amp_cert(),

@@ -1,11 +1,13 @@
 """Channel banks: assembly, interlacing, extended loop, diagonal realization."""
 
 import json
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
-from conftest import bisect_root, brute_min_re
+from conftest import bisect_root, brute_min_re, exact_bank_numerator
 
 from mfa.equilibria import LureLoop
 from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
@@ -20,11 +22,10 @@ from mfa.multichannel import (
     ChannelBank,
     bank_critical_balance,
     bank_from_json,
-    build_channel_tf,
     check_interlacing,
 )
 from mfa.sim import integrate
-from mfa.tf_core import AmplifierParams, get_nonlinearity, tf_build_mixed
+from mfa.tf_core import AmplifierParams, Polynomial, get_nonlinearity
 
 
 def single_banks(tau_p=0.1, tau_n=1.0):
@@ -54,6 +55,12 @@ def random_banks(rng, max_size=4, beta_lo=0.05, beta_hi=0.95):
                             for w, tau in zip(rho_n, taus[m:])))
     beta = float(rng.uniform(beta_lo, beta_hi))
     return pos, neg, beta
+
+
+def bank_tf(pos, neg, beta, tau_l=0.003):
+    """Unit-gain transfer function of the bank loop, -C/(tau_l s + 1) with C
+    the bank difference."""
+    return LureLoop.bank(tau_l, pos, neg, 1.0, beta).g1
 
 
 def random_loop(kind, rng):
@@ -96,15 +103,20 @@ class TestBankInvariants:
         pos = ChannelBank((Channel(1.0, 2.0),))
         neg = ChannelBank((Channel(1.0, 1.0),))
         with pytest.raises(ValueError, match="time-scale ordering"):
-            build_channel_tf(pos, neg, 0.5)
+            LureLoop.bank(0.01, pos, neg, 1.0, 0.5)
+        with pytest.raises(ValueError, match="requires 0 <= beta <= 1"):
+            LureLoop.bank(0.01, neg, pos, 1.0, 1.5)
 
 
 class TestBuildChannelTf:
+    """The bank loop's unit-gain transfer function -C/(tau_l s + 1): its
+    numerator is the bank difference C over the channel lags, negated."""
+
     def test_single_channel_base_case(self):
         pos, neg = single_banks()
         beta = 0.8
-        c = build_channel_tf(pos, neg, beta)
-        assert c.den.degree == 2 and c.num.degree == 1
+        c = bank_tf(pos, neg, beta)
+        assert c.den.degree == 3 and c.num.degree == 1
         # zero matches the closed form of the weighted two-lag difference
         (z,) = c.zeros()
         expected = (1.0 - 2 * beta) / (beta * 1.1 - 0.1)
@@ -114,14 +126,14 @@ class TestBuildChannelTf:
         rng = np.random.default_rng(31)
         for _ in range(50):
             pos, neg, beta = random_banks(rng)
-            c = build_channel_tf(pos, neg, beta)
+            c = bank_tf(pos, neg, beta)
             s = complex(rng.normal(), rng.normal())
-            direct = bank_difference(pos, neg, beta, s)
+            direct = -bank_difference(pos, neg, beta, s) / (0.003 * s + 1.0)
             assert c.num(s) / c.den(s) == pytest.approx(direct, rel=1e-10)
 
     def test_negative_bank_limit(self):
         pos, neg = two_by_two()
-        c = build_channel_tf(pos, neg, 0.0)
+        c = bank_tf(pos, neg, 0.0)
         # C = -Cn over the full common denominator: one interlaced zero of
         # the negative bank, plus the positive-bank factors untouched
         zs = sorted(z.real for z in c.zeros())
@@ -131,7 +143,7 @@ class TestBuildChannelTf:
 
     def test_reference_two_by_two_zeros(self):
         pos, neg = two_by_two()
-        c = build_channel_tf(pos, neg, 0.6)
+        c = bank_tf(pos, neg, 0.6)
         zs = sorted(z.real for z in c.zeros())
         assert len(zs) == 3
         assert -20.0 < zs[0] < -10.0
@@ -143,15 +155,35 @@ class TestBuildChannelTf:
             assert bisect_root(f, lo, hi) == pytest.approx(z, abs=1e-9)
 
 
+class TestExactNumerator:
+    def test_coefficients_within_rounding_of_exact_expansion(self):
+        # every coefficient of the unit-gain numerator lies within 16 eps of
+        # the exact expansion, relative to the sum of |terms| it adds up:
+        # a few roundings per lag factor, for at most eight channels
+        eps = Fraction(np.finfo(float).eps)
+        rng = np.random.default_rng(1901)
+        sizes = set()
+        for trial in range(320):
+            pos, neg, beta = random_banks(rng, beta_lo=0.0, beta_hi=1.0)
+            beta = (0.0, 1.0, beta, beta)[trial % 4]
+            sizes.add((len(pos.channels), len(neg.channels)))
+            exact, scales = exact_bank_numerator(pos, neg, beta)
+            got = bank_tf(pos, neg, beta).num.coeffs
+            assert len(got) <= len(exact)
+            for c, e, scale in zip_longest(got, exact, scales, fillvalue=0.0):
+                assert abs(Fraction(c) - e) <= 16 * eps * scale, (pos, neg, beta)
+        assert sizes == {(m, n) for m in range(1, 5) for n in range(1, 5)}
+
+
 class TestInterlacing:
     def test_single_channel_outer_zero(self):
         pos, neg = single_banks()
-        rep = check_interlacing(pos, neg, 0.8)
+        rep = check_interlacing(pos, neg, bank_tf(pos, neg, 0.8).zeros())
         assert rep.satisfied and rep.pattern == (OUTER,)
 
     def test_reference_pattern(self):
         pos, neg = two_by_two()
-        rep = check_interlacing(pos, neg, 0.6)
+        rep = check_interlacing(pos, neg, bank_tf(pos, neg, 0.6).zeros())
         assert rep.satisfied
         assert rep.pattern == (BETWEEN_POSITIVE, BETWEEN_NEGATIVE, OUTER)
         # hand-made zeros against the poles -20, -10 (positive bank) and -1,
@@ -163,7 +195,7 @@ class TestInterlacing:
             ([-16.0, -12.0, -30.0], (OUTER, BETWEEN_POSITIVE, BETWEEN_POSITIVE)),
             ([-15.0, -5.0, -0.7], (BETWEEN_POSITIVE, UNPLACED, BETWEEN_NEGATIVE)),
         ]:
-            rep = check_interlacing(pos, neg, 0.6, zeros)
+            rep = check_interlacing(pos, neg, zeros)
             assert rep.pattern == pattern and not rep.satisfied
             assert rep.zeros == tuple(sorted(complex(z).real for z in zeros))
 
@@ -172,7 +204,7 @@ class TestInterlacing:
         for _ in range(100):
             pos, neg, beta = random_banks(rng)
             m, n = len(pos.channels), len(neg.channels)
-            rep = check_interlacing(pos, neg, beta)
+            rep = check_interlacing(pos, neg, bank_tf(pos, neg, beta).zeros())
             assert rep.satisfied, (pos, neg, beta)
             assert len(rep.zeros) == m + n - 1
             assert rep.pattern.count(BETWEEN_POSITIVE) == m - 1
@@ -180,14 +212,16 @@ class TestInterlacing:
             assert rep.pattern.count(OUTER) == 1
 
     def test_loop_zeros_give_the_same_report(self):
-        # the bank loop's unit-gain numerator is -C, whose roots are those of
-        # C bit for bit, so the zeros the loop hands over change nothing
+        # the unit-gain numerator -C depends on neither the load lag nor the
+        # gain, so the zeros the loop hands over give one report
         rng = np.random.default_rng(34)
         for _ in range(100):
             pos, neg, beta = random_banks(rng)
-            loop = LureLoop.bank(0.003, pos, neg, float(rng.uniform(0.5, 20.0)), beta)
-            assert (check_interlacing(pos, neg, beta, loop.g1.zeros())
-                    == check_interlacing(pos, neg, beta))
+            k = float(rng.uniform(0.5, 20.0))
+            fast, slow = (LureLoop.bank(tau_l, pos, neg, k, beta).g1 for tau_l in (0.003, 50.0))
+            assert fast.num.coeffs == slow.num.coeffs
+            assert (check_interlacing(pos, neg, fast.zeros())
+                    == check_interlacing(pos, neg, slow.zeros()))
 
     def test_sign_change_witness(self):
         # the difference flips sign across each same-bank pole gap
@@ -207,7 +241,7 @@ class TestInterlacing:
         assert blim == pytest.approx(0.1 / 1.1, rel=1e-12)
         mags = []
         for beta in (blim + 0.05, blim + 0.02, blim + 0.005, blim + 0.0005):
-            rep = check_interlacing(pos, neg, beta)
+            rep = check_interlacing(pos, neg, bank_tf(pos, neg, beta).zeros())
             (outer,) = [z for z, p in zip(rep.zeros, rep.pattern) if p == OUTER]
             mags.append(abs(outer))
         assert mags == sorted(mags)
@@ -218,9 +252,13 @@ class TestExtendedOpenLoop:
     def test_base_case_reduces_to_three_state(self):
         pos, neg = single_banks()
         gb = LureLoop.bank(0.01, pos, neg, 5.0, 0.8).g1
-        ge = tf_build_mixed(AmplifierParams(0.01, 0.1, 1.0, 1.0, 0.8))
-        assert np.allclose(gb.num.coeffs, ge.num.coeffs, rtol=1e-12)
-        assert np.allclose(gb.den.coeffs, ge.den.coeffs, rtol=1e-12)
+        ge = LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.8)).g1
+        assert gb.num.coeffs == ge.num.coeffs and gb.den.coeffs == ge.den.coeffs
+        # the three-state closed form -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s]
+        # over (tau_l s + 1)(tau_p s + 1)(tau_n s + 1)
+        assert gb.num.coeffs == (-(2 * 0.8 - 1.0), -(0.8 * (1.0 + 0.1) - 0.1))
+        assert gb.den.coeffs == (Polynomial([1.0, 0.01]) * Polynomial([1.0, 0.1])
+                                 * Polynomial([1.0, 1.0])).coeffs
 
     def test_dc_value_independent_of_bank_size(self):
         rng = np.random.default_rng(37)

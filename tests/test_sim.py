@@ -161,6 +161,17 @@ class TestIntegrate:
             traj = integrate(ss, (0.0, 0.0, 0.0), t_end=0.01)
             assert traj.t[1] == steps[binding] == min(steps)
 
+    @pytest.mark.filterwarnings("error")
+    def test_default_step_with_a_zero_radius(self):
+        # A = 0 bounds no step, so the closed-loop radius 1 gives dt = 1; with
+        # both radii 0 there is no default step
+        ss = StateSpace(a=((0.0,),), b=(1.0,), c=(1.0,), labels=("x",))
+        traj = integrate(ss, (0.5,), t_end=3.0)
+        assert list(traj.t) == [0.0, 1.0, 2.0, 3.0]
+        ss = StateSpace(a=((0.0,),), b=(0.0,), c=(1.0,), labels=("x",))
+        with pytest.raises(ValueError, match="requires dt"):
+            integrate(ss, (0.5,))
+
     def test_odd_symmetry(self):
         p = mixed(5.0, 0.4)
         a = integrate(amp_ss(p), (0.1, 0.0, 0.0), dt=5e-4, t_end=5.0)

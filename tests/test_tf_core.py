@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_shift
+from conftest import gain_scaled, reference_shift
 
+from mfa.equilibria import LureLoop
 from mfa.tf_core import (
     INFINITE_ZERO,
     AmplifierParams,
@@ -14,7 +15,6 @@ from mfa.tf_core import (
     RationalTF,
     get_nonlinearity,
     poly_roots,
-    tf_build_mixed,
     tf_multiply,
     tf_shift,
     tf_zero_mixed,
@@ -88,16 +88,16 @@ class TestPolyRoots:
 
 class TestBuildMixed:
     def test_dc_value(self):
-        g = tf_build_mixed(mixed(5.0, 0.2))
+        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
         assert g.num(0.0) / g.den(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_balanced_numerator_has_zero_constant(self):
-        g = tf_build_mixed(mixed(2.0, 0.5))
+        g = gain_scaled(LureLoop.amplifier(mixed(2.0, 0.5)).g1, 2.0)
         assert g.num.coeffs[0] == 0.0
         assert g.num.coeffs[-1] == pytest.approx(-2.0 * (0.5 * 1.1 - 0.1))
 
     def test_zero_gain_severs_loop(self):
-        g = tf_build_mixed(mixed(0.0, 0.3))
+        g = gain_scaled(LureLoop.amplifier(mixed(0.0, 0.3)).g1, 0.0)
         assert g.num.is_zero
 
     def test_dc_identity_random(self):
@@ -110,7 +110,7 @@ class TestBuildMixed:
                 continue
             p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0, 50)),
                                 beta=float(rng.uniform(0, 1)))
-            g = tf_build_mixed(p)
+            g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
             assert g.num(0.0) / g.den(0.0) == pytest.approx(
                 p.k * (1 - 2 * p.beta), abs=1e-12)
 
@@ -129,7 +129,7 @@ class TestBuildMixed:
 
 class TestShift:
     def test_zero_shift_identity(self):
-        g = tf_build_mixed(mixed(5.0, 0.2))
+        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
         gs = tf_shift(g, 0.0)
         assert gs.num.coeffs == g.num.coeffs
         assert gs.den.coeffs == g.den.coeffs
@@ -142,7 +142,7 @@ class TestShift:
     def test_zero_rate_turns_negative_zero_positive(self):
         # at beta = 0.5 the numerator's constant is -k * 0.0 = -0.0; the
         # re-expansion sum gives 0.0, and so does the rate-0 shortcut
-        g = tf_build_mixed(mixed(2.0, 0.5))
+        g = gain_scaled(LureLoop.amplifier(mixed(2.0, 0.5)).g1, 2.0)
         assert g.num.coeffs[0].hex() == "-0x0.0p+0"
         gs = tf_shift(g, 0.0)
         for got, poly in ((gs.num, g.num), (gs.den, g.den)):
@@ -166,7 +166,7 @@ class TestShift:
                 assert [c.hex() for c in got] == [c.hex() for c in want]
 
     def test_pole_translation_mixed(self):
-        g = tf_build_mixed(mixed(1.0, 0.2))
+        g = LureLoop.amplifier(mixed(1.0, 0.2)).g1
         shifted = sorted(z.real for z in tf_shift(g, 55.0).poles())
         assert shifted == pytest.approx([-45.0, 45.0, 54.0], rel=1e-9)
 
@@ -223,14 +223,14 @@ class TestZeroMixed:
                 continue
             p = AmplifierParams(2.345 * tn, tp, tn, k=1.0, beta=beta)
             z = tf_zero_mixed(p)
-            (root,) = tf_build_mixed(p).zeros()
+            (root,) = gain_scaled(LureLoop.amplifier(p).g1, p.k).zeros()
             assert abs(z + root.real) <= 1e-10 * abs(z)
             checked += 1
 
 
 class TestMultiplyEval:
     def test_identity_factor(self):
-        g = tf_build_mixed(mixed(5.0, 0.2))
+        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
         one = RationalTF(Polynomial([1.0]), Polynomial([1.0]))
         gg = tf_multiply(g, one)
         assert gg.num.coeffs == g.num.coeffs and gg.den.coeffs == g.den.coeffs
@@ -242,7 +242,7 @@ class TestMultiplyEval:
         assert ab.den.coeffs == pytest.approx((2.0, 3.0, 1.0))
 
     def test_degree_bookkeeping(self):
-        g = tf_build_mixed(mixed(5.0, 0.8))
+        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.8)).g1, 5.0)
         e = RationalTF(Polynomial([1.0, 0.2]), Polynomial([1.0, 0.05]))  # bi-proper
         ge = tf_multiply(g, e)
         assert ge.num.degree == g.num.degree + e.num.degree
@@ -250,11 +250,11 @@ class TestMultiplyEval:
 
     def test_pure_feedback_dc_signs(self):
         for beta, dc in ((0.0, 1.0), (1.0, -1.0)):
-            g = tf_build_mixed(mixed(1.0, beta))
+            g = LureLoop.amplifier(mixed(1.0, beta)).g1
             assert g.num(0.0) / g.den(0.0) == pytest.approx(dc)
 
     def test_high_frequency_rolloff(self):
-        g = tf_build_mixed(mixed(1.0, 0.2))
+        g = LureLoop.amplifier(mixed(1.0, 0.2)).g1
         hi = abs(g.num(1j * 1e6) / g.den(1j * 1e6))
         lo = abs(g.num(1j * 1e5) / g.den(1j * 1e5))
         assert hi / lo == pytest.approx(1e-2, rel=1e-2)  # |G| ~ w^-2
@@ -275,7 +275,7 @@ class TestMultiplyEval:
 class TestCancelSerialization:
     def test_no_implicit_cancellation(self):
         # beta = 0 creates a common (tau_p s + 1) factor that must be kept
-        g = tf_build_mixed(mixed(1.0, 0.0))
+        g = LureLoop.amplifier(mixed(1.0, 0.0)).g1
         assert g.den.degree == 3 and g.num.degree == 1
 
 
