@@ -71,22 +71,25 @@ def _write_csv(path: str | None, header: str, rows):
     either a 2-D float array, each block one call of
     :func:`mfa.csvtext.format_block`, which gives the bytes of
     ``format(x, ".17g")`` for every value, ``-0``, ``inf`` and ``nan``
-    included, or a list of ready text lines.  A file is written as bytes.
+    included, or a list of ready text lines.  Text goes to stdout as text,
+    and to a file as bytes.
     """
     if isinstance(rows, np.ndarray):
         # imported here: its tables take about a megabyte and a few
         # milliseconds to build, which the JSON commands and maps do not use
-        from .csvtext import format_block as block_text
+        from .csvtext import format_block as block_data
     else:
-        def block_text(block):
-            return "".join(block).encode()
-
+        block_data = "".join
     out = None if path is None else open(path, "wb")
     try:
-        write = out.write if out is not None else (lambda data: sys.stdout.write(data.decode()))
-        write(f"# mfa {__version__}\n{header}\n".encode())
+        def write(data):
+            if out is None:
+                sys.stdout.write(data if isinstance(data, str) else data.decode())
+            else:
+                out.write(data.encode() if isinstance(data, str) else data)
+        write(f"# mfa {__version__}\n{header}\n")
         for i in range(0, len(rows), _CSV_ROWS):
-            write(block_text(rows[i:i + _CSV_ROWS]))
+            write(block_data(rows[i:i + _CSV_ROWS]))
     finally:
         if out is not None:
             out.close()
@@ -112,6 +115,18 @@ def _input_file(path: str):
             raise _MalformedInput(f"{path}: missing field {exc}") from None
         except TypeError as exc:
             raise _MalformedInput(f"{path}: malformed input: {exc}") from None
+
+
+def _finite_json(path: str, text: str):
+    """JSON ``text`` of the input file ``path``; a number that is not a finite
+    float (NaN, Infinity, 1e999) raises a ``ValueError`` naming the file."""
+    def number(token, kind=float):
+        if not math.isfinite(float(token)):
+            raise ValueError(f"{path}: requires finite numbers, got {token}")
+        return kind(token)
+
+    return json.loads(text, parse_float=number, parse_constant=number,
+                      parse_int=lambda token: number(token, int))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +210,7 @@ def cmd_map(args) -> int:
 def _read_schedule(args) -> InputSchedule:
     if args.schedule is not None:
         with _input_file(args.schedule) as fh:
-            return InputSchedule.from_json(fh.read())
+            return InputSchedule.from_json(_finite_json(args.schedule, fh.read()))
     return InputSchedule.constant(args.r)
 
 
@@ -278,7 +293,7 @@ def cmd_nyquist(args) -> int:
 
 def cmd_multichannel(args) -> int:
     with _input_file(args.bank) as fh:
-        bank_data = json.loads(fh.read())
+        bank_data = _finite_json(args.bank, fh.read())
         tau_l, pos, neg, k, beta = bank_from_json(bank_data)
     loop = LureLoop.bank(tau_l, pos, neg, k, beta, args.nonlinearity)
     # the loop's unit-gain numerator is the bank difference's up to sign, so
@@ -386,6 +401,20 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
+        self.commands: dict[str, argparse.ArgumentParser] = {}  # name -> parser
+
+    def parse_args(self, args=None, namespace=None):
+        """Parse ``args`` in one pass by the parser of the subcommand its first
+        word names; any other argv, or one with words left over, goes through
+        the full parser, which keeps its usage, help and error text."""
+        argv = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(argv[0]) if argv and namespace is None else None
+        if sub is not None:
+            parsed, rest = sub.parse_known_args(argv[1:])
+            if not rest:
+                parsed.command = argv[0]
+                return parsed
+        return super().parse_args(argv, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mfa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("analyze", help="full analysis report (JSON)")
     _add_amp_flags(p)

@@ -110,30 +110,45 @@ def _bisect(f, a, b, fa):
     return m
 
 
-def _sign_changes(phi, slope: float, r: float, slope_inverse, *cuts: float
-                  ) -> list[tuple[float, float, float]]:
-    """The roots of h(y) = phi(y) - slope*y - r (slope != 0), located on the
-    sorted nodes +-bound, +-y_c (when 0 < slope < 1) and +-c for each c >= 0
-    in ``cuts``, one each for zero.  No root lies outside (-bound, bound)
+def _scan_line(phi, slope: float, r: float, slope_inverse, y_s: float = -1.0,
+               brackets: list | None = None) -> tuple[int, int, int]:
+    """Count the roots of h(y) = phi(y) - slope*y - r (slope != 0) in one
+    pass over the sorted nodes +-bound, +-y_c (when 0 < slope < 1) and +-y_s
+    (when y_s >= 0), one each for zero.  No root lies outside (-bound, bound)
     and h is monotone between adjacent nodes, so each root is a node where
-    h is exactly zero, given as (y, y, 0.0), or lies between adjacent nodes
-    a < b where h is nonzero with opposite signs, given as (a, b, h(a)).
+    h is exactly zero or lies between adjacent nodes a < b where h is
+    nonzero with opposite signs.  Returns the number of roots, of those in
+    [-y_s, y_s] but not at +-y_s, and of those at +-y_s; each is appended to
+    ``brackets``, when given, as (y, y, _) at a node or as (a, b, h(a)).
     h is evaluated once per node."""
-    pos = {(1.0 + abs(r)) / abs(slope) + 1.0, *cuts}
+    bound = (1.0 + abs(r)) / abs(slope) + 1.0
+    nodes = {bound, -bound}
     if 0.0 < slope < 1.0:
-        pos.add(slope_inverse(slope))
-    pos = sorted(pos)
-    out = []
+        y_c = slope_inverse(slope)
+        nodes.add(y_c)
+        nodes.add(-y_c)
+    if y_s >= 0.0:
+        nodes.add(y_s)
+        nodes.add(-y_s)  # y_s = 0.0 stays 0.0: -0.0 is equal, so not added
+    n = inner = edge = 0
     a = fa = 0.0
-    for b in [-y for y in reversed(pos) if y] + pos:
+    for b in sorted(nodes):
         # r_fold = phi(y_c) - slope*y_c in this order makes h(y_c) exactly 0
         fb = phi(b) - slope * b - r
         if fb == 0.0:
-            out.append((b, b, fb))
-        elif fa and (fa < 0.0) != (fb < 0.0):
-            out.append((a, b, fa))
+            a = b
+        elif not fa or (fa < 0.0) == (fb < 0.0):
+            a, fa = b, fb
+            continue
+        n += 1
+        if a == b and abs(b) == y_s:
+            edge += 1
+        elif -y_s <= a and b <= y_s:
+            inner += 1
+        if brackets is not None:
+            brackets.append((a, b, fa))
         a, fa = b, fb
-    return out
+    return n, inner, edge
 
 
 def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
@@ -152,8 +167,9 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     def h(y):
         return phi(y) - slope * y - r
 
-    return [a if a == b else _bisect(h, a, b, fa)
-            for a, b, fa in _sign_changes(phi, slope, r, slope_inverse)]
+    brackets = []
+    _scan_line(phi, slope, r, slope_inverse, brackets=brackets)
+    return [a if a == b else _bisect(h, a, b, fa) for a, b, fa in brackets]
 
 
 def classify_stability(eigs) -> str:
@@ -456,39 +472,6 @@ def _regime(k: float, two: bool, k0_bar: float, k2_bar: float, n_equilibria: int
     return REGIME_UNCLASSIFIED, "gain at or above both critical gains"
 
 
-def _cell_counts(phi, slope_inverse, g0: float, r: float, s: float
-                 ) -> tuple[int, int, int]:
-    """Numbers of equilibria, unstable ones and marginal ones of
-    phi(v) = r + v/g0, where an equilibrium at v is unstable when
-    phi'(v) > s and marginal when phi'(v) = s.
-
-    phi' is even and decreases in |v| from phi'(0) = 1, so phi'(v) > s holds
-    exactly on |v| < y_s = slope_inverse(s) when s < 1, and nowhere when
-    s >= 1 (at s = 1, v = 0 is marginal).  With +-y_s among the nodes of
-    :func:`_sign_changes`, the scan :func:`solve_phi_line` bisects,
-    h(v) = phi(v) - v/g0 - r is monotone and the label constant between
-    adjacent nodes: a sign change of h there is one equilibrium with that
-    label, and a zero of h at a node is one equilibrium, marginal at +-y_s.
-    No root is located.
-    """
-    if s < 1.0:
-        y_s = slope_inverse(s)
-    else:
-        y_s = 0.0 if s == 1.0 else -1.0  # -1: no v has phi'(v) >= s
-    if g0 == 0.0:
-        # v = 0 is the one equilibrium, as in LureLoop.equilibria
-        return 1, int(y_s > 0.0), int(y_s == 0.0)
-    slope = 1.0 / g0
-    roots = _sign_changes(phi, slope, r, slope_inverse, *((y_s,) if y_s >= 0.0 else ()))
-    unstable = marginal = 0
-    for a, b, _ in roots:
-        if a == b and abs(b) == y_s:
-            marginal += 1
-        elif -y_s <= a and b <= y_s:
-            unstable += 1
-    return len(roots), unstable, marginal
-
-
 def dominance_map(tau_l: float, tau_p: float, tau_n: float,
                   k_values, beta_values, r: float = 0.0,
                   lam: float | None = None, nonlinearity: str = "tanh"
@@ -499,13 +482,16 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     k0_bar and k2_bar and its crossing gain T (:attr:`LureLoop.crossing_gain`)
     do not depend on k, so they are taken once.  At gain k an equilibrium at
     v has the linearization den + phi'(v) k num, unstable exactly when
-    phi'(v) > T/k, so each cell is counted by :func:`_cell_counts` from the
-    signs of phi(v) - v/g0 - r at a few nodes, with no root bisected and no
-    eigenvalue taken.  "Marginal" is then exact: phi'(v) k = T.  When T is
-    the fold gain 1/(2 beta - 1), T/k is taken as 1/g0, its value in exact
-    arithmetic, so that a tangent (double) equilibrium is marginal.
-    A certificate error marks the column Unclassified with its reason.  The
-    rate ``lam`` defaults to :func:`midpoint_rate` of the lags' poles.
+    phi'(v) > s = T/k: on |v| < y_s = slope_inverse(s) when s < 1, nowhere
+    when s >= 1, as phi' is even and decreases in |v| from phi'(0) = 1.  With
+    +-y_s among its nodes, one pass of :func:`_scan_line`, the scan
+    :func:`solve_phi_line` bisects, counts a cell from the signs of
+    phi(v) - v/g0 - r, with no root bisected and no eigenvalue taken.
+    "Marginal" is then exact: phi'(v) k = T.  When T is the fold gain
+    1/(2 beta - 1), T/k is taken as 1/g0, its value in exact arithmetic, so
+    that a tangent (double) equilibrium is marginal.  A certificate error
+    marks the column Unclassified with its reason.  The rate ``lam``
+    defaults to :func:`midpoint_rate` of the lags' poles.
     """
     k_values = [float(k) for k in k_values]
     beta_values = [float(b) for b in beta_values]
@@ -534,8 +520,11 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
         column = []
         for k in k_values:
             g0 = k * loop.g0
-            n, unstable, marginal = _cell_counts(phi, slope_inverse, g0, r,
-                                                 1.0 / g0 if fold else t / k)
+            s = 1.0 / g0 if fold else t / k
+            y_s = slope_inverse(s) if s < 1.0 else 0.0 if s == 1.0 else -1.0
+            # y_s = -1: no v has phi'(v) >= s; g0 = 0: v = 0 is the one equilibrium
+            n, unstable, marginal = ((1, int(y_s > 0.0), int(y_s == 0.0)) if g0 == 0.0
+                                     else _scan_line(phi, 1.0 / g0, r, slope_inverse, y_s))
             regime, reason = _regime(k, two, k0_bar, k2_bar, n, unstable, marginal)
             column.append(MapCell(regime, k0_bar, k2_bar, t, n, unstable, reason))
         columns.append(column)

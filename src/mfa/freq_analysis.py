@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -111,14 +112,21 @@ def _asymptotic_re(g: RationalTF) -> float:
     return 0.0
 
 
+@cache
+def _powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents k = 0..n-1 and signs (-1)**(k//2), built once per length n."""
+    k = np.arange(n)
+    return k, (-1.0) ** (k // 2)
+
+
 def _axis_parts(coeffs, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd parts of p(j*scale*x) as polynomials in v = x**2.
 
     p(j*scale*x) = E(v) + j*x*O(v), because j**k = (-1)**(k//2) for even k
     and j*(-1)**(k//2) for odd k.  Coefficients ascend.
     """
-    k = np.arange(len(coeffs))
-    c = np.asarray(coeffs) * scale ** k * (-1.0) ** (k // 2)
+    k, sign = _powers(len(coeffs))
+    c = np.asarray(coeffs) * scale ** k * sign
     return c[0::2], (c[1::2] if len(c) > 1 else np.zeros(1))
 
 
@@ -131,7 +139,7 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _der(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+    return c[1:] * _powers(len(c))[0][1:] if len(c) > 1 else np.zeros(1)
 
 
 def _stationary_poly(shifted: RationalTF) -> tuple[float, np.ndarray]:
@@ -149,8 +157,8 @@ def _stationary_poly(shifted: RationalTF) -> tuple[float, np.ndarray]:
     ne, no = _axis_parts(shifted.num.coeffs, w0)
     de, do = _axis_parts(den, w0)
     conv = np.convolve
-    pp = _add(conv(ne, de), np.append(0.0, conv(no, do)))
-    qq = _add(conv(de, de), np.append(0.0, conv(do, do)))
+    pp = _add(conv(ne, de), np.concatenate(([0.0], conv(no, do))))
+    qq = _add(conv(de, de), np.concatenate(([0.0], conv(do, do))))
     nonzero = np.flatnonzero(pp)
     if len(nonzero) == 0:
         return w0, np.zeros(0)

@@ -105,8 +105,10 @@ class InputSchedule:
         return cls(((0.0, float(r)),))
 
     @classmethod
-    def from_json(cls, text: str) -> "InputSchedule":
-        data = json.loads(text)
+    def from_json(cls, data) -> "InputSchedule":
+        """Parse [{"t": t_start, "r": value}, ...], as JSON text or parsed."""
+        if isinstance(data, str):
+            data = json.loads(data)
         return cls(tuple((float(e["t"]), float(e["r"])) for e in data))
 
     def values_for_steps(self, dt: float, n_steps: int) -> np.ndarray:

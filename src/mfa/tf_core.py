@@ -134,7 +134,8 @@ def _companion_roots(polys) -> list[np.ndarray]:
         if len(nz) and nz[-1] > nz[0]:
             by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, c[nz[0]:nz[-1] + 1]))
     for n, group in by_size.items():
-        a = np.tile(np.eye(n, k=-1), (len(group), 1, 1))
+        a = np.zeros((len(group), n, n))
+        a.reshape(len(group), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
         a[:, 0] = [-c[1:] / c[0] for _, c in group]
         for (i, _), z in zip(group, np.linalg.eigvals(a)):
             out[i] = np.concatenate((z, out[i]))

@@ -219,9 +219,17 @@ def reference_map_text(ks, betas, cells) -> str:
 def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     """min Re G(jw - lam) with the stationary points from one ``np.roots``
     call per rate: the one-rate path of ``freq_analysis.min_real_part``
-    before its companion matrices were stacked."""
-    from mfa.freq_analysis import (_add, _asymptotic_re, _axis_parts,
-                                   _check_axis_clear, _der, _re_at)
+    before its companion matrices were stacked, with its exponent and sign
+    vectors built on each call."""
+    from mfa.freq_analysis import _add, _asymptotic_re, _check_axis_clear, _re_at
+
+    def _axis_parts(coeffs, scale):
+        k = np.arange(len(coeffs))
+        c = np.asarray(coeffs) * scale ** k * (-1.0) ** (k // 2)
+        return c[0::2], (c[1::2] if len(c) > 1 else np.zeros(1))
+
+    def _der(c):
+        return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
     _check_axis_clear(g, lam)
     if g.num.is_zero:

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, formats, determinism, round trips."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -731,6 +734,142 @@ class TestNonFiniteLoad:
                             json.dumps({**LOAD, "ki": 1e300, "ko": 1e300}))
         assert big == self.run_load(capsys, tmp_path, "nyquist", json.dumps(LOAD))
         assert big[0] == 0
+
+
+SCHEDULE = '[{"t": 0, "r": 0.0}, {"t": 0.5, "r": 0.3}]'
+BANK = {"tau_l": 0.01, "positive": [{"rho": 1.0, "tau": 0.1}],
+        "negative": [{"rho": 1.0, "tau": 1.0}], "k": 5, "beta": 0.4}
+
+
+class TestNonFiniteFiles:
+    """A schedule or bank file with a number that is not a finite float
+    exits 2 with one error line naming the file, before any analysis."""
+
+    @pytest.mark.parametrize("text, token", [
+        (SCHEDULE.replace('"t": 0.5', '"t": NaN'), "NaN"),
+        (SCHEDULE.replace('"t": 0.5', '"t": Infinity'), "Infinity"),
+        (SCHEDULE.replace('"r": 0.0', '"r": Infinity'), "Infinity"),
+        (SCHEDULE.replace('"r": 0.0', '"r": NaN'), "NaN"),
+        (SCHEDULE.replace('"r": 0.3', '"r": -1e999'), "-1e999"),
+    ], ids=["t-nan", "t-inf", "r-inf", "r-nan", "r-overflow"])
+    def test_schedule(self, capsys, tmp_path, text, token):
+        assert token in text
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        code = main(["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "0.001",
+                     "--t-end", "1", "--schedule", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: requires finite numbers, got {token}\n"
+
+    @pytest.mark.parametrize("text, token", [
+        (json.dumps(BANK).replace('"tau": 1.0', '"tau": Infinity'), "Infinity"),
+        (json.dumps(BANK).replace('"negative": [{"rho": 1.0', '"negative": [{"rho": NaN'), "NaN"),
+        (json.dumps(BANK).replace('"tau_l": 0.01', '"tau_l": 1e999'), "1e999"),
+        (json.dumps(BANK).replace('"k": 5', '"k": 1' + "0" * 400), "1" + "0" * 400),
+    ], ids=["tau-inf", "rho-nan", "tau_l-overflow", "k-overflow"])
+    def test_bank(self, capsys, tmp_path, text, token):
+        assert token in text
+        path = tmp_path / "bank.json"
+        path.write_text(text)
+        code = main(["multichannel", "--bank", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: requires finite numbers, got {token}\n"
+
+    def test_finite_files_parse_as_before(self, capsys, tmp_path):
+        # integers stay integers in the report's copy of the bank
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(BANK))
+        code, out = run(capsys, ["multichannel", "--bank", str(path)])
+        assert code == 0 and json.loads(out)["bank"] == BANK
+        assert '"k": 5,' in out
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exits
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserDispatch:
+    """An argv that starts with a subcommand is parsed by that subcommand's
+    parser alone; the output, usage, help and error text are those of the
+    full parser."""
+
+    ARGVS = {
+        "analyze": ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--lambda", "50"],
+        "map": ["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "1000", "--rows", "4",
+                "--cols", "3", "--lambda", "50", "--jobs", "1"],
+        "simulate": ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "0.001",
+                     "--t-end", "0.01"],
+        "nyquist": ["nyquist", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--grid-points", "5"],
+        "multichannel": ["multichannel", "--bank", BANK_SINGLE, "--lambda", "50"],
+        "interconnect": ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4",
+                         "--load", LOAD_JSON, "--certify"],
+        "map-help": ["map", "-h"],
+        "version": ["--version"],
+        "no-arguments": [],
+        "unknown-option": ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--bogus", "1"],
+        "missing-option": ["map", *AMP_FLAGS, "--k-min", "0.1", "--rows", "3", "--cols", "3"],
+        "r-nan": ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--r", "nan"],
+        "ambiguous-abbreviation": ["map", *AMP_FLAGS, "--k-m", "0.1", "--rows", "3",
+                                   "--cols", "3"],
+        "resolving-abbreviation": ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4",
+                                   "--lam", "50"],
+        "negative-ic": ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "0.001",
+                        "--t-end", "0.01", "--ic", "-0.5,0,0"],
+    }
+
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        got = _outcome(capsys, argv)
+        full = cli.build_parser()
+        full.commands = {}  # no subcommand is parsed directly
+        monkeypatch.setattr(cli, "_parser", full)
+        assert got == _outcome(capsys, argv)
+        assert got[1] or got[2]
+
+    @pytest.mark.parametrize("name", ["analyze", "map", "unknown-option", "missing-option"])
+    def test_parse_passes(self, capsys, monkeypatch, name):
+        # one pass for a subcommand call; words the subcommand's parser
+        # leaves over send the argv through the full parser, two passes more
+        passes = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            passes.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        code = _outcome(capsys, self.ARGVS[name])[0]
+        if name in ("analyze", "map"):
+            assert (code, passes) == (0, [f"mfa {name}"])
+        elif name == "unknown-option":
+            assert (code, passes) == (2, ["mfa analyze", "mfa", "mfa analyze"])
+        else:
+            assert (code, passes) == (2, ["mfa map"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "1000", "--rows", "60", "--cols", "1",
+     "--beta-min", "0.4", "--beta-max", "0.4", "--lambda", "50"],
+    ["map", *AMP_FLAGS, "--k-min", "0.1", "--rows", "60", "--bogus"],
+], ids=["map-column", "usage-error"])
+def test_module_entry_matches_main(capsys, argv):
+    """``python -m mfa`` reads its argv from sys.argv and prints what
+    ``main(argv)`` prints in-process."""
+    path = [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "mfa", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(capsys, argv)
 
 
 class TestRootCalls:
