@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -117,16 +118,30 @@ def _input_file(path: str):
             raise _MalformedInput(f"{path}: malformed input: {exc}") from None
 
 
-def _finite_json(path: str, text: str):
-    """JSON ``text`` of the input file ``path``; a number that is not a finite
-    float (NaN, Infinity, 1e999) raises a ``ValueError`` naming the file."""
-    def number(token, kind=float):
-        if not math.isfinite(float(token)):
-            raise ValueError(f"{path}: requires finite numbers, got {token}")
-        return kind(token)
+def _finite(path: str, token: str, kind=float):
+    """``kind(token)`` for a number of the input file ``path``; a number that
+    is not a finite float (NaN, Infinity, 1e999, an integer of 400 digits)
+    raises a ``ValueError`` naming the file."""
+    if not math.isfinite(float(token)):
+        raise ValueError(f"{path}: requires finite numbers, got {token}")
+    return kind(token)
 
+
+def _finite_json(path: str, text: str):
+    """JSON ``text`` of the input file ``path``, every number checked by
+    :func:`_finite`."""
+    number = functools.partial(_finite, path)
     return json.loads(text, parse_float=number, parse_constant=number,
                       parse_int=lambda token: number(token, int))
+
+
+def _read_load(path: str):
+    """Load and interface gains of the load file ``path``.  An integer too
+    large for a float is refused by :func:`_finite`; NaN, Infinity and 1e999
+    reach the load's own checks, whose messages name the field."""
+    with _input_file(path) as fh:
+        return load_from_json(json.loads(fh.read(),
+                                         parse_int=lambda token: _finite(path, token, int)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +275,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_nyquist(args) -> int:
     if args.load is not None:
-        with _input_file(args.load) as fh:
-            load, _ = load_from_json(fh.read())
+        load, _ = _read_load(args.load)
         g = load_tf(load)
     else:
         for name in ("tau_l", "tau_p", "tau_n", "k", "beta"):
@@ -312,8 +326,7 @@ def cmd_multichannel(args) -> int:
 # interconnect
 
 def cmd_interconnect(args) -> int:
-    with _input_file(args.load) as fh:
-        load, iface = load_from_json(fh.read())
+    load, iface = _read_load(args.load)
     amp = _amp_from_args(args)
     loop = LureLoop.load(amp, load, iface)
     if args.certify:

@@ -176,60 +176,62 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
     test the states for finiteness; the caller checks each block once.  A
     non-finite state only makes the later ones inf or nan, since float
     arithmetic, ``tanh`` and ``atan`` raise nothing on them.  The source
-    names only state components, stages and coefficient positions; the
-    coefficients themselves are bound as arguments of the enclosing factory,
-    never formatted into the text.  The arithmetic is that of the generic
-    loop term for term, so trajectories are bit-deterministic:
-    ``y = 0.0 + c_j s_j + ...`` and each derivative row
-    ``(0.0 + a_ij s_j + ...) + b_i u`` in index order, the stage points
-    ``s + half k1``, ``s + half k2``, ``s + dt k3`` and the update
-    ``s + sixth (k1 + 2 (k2 + k3) + k4)``.
+    names only state components, stages and coefficient positions; ``phi``,
+    ``dt``, ``dt/2``, ``dt/6`` and the coefficients are bound as keyword
+    defaults of ``block``, so they are its locals and never formatted into
+    the text.  The sums are the generic loop's terms in index order without
+    its ``0.0`` seeds: ``y = c_j s_j + ...`` and each derivative row
+    ``a_ij p_j + ... + b_i u``, where ``p`` is ``s`` in the first stage, then
+    ``s + half k1``, ``s + half k2`` and ``s + dt k3``, and the update
+    ``s + sixth (k1 + 2 (k2 + k3) + k4 + 0.0)``.  A seed only turned a sum of
+    ``-0.0`` into ``0.0``, so no seeded derivative is ``-0.0``; and ``+``,
+    ``*``, ``tanh`` and ``atan`` map values equal up to the sign of zero to
+    values equal up to the sign of zero.  So the ``+ 0.0`` makes the weighted
+    sum, and with it each increment and every state, bit-identical to the
+    seeded loop's.
     """
     n = ss.dim
     coeffs = {"phi": phi, "dt": dt, "half": dt / 2.0, "sixth": dt / 6.0}
-    c_sum = "0.0"
-    for j, cj in _sparse(ss.loop_row):
-        coeffs[f"c_{j}"] = cj
-        c_sum += f" + c_{j}*p{j}"
-    rows = []
-    b = dict(_sparse(ss.b))
-    for i, row in enumerate(_sparse(ss.a)):
-        expr = "0.0"
-        for j, aij in row:
-            coeffs[f"a_{i}_{j}"] = aij
-            expr += f" + a_{i}_{j}*p{j}"
-        if i in b:
-            coeffs[f"b_{i}"] = b[i]
-            expr += f" + b_{i}*u"
-        rows.append(expr)
+
+    def terms(name, pairs):
+        # (coefficient name, state index) of each nonzero entry, bound by name
+        for j, v in pairs:
+            coeffs[f"{name}_{j}"] = v
+        return [(f"{name}_{j}", j) for j, _ in pairs]
+
+    c_row = terms("c", _sparse(ss.loop_row))
+    a_rows = [terms(f"a_{i}", row) for i, row in enumerate(_sparse(ss.a))]
+    b_u = {i: [f"{name}*u"] for name, i in terms("b", _sparse(ss.b))}
+
+    def total(row, p, extra=()):
+        return " + ".join([*(f"{name}*{p}{j}" for name, j in row), *extra]) or "0.0"
 
     def stage(k, point):
-        # stage k's derivatives k{k}_i, evaluated at p_i = s_i for the first
-        # stage and at p_i = s_i + point * k{k-1}_i after it
+        # stage k's derivatives k{k}_i, at s in the first stage and at
+        # p_i = s_i + point * k{k-1}_i after it
         if point is None:
-            lines = [f"p{i} = s{i}" for i in range(n)]
+            p, lines = "s", []
         else:
-            lines = [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)]
-        lines += [f"y = {c_sum}", "u = r - phi(y)"]
-        lines += [f"k{k}_{i} = {expr}" for i, expr in enumerate(rows)]
+            p, lines = "p", [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)]
+        lines += [f"y = {total(c_row, p)}", "u = r - phi(y)"]
+        lines += [f"k{k}_{i} = {total(row, p, b_u.get(i, ()))}"
+                  for i, row in enumerate(a_rows)]
         return lines
 
     state = ", ".join(f"s{i}" for i in range(n))
     body = [*stage(1, None), *stage(2, "half"), *stage(3, "half"), *stage(4, "dt")]
-    body += [f"s{i} = s{i} + sixth*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i})"
+    body += [f"s{i} = s{i} + sixth*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i} + 0.0)"
              for i in range(n)]
     body.append(f"store(({state},))")
     src = "\n".join([
-        f"def factory({', '.join(coeffs)}):",
-        f"    def block(rs, {state}, out):",
-        "        store = out.extend",
-        "        for r in rs:",
-        *("            " + line for line in body),
-        "    return block",
+        f"def block(rs, {state}, out, *, {', '.join(f'{name}={name}' for name in coeffs)}):",
+        "    store = out.extend",
+        "    for r in rs:",
+        *("        " + line for line in body),
     ])
-    namespace = {}
+    namespace = dict(coeffs)
     exec(src, namespace)
-    return namespace["factory"](**coeffs)
+    return namespace["block"]
 
 
 def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
@@ -293,7 +295,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         out = []
         block(rs, *s, out)
         chunk = states[i0 + 1:i0 + 1 + len(rs)]
-        chunk[:] = np.reshape(out, (len(rs), n))
+        chunk[:] = np.fromiter(out, float, len(out)).reshape(len(rs), n)
         bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
         if len(bad):
             raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")

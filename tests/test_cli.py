@@ -347,6 +347,15 @@ class TestSimulate:
         assert lines[1] == "t,x,xp,xn,y"
         assert len(lines) == 2 + 11
 
+    def test_minus_zero_reference(self, capsys):
+        # from a zero state, --r -0.0 runs as --r 0: only step 0 keeps a -0
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "1e-3",
+                "--t-end", "0.05", "--ic", "-0.0,0,-0.0"]
+        minus, plus = (run(capsys, [*argv, "--r", r]) for r in ("-0.0", "0"))
+        assert minus == plus and minus[0] == 0
+        rows = minus[1].splitlines()[2:]
+        assert rows[0] == "0,-0,0,-0,0" and not any("-" in row for row in rows[1:])
+
     def test_schedule_file_and_detect(self, capsys, tmp_path):
         code, out = run(capsys, ["simulate", *AMP_FLAGS, "--k", "5",
                                  "--beta", "0.4", "--dt", "0.001",
@@ -712,6 +721,17 @@ class TestNonFiniteLoad:
         code, captured = self.run_load(capsys, tmp_path, command, text)
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(LOAD_COMMANDS))
+    def test_integer_beyond_float_exit_2(self, capsys, tmp_path, command):
+        # an integer that float() cannot hold is an input error naming the
+        # file, as in schedule and bank files, not a numerical one (exit 4)
+        token = "1" + "0" * 400
+        text = json.dumps({**LOAD, "a": 1}).replace('"a": 1', f'"a": {token}')
+        code, captured = self.run_load(capsys, tmp_path, command, text)
+        assert code == 2 and captured.out == ""
+        path = tmp_path / "load.json"
+        assert captured.err == f"error: {path}: requires finite numbers, got {token}\n"
 
     @pytest.mark.parametrize("command", ["certify", "simulate"])
     def test_overflowing_loop_gain_exit_2(self, capsys, tmp_path, command):

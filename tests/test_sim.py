@@ -1,5 +1,6 @@
 """Fixed-step integration, oscillation detection, boundedness."""
 
+import dis
 import math
 import os
 import warnings
@@ -9,8 +10,10 @@ import pytest
 
 from conftest import RECIPES_DIR, reference_rk4, vector_field
 
+from mfa import sim
 from mfa.equilibria import STABLE, UNSTABLE, LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_from_json
+from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import (
     _BLOCK,
     InputSchedule,
@@ -243,6 +246,72 @@ class TestKernelBitIdentity:
             system, dim = StateSpace(a=((1.0,),), b=(0.0,), c=(1.0,), labels=("x",)), 1
         traj = self.check(system, (zero,) * dim, dt=5e-4, t_end=0.01)
         assert not np.signbit(traj.states[1:]).any()
+
+    @pytest.mark.parametrize("schedule", [
+        InputSchedule.constant(-0.0),
+        InputSchedule(((0.0, 0.2), (0.004, -0.0))),
+    ], ids=["r=-0.0", "switch-to-r=-0.0"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_minus_zero_reference(self, schedule, zero):
+        # with r = -0.0 the unseeded derivative rows are -0.0 where the
+        # seeded ones are 0.0; the increments agree all the same
+        traj = self.check(amp_ss(mixed(5.0, 0.4)), (zero,) * 3, schedule, dt=5e-4, t_end=0.01)
+        if schedule.max_abs_value == 0.0:
+            assert not traj.states[1:].any() and not np.signbit(traj.states[1:]).any()
+
+    def test_two_by_two_bank(self):
+        pos = ChannelBank((Channel(0.5, 0.05), Channel(0.5, 0.1)))
+        neg = ChannelBank((Channel(0.5, 1.0), Channel(0.5, 2.0)))
+        ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.6).ss
+        self.check(ss, (0.1, 0.0, -0.0, 0.0, -0.05), InputSchedule(((0.0, -0.0), (0.5, 0.3))),
+                   dt=5e-4, t_end=2.0)
+
+    def test_load_single_term_row(self):
+        # with ko = 0 the load decays on its own, so q' = qdot, a row of one
+        # term, sees only the -0.0 it starts from while the amplifier swings
+        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+                           InterfaceGains(10.0, 0.0)).ss
+        assert [j for j, aij in enumerate(ss.a[3]) if aij != 0.0] == [4]
+        traj = self.check(ss, (0.1, 0.0, 0.0, -0.0, -0.0), dt=5e-4, t_end=1.0)
+        assert not traj.states[1:, 3:].any() and not np.signbit(traj.states[1:, 3:]).any()
+
+    def test_zero_loop_row(self):
+        # y is the constant 0.0, so u = r: x0 integrates r = -0.0 from -0.0,
+        # with derivatives -0.0 where the seeded loop has 0.0, and x1 has a
+        # row of no terms at all
+        ss = StateSpace(a=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, -2.0)),
+                        b=(1.0, 0.0, 0.0), c=(0.0, 0.0, 1.0), labels=("x0", "x1", "x2"),
+                        c_loop=(0.0, 0.0, 0.0))
+        traj = self.check(ss, (-0.0, -0.0, 0.3), InputSchedule(((0.0, -0.0), (0.5, -0.4))),
+                          t_end=2.0)
+        assert not traj.states[1:, 1].any() and not np.signbit(traj.states[1:, 1]).any()
+        assert not np.signbit(traj.states[1:501, 0]).any()
+
+    def test_underflowing_increment_keeps_the_reference_sign(self):
+        # sixth * (k1 + 2 (k2 + k3) + k4) underflows to -0.0, which the
+        # seeded loop adds to the -0.0 initial state: the state stays -0.0
+        ss = StateSpace(a=((0.0, -1.0), (0.0, 0.0)), b=(0.0, 0.0), c=(1.0, 0.0),
+                        labels=("x0", "x1"))
+        traj = self.check(ss, (-0.0, 5e-324), dt=1e-3, t_end=0.005)
+        assert np.signbit(traj.states[:, 0]).all() and not traj.states[:, 0].any()
+
+    def test_kernel_form(self, monkeypatch):
+        # coefficients are locals of the kernel, and no sum has a 0.0 seed;
+        # either would slow every step
+        sources = []
+
+        def exec_capture(src, namespace):
+            sources.append(src)
+            exec(src, namespace)
+
+        monkeypatch.setattr(sim, "exec", exec_capture, raising=False)
+        for ss in (amp_ss(mixed(5.0, 0.4)), StateSpace(a=((0.0,),), b=(0.0,), c=(0.0,),
+                                                       labels=("x",))):
+            block = sim._rk4_kernel(ss, math.tanh, 1e-3)
+            assert block.__code__.co_freevars == ()
+            assert not [ins for ins in dis.get_instructions(block)
+                        if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
+            assert "0.0 +" not in sources[-1]
 
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):
