@@ -13,19 +13,15 @@ loads.
 __version__ = "0.1.0"
 
 from .tf_core import (
-    AmplifierParams,
-    INFINITE_ZERO,
     Polynomial,
     RationalTF,
     poly_roots,
     tf_multiply,
     tf_shift,
-    tf_zero_mixed,
 )
 from .freq_analysis import (
     DominanceCertificate,
     check_p_passivity,
-    critical_balance,
     min_real_part,
     midpoint_rate,
     nyquist_locus,

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import __version__
 from .equilibria import LureLoop, dominance_map
-from .freq_analysis import _tag_json, check_p_passivity, critical_balance, nyquist_locus
+from .freq_analysis import _tag_json, check_p_passivity, nyquist_locus
 from .interconnect import compose_certificates, load_from_json, load_tf
-from .multichannel import bank_critical_balance, bank_from_json, check_interlacing
+from .multichannel import (Channel, ChannelBank, bank_critical_balance, bank_from_json,
+                           check_interlacing)
 from .sim import (
     InputSchedule,
     Trajectory,
@@ -39,7 +40,7 @@ from .sim import (
     detect_oscillation,
     integrate,
 )
-from .tf_core import AmplifierParams, RationalTF, tf_zero_mixed
+from .tf_core import RationalTF
 
 __all__ = ["main", "entrypoint"]
 
@@ -176,26 +177,25 @@ def _loop_report(loop: LureLoop, args, lam: float, zeros, head: dict, between: d
     }
 
 
-def _amp_from_args(args) -> AmplifierParams:
-    return AmplifierParams(args.tau_l, args.tau_p, args.tau_n, args.k,
-                           args.beta, nonlinearity=args.nonlinearity)
-
-
 def cmd_analyze(args) -> int:
-    params = _amp_from_args(args)
-    loop = LureLoop.amplifier(params)
+    loop = LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
+                              args.nonlinearity)
     lam = loop.rate(args.lam)
-    head = {"params": {
-        "tau_l": params.tau_l, "tau_p": params.tau_p, "tau_n": params.tau_n,
-        "k": params.k, "beta": params.beta, "r": args.r,
-        "nonlinearity": params.nonlinearity,
-    }}
+    tp, tn = args.tau_p, args.tau_n
+    head = {"params": {name: getattr(args, name) for name in
+                       ("tau_l", "tau_p", "tau_n", "k", "beta", "r", "nonlinearity")}}
+    # "zero" is n0/n1 of the unit-gain numerator n0 + n1 s, the negated root.
+    # n1 = -(beta (tau_n + tau_p) - tau_p) vanishes at the critical balance;
+    # within a few ulps of 0 (or at 0, a constant numerator) the zero is infinite
+    n0, n1 = (*loop.g1.num.coeffs, 0.0)[:2]
+    zero = "infinite" if abs(n1) <= 1e-14 * (args.beta * (tp + tn) + tp) else n0 / n1
     between = {
-        "zero": tf_zero_mixed(params) if params.k > 0 else None,
-        "beta_star": critical_balance(params.tau_p, params.tau_n),
+        "zero": zero if args.k > 0 else None,
+        "beta_star": bank_critical_balance(ChannelBank((Channel(1.0, tp),)),
+                                           ChannelBank((Channel(1.0, tn),))),
     }
     # the zeros do not depend on k > 0; at k = 0 the numerator vanishes
-    zeros = loop.g1.zeros() if params.k > 0 else []
+    zeros = loop.g1.zeros() if args.k > 0 else []
     _print_json(_loop_report(loop, args, lam, zeros, head, between,
                              {"min_re_method": "stationary_points"}))
     return 0
@@ -258,14 +258,14 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
 
 
 def cmd_simulate(args) -> int:
-    params = _amp_from_args(args)
-    traj = _simulate(LureLoop.amplifier(params), args)
+    traj = _simulate(LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
+                                        args.nonlinearity), args)
     if args.detect:
         report = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
         bounded = boundedness_check(
             traj, r_max=traj.schedule.max_abs_value,
-            settle_time=10.0 * max(params.taus))
+            settle_time=10.0 * max(args.tau_l, args.tau_p, args.tau_n))
         _print_json({**dataclasses.asdict(report), "bounded": bounded})
     return 0
 
@@ -281,9 +281,9 @@ def cmd_nyquist(args) -> int:
         for name in ("tau_l", "tau_p", "tau_n", "k", "beta"):
             if getattr(args, name) is None:
                 raise ValueError("requires --load or the full amplifier parameter set")
-        amp = _amp_from_args(args)
-        g1 = LureLoop.amplifier(amp).g1
-        g = RationalTF(amp.k * g1.num, g1.den, g1.den_roots)
+        g1 = LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
+                                args.nonlinearity).g1
+        g = RationalTF(args.k * g1.num, g1.den, g1.den_roots)
     lam = args.lam if args.lam is not None else 0.0
     lo, hi = args.omega_min, args.omega_max
     if lo is None or hi is None:
@@ -327,15 +327,16 @@ def cmd_multichannel(args) -> int:
 
 def cmd_interconnect(args) -> int:
     load, iface = _read_load(args.load)
-    amp = _amp_from_args(args)
-    loop = LureLoop.load(amp, load, iface)
+    inner = LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, 1.0, args.beta,
+                               args.nonlinearity)
+    loop = LureLoop.load(inner, args.k, load, iface)
     if args.certify:
         # every certificate is taken at unit gain and scaled by its gain
         lam = loop.rate(args.lam)
-        c_amp = check_p_passivity(LureLoop.amplifier(amp).g1, lam, 2, amp.k)
+        c_amp = check_p_passivity(inner.g1, lam, 2, args.k)
         c_load = check_p_passivity(load_tf(load), lam, 0, 1.0)
         comp = compose_certificates(c_amp, c_load)
-        c_tot = check_p_passivity(loop.g1, lam, comp.p_total, amp.k)
+        c_tot = check_p_passivity(loop.g1, lam, comp.p_total, args.k)
         equilibria = loop.equilibria(args.r)
         _print_json({
             "tool": "mfa",

@@ -2,15 +2,17 @@
 
 Every system here is one Lur'e loop: a linear part x' = A x + b u with
 saturation input v = c_loop x, closed through one sector-[0, 1] sigmoid,
-u = r - phi(v).  :class:`LureLoop` holds such a loop; the amplifier, a channel
-bank and the amplifier-plus-load interconnection are its three constructors.
-With a constant reference r the equilibria solve the scalar equation
-phi(v) = r + v/g0, where g0 is the DC loop gain seen by the saturation input;
-each root lifts to a state and an output.  Stability is read off the
-eigenvalues of the Jacobian A - phi'(v) b c_loop.  A regime map needs only
-counts: for the amplifier an equilibrium is unstable exactly when
-phi'(v) k exceeds the loop's crossing gain T, so map cells are counted from
-the signs of phi(v) - v/g0 - r at a few nodes, with no root and no eigenvalue.
+u = r - phi(v).  :class:`LureLoop` holds such a loop.  A channel loop is a
+load lag driving two banks of first-order channels; the amplifier is the
+channel loop of one unit-weight channel per bank, and a load loop borders any
+unit-gain channel loop with a mass-spring-damper load.  With a constant
+reference r the equilibria solve the scalar equation phi(v) = r + v/g0, where
+g0 is the DC loop gain seen by the saturation input; each root lifts to a
+state and an output.  Stability is read off the eigenvalues of the Jacobian
+A - phi'(v) b c_loop.  A regime map needs only counts: for the amplifier an
+equilibrium is unstable exactly when phi'(v) k exceeds the loop's crossing
+gain T, so map cells are counted from the signs of phi(v) - v/g0 - r at a few
+nodes, with no root and no eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_par
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank
 from .sim import StateSpace
-from .tf_core import AmplifierParams, Polynomial, RationalTF, get_nonlinearity, tf_multiply
+from .tf_core import Polynomial, RationalTF, get_nonlinearity, tf_multiply
 
 __all__ = [
     "Equilibrium",
@@ -184,6 +186,13 @@ def classify_stability(eigs) -> str:
     return MARGINAL
 
 
+def _check_gain(k: float):
+    if not k >= 0.0:
+        raise ValueError("requires k >= 0")
+    if k == math.inf:
+        raise ValueError("requires a finite k")
+
+
 def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
     """Unit-gain transfer function u -> v of :meth:`LureLoop._lags`,
     -(beta Cp - (1 - beta) Cn)/(tau_l s + 1) with each bank C = sum
@@ -244,7 +253,13 @@ class LureLoop:
         Both banks have unit DC gain, so g0 = k(2 beta - 1) and every state
         equals u at equilibrium, for any bank sizes.  A bank of one channel
         names its state xp or xn, a larger one xp1, xp2, ... in its order.
+        Every channel loop needs tau_l > 0, a finite k >= 0 and 0 <= beta <= 1.
         """
+        if not tau_l > 0.0:
+            raise ValueError("requires tau_l > 0")
+        _check_gain(k)
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("requires 0 <= beta <= 1")
         chans = [(-k * beta * rho, tau) for rho, tau in pos]
         chans += [(k * (1.0 - beta) * rho, tau) for rho, tau in neg]
         dim = 1 + len(chans)
@@ -263,13 +278,21 @@ class LureLoop:
                    lambda: _lags_tf(tau_l, pos, neg, beta))
 
     @classmethod
-    def amplifier(cls, params: AmplifierParams) -> "LureLoop":
+    def amplifier(cls, tau_l: float, tau_p: float, tau_n: float, k: float, beta: float,
+                  nonlinearity: str = "tanh") -> "LureLoop":
         """The three-state mixed feedback amplifier: a load lag x driving a
         positive and a negative channel lag, y = k(-beta xp + (1 - beta) xn),
         v = y and x = xp = xn = u at equilibrium (:meth:`_lags` with one
-        unit-weight channel per bank)."""
-        return cls._lags(params.tau_l, [(1.0, params.tau_p)], [(1.0, params.tau_n)],
-                         params.k, params.beta, params.nonlinearity)
+        unit-weight channel per bank).  Time constants are in seconds, with
+        tau_p < tau_n and tau_l distinct from both."""
+        for name, tau in (("tau_l", tau_l), ("tau_p", tau_p), ("tau_n", tau_n)):
+            if not tau > 0.0:
+                raise ValueError(f"requires {name} > 0")
+        if not tau_p < tau_n:
+            raise ValueError("requires tau_p < tau_n")
+        if tau_l == tau_p or tau_l == tau_n:
+            raise ValueError("requires tau_l distinct from tau_p and tau_n")
+        return cls._lags(tau_l, [(1.0, tau_p)], [(1.0, tau_n)], k, beta, nonlinearity)
 
     @classmethod
     def bank(cls, tau_l: float, pos: ChannelBank, neg: ChannelBank, k: float,
@@ -282,57 +305,52 @@ class LureLoop:
         difference beta Cp - (1 - beta) Cn (:func:`_lags_tf`); its poles are
         -1/tau for tau_l and every channel.
         """
-        if not tau_l > 0.0:
-            raise ValueError("requires tau_l > 0")
         if tau_l in pos.taus or tau_l in neg.taus:
             raise ValueError("requires tau_l distinct from every channel tau")
-        if not k >= 0.0:
-            raise ValueError("requires k >= 0")
-        if k == math.inf:
-            raise ValueError("requires a finite k")
         if max(pos.taus) >= min(neg.taus):
             raise ValueError("time-scale ordering: every positive-bank tau must be "
                              "smaller than every negative-bank tau")
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("requires 0 <= beta <= 1")
         return cls._lags(tau_l, [(ch.rho, ch.tau) for ch in pos.sorted_channels()],
                          [(ch.rho, ch.tau) for ch in neg.sorted_channels()],
                          k, beta, nonlinearity)
 
     @classmethod
-    def load(cls, amp: AmplifierParams, load: LoadParams,
+    def load(cls, inner: "LureLoop", k: float, load: LoadParams,
              iface: InterfaceGains) -> "LureLoop":
-        """Five-state loop of the amplifier and a mass-spring-damper load.
+        """A channel loop at gain k bordered by a mass-spring-damper load.
 
-        States (x, xp, xn, q, qdot): the amplifier loop's realization,
-        bordered by the load.  The load sees the force k_o y and its
-        output y_e = kv qdot + kp q joins the saturation junction,
-        v = y + k_i y_e, so the transfer function u -> v is
-        G (1 + k_i k_o L).  With k_i = 0 the amplifier runs autonomously and
-        drives the load open-loop; with k_o = 0 the load decays and the
-        amplifier behaves exactly as in isolation.  At equilibrium
-        q = k_o y / a and qdot = 0, so v = (1 + kappa) y with
-        kappa = k_i kp k_o / a.
+        ``inner`` is a unit-gain channel loop (:meth:`amplifier` or
+        :meth:`bank` at k = 1) with output row c1.  Its states come first,
+        then the load's (q, qdot).  The loop output is y = k c1 x; the load
+        sees the force k_o y, whose row is (k_o k) c1, and its output
+        y_e = kv qdot + kp q joins the saturation junction, v = y + k_i y_e,
+        so the transfer function u -> v at unit gain is G1 (1 + k_i k_o L).
+        With k_i = 0 the channel loop runs autonomously and drives the load
+        open-loop; with k_o = 0 the load decays and the channel loop behaves
+        exactly as in isolation.  At equilibrium q = k_o y / a and qdot = 0,
+        so v = (1 + kappa) y with kappa = k_i kp k_o / a.
         """
-        inner = cls.amplifier(amp)
-        s = inner.ss
-        k, beta = amp.k, amp.beta
+        if inner.k != 1.0:
+            raise ValueError("requires a unit-gain inner loop")
+        _check_gain(k)
+        s, n = inner.ss, inner.ss.dim
         ki, ko = iface.ki, iface.ko
+        c = tuple(k * w for w in s.c)
         ss = StateSpace(
             a=(*(row + (0.0, 0.0) for row in s.a),
-               (0.0, 0.0, 0.0, 0.0, 1.0),
-               (0.0, -ko * k * beta, ko * k * (1.0 - beta), -load.a, -load.b)),
+               (0.0,) * (n + 1) + (1.0,),
+               (*(ko * k * w for w in s.c), -load.a, -load.b)),
             b=s.b + (0.0, 0.0),
-            c=s.c + (0.0, 0.0),
+            c=c + (0.0, 0.0),
             labels=s.labels + ("q", "qdot"),
-            nonlinearity=amp.nonlinearity,
-            extra_outputs=(("ye", (0.0, 0.0, 0.0, load.kp, load.kv)),),
-            c_loop=s.c + (ki * load.kp, ki * load.kv),
+            nonlinearity=s.nonlinearity,
+            extra_outputs=(("ye", (0.0,) * n + (load.kp, load.kv)),),
+            c_loop=c + (ki * load.kp, ki * load.kv),
         )
         kappa = ki * load.kp * ko / load.a
-        g0 = inner.g0 * (1.0 + kappa)
+        g0 = k * inner.g0 * (1.0 + kappa)
         overflow = "requires finite loop gains (a product of k, ki, ko and the load overflows)"
-        if not all(map(math.isfinite, (kappa, g0, *ss.a[4], *ss.c_loop))):
+        if not all(map(math.isfinite, (kappa, g0, *ss.a[-1], *ss.c_loop))):
             raise ValueError(overflow)
 
         def unit_tf():
@@ -504,8 +522,7 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     phi, _, slope_inverse = get_nonlinearity(nonlinearity)
     columns = []
     for beta in beta_values:
-        loop = LureLoop.amplifier(AmplifierParams(tau_l, tau_p, tau_n, 1.0, beta,
-                                                  nonlinearity=nonlinearity))
+        loop = LureLoop.amplifier(tau_l, tau_p, tau_n, 1.0, beta, nonlinearity)
         # the lags' poles, and so the rate, do not depend on the balance
         lam = loop.rate(lam)
         try:

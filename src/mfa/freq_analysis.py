@@ -21,7 +21,6 @@ from .tf_core import RationalTF, _companion_roots, tf_shift
 __all__ = [
     "DominanceCertificate",
     "check_p_passivity",
-    "critical_balance",
     "midpoint_rate",
     "min_real_part",
     "nyquist_locus",
@@ -200,18 +199,6 @@ def min_real_part(g: RationalTF, lam):
         cands += [(_re_at(s, w), w) for w in map(float, w0 * np.sqrt(z.real[z.real > 0.0]))]
         mins.append(min(cands, key=lambda c: c[0]))
     return tuple(mins) if isinstance(lam, tuple) else mins[0]
-
-
-def critical_balance(tau_p: float, tau_n: float) -> float:
-    """Balance threshold tau_p/(tau_p + tau_n), always in (0, 0.5).
-
-    Above it the open-loop zero is unstable for every admissible rate, and
-    2-passivity becomes attainable for any gain; it vanishes as the positive
-    channel becomes infinitely fast.
-    """
-    if not 0.0 < tau_p < tau_n:
-        raise ValueError("requires 0 < tau_p < tau_n")
-    return tau_p / (tau_p + tau_n)
 
 
 def midpoint_rate(poles) -> float:

@@ -1,11 +1,12 @@
-"""Feedback interconnection of the amplifier with a passive mass-spring-damper load.
+"""Feedback interconnection of a channel loop with a passive mass-spring-damper load.
 
-The load is driven by the amplifier output (u_e = k_o y) and its output
-feeds back negatively into the amplifier's saturation junction, so the load
-state equations see u = r_ext - phi(y + k_i y_e).  Routing the load feedback
-through the saturation keeps every trajectory bounded (the saturated
-dynamics are open-loop stable) and gives the loop the Lure form with linear
-part G (1 + k_i k_o L_ex): a 2-passive amplifier plus a 0-passive load at a
+The load is driven by the output of a channel loop, the amplifier or a
+channel bank (u_e = k_o y), and its output feeds back negatively into the
+loop's saturation junction, so the load state equations see
+u = r_ext - phi(y + k_i y_e).  Routing the load feedback through the
+saturation keeps every trajectory bounded (the saturated dynamics are
+open-loop stable) and gives the loop the Lure form with linear part
+G (1 + k_i k_o L_ex): a 2-passive channel loop plus a 0-passive load at a
 common rate compose into a 2-passive closed loop, and when additionally
 every closed-loop equilibrium is unstable, the loop oscillates.  The loop
 itself is :meth:`mfa.equilibria.LureLoop.load`.

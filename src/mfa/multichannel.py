@@ -5,12 +5,14 @@ The weighted difference of a fast positive bank and a slow negative bank
 poles, plus a single outer zero that escapes to infinity at a critical
 balance.  These facts generalize the three-state amplifier analysis to any
 bank sizes; the bank loop itself is :meth:`mfa.equilibria.LureLoop.bank`, so
-it shares the amplifier's certificates, equilibria and regimes.
+it shares the amplifier's certificates, equilibria and regimes; the amplifier
+is the loop of one unit-weight channel per bank.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -74,14 +76,21 @@ class ChannelBank:
 
 
 def bank_critical_balance(pos: ChannelBank, neg: ChannelBank) -> float:
-    """Balance at which the outer zero escapes to infinity.
+    """Balance M/(P + M) at which the outer zero escapes to infinity.
 
-    Equals Sn/(Sp + Sn) with S = sum rho_i/tau_i per bank; reduces to
-    tau_p/(tau_p + tau_n) for single-channel banks.
+    P = sum_pos rho_i prod_{j != i} tau_j, the product over every other
+    channel of both banks, and M is the same sum over the negative bank, so
+    the top coefficient of the bank loop's numerator -(beta (P + M) - M)
+    (:func:`mfa.equilibria._lags_tf`) vanishes here.  Products and sums run
+    in that numerator's order: rho_i first, then the taus ascending per bank,
+    positive bank first.  For single-channel banks this is
+    tau_p/(tau_n + tau_p).
     """
-    sp = sum(ch.rho / ch.tau for ch in pos.channels)
-    sn = sum(ch.rho / ch.tau for ch in neg.channels)
-    return sn / (sp + sn)
+    chans = pos.sorted_channels() + neg.sorted_channels()
+    taus = [ch.tau for ch in chans]
+    tops = [math.prod([ch.rho, *taus[:i], *taus[i + 1:]]) for i, ch in enumerate(chans)]
+    p, m = sum(tops[:len(pos.channels)]), sum(tops[len(pos.channels):])
+    return m / (p + m)
 
 
 @dataclass(frozen=True)

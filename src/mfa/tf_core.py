@@ -1,4 +1,4 @@
-"""Real-coefficient polynomials, rational transfer functions, amplifier parameters.
+"""Real-coefficient polynomials, rational transfer functions, saturation nonlinearities.
 
 Coefficients are stored in ascending degree and trailing zeros are stripped,
 so the degree is always implied by the length.  All types are immutable
@@ -15,21 +15,14 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "INFINITE_ZERO",
     "MAX_ROOT_DEGREE",
-    "AmplifierParams",
     "Polynomial",
     "RationalTF",
     "get_nonlinearity",
     "poly_roots",
     "tf_multiply",
     "tf_shift",
-    "tf_zero_mixed",
 ]
-
-#: Tag returned by :func:`tf_zero_mixed` when the numerator degenerates to a
-#: constant and the open-loop zero escapes to infinity.
-INFINITE_ZERO = "infinite"
 
 #: Companion-matrix root finding is only trusted up to this degree.
 MAX_ROOT_DEGREE = 32
@@ -262,64 +255,9 @@ def get_nonlinearity(tag: str):
         raise ValueError(f"unknown nonlinearity {tag!r}") from None
 
 
-@dataclass(frozen=True)
-class AmplifierParams:
-    """Parameter set of the mixed feedback amplifier.
-
-    tau_l, tau_p, tau_n are the load, positive-channel and negative-channel
-    time constants (seconds); a finite k >= 0 is the collective feedback
-    gain and beta in [0, 1] the positive/negative balance.  The positive
-    channel must be strictly faster than the negative one (tau_p < tau_n) and
-    the load time constant must differ from both.
-    """
-
-    tau_l: float
-    tau_p: float
-    tau_n: float
-    k: float
-    beta: float
-    nonlinearity: str = "tanh"
-
-    def __post_init__(self):
-        for name in ("tau_l", "tau_p", "tau_n"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"requires {name} > 0")
-        if not self.tau_p < self.tau_n:
-            raise ValueError("requires tau_p < tau_n")
-        if self.tau_l == self.tau_p or self.tau_l == self.tau_n:
-            raise ValueError("requires tau_l distinct from tau_p and tau_n")
-        if not self.k >= 0.0:
-            raise ValueError("requires k >= 0")
-        if self.k == math.inf:
-            raise ValueError("requires a finite k")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("requires 0 <= beta <= 1")
-        get_nonlinearity(self.nonlinearity)
-
-    @property
-    def taus(self) -> tuple[float, float, float]:
-        return (self.tau_l, self.tau_p, self.tau_n)
-
-
 def tf_shift(g: RationalTF, lam: float) -> RationalTF:
     """Substitute s <- s - lam; every pole and zero translates by +lam."""
     return RationalTF(g.num.shifted(lam), g.den.shifted(lam))
-
-
-def tf_zero_mixed(params: AmplifierParams):
-    """Open-loop zero location (2b-1)/(b(tau_p+tau_n)-tau_p).
-
-    Returns :data:`INFINITE_ZERO` when the balance sits (to a few ulps) at
-    the critical value tau_p/(tau_p+tau_n), where the numerator degenerates
-    to a constant and the zero escapes to infinity.
-    """
-    if not params.k > 0.0:
-        raise ValueError("requires k > 0")
-    tp, tn, beta = params.tau_p, params.tau_n, params.beta
-    d = beta * (tp + tn) - tp
-    if abs(d) <= 1e-14 * (abs(beta) * (tp + tn) + tp):
-        return INFINITE_ZERO
-    return (2.0 * beta - 1.0) / d
 
 
 def tf_multiply(a: RationalTF, b: RationalTF) -> RationalTF:

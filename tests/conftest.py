@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import os
 from fractions import Fraction
 
 import numpy as np
 
+from mfa.cli import main
 from mfa.sim import _sparse
 from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
 
@@ -127,14 +131,26 @@ def fd_jacobian(field, state, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
-def vector_field(params, state, r: float):
-    """Right-hand side of the amplifier ODEs at one state, written out by
-    hand from the three lag equations."""
+def vector_field(taus, k: float, beta: float, state, r: float, nonlinearity: str = "tanh"):
+    """Right-hand side of the amplifier ODEs with lags ``taus`` = (tau_l,
+    tau_p, tau_n) at one state, written out by hand from the three lag
+    equations."""
     x, xp, xn = state
-    tl, tp, tn = params.taus
-    y = params.k * (-params.beta * xp + (1.0 - params.beta) * xn)
-    u = r - get_nonlinearity(params.nonlinearity)[0](y)
+    tl, tp, tn = taus
+    y = k * (-beta * xp + (1.0 - beta) * xn)
+    u = r - get_nonlinearity(nonlinearity)[0](y)
     return ((-x + u) / tl, (x - xp) / tp, (x - xn) / tn)
+
+
+def analyze_report(taus, k: float, beta: float) -> dict:
+    """The JSON report of ``mfa analyze`` for the lags ``taus`` = (tau_l,
+    tau_p, tau_n), gain k and balance beta, each flag the repr of its float."""
+    flags = [w for name, v in zip(("--tau-l", "--tau-p", "--tau-n", "--k", "--beta"),
+                                  (*taus, k, beta)) for w in (name, repr(float(v)))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", *flags]) == 0
+    return json.loads(out.getvalue())
 
 
 def reference_shift(coeffs, lam: float) -> tuple[float, ...]:

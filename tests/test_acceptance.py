@@ -15,10 +15,10 @@ import pytest
 
 from conftest import (
     RECIPES_DIR,
+    analyze_report,
     bisect_root,
     brute_min_re,
     fd_jacobian,
-    gain_scaled,
     random_proper_tf,
     vector_field,
 )
@@ -32,20 +32,14 @@ from mfa.equilibria import (
     LureLoop,
     dominance_map,
 )
-from mfa.freq_analysis import (
-    _gain,
-    check_p_passivity,
-    critical_balance,
-    midpoint_rate,
-    min_real_part,
-)
+from mfa.freq_analysis import _gain, check_p_passivity, midpoint_rate, min_real_part
 from mfa.interconnect import (
     InterfaceGains,
     LoadParams,
     compose_certificates,
     load_tf,
 )
-from mfa.multichannel import Channel, ChannelBank, check_interlacing
+from mfa.multichannel import Channel, ChannelBank, bank_critical_balance, check_interlacing
 from mfa.sim import (
     InputSchedule,
     Trajectory,
@@ -53,12 +47,7 @@ from mfa.sim import (
     detect_oscillation,
     integrate,
 )
-from mfa.tf_core import (
-    INFINITE_ZERO,
-    AmplifierParams,
-    tf_shift,
-    tf_zero_mixed,
-)
+from mfa.tf_core import tf_shift
 
 TAUS = (0.01, 0.1, 1.0)
 DT = 5e-4
@@ -90,11 +79,11 @@ def reference_runs():
     pulse = recipe_schedule("pulse_return.json")
     switch = recipe_schedule("pulse_switch.json")
     t0 = time.perf_counter()
-    run_a = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.2)).ss, IC, pulse,
+    run_a = integrate(LureLoop.amplifier(*TAUS, 5.0, 0.2).ss, IC, pulse,
                       dt=DT, t_end=50.0)
-    run_b = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.4)).ss, IC,
+    run_b = integrate(LureLoop.amplifier(*TAUS, 5.0, 0.4).ss, IC,
                       InputSchedule.constant(0.0), dt=DT, t_end=50.0)
-    run_c = integrate(LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.8)).ss, IC, switch,
+    run_c = integrate(LureLoop.amplifier(*TAUS, 5.0, 0.8).ss, IC, switch,
                       dt=DT, t_end=50.0)
     elapsed = time.perf_counter() - t0
     return {"a": run_a, "b": run_b, "c": run_c, "sim_seconds": elapsed}
@@ -103,7 +92,7 @@ def reference_runs():
 @criterion(1, "three reference tunings: stable return / oscillation / basin switch")
 def test_criterion_1_reference_regimes(reference_runs):
     t0 = time.perf_counter()
-    regimes = {beta: LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, beta)).classify(0.0, 50.0)
+    regimes = {beta: LureLoop.amplifier(*TAUS, 5.0, beta).classify(0.0, 50.0)
                for beta in (0.2, 0.4, 0.8)}
     classify_seconds = time.perf_counter() - t0
 
@@ -137,9 +126,13 @@ def test_criterion_1_reference_regimes(reference_runs):
 
 @criterion(2, "critical balance formula and 2-passivity above it (200 random)")
 def test_criterion_2_critical_balance():
-    bstar = critical_balance(0.1, 1.0)
+    def critical(tp, tn):  # of one unit-weight channel per bank
+        return bank_critical_balance(ChannelBank((Channel(1.0, tp),)),
+                                     ChannelBank((Channel(1.0, tn),)))
+
+    bstar = critical(0.1, 1.0)
     assert abs(bstar - 1.0 / 11.0) < 1e-12
-    assert tf_zero_mixed(AmplifierParams(*TAUS, 5.0, bstar)) == INFINITE_ZERO
+    assert analyze_report(TAUS, 5.0, bstar)["zero"] == "infinite"
 
     rng = np.random.default_rng(2024)
     failures = 0
@@ -149,12 +142,11 @@ def test_criterion_2_critical_balance():
         tl = float(rng.uniform(0.005, 20.0))
         if tl == tp or tl == tn:
             tl *= 1.0001
-        bs = critical_balance(tp, tn)
+        bs = critical(tp, tn)
         beta = float(rng.uniform(bs + 1e-9, 1.0))
-        p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.05, 200.0)),
-                            beta=beta)
-        g1 = LureLoop.amplifier(p).g1
-        cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, p.k)
+        k = float(rng.uniform(0.05, 200.0))
+        g1 = LureLoop.amplifier(tl, tp, tn, 1.0, beta).g1
+        cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, k)
         failures += 0 if cert.passed else 1
     assert failures == 0
 
@@ -169,14 +161,15 @@ def test_criterion_3_critical_gain_oracle():
         if tl == tp or tl == tn:
             tl *= 1.0001
         beta = float(rng.uniform(0.0, 1.0))
-        p = AmplifierParams(tl, tp, tn, k=1.0, beta=beta)
+        p = (tl, tp, tn, beta)
+        loop = LureLoop.amplifier(tl, tp, tn, 1.0, beta)
         if trial % 2 == 0:
             lam, deg = 0.0, 0
         else:
-            lam, deg = midpoint_rate(LureLoop.amplifier(p).poles), 2
-        got = _gain(min_real_part(LureLoop.amplifier(p).g1, lam)[0])
-        corners = [1.0 / t for t in p.taus]
-        oracle_min = brute_min_re(gain_scaled(LureLoop.amplifier(p).g1, p.k), lam,
+            lam, deg = midpoint_rate(loop.poles), 2
+        got = _gain(min_real_part(loop.g1, lam)[0])
+        corners = [1.0 / t for t in (tl, tp, tn)]
+        oracle_min = brute_min_re(loop.g1, lam,
                                   1e-3 * min(corners), 1e3 * max(corners))
         oracle = math.inf if oracle_min >= 0.0 else -1.0 / oracle_min
         if math.isinf(oracle):
@@ -191,15 +184,14 @@ def test_criterion_4_count_law():
     betas = np.linspace(0.0, 1.0, 40)
     for k in ks:
         for beta in betas:
-            p = AmplifierParams(*TAUS, float(k), float(beta))
-            loop = LureLoop.amplifier(p)
+            loop = LureLoop.amplifier(*TAUS, float(k), float(beta))
             g0 = loop.g0
             if abs(g0 - 1.0) < 1e-3:
                 continue
             n = len(loop.equilibria(0.0))
             assert n == (3 if g0 > 1.0 else 1), (k, beta, g0, n)
 
-    eqs = LureLoop.amplifier(AmplifierParams(*TAUS, 5.0, 0.8)).equilibria(0.0)
+    eqs = LureLoop.amplifier(*TAUS, 5.0, 0.8).equilibria(0.0)
     y_top = max(e.y_star for e in eqs)
     oracle = bisect_root(lambda y: math.tanh(y) - y / 3.0, 1.0, 4.0)
     assert abs(y_top - 2.9847) < 1e-3
@@ -239,17 +231,17 @@ def test_criterion_5_interlacing_suite():
 @criterion(6, "passive load interconnection: certificates and limit cycle")
 def test_criterion_6_interconnection():
     t0 = time.perf_counter()
-    amp = AmplifierParams(*TAUS, k=10.0, beta=0.4)
+    unit = LureLoop.amplifier(*TAUS, 1.0, 0.4)
     load = LoadParams(a=350.0, b=35.0, kv=1.0, kp=20.0)
     iface = InterfaceGains(ki=10.0, ko=1.0)
 
     c_load = check_p_passivity(load_tf(load), 15.0, 0, 1.0)
     assert c_load.passed
-    c_amp = check_p_passivity(LureLoop.amplifier(amp).g1, 15.0, 2, amp.k)
+    c_amp = check_p_passivity(unit.g1, 15.0, 2, 10.0)
     comp = compose_certificates(c_amp, c_load)
     assert comp.valid and comp.p_total == 2
 
-    loop = LureLoop.load(amp, load, iface)
+    loop = LureLoop.load(unit, 10.0, load, iface)
     traj = integrate(loop.ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=DT, t_end=50.0)
     rep_y = detect_oscillation(traj, transient_fraction=0.4)
     rep_ye = detect_oscillation(
@@ -270,12 +262,12 @@ def test_criterion_6_interconnection():
 @criterion(7, "numerical hygiene: integrator order, Jacobians, symmetry, bounds")
 def test_criterion_7_numerical_hygiene(reference_runs):
     # RK4 order ratio on the severed-loop linear case
-    p_lin = AmplifierParams(0.5, 0.1, 1.0, k=0.0, beta=0.3)
+    p_lin = LureLoop.amplifier(0.5, 0.1, 1.0, 0.0, 0.3)
 
     def endpoint(dt):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return integrate(LureLoop.amplifier(p_lin).ss, (1.0, 1.0, 1.0), dt=dt,
+            return integrate(p_lin.ss, (1.0, 1.0, 1.0), dt=dt,
                              t_end=1.0).states[-1]
 
     ref = endpoint(0.05 / 16)
@@ -286,13 +278,12 @@ def test_criterion_7_numerical_hygiene(reference_runs):
     # Jacobian vs central finite differences, 1e-6 relative
     rng = np.random.default_rng(71)
     for _ in range(25):
-        p = AmplifierParams(*TAUS, k=float(rng.uniform(0, 20)),
-                            beta=float(rng.uniform(0, 1)))
+        k, beta = float(rng.uniform(0, 20)), float(rng.uniform(0, 1))
         r = float(rng.uniform(-1, 1))
-        loop = LureLoop.amplifier(p)
+        loop = LureLoop.amplifier(*TAUS, k, beta)
         for eq in loop.equilibria(r):
             a = loop.jacobians([eq.y_star])[0]
-            fd = fd_jacobian(lambda s: vector_field(p, s, r), eq.state)
+            fd = fd_jacobian(lambda s: vector_field(TAUS, k, beta, s, r), eq.state)
             assert np.abs(a - fd).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
     # conjugate symmetry and shift homomorphism on 1000 random TFs
@@ -340,7 +331,7 @@ def test_criterion_8_maps():
                    if c.regime == REGIME_OSCILLATION)
 
     assert count_osc(wide) > 0
-    assert LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).classify(
+    assert LureLoop.amplifier(0.01, 0.1, 1.0, 5.0, 0.4).classify(
         0.0, 50.0).regime == REGIME_OSCILLATION
 
     # (iii) wider time-scale separation gives strictly more oscillation cells

@@ -22,7 +22,6 @@ from mfa.equilibria import LureLoop, dominance_map
 from mfa.freq_analysis import midpoint_rate
 from mfa.interconnect import load_from_json
 from mfa.sim import InputSchedule, Trajectory
-from mfa.tf_core import AmplifierParams
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
 LOAD_JSON = os.path.join(RECIPES_DIR, "data", "load_msd.json")
@@ -564,23 +563,52 @@ class TestNyquist:
         assert lone != default
 
 
+#: Report fields that ``analyze`` and ``multichannel`` share.
+SHARED_FIELDS = ("poles", "zeros", "beta_star", "lambda", "lambda_policy",
+                 "shifted_unstable_poles", "g0", "k0_bar", "k2_bar", "equilibria", "regime",
+                 "reason")
+
+
 class TestMultichannel:
     def test_single_channel_matches_analyze(self, capsys):
+        # the amplifier is the loop of one unit-weight channel per bank: one
+        # realization, one transfer-function builder and one balance formula
+        # give every shared field the same bits
         _, out_mc = run(capsys, ["multichannel", "--bank", BANK_SINGLE])
         mc = json.loads(out_mc)
         _, out_an = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5",
                                  "--beta", "0.4"])
         an = json.loads(out_an)
-        assert mc["regime"] == an["regime"]
-        # one transfer-function builder: the same bits
-        for field in ("poles", "zeros", "lambda", "k0_bar", "k2_bar"):
+        for field in SHARED_FIELDS:
             assert mc[field] == an[field], field
         assert mc["k2_bar"] == "unbounded"
-        assert mc["g0"] == pytest.approx(an["g0"])
-        assert mc["beta_star"] == pytest.approx(an["beta_star"], rel=1e-12)
-        ys_mc = [e["y"] for e in mc["equilibria"]]
-        ys_an = [e["y"] for e in an["equilibria"]]
-        assert ys_mc == pytest.approx(ys_an, abs=1e-9)
+        assert len(mc["equilibria"]) == 1
+
+    def test_seeded_single_channel_banks_match_analyze(self, capsys, tmp_path):
+        rng = np.random.default_rng(2204)
+        path = tmp_path / "bank.json"
+        regimes = set()
+        for i in range(50):
+            tp = float(10.0 ** rng.uniform(-2.0, 0.0))
+            tn = tp * float(10.0 ** rng.uniform(0.05, 1.5))
+            tl = float(10.0 ** rng.uniform(-3.0, 1.0))
+            k, beta = float(10.0 ** rng.uniform(-1.0, 2.0)), float(rng.uniform())
+            k, beta = ((0.0, beta), (k, tp / (tn + tp)), (k, 0.5), (k, beta), (k, beta))[i % 5]
+            r = float(rng.uniform(-1.0, 1.0)) if i % 2 else 0.0
+            path.write_text(json.dumps({"tau_l": tl, "positive": [{"rho": 1.0, "tau": tp}],
+                                        "negative": [{"rho": 1.0, "tau": tn}], "k": k,
+                                        "beta": beta}))
+            extra = ["--r", repr(r)] + (["--nonlinearity", "atan"] if i % 3 == 1 else [])
+            code_mc, mc = run(capsys, ["multichannel", "--bank", str(path), *extra])
+            code_an, an = run(capsys, ["analyze", "--tau-l", repr(tl), "--tau-p", repr(tp),
+                                       "--tau-n", repr(tn), "--k", repr(k), "--beta",
+                                       repr(beta), *extra])
+            assert code_mc == code_an == 0
+            mc, an = json.loads(mc), json.loads(an)
+            for field in SHARED_FIELDS:
+                assert mc[field] == an[field], (i, field)
+            regimes.add(an["regime"])
+        assert len(regimes) >= 3
 
     def test_nonlinearity_reaches_eigenvalues(self, capsys):
         # off the origin the atan slope differs from tanh's
@@ -640,7 +668,7 @@ class TestInterconnect:
 
         rep = json.loads(captured.out, parse_constant=refuse)
         with open(LOAD_JSON) as fh:
-            loop_poles = LureLoop.load(AmplifierParams(0.01, 0.1, 1.0, 1e300, 0.4),
+            loop_poles = LureLoop.load(LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, 0.4), 1e300,
                                        *load_from_json(fh.read())).poles
         for name in ("amplifier_certificate", "load_certificate", "loop_certificate"):
             cert = rep[name]
@@ -1005,6 +1033,8 @@ class TestRecipeReports:
             "f9ebc26859e709c69b9e9196aae86024031157d943e65ac0b43754c13833efd2",
         ("multichannel_interlaced_bank", 0):
             "3f61b916e28323df87c0b351b396e80e2123113e9262e76308919e502433cb75",
+        ("sim_oscillation", 0):
+            "8ae164e14ea9cca9e94d5ccb6625daeba2da1f88b965a5ad386ccc0f360a7bde",
     }
 
     @pytest.mark.parametrize("name, index", SHA256)
@@ -1030,3 +1060,164 @@ class TestRecipeData:
             bank_from_json(fh.read())
         with open(PULSE_JSON) as fh:
             InputSchedule.from_json(fh.read())
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_recipe_command_is_pinned():
+    """Each ``python3 -m mfa`` command of each recipe script has its CSV
+    pinned when it writes one to ``--output`` and its stdout pinned when it
+    prints one (no ``--output``, or a ``--detect`` or ``--certify`` report)."""
+    names = sorted(f[:-3] for f in os.listdir(RECIPES_DIR) if f.endswith(".sh"))
+    assert len(names) == 11
+    csv_pins = {**TestRecipeMaps.SHA256, **TestRecipeOutputs.SHA256}
+    for name in names:
+        commands = recipe_commands(name)
+        assert commands, name
+        for i, argv in enumerate(commands):
+            if "--output" in argv:
+                assert name in csv_pins, name
+            if "--output" not in argv or "--detect" in argv or "--certify" in argv:
+                assert (name, i) in TestRecipeReports.SHA256, (name, i)
+
+
+@pytest.mark.filterwarnings("error")
+class TestAnalyzePins:
+    """``analyze`` stdout, byte for byte, at points that reach each branch of
+    the report: the recipe point, a zero gain (no zeros, no zero location),
+    the critical balance 1/11, where the numerator's top coefficient is
+    exactly 0, and the float after it, where it is -1.4e-17, both inside the
+    1e-14 band of an infinite zero, the atan sigmoid off the origin, a user
+    rate with three shifted-unstable poles, and a pole within 1e-9 of the
+    axis."""
+
+    CASES = {
+        "recipe-point": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4"],
+                         "1e9d4b05689b8d909538a3b5ddf93d9bd9ea0f066bfee23dd3d7d77090d3a30d"),
+        "k-zero": ([*AMP_FLAGS, "--k", "0", "--beta", "0.4"],
+                   "a9dd92fe2da3ec8d25dca2b74542e6501a04b059263cacd6f3471cf72d80f8c6"),
+        "beta-star": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909091"],
+                      "e13ccd6f8fd4454f00583eea5579371ad3b7df574ee1615f35df0e0bc62fdad4"),
+        "beta-star-next": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909093"],
+                           "337774f8710d60e48b527d8ce69c16de7370af0d50b6c630645268900698e174"),
+        "atan": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--nonlinearity", "atan",
+                  "--r", "0.5"],
+                 "a8fb2dba671470fc3de5ebedbfe81f9549023c73f5eb2d4382535531fa55c168"),
+        "user-rate": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--lambda", "200"],
+                      "b8c66b8151651838842f5d4e58008daf5a0ae4369e81a1bb7f8050dbe26bcf2d"),
+        "pole-on-axis": (["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1e10", "--k", "5",
+                          "--beta", "0.4"],
+                         "8c6b794e0e582aef18b58e98172d80431361cd5ca6386371416e3bddd7197659"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stdout_digest(self, capsys, name):
+        flags, sha = self.CASES[name]
+        code, out = run(capsys, ["analyze", *flags])
+        assert code == 0 and _digest(out) == sha
+        rep = json.loads(out)
+        if name.startswith("beta-star"):
+            assert rep["zero"] == "infinite"
+        elif name == "user-rate":
+            assert rep["shifted_unstable_poles"] == 3
+        elif name == "pole-on-axis":
+            assert rep["reason"] == "pole on shifted imaginary axis"
+
+
+@pytest.mark.filterwarnings("error")
+class TestInterconnectPins:
+    """``interconnect`` stdout and trajectory, byte for byte, with a load file
+    whose interface gains are not 1, so that the order of the products in the
+    load's force row and in the loop's rows shows in the bits."""
+
+    LOAD = {"a": 350.0, "b": 35.0, "kv": 1.0, "kp": 20.0, "ki": 0.3, "ko": 2.5}
+    # at k = 12, beta = 0.38, (k_o k) beta differs from k_o (k beta) in the
+    # last bit, and (k_o k)(1 - beta) from k_o (k (1 - beta))
+    FLAGS = [*AMP_FLAGS, "--k", "12", "--beta", "0.38"]
+    SHA256 = {
+        "certify": "cc11d7ae7aab5e5b911a9bb5b9ec0539f3abb73e09ea0d1cd277e1feafa1261c",
+        "detect": "e0d871db82c1e1b42038260ccc6a554f7546500e10803a09da4fa373810b1c22",
+        "detect-csv": "ee3d41667b7604fd08b8bea99a4f92f22d210d90e180e3a4780913bcaa2dd390",
+    }
+
+    def load_file(self, tmp_path):
+        path = tmp_path / "load.json"
+        path.write_text(json.dumps(self.LOAD))
+        return str(path)
+
+    def test_certify(self, capsys, tmp_path):
+        code, out = run(capsys, ["interconnect", *self.FLAGS, "--load",
+                                 self.load_file(tmp_path), "--certify"])
+        assert code == 0 and _digest(out) == self.SHA256["certify"]
+
+    def test_detect(self, capsys, tmp_path):
+        csv = tmp_path / "out.csv"
+        code, out = run(capsys, ["interconnect", *self.FLAGS, "--load",
+                                 self.load_file(tmp_path), "--dt", "1e-3", "--t-end", "30",
+                                 "--transient-fraction", "0.2", "--ic", "0.1,0,0,0,0",
+                                 "--detect", "--output", str(csv)])
+        assert code == 0 and _digest(out) == self.SHA256["detect"]
+        assert json.loads(out)["y"]["oscillating"] is True
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == self.SHA256["detect-csv"]
+
+
+AMP_DEFAULTS = {"--tau-l": "0.01", "--tau-p": "0.1", "--tau-n": "1", "--k": "5",
+                "--beta": "0.4", "--nonlinearity": "tanh"}
+AMP_COMMANDS = {
+    "analyze": ["analyze"],
+    "simulate": ["simulate", "--dt", "0.001", "--t-end", "0.01"],
+    "nyquist": ["nyquist", "--grid-points", "5"],
+    "interconnect": ["interconnect", "--load", LOAD_JSON, "--certify"],
+    "map": ["map", "--k-min", "0.5", "--k-max", "50", "--rows", "2", "--cols", "2"],
+}
+AMP_VIOLATIONS = {
+    "tau_l-zero": ("--tau-l", "0", "requires tau_l > 0"),
+    "tau_p-negative": ("--tau-p", "-0.1", "requires tau_p > 0"),
+    "tau_n-zero": ("--tau-n", "0", "requires tau_n > 0"),
+    "tau_p-equals-tau_n": ("--tau-p", "1", "requires tau_p < tau_n"),
+    "tau_p-above-tau_n": ("--tau-p", "2", "requires tau_p < tau_n"),
+    "tau_l-equals-tau_p": ("--tau-l", "0.1", "requires tau_l distinct from tau_p and tau_n"),
+    "tau_l-equals-tau_n": ("--tau-l", "1", "requires tau_l distinct from tau_p and tau_n"),
+    "k-negative": ("--k", "-1", "requires k >= 0"),
+    "beta-above-1": ("--beta", "1.5", "requires 0 <= beta <= 1"),
+    "beta-negative": ("--beta", "-0.1", "requires 0 <= beta <= 1"),
+    "nonlinearity": ("--nonlinearity", "relu", "unknown nonlinearity 'relu'"),
+}
+
+
+class TestParameterErrors:
+    """Each single violation of the amplifier flags, and of a bank file,
+    exits 2 with exactly its error line and nothing on stdout."""
+
+    @pytest.mark.parametrize("command, violation", [
+        (command, violation) for command in AMP_COMMANDS for violation in AMP_VIOLATIONS
+        if command != "map" or AMP_VIOLATIONS[violation][0] not in ("--k", "--beta")])
+    def test_amplifier_flags(self, capsys, command, violation):
+        flag, value, message = AMP_VIOLATIONS[violation]
+        flags = {**AMP_DEFAULTS, flag: value}
+        if command == "map":  # a map takes gain and balance ranges instead
+            del flags["--k"], flags["--beta"]
+        argv = [*AMP_COMMANDS[command], *(w for item in flags.items() for w in item)]
+        assert _outcome(capsys, argv) == (2, "", f"error: {message}\n")
+
+    BANK_VIOLATIONS = {
+        "ordering": ({"negative": [{"rho": 1.0, "tau": 0.05}]},
+                     "time-scale ordering: every positive-bank tau must be smaller than "
+                     "every negative-bank tau"),
+        "tau_l-equals-channel": ({"tau_l": 1.0}, "requires tau_l distinct from every channel tau"),
+        "rho-sum": ({"positive": [{"rho": 0.5, "tau": 0.1}]},
+                    "requires unit bank gain (sum rho = 1)"),
+        "tau_l-zero": ({"tau_l": 0.0}, "requires tau_l > 0"),
+        "k-negative": ({"k": -1.0}, "requires k >= 0"),
+        "beta-above-1": ({"beta": 1.5}, "requires 0 <= beta <= 1"),
+    }
+
+    @pytest.mark.parametrize("violation", BANK_VIOLATIONS)
+    def test_bank_file(self, capsys, tmp_path, violation):
+        change, message = self.BANK_VIOLATIONS[violation]
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({**BANK, **change}))
+        assert _outcome(capsys, ["multichannel", "--bank", str(path)]) \
+            == (2, "", f"error: {message}\n")

@@ -24,35 +24,30 @@ from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
 from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import integrate
-from mfa.tf_core import (
-    AmplifierParams,
-    Polynomial,
-    get_nonlinearity,
-    poly_roots,
-)
+from mfa.tf_core import Polynomial, get_nonlinearity, poly_roots
 
 TAUS = (0.01, 0.1, 1.0)
 
 
 def mixed(k, beta, taus=TAUS):
-    return AmplifierParams(*taus, k=k, beta=beta)
+    return LureLoop.amplifier(*taus, k, beta)
 
 
 class TestDcLoopGain:
     def test_values(self):
-        assert LureLoop.amplifier(mixed(5.0, 0.8)).g0 == pytest.approx(3.0)
-        assert LureLoop.amplifier(mixed(5.0, 0.4)).g0 == pytest.approx(-1.0)
-        assert LureLoop.amplifier(mixed(7.0, 0.5)).g0 == 0.0
+        assert mixed(5.0, 0.8).g0 == pytest.approx(3.0)
+        assert mixed(5.0, 0.4).g0 == pytest.approx(-1.0)
+        assert mixed(7.0, 0.5).g0 == 0.0
 
 
 class TestFindEquilibria:
     def test_single_equilibrium_negative_gain(self):
-        eqs = LureLoop.amplifier(mixed(5.0, 0.4)).equilibria(0.0)
+        eqs = mixed(5.0, 0.4).equilibria(0.0)
         assert len(eqs) == 1
         assert eqs[0].y_star == pytest.approx(0.0, abs=1e-12)
 
     def test_three_equilibria_and_value(self):
-        eqs = LureLoop.amplifier(mixed(5.0, 0.8)).equilibria(0.0)
+        eqs = mixed(5.0, 0.8).equilibria(0.0)
         assert len(eqs) == 3
         y1 = bisect_root(lambda y: math.tanh(y) - y / 3.0, 1.0, 4.0)
         assert eqs[2].y_star == pytest.approx(y1, abs=1e-9)
@@ -61,7 +56,7 @@ class TestFindEquilibria:
         assert [e.stability for e in eqs] == [STABLE, UNSTABLE, STABLE]
 
     def test_zero_loop_gain(self):
-        eqs = LureLoop.amplifier(mixed(0.0, 0.3)).equilibria(0.25)
+        eqs = mixed(0.0, 0.3).equilibria(0.25)
         assert len(eqs) == 1
         assert eqs[0].y_star == 0.0
         assert eqs[0].state[0] == pytest.approx(0.25)  # x = r - phi(0)
@@ -72,16 +67,15 @@ class TestFindEquilibria:
             k = float(rng.uniform(0, 20))
             beta = float(rng.uniform(0, 1))
             r = float(rng.uniform(-1.5, 1.5))
-            p = mixed(k, beta)
-            for eq in LureLoop.amplifier(p).equilibria(r):
-                f = vector_field(p, eq.state, r)
+            for eq in mixed(k, beta).equilibria(r):
+                f = vector_field(TAUS, k, beta, eq.state, r)
                 assert np.linalg.norm(f) < 1e-8
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = mixed(float(rng.uniform(0.2, 30)), float(rng.uniform(0, 1)))
-            eqs = LureLoop.amplifier(p).equilibria(0.0)
+            eqs = p.equilibria(0.0)
             ys = [e.y_star for e in eqs]
             assert ys == pytest.approx([-y for y in reversed(ys)], abs=1e-9)
             for e, m in zip(eqs, reversed(eqs)):
@@ -92,36 +86,34 @@ class TestFindEquilibria:
         rng = np.random.default_rng(6)
         for _ in range(200):
             p = mixed(float(rng.uniform(0.1, 100)), float(rng.uniform(0, 1)))
-            g0 = LureLoop.amplifier(p).g0
+            g0 = p.g0
             if abs(g0 - 1.0) < 1e-3:
                 continue
-            n = len(LureLoop.amplifier(p).equilibria(0.0))
+            n = len(p.equilibria(0.0))
             assert n == (3 if g0 > 1.0 else 1)
 
     def test_alternative_sigmoid(self):
         # the slope-one odd sigmoid obeys the same count law and residuals
-        p = AmplifierParams(*TAUS, k=5.0, beta=0.8, nonlinearity="atan")
-        eqs = LureLoop.amplifier(p).equilibria(0.0)
+        eqs = LureLoop.amplifier(*TAUS, 5.0, 0.8, "atan").equilibria(0.0)
         assert len(eqs) == 3
         for eq in eqs:
-            assert np.linalg.norm(vector_field(p, eq.state, 0.0)) < 1e-8
-        assert len(LureLoop.amplifier(
-            AmplifierParams(*TAUS, 5.0, 0.4, nonlinearity="atan")).equilibria(0.0)) == 1
+            assert np.linalg.norm(vector_field(TAUS, 5.0, 0.8, eq.state, 0.0, "atan")) < 1e-8
+        assert len(LureLoop.amplifier(*TAUS, 5.0, 0.4, "atan").equilibria(0.0)) == 1
 
 
 class TestJacobian:
     def test_zero_gain_is_triangular(self):
-        a = LureLoop.amplifier(mixed(0.0, 0.3)).jacobians([0.7])[0]
+        a = mixed(0.0, 0.3).jacobians([0.7])[0]
         assert a[0, 1] == 0.0 and a[0, 2] == 0.0
         eigs = sorted(np.linalg.eigvals(a).real)
         assert eigs == pytest.approx([-100.0, -10.0, -1.0])
 
     def test_saturated_equilibrium_like_zero_gain(self):
-        a = LureLoop.amplifier(mixed(50.0, 0.8)).jacobians([40.0])[0]  # tanh'(40) ~ 0
+        a = mixed(50.0, 0.8).jacobians([40.0])[0]  # tanh'(40) ~ 0
         assert abs(a[0, 1]) < 1e-9 and abs(a[0, 2]) < 1e-9
 
     def test_reference_matrix(self):
-        a = LureLoop.amplifier(mixed(5.0, 0.8)).jacobians([0.0])[0]
+        a = mixed(5.0, 0.8).jacobians([0.0])[0]
         assert a == pytest.approx(np.array([
             [-100.0, 400.0, -100.0],
             [10.0, -10.0, 0.0],
@@ -132,12 +124,13 @@ class TestJacobian:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            p = mixed(float(rng.uniform(0, 20)), float(rng.uniform(0, 1)))
+            k, beta = float(rng.uniform(0, 20)), float(rng.uniform(0, 1))
+            p = mixed(k, beta)
             r = float(rng.uniform(-1, 1))
-            eqs = LureLoop.amplifier(p).equilibria(r)
+            eqs = p.equilibria(r)
             eq = eqs[int(rng.integers(len(eqs)))]
-            a = LureLoop.amplifier(p).jacobians([eq.y_star])[0]
-            fd = fd_jacobian(lambda s: vector_field(p, s, r), eq.state)
+            a = p.jacobians([eq.y_star])[0]
+            fd = fd_jacobian(lambda s: vector_field(TAUS, k, beta, s, r), eq.state)
             assert np.abs(a - fd).max() <= 1e-6 * max(1.0, np.abs(a).max())
 
 
@@ -151,38 +144,38 @@ class TestClassifyStability:
 class TestClassifyRegime:
     def test_three_reference_regimes(self):
         def regime(beta):
-            return LureLoop.amplifier(mixed(5.0, beta)).classify(0.0, 50.0).regime
+            return mixed(5.0, beta).classify(0.0, 50.0).regime
 
         assert regime(0.2) == REGIME_ZERO_DOMINANT
         assert regime(0.4) == REGIME_OSCILLATION
         assert regime(0.8) == REGIME_MULTISTABLE
 
     def test_wrong_inertia_unclassified(self):
-        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 200.0)
+        rc = mixed(5.0, 0.4).classify(0.0, 200.0)
         assert rc.regime == REGIME_UNCLASSIFIED
         assert "inertia" in rc.reason
 
     def test_supporting_data_attached(self):
-        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 50.0)
+        rc = mixed(5.0, 0.4).classify(0.0, 50.0)
         assert rc.k0_bar < 5.0 and math.isinf(rc.k2_bar)
         assert [e.stability for e in rc.equilibria] == [UNSTABLE]
 
     def test_zero_dominant_converges_from_random_states(self):
         p = mixed(5.0, 0.2)
-        rc = LureLoop.amplifier(p).classify(0.0, 50.0)
+        rc = p.classify(0.0, 50.0)
         assert rc.regime == REGIME_ZERO_DOMINANT
         target = np.asarray(rc.equilibria[0].state)
         rng = np.random.default_rng(9)
         for _ in range(10):
             ic = tuple(rng.uniform(-2, 2, 3))
-            traj = integrate(LureLoop.amplifier(p).ss, ic, dt=1e-3, t_end=25.0)
+            traj = integrate(p.ss, ic, dt=1e-3, t_end=25.0)
             assert np.abs(traj.states[-1] - target).max() < 1e-4
 
 
 class TestDominanceMap:
     def test_single_cell_degenerates_to_classify(self):
         cells = dominance_map(*TAUS, [5.0], [0.4], r=0.0, lam=50.0)
-        rc = LureLoop.amplifier(mixed(5.0, 0.4)).classify(0.0, 50.0)
+        rc = mixed(5.0, 0.4).classify(0.0, 50.0)
         assert cells[0][0].regime == rc.regime
         assert cells[0][0].k0_bar == pytest.approx(rc.k0_bar)
 
@@ -266,7 +259,7 @@ class TestCrossingGain:
             tp, tn = sorted(10.0 ** rng.uniform(-2.0, 1.0, 2))
             taus = (float(10.0 ** rng.uniform(-2.0, 1.0)), float(tp), float(tn))
             beta = float((0.0, 0.5, 1.0)[i] if i < 3 else rng.uniform(0.0, 1.0))
-            t = LureLoop.amplifier(AmplifierParams(*taus, 1.0, beta)).crossing_gain
+            t = LureLoop.amplifier(*taus, 1.0, beta).crossing_gain
             if math.isinf(t):
                 for gain in np.geomspace(1e-3, 1e9, 49):
                     assert _hurwitz(_characteristic(taus, beta, gain)), (taus, beta, gain)
@@ -278,13 +271,13 @@ class TestCrossingGain:
 
     def test_fold_gain_and_no_crossing(self):
         # beta = 1: the w = 0 crossing 1/(2 beta - 1) = 1 binds; beta = 0: no crossing
-        assert LureLoop.amplifier(mixed(5.0, 1.0)).crossing_gain == 1.0
-        assert LureLoop.amplifier(mixed(5.0, 0.0)).crossing_gain == math.inf
+        assert mixed(5.0, 1.0).crossing_gain == 1.0
+        assert mixed(5.0, 0.0).crossing_gain == math.inf
 
     def test_only_third_order_loops(self):
         from mfa.interconnect import InterfaceGains, LoadParams
 
-        loop = LureLoop.load(mixed(5.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+        loop = LureLoop.load(mixed(1.0, 0.4), 5.0, LoadParams(350.0, 35.0, 1.0, 20.0),
                              InterfaceGains(10.0, 1.0))
         with pytest.raises(ValueError, match="third-order"):
             loop.crossing_gain
@@ -315,7 +308,7 @@ class TestMapCountsAgainstEigenvalues:
         expected_marginal = {(0.0, 1.0, 1.0): (1, 0, REGIME_UNCLASSIFIED)}
         if taus[0] == 10.0:
             expected_marginal[(0.0, 10.0, 0.55)] = (3, 1, REGIME_MULTISTABLE)
-        loops = [[LureLoop.amplifier(AmplifierParams(*taus, k, float(beta), nonlinearity=tag))
+        loops = [[LureLoop.amplifier(*taus, k, float(beta), nonlinearity=tag)
                   for beta in self.BETAS] for k in self.KS]
         marginal = {}
         for r in self.REFERENCES:
@@ -337,7 +330,7 @@ class TestMapCountsAgainstEigenvalues:
         """At r = +-r_fold the tangent root is one marginal equilibrium: T is
         the fold gain here, and T/k and 1/g0 differ in the last digit for
         the last two balances."""
-        loop = LureLoop.amplifier(AmplifierParams(*TAUS, k, beta, nonlinearity=tag))
+        loop = LureLoop.amplifier(*TAUS, k, beta, nonlinearity=tag)
         r = sign * fold_point(tag, 1.0 / loop.g0)[1]
         labels = [e.stability for e in loop.equilibria(r)]
         assert sorted(labels) == [MARGINAL, STABLE]
@@ -351,12 +344,12 @@ class TestMapCountsAgainstEigenvalues:
         ks, betas = np.geomspace(0.1, 1000.0, 60), np.linspace(0.0, 1.0, 60)
         cells = dominance_map(*taus, ks, betas, r=0.0, lam=lam)
         for ib, beta in enumerate(betas):
-            head = LureLoop.amplifier(AmplifierParams(*taus, ks[0], beta))
+            head = LureLoop.amplifier(*taus, ks[0], beta)
             assert head.inertia(lam) == 2
             k0_bar, k2_bar = (_gain(min_real_part(head.g1, rate)[0]) for rate in (0.0, lam))
             for ik, k in enumerate(ks):
                 labels = [e.stability for e in
-                          LureLoop.amplifier(AmplifierParams(*taus, k, beta)).equilibria(0.0)]
+                          LureLoop.amplifier(*taus, k, beta).equilibria(0.0)]
                 assert MARGINAL not in labels
                 if k < k0_bar:
                     regime = REGIME_ZERO_DOMINANT
@@ -378,26 +371,26 @@ class TestSolvePhiLine:
     @pytest.mark.parametrize("delta", [1e-6, 1e-7])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_close_pair_next_to_fold(self, tag, delta, sign):
-        p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
-        assert LureLoop.amplifier(p).g0 == 2.0
+        p = LureLoop.amplifier(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
+        assert p.g0 == 2.0
         _, r_fold = fold_point(tag, 0.5)
-        eqs = LureLoop.amplifier(p).equilibria(sign * (r_fold - delta))
+        eqs = p.equilibria(sign * (r_fold - delta))
         assert [e.stability for e in eqs] == [STABLE, UNSTABLE, STABLE]
 
     @pytest.mark.parametrize("tag", ["tanh", "atan"])
     @pytest.mark.parametrize("g0", [1.0 + 1e-6, 1.0 + 1e-5])
     def test_pitchfork_pair_at_zero_reference(self, tag, g0):
-        p = AmplifierParams(*TAUS, k=g0, beta=1.0, nonlinearity=tag)
-        ys = [e.y_star for e in LureLoop.amplifier(p).equilibria(0.0)]
+        p = LureLoop.amplifier(*TAUS, k=g0, beta=1.0, nonlinearity=tag)
+        ys = [e.y_star for e in p.equilibria(0.0)]
         assert len(ys) == 3 and ys[1] == 0.0
         assert ys[2] == pytest.approx(-ys[0], rel=1e-9)
 
     @pytest.mark.parametrize("tag", ["tanh", "atan"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_tangency_reported_once(self, tag, sign):
-        p = AmplifierParams(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
+        p = LureLoop.amplifier(*TAUS, k=2.0, beta=1.0, nonlinearity=tag)
         y_c, r_fold = fold_point(tag, 0.5)
-        eqs = LureLoop.amplifier(p).equilibria(sign * r_fold)
+        eqs = p.equilibria(sign * r_fold)
         assert len(eqs) == 2
         tangent = [e for e in eqs if e.y_star == sign * y_c]
         assert len(tangent) == 1 and tangent[0].stability == MARGINAL
@@ -447,14 +440,14 @@ class TestConstructedPoles:
     poly_roots, and together they are the roots of the expanded denominator."""
 
     CASES = {
-        "amplifier": (lambda: LureLoop.amplifier(mixed(5.0, 0.4)).g1, TAUS, False),
+        "amplifier": (lambda: mixed(5.0, 0.4).g1, TAUS, False),
         "bank 2+2": (lambda: LureLoop.bank(0.003, POS2, NEG2, 1.0, 0.6).g1,
                      (0.003,) + POS2.taus + NEG2.taus, False),
         "bank 3+3": (lambda: LureLoop.bank(5.0, POS3, NEG3, 1.0, 0.3).g1,
                      (5.0,) + POS3.taus + NEG3.taus, False),
         "bank loop": (lambda: LureLoop.bank(0.01, POS3, NEG3, 4.0, 0.3).g1,
                       (0.01,) + POS3.taus + NEG3.taus, False),
-        "load loop": (lambda: LureLoop.load(mixed(10.0, 0.4), LOAD,
+        "load loop": (lambda: LureLoop.load(mixed(1.0, 0.4), 10.0, LOAD,
                                             InterfaceGains(10.0, 1.0)).g1, TAUS, True),
     }
 
@@ -480,9 +473,9 @@ class TestConstructedPoles:
             tp = float(10.0 ** rng.uniform(-3, 1))
             tn = tp * float(10.0 ** rng.uniform(0.01, 2))
             tl = float(10.0 ** rng.uniform(-3, 2))
-            p = AmplifierParams(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
-            tau_1, tau_2 = sorted(p.taus)[:2]
-            assert midpoint_rate(LureLoop.amplifier(p).poles) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0
+            p = LureLoop.amplifier(tl, tp, tn, float(rng.uniform(0, 50)), float(rng.uniform()))
+            tau_1, tau_2 = sorted((tl, tp, tn))[:2]
+            assert midpoint_rate(p.poles) == (1.0 / tau_1 + 1.0 / tau_2) / 2.0
 
 
 class TestOneOwner:
@@ -514,21 +507,28 @@ class TestOneOwner:
     def test_realizations(self):
         bits = self.bits
         for tl, tp, tn, k, beta, load, iface in self.loops():
-            p = AmplifierParams(tl, tp, tn, k, beta)
-            amp = LureLoop.amplifier(p)
+            amp = LureLoop.amplifier(tl, tp, tn, k, beta)
             bank = LureLoop.bank(tl, ChannelBank((Channel(1.0, tp),)),
                                  ChannelBank((Channel(1.0, tn),)), k, beta)
             for x in ("a", "b", "c"):
                 assert bits(getattr(bank.ss, x)) == bits(getattr(amp.ss, x))
-            loaded = LureLoop.load(p, load, iface)
+            loaded = LureLoop.load(LureLoop.amplifier(tl, tp, tn, 1.0, beta), k, load, iface)
             assert bits([row[:3] for row in loaded.ss.a[:3]]) == bits(amp.ss.a)
+            # k c1 and (k_o k) c1 of the unit-gain row c1 give the gain-k
+            # amplifier's output row and the force row -k_o k beta xp +
+            # k_o k (1 - beta) xn, bit for bit
+            ko = iface.ko
+            assert bits(loaded.ss.c[:3]) == bits(amp.ss.c)
+            assert bits(loaded.ss.a[4][:3]) == bits((0.0, -ko * k * beta, ko * k * (1.0 - beta)))
+            kappa = iface.ki * load.kp * ko / load.a
+            assert bits(loaded.g0) == bits(amp.g0 * (1.0 + kappa))
 
     def test_transfer_functions(self):
         # the amplifier is the bank with one unit-weight channel per side
         bits = self.bits
         for i, (tl, tp, tn, k, beta, _, _) in enumerate(self.loops()):
             beta = self.balance(i, tp, tn, beta)
-            amp = LureLoop.amplifier(AmplifierParams(tl, tp, tn, k, beta)).g1
+            amp = LureLoop.amplifier(tl, tp, tn, k, beta).g1
             bank = LureLoop.bank(tl, ChannelBank((Channel(1.0, tp),)),
                                  ChannelBank((Channel(1.0, tn),)), k, beta).g1
             assert bits(bank.num.coeffs) == bits(amp.num.coeffs)
@@ -563,8 +563,8 @@ class TestOneOwner:
 
     def test_linearization_and_rate(self):
         for tl, tp, tn, k, beta, load, iface in self.loops():
-            p = AmplifierParams(tl, tp, tn, k, beta)
-            for loop in (LureLoop.amplifier(p), LureLoop.load(p, load, iface)):
+            for loop in (LureLoop.amplifier(tl, tp, tn, k, beta),
+                         LureLoop.load(LureLoop.amplifier(tl, tp, tn, 1.0, beta), k, load, iface)):
                 ss = loop.ss
                 a = np.array(ss.a)
                 assert self.bits(ss.jacobians([0.0, 1.0])) == self.bits(

@@ -5,34 +5,38 @@ import math
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, brute_min_re, gain_scaled, reference_min_real_part
+from conftest import (
+    RECIPES_DIR,
+    analyze_report,
+    brute_min_re,
+    gain_scaled,
+    reference_min_real_part,
+)
 
 from mfa.freq_analysis import (
     _gain,
     check_p_passivity,
-    critical_balance,
     midpoint_rate,
     min_real_part,
     nyquist_locus,
 )
 from mfa.equilibria import LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_from_json, load_tf
-from mfa.multichannel import Channel, ChannelBank
-from mfa.tf_core import (
-    AmplifierParams,
-    INFINITE_ZERO,
-    Polynomial,
-    RationalTF,
-    _companion_roots,
-    tf_shift,
-    tf_zero_mixed,
-)
+from mfa.multichannel import Channel, ChannelBank, bank_critical_balance
+from mfa.tf_core import Polynomial, RationalTF, _companion_roots, tf_shift
 
 TAUS = (0.01, 0.1, 1.0)
 
 
 def mixed(k, beta, taus=TAUS):
-    return AmplifierParams(*taus, k=k, beta=beta)
+    return LureLoop.amplifier(*taus, k, beta)
+
+
+def beta_star(tau_p, tau_n):
+    """The amplifier's critical balance: that of one unit-weight channel per
+    bank."""
+    return bank_critical_balance(ChannelBank((Channel(1.0, tau_p),)),
+                                 ChannelBank((Channel(1.0, tau_n),)))
 
 
 def unit_lag():
@@ -46,7 +50,7 @@ class TestMinRealPart:
 
     def test_negative_dip_matches_oracle(self):
         p = mixed(1.0, 0.2)
-        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
+        g = gain_scaled(p.g1, p.k)
         mr, _ = min_real_part(g, 0.0)
         oracle = brute_min_re(g, 0.0, 1e-3, 1e5)
         assert mr < 0.0
@@ -54,14 +58,14 @@ class TestMinRealPart:
 
     def test_shifted_positive_realness(self):
         p = mixed(1.0, 0.4)
-        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
+        g = gain_scaled(p.g1, p.k)
         mr, _ = min_real_part(g, 55.0)
         assert mr >= 0.0
         assert brute_min_re(g, 55.0, 1e-3, 1e5) >= 0.0
 
     def test_pole_on_shifted_axis(self):
         with pytest.raises(ArithmeticError, match="shifted imaginary axis"):
-            min_real_part(LureLoop.amplifier(mixed(1.0, 0.4)).g1, 10.0)
+            min_real_part(mixed(1.0, 0.4).g1, 10.0)
 
 
 
@@ -111,8 +115,8 @@ class TestExactMinimum:
             tl = float(rng.uniform(0.005, 20.0))
             if tl == tp or tl == tn:
                 tl *= 1.0001
-            p = AmplifierParams(tl, tp, tn, k=1.0, beta=float(rng.uniform(0.0, 1.0)))
-            g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
+            p = LureLoop.amplifier(tl, tp, tn, k=1.0, beta=float(rng.uniform(0.0, 1.0)))
+            g = gain_scaled(p.g1, p.k)
             assert_exact_min(g, 0.0)
             assert_exact_min(g, midpoint_rate(g.poles()))
 
@@ -129,7 +133,7 @@ class TestExactMinimum:
             load, iface = load_from_json(fh.read())
         for k in (1.0, 10.0, 100.0):
             for beta in (0.1, 0.4, 0.8):
-                g = gain_scaled(LureLoop.load(mixed(k, beta), load, iface).g1, k)
+                g = gain_scaled(LureLoop.load(mixed(1.0, beta), k, load, iface).g1, k)
                 for lam in (0.0, 15.0, 55.0):
                     assert_exact_min(g, lam)
 
@@ -185,8 +189,8 @@ def _seeded_loops(rng):
         kind = i % 4
         if kind == 0:
             tl, tp, tn = lags(3)
-            yield LureLoop.amplifier(AmplifierParams(
-                float(rng.uniform(0.001, 10.0)), tp, tn, 1.0, float(rng.uniform(0.0, 1.0))))
+            yield LureLoop.amplifier(
+                float(rng.uniform(0.001, 10.0)), tp, tn, 1.0, float(rng.uniform(0.0, 1.0)))
         elif kind in (1, 2):
             m = 1 + kind
             taus = lags(2 * m + 1)
@@ -198,12 +202,11 @@ def _seeded_loops(rng):
             yield LureLoop.bank(taus[-1], pos, neg, 1.0, float(rng.uniform(0.0, 1.0)))
         else:
             tl, tp, tn = lags(3)
-            amp = AmplifierParams(float(rng.uniform(0.001, 10.0)), tp, tn,
-                                  float(10.0 ** rng.uniform(-1.0, 2.0)),
-                                  float(rng.uniform(0.0, 1.0)))
+            tl, k, beta = (float(rng.uniform(0.001, 10.0)), float(10.0 ** rng.uniform(-1.0, 2.0)),
+                           float(rng.uniform(0.0, 1.0)))
             load = LoadParams(*(float(v) for v in 10.0 ** rng.uniform(-1.0, 3.0, 4)))
             iface = InterfaceGains(*(float(v) for v in rng.uniform(0.0, 2.0, 2)))
-            yield LureLoop.load(amp, load, iface)
+            yield LureLoop.load(LureLoop.amplifier(tl, tp, tn, 1.0, beta), k, load, iface)
 
 
 class TestStackedRoots:
@@ -252,26 +255,26 @@ def critical_gain(g, lam):
 class TestCriticalGain:
     def test_pure_negative_feedback_finite(self):
         p = mixed(1.0, 0.0)
-        k0 = critical_gain(LureLoop.amplifier(p).g1, 0.0)
-        g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
+        k0 = critical_gain(p.g1, 0.0)
+        g = gain_scaled(p.g1, p.k)
         oracle = -1.0 / brute_min_re(g, 0.0, 1e-3, 1e5)
         assert 0.0 < k0 < math.inf
         assert k0 == pytest.approx(oracle, rel=1e-6)
 
     def test_unbounded_above_critical_balance(self):
-        assert critical_gain(LureLoop.amplifier(mixed(7.0, 0.4)).g1, 55.0) == math.inf
+        assert critical_gain(mixed(7.0, 0.4).g1, 55.0) == math.inf
 
     def test_gain_linearity(self):
         # min_re of G(s,k,b) is k times min_re of G(s,1,b), same frequency
         p1, p9 = mixed(1.0, 0.2), mixed(9.0, 0.2)
-        m1, w1 = min_real_part(gain_scaled(LureLoop.amplifier(p1).g1, p1.k), 0.0)
-        m9, w9 = min_real_part(gain_scaled(LureLoop.amplifier(p9).g1, p9.k), 0.0)
+        m1, w1 = min_real_part(gain_scaled(p1.g1, p1.k), 0.0)
+        m9, w9 = min_real_part(gain_scaled(p9.g1, p9.k), 0.0)
         assert m9 == pytest.approx(9.0 * m1, rel=1e-6)
         assert w9 == pytest.approx(w1, rel=1e-6)
 
     def test_pole_on_shifted_axis_raises(self):
         # a 1e10 s lag puts a pole at -1e-10, within 1e-9 of the axis at rate 0
-        g = LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1e10, k=5.0, beta=0.4)).g1
+        g = LureLoop.amplifier(0.01, 0.1, 1e10, k=5.0, beta=0.4).g1
         with pytest.raises(ArithmeticError, match="shifted imaginary axis"):
             critical_gain(g, 0.0)
         assert critical_gain(g, 55.0) > 0.0
@@ -279,40 +282,40 @@ class TestCriticalGain:
 
 class TestRateSelection:
     def test_fast_load(self):
-        assert midpoint_rate(LureLoop.amplifier(mixed(1.0, 0.2)).g1.poles()) == pytest.approx(55.0)
+        assert midpoint_rate(mixed(1.0, 0.2).g1.poles()) == pytest.approx(55.0)
 
     def test_slow_load(self):
-        p = AmplifierParams(10.0, 0.1, 1.0, k=1.0, beta=0.2)
-        assert midpoint_rate(LureLoop.amplifier(p).poles) == pytest.approx(5.5)
+        p = LureLoop.amplifier(10.0, 0.1, 1.0, k=1.0, beta=0.2)
+        assert midpoint_rate(p.poles) == pytest.approx(5.5)
 
     def test_feasibility_window(self):
-        loop = LureLoop.amplifier(mixed(1.0, 0.3))
+        loop = mixed(1.0, 0.3)
         for lam in (10.5, 25.0, 55.0, 99.5):
             assert loop.inertia(lam) == 2
 
     def test_midpoint_rate_matches_policy(self):
-        g = LureLoop.amplifier(mixed(1.0, 0.3)).g1
+        g = mixed(1.0, 0.3).g1
         assert midpoint_rate(g.poles()) == pytest.approx(55.0, rel=1e-9)
 
 
 class TestShiftedPoleCount:
     def test_stable_open_loop(self):
-        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(0.0) == 0
+        assert mixed(1.0, 0.2).inertia(0.0) == 0
 
     def test_two_after_midpoint_shift(self):
-        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(55.0) == 2
+        assert mixed(1.0, 0.2).inertia(55.0) == 2
 
     def test_all_three_for_large_rate(self):
-        assert LureLoop.amplifier(mixed(1.0, 0.2)).inertia(200.0) == 3
+        assert mixed(1.0, 0.2).inertia(200.0) == 3
 
 
 class TestDominanceCertificate:
     def test_zero_dominant_at_small_gain(self):
         # gain 1 lies below the unit-gain loop's critical gain at rate 0
-        assert critical_gain(LureLoop.amplifier(mixed(1.0, 0.2)).g1, 0.0) > 1.0
+        assert critical_gain(mixed(1.0, 0.2).g1, 0.0) > 1.0
 
     def test_fails_condition3_at_large_gain(self):
-        g1 = LureLoop.amplifier(mixed(1.0, 0.2)).g1
+        g1 = mixed(1.0, 0.2).g1
         assert critical_gain(g1, 0.0) < 1000.0
         cert = check_p_passivity(g1, 0.0, 0, 1000.0)
         assert not cert.passed
@@ -320,20 +323,20 @@ class TestDominanceCertificate:
 
     def test_two_passive_for_any_gain(self):
         for k in (0.1, 10.0, 1000.0):
-            cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, 0.4)).g1, 55.0, 2, k)
+            cert = check_p_passivity(mixed(1.0, 0.4).g1, 55.0, 2, k)
             assert cert.passed
             assert cert.critical_gain == math.inf
 
     def test_certificate_invariants(self):
         for beta in (0.05, 0.4):  # below and above beta* = 1/11
-            cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, beta)).g1, 55.0, 2, 1.0)
+            cert = check_p_passivity(mixed(1.0, beta).g1, 55.0, 2, 1.0)
             assert cert.passed == all(cert.conditions)
             assert math.isinf(cert.critical_gain) == (cert.min_re >= 0.0)
             if cert.min_re < 0.0:
                 assert cert.critical_gain == -1.0 / cert.min_re
 
     def test_failure_encoded_not_raised(self):
-        cert = check_p_passivity(LureLoop.amplifier(mixed(1.0, 0.2)).g1, 10.0, 2, 1.0)
+        cert = check_p_passivity(mixed(1.0, 0.2).g1, 10.0, 2, 1.0)
         assert not cert.passed and not cert.conditions[0]
         assert math.isnan(cert.min_re) and math.isnan(cert.critical_gain)
 
@@ -353,12 +356,10 @@ class TestUnitGainCertificate:
             tp = float(rng.uniform(0.01, 0.5))
             tn = tp * float(rng.uniform(1.5, 30.0))
             tl = float(rng.uniform(0.005, 20.0))
-            amp = AmplifierParams(tl, tp, tn, k=float(10.0 ** rng.uniform(-1.0, 3.0)),
-                                  beta=float(rng.uniform(0.0, 1.0)))
-            g_amp = LureLoop.amplifier(amp).g1
-            lam = midpoint_rate(g_amp.poles())
-            g1 = g_amp if trial % 2 == 0 else LureLoop.load(amp, load, iface).g1
-            yield amp.k, g1, lam
+            k, beta = float(10.0 ** rng.uniform(-1.0, 3.0)), float(rng.uniform(0.0, 1.0))
+            amp = LureLoop.amplifier(tl, tp, tn, 1.0, beta)
+            lam = midpoint_rate(amp.poles)
+            yield k, amp.g1 if trial % 2 == 0 else LureLoop.load(amp, k, load, iface).g1, lam
 
     def test_unit_gain_matches_gain_k(self):
         for k, g1, lam in self.loops():
@@ -381,26 +382,42 @@ class TestPassivity:
 
     def test_below_critical_balance_reports_min(self):
         p = mixed(1.0, 0.05)  # below beta* = 1/11
-        cert = check_p_passivity(gain_scaled(LureLoop.amplifier(p).g1, p.k), 55.0, 2, 1.0)
+        cert = check_p_passivity(gain_scaled(p.g1, p.k), 55.0, 2, 1.0)
         assert not math.isnan(cert.min_re)
         assert cert.min_re < 0.0 and not cert.passed
 
 
 class TestCriticalBalance:
+    """The amplifier's critical balance tau_p/(tau_n + tau_p), the bank
+    formula of single-channel banks."""
+
     def test_reference_values(self):
-        assert critical_balance(0.1, 1.0) == pytest.approx(1.0 / 11.0, abs=1e-15)
-        assert critical_balance(0.1, 0.3) == pytest.approx(0.25, abs=1e-15)
+        assert beta_star(0.1, 1.0) == pytest.approx(1.0 / 11.0, abs=1e-15)
+        assert beta_star(0.1, 0.3) == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_infinite_zero(self):
-        bstar = critical_balance(0.1, 1.0)
-        assert tf_zero_mixed(mixed(1.0, bstar)) == INFINITE_ZERO
+        bstar = beta_star(0.1, 1.0)
+        rep = analyze_report(TAUS, 1.0, bstar)
+        assert rep["beta_star"] == bstar and rep["zero"] == "infinite"
 
     def test_vanishes_with_fast_positive_channel(self):
-        assert critical_balance(1e-6, 1.0) < 1e-5
+        assert beta_star(1e-6, 1.0) < 1e-5
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            critical_balance(1.0, 0.5)
+        # a bank refuses a lag <= 0, and the amplifier whose balance analyze
+        # reports refuses tau_p >= tau_n
+        with pytest.raises(ValueError, match="tau > 0"):
+            beta_star(0.0, 0.5)
+        with pytest.raises(ValueError, match="tau_p < tau_n"):
+            LureLoop.amplifier(0.01, 1.0, 0.5, 1.0, 0.5)
+
+    def test_single_channel_value(self):
+        # bit for bit tau_p/(tau_n + tau_p): P = tau_n and M = tau_p exactly
+        rng = np.random.default_rng(22)
+        for _ in range(1000):
+            tp = float(10.0 ** rng.uniform(-3.0, 1.0))
+            tn = tp * float(10.0 ** rng.uniform(0.0, 2.0))
+            assert beta_star(tp, tn) == tp / (tn + tp)
 
 
 class TestTheoremSixProperty:
@@ -412,12 +429,11 @@ class TestTheoremSixProperty:
             tl = float(rng.uniform(0.005, 20.0))
             if tl == tp or tl == tn:
                 continue
-            bstar = critical_balance(tp, tn)
+            bstar = beta_star(tp, tn)
             beta = float(rng.uniform(bstar + 1e-6, 1.0))
-            p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0.1, 100.0)),
-                                beta=beta)
-            g1 = LureLoop.amplifier(p).g1
-            cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2, p.k)
+            g1 = LureLoop.amplifier(tl, tp, tn, 1.0, beta).g1
+            cert = check_p_passivity(g1, midpoint_rate(g1.poles()), 2,
+                                     float(rng.uniform(0.1, 100.0)))
             assert cert.passed, (tl, tp, tn, beta)
 
 
@@ -436,8 +452,8 @@ class TestNyquistLocus:
 
     def test_locus_below_critical_gain_stays_right_of_line(self):
         p1 = mixed(1.0, 0.2)
-        k0 = critical_gain(LureLoop.amplifier(p1).g1, 0.0)
+        k0 = critical_gain(p1.g1, 0.0)
         p = mixed(0.9 * k0, 0.2)
-        locus = nyquist_locus(gain_scaled(LureLoop.amplifier(p).g1, p.k), 0.0,
+        locus = nyquist_locus(gain_scaled(p.g1, p.k), 0.0,
                               np.geomspace(1e-3, 1e5, 2000))
         assert np.all(locus[:, 1] > -1.0)

@@ -1,6 +1,7 @@
 """Channel banks: assembly, interlacing, extended loop, diagonal realization."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -25,7 +26,7 @@ from mfa.multichannel import (
     check_interlacing,
 )
 from mfa.sim import integrate
-from mfa.tf_core import AmplifierParams, Polynomial, get_nonlinearity
+from mfa.tf_core import Polynomial, get_nonlinearity
 
 
 def single_banks(tau_p=0.1, tau_n=1.0):
@@ -68,12 +69,12 @@ def random_loop(kind, rng):
     if kind == "bank":
         pos, neg, beta = random_banks(rng, max_size=3)
         return LureLoop.bank(0.07, pos, neg, 4.2, beta)
-    amp = AmplifierParams(0.01, 0.1, 1.0, k=float(rng.uniform(0.5, 20.0)),
-                          beta=float(rng.uniform(0.0, 1.0)))
+    k, beta = float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.0, 1.0))
     if kind == "amplifier":
-        return LureLoop.amplifier(amp)
+        return LureLoop.amplifier(0.01, 0.1, 1.0, k, beta)
     load = LoadParams(*rng.uniform([250.0, 30.0, 0.5, 10.0], [450.0, 40.0, 1.5, 30.0]))
-    return LureLoop.load(amp, load, InterfaceGains(*rng.uniform([5.0, 0.5], [15.0, 1.5])))
+    return LureLoop.load(LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, beta), k, load,
+                         InterfaceGains(*rng.uniform([5.0, 0.5], [15.0, 1.5])))
 
 
 def bank_response(bank, s):
@@ -248,11 +249,46 @@ class TestInterlacing:
         assert mags[-1] > 50.0 * mags[0]
 
 
+class TestCriticalBalance:
+    """M/(P + M), the balance at which the numerator's top coefficient
+    vanishes, for every bank size."""
+
+    def test_within_rounding_of_exact_value(self):
+        # against the exact balance of the double inputs: P and M in exact
+        # rational arithmetic, one ratio at the end
+        eps = Fraction(np.finfo(float).eps)
+        rng = np.random.default_rng(2201)
+        sizes = set()
+        for _ in range(400):
+            pos, neg, _ = random_banks(rng, max_size=3)
+            sizes.add((len(pos.channels), len(neg.channels)))
+            chans = pos.sorted_channels() + neg.sorted_channels()
+            tops = [Fraction(ch.rho) * math.prod(Fraction(c.tau) for j, c in enumerate(chans)
+                                                 if j != i)
+                    for i, ch in enumerate(chans)]
+            p, m = sum(tops[:len(pos.channels)]), sum(tops[len(pos.channels):])
+            exact = m / (p + m)
+            assert abs(Fraction(bank_critical_balance(pos, neg)) - exact) <= 2 * eps * exact
+        assert sizes == {(m, n) for m in range(1, 4) for n in range(1, 4)}
+
+    def test_top_coefficient_changes_sign(self):
+        # the loop's numerator -(beta (P + M) - M) has its top coefficient
+        # of one sign below the balance and of the other above it
+        rng = np.random.default_rng(2202)
+        for _ in range(100):
+            pos, neg, _ = random_banks(rng, max_size=3)
+            b = bank_critical_balance(pos, neg)
+            below, above = (bank_tf(pos, neg, beta).num.coeffs for beta in (b * 0.999, b * 1.001))
+            n = len(pos.channels) + len(neg.channels) - 1
+            assert len(below) == len(above) == n + 1
+            assert below[n] > 0.0 > above[n]
+
+
 class TestExtendedOpenLoop:
     def test_base_case_reduces_to_three_state(self):
         pos, neg = single_banks()
         gb = LureLoop.bank(0.01, pos, neg, 5.0, 0.8).g1
-        ge = LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.8)).g1
+        ge = LureLoop.amplifier(0.01, 0.1, 1.0, 5.0, 0.8).g1
         assert gb.num.coeffs == ge.num.coeffs and gb.den.coeffs == ge.den.coeffs
         # the three-state closed form -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s]
         # over (tau_l s + 1)(tau_p s + 1)(tau_n s + 1)
@@ -301,7 +337,7 @@ class TestDiagonalRealization:
     def test_base_case_matches_amplifier(self):
         pos, neg = single_banks()
         ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
-        ref = LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).ss
+        ref = LureLoop.amplifier(0.01, 0.1, 1.0, 5.0, 0.4).ss
         assert ss.a == ref.a and ss.b == ref.b and ss.c == ref.c
 
     @pytest.mark.parametrize("kind", ["amplifier", "bank", "load"])
@@ -354,7 +390,7 @@ class TestDiagonalRealization:
         rep = detect_oscillation(integrate(ss, (0.1, 0, 0, 0, 0),
                                            dt=1e-3, t_end=50.0))
         ref = detect_oscillation(integrate(
-            LureLoop.amplifier(AmplifierParams(0.01, 0.1, 1.0, 5.0, 0.4)).ss, (0.1, 0, 0),
+            LureLoop.amplifier(0.01, 0.1, 1.0, 5.0, 0.4).ss, (0.1, 0, 0),
             dt=1e-3, t_end=50.0))
         assert rep.oscillating and ref.oscillating
         assert rep.period == pytest.approx(ref.period, rel=0.05)
@@ -376,9 +412,9 @@ class TestEquilibriumReuse:
             if g0 == 0.0 or abs(g0 - 1.0) < 1e-3:
                 continue
             bank_count = len(solve_phi_line(phi, 1.0 / g0, 0.0, slope_inverse))
-            ref = AmplifierParams(123.0, 0.1, 1.0, k, beta)
-            assert LureLoop.amplifier(ref).g0 == pytest.approx(g0)
-            assert bank_count == len(LureLoop.amplifier(ref).equilibria(0.0))
+            ref = LureLoop.amplifier(123.0, 0.1, 1.0, k, beta)
+            assert ref.g0 == pytest.approx(g0)
+            assert bank_count == len(ref.equilibria(0.0))
 
 
 class TestBankJson:

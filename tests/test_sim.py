@@ -23,23 +23,23 @@ from mfa.sim import (
     detect_oscillation,
     integrate,
 )
-from mfa.tf_core import AmplifierParams, get_nonlinearity
+from mfa.tf_core import get_nonlinearity
 
 TAUS = (0.01, 0.1, 1.0)
 
 
 def mixed(k, beta, taus=TAUS):
-    return AmplifierParams(*taus, k=k, beta=beta)
+    return LureLoop.amplifier(*taus, k, beta)
 
 
-def amp_ss(params):
+def amp_ss(loop):
     """Realization of the amplifier loop, which ``integrate`` runs."""
-    return LureLoop.amplifier(params).ss
+    return loop.ss
 
 
-def linear_decay_reference(params, ic, t):
+def linear_decay_reference(loop, ic, t):
     """Matrix-exponential solution of the k = 0 lag chain."""
-    a = np.array(LureLoop.amplifier(params).ss.a)
+    a = np.array(loop.ss.a)
     vals, vecs = np.linalg.eig(a)
     c = np.linalg.solve(vecs, np.asarray(ic, dtype=complex))
     return (vecs @ (c * np.exp(vals * t))).real
@@ -47,16 +47,15 @@ def linear_decay_reference(params, ic, t):
 
 class TestVectorField:
     def test_origin_is_equilibrium(self):
-        assert vector_field(mixed(5.0, 0.3), (0.0, 0.0, 0.0), 0.0) == (0.0, 0.0, 0.0)
+        assert vector_field(TAUS, 5.0, 0.3, (0.0, 0.0, 0.0), 0.0) == (0.0, 0.0, 0.0)
 
     def test_open_loop_lags(self):
-        assert vector_field(mixed(0.0, 0.3), (1.0, 0.0, 0.0), 0.0) == \
+        assert vector_field(TAUS, 0.0, 0.3, (1.0, 0.0, 0.0), 0.0) == \
             pytest.approx((-100.0, 10.0, 1.0))
 
     def test_zero_at_solver_equilibria(self):
-        p = mixed(5.0, 0.8)
-        for eq in LureLoop.amplifier(p).equilibria(0.2):
-            assert np.linalg.norm(vector_field(p, eq.state, 0.2)) < 1e-8
+        for eq in mixed(5.0, 0.8).equilibria(0.2):
+            assert np.linalg.norm(vector_field(TAUS, 5.0, 0.8, eq.state, 0.2)) < 1e-8
 
 
 class TestSchedule:
@@ -88,7 +87,7 @@ class TestIntegrate:
         assert np.abs(traj.states[-1] - exact).max() < 1e-6
 
     def test_rk4_order_ratio(self):
-        p = AmplifierParams(0.5, 0.1, 1.0, k=0.0, beta=0.3)
+        p = LureLoop.amplifier(0.5, 0.1, 1.0, k=0.0, beta=0.3)
         ic = (1.0, 1.0, 1.0)
 
         def endpoint(dt):
@@ -114,7 +113,7 @@ class TestIntegrate:
     def test_statespace_step_above_rk4_limit_warns(self):
         # A - b c_loop of the 5-state load loop has spectral radius ~127, and
         # A has 100 (tau_l = 0.01), so both step checks warn
-        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+        ss = LureLoop.load(mixed(1.0, 0.4), 10.0, LoadParams(350.0, 35.0, 1.0, 20.0),
                            InterfaceGains(10.0, 1.0)).ss
         with pytest.warns(UserWarning) as record:
             integrate(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=0.025, t_end=0.05)
@@ -122,7 +121,7 @@ class TestIntegrate:
         assert "RK4 stability limit" in str(record[1].message) and len(record) == 2
 
     def test_statespace_step_within_rk4_limit_silent(self):
-        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+        ss = LureLoop.load(mixed(1.0, 0.4), 10.0, LoadParams(350.0, 35.0, 1.0, 20.0),
                            InterfaceGains(10.0, 1.0)).ss
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -157,7 +156,7 @@ class TestIntegrate:
         # 0.05 / rho(A) at k = 1; at k = 1e5 one over the closed-loop radius
         # is the smaller; neither step warns
         for k, binding in ((1.0, 0), (1e5, 1)):
-            ss = LureLoop.amplifier(mixed(k, 0.4)).ss
+            ss = mixed(k, 0.4).ss
             rho_open, rho_closed = (max(abs(np.linalg.eigvals(m)))
                                     for m in ss.jacobians([0.0, 1.0]))
             steps = [0.05 / rho_open, 1.0 / max(rho_open, rho_closed)]
@@ -182,15 +181,15 @@ class TestIntegrate:
         assert np.abs(a.states + b.states).max() < 1e-10
 
     def test_stable_equilibrium_holds(self):
-        p = AmplifierParams(0.01, 0.1, 0.3, k=5.0, beta=0.8)
-        eqs = LureLoop.amplifier(p).equilibria(0.0)
+        p = LureLoop.amplifier(0.01, 0.1, 0.3, k=5.0, beta=0.8)
+        eqs = p.equilibria(0.0)
         eq = next(e for e in eqs if e.stability == STABLE)
         traj = integrate(amp_ss(p), eq.state, dt=5e-4, t_end=30.0)  # 100 max(tau)
         assert np.abs(traj.states - np.asarray(eq.state)).max() < 1e-6
 
     def test_unstable_equilibrium_departs(self):
         p = mixed(5.0, 0.8)
-        eqs = LureLoop.amplifier(p).equilibria(0.05)
+        eqs = p.equilibria(0.05)
         eq = next(e for e in eqs if e.stability == UNSTABLE)
         assert max(z.real for z in eq.eigenvalues) > 1e-2
         traj = integrate(amp_ss(p), eq.state, InputSchedule.constant(0.05),
@@ -224,12 +223,12 @@ class TestKernelBitIdentity:
 
     def test_five_state_load_loop(self):
         load, iface = load_from_json(_recipe_data("load_msd.json"))
-        ss = LureLoop.load(mixed(10.0, 0.4), load, iface).ss
+        ss = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss
         traj = self.check(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=5.0)
         assert traj.states.shape == (10001, 5)
 
     def test_atan(self):
-        p = AmplifierParams(*TAUS, k=5.0, beta=0.4, nonlinearity="atan")
+        p = LureLoop.amplifier(*TAUS, k=5.0, beta=0.4, nonlinearity="atan")
         self.check(amp_ss(p), (0.1, -0.02, 0.01), InputSchedule.constant(0.3), t_end=5.0)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -241,7 +240,7 @@ class TestKernelBitIdentity:
             system, dim = amp_ss(mixed(5.0, 0.4)), 3
         elif loop == "load":
             load, iface = load_from_json(_recipe_data("load_msd.json"))
-            system, dim = LureLoop.load(mixed(10.0, 0.4), load, iface).ss, 5
+            system, dim = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss, 5
         else:
             system, dim = StateSpace(a=((1.0,),), b=(0.0,), c=(1.0,), labels=("x",)), 1
         traj = self.check(system, (zero,) * dim, dt=5e-4, t_end=0.01)
@@ -269,7 +268,7 @@ class TestKernelBitIdentity:
     def test_load_single_term_row(self):
         # with ko = 0 the load decays on its own, so q' = qdot, a row of one
         # term, sees only the -0.0 it starts from while the amplifier swings
-        ss = LureLoop.load(mixed(10.0, 0.4), LoadParams(350.0, 35.0, 1.0, 20.0),
+        ss = LureLoop.load(mixed(1.0, 0.4), 10.0, LoadParams(350.0, 35.0, 1.0, 20.0),
                            InterfaceGains(10.0, 0.0)).ss
         assert [j for j, aij in enumerate(ss.a[3]) if aij != 0.0] == [4]
         traj = self.check(ss, (0.1, 0.0, 0.0, -0.0, -0.0), dt=5e-4, t_end=1.0)
@@ -394,10 +393,9 @@ class TestBoundedness:
 
 class TestLinearize:
     def test_matches_equilibrium_jacobian(self):
-        p = mixed(5.0, 0.8)
-        loop = LureLoop.amplifier(p)
+        loop = mixed(5.0, 0.8)
         for eq in loop.equilibria(0.0):
-            s = get_nonlinearity(p.nonlinearity)[1](eq.y_star)
+            s = get_nonlinearity(loop.ss.nonlinearity)[1](eq.y_star)
             assert loop.jacobians([eq.y_star])[0] == pytest.approx(np.array([
                 [-100.0, 400.0 * s, -100.0 * s],
                 [10.0, -10.0, 0.0],

@@ -5,26 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gain_scaled, reference_shift
+from conftest import analyze_report, gain_scaled, reference_shift
 
 from mfa.equilibria import LureLoop
 from mfa.tf_core import (
-    INFINITE_ZERO,
-    AmplifierParams,
     Polynomial,
     RationalTF,
     get_nonlinearity,
     poly_roots,
     tf_multiply,
     tf_shift,
-    tf_zero_mixed,
 )
 
 TAUS = (0.01, 0.1, 1.0)
 
 
 def mixed(k, beta, taus=TAUS):
-    return AmplifierParams(*taus, k=k, beta=beta)
+    return LureLoop.amplifier(*taus, k, beta)
 
 
 class TestPolyRoots:
@@ -88,16 +85,16 @@ class TestPolyRoots:
 
 class TestBuildMixed:
     def test_dc_value(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
+        g = gain_scaled(mixed(5.0, 0.2).g1, 5.0)
         assert g.num(0.0) / g.den(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_balanced_numerator_has_zero_constant(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(2.0, 0.5)).g1, 2.0)
+        g = gain_scaled(mixed(2.0, 0.5).g1, 2.0)
         assert g.num.coeffs[0] == 0.0
         assert g.num.coeffs[-1] == pytest.approx(-2.0 * (0.5 * 1.1 - 0.1))
 
     def test_zero_gain_severs_loop(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(0.0, 0.3)).g1, 0.0)
+        g = gain_scaled(mixed(0.0, 0.3).g1, 0.0)
         assert g.num.is_zero
 
     def test_dc_identity_random(self):
@@ -108,28 +105,26 @@ class TestBuildMixed:
             tl = float(rng.uniform(0.005, 5.0))
             if tl in (tp, tn):
                 continue
-            p = AmplifierParams(tl, tp, tn, k=float(rng.uniform(0, 50)),
-                                beta=float(rng.uniform(0, 1)))
-            g = gain_scaled(LureLoop.amplifier(p).g1, p.k)
-            assert g.num(0.0) / g.den(0.0) == pytest.approx(
-                p.k * (1 - 2 * p.beta), abs=1e-12)
+            k, beta = float(rng.uniform(0, 50)), float(rng.uniform(0, 1))
+            g = gain_scaled(LureLoop.amplifier(tl, tp, tn, k, beta).g1, k)
+            assert g.num(0.0) / g.den(0.0) == pytest.approx(k * (1 - 2 * beta), abs=1e-12)
 
     def test_parameter_invariants(self):
         with pytest.raises(ValueError, match="tau_p < tau_n"):
-            AmplifierParams(0.01, 1.0, 0.5, 1.0, 0.5)
+            LureLoop.amplifier(0.01, 1.0, 0.5, 1.0, 0.5)
         with pytest.raises(ValueError, match="distinct"):
-            AmplifierParams(0.1, 0.1, 1.0, 1.0, 0.5)
+            LureLoop.amplifier(0.1, 0.1, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="beta"):
-            AmplifierParams(0.01, 0.1, 1.0, 1.0, 1.5)
+            LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError, match="k >= 0"):
-            AmplifierParams(0.01, 0.1, 1.0, -1.0, 0.5)
+            LureLoop.amplifier(0.01, 0.1, 1.0, -1.0, 0.5)
         with pytest.raises(ValueError, match="finite k"):
-            AmplifierParams(0.01, 0.1, 1.0, math.inf, 0.5)
+            LureLoop.amplifier(0.01, 0.1, 1.0, math.inf, 0.5)
 
 
 class TestShift:
     def test_zero_shift_identity(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
+        g = gain_scaled(mixed(5.0, 0.2).g1, 5.0)
         gs = tf_shift(g, 0.0)
         assert gs.num.coeffs == g.num.coeffs
         assert gs.den.coeffs == g.den.coeffs
@@ -142,7 +137,7 @@ class TestShift:
     def test_zero_rate_turns_negative_zero_positive(self):
         # at beta = 0.5 the numerator's constant is -k * 0.0 = -0.0; the
         # re-expansion sum gives 0.0, and so does the rate-0 shortcut
-        g = gain_scaled(LureLoop.amplifier(mixed(2.0, 0.5)).g1, 2.0)
+        g = gain_scaled(mixed(2.0, 0.5).g1, 2.0)
         assert g.num.coeffs[0].hex() == "-0x0.0p+0"
         gs = tf_shift(g, 0.0)
         for got, poly in ((gs.num, g.num), (gs.den, g.den)):
@@ -166,7 +161,7 @@ class TestShift:
                 assert [c.hex() for c in got] == [c.hex() for c in want]
 
     def test_pole_translation_mixed(self):
-        g = LureLoop.amplifier(mixed(1.0, 0.2)).g1
+        g = mixed(1.0, 0.2).g1
         shifted = sorted(z.real for z in tf_shift(g, 55.0).poles())
         assert shifted == pytest.approx([-45.0, 45.0, 54.0], rel=1e-9)
 
@@ -196,20 +191,29 @@ class TestKnownPoles:
             RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0, 1.0]), [-1.0])
 
 
+def analyze_zero(k, beta, taus=TAUS):
+    """The ``"zero"`` and ``"zeros"`` fields of ``mfa analyze``."""
+    rep = analyze_report(taus, k, beta)
+    return rep["zero"], rep["zeros"]
+
+
 class TestZeroMixed:
+    """The open-loop zero location (2 beta - 1)/(beta (tau_p + tau_n) - tau_p)
+    that ``analyze`` reports, n0/n1 of the unit-gain numerator n0 + n1 s, and
+    "infinite" within a few ulps of the critical balance."""
+
     def test_balanced_zero_at_origin(self):
-        assert tf_zero_mixed(mixed(2.0, 0.5)) == pytest.approx(0.0)
+        assert analyze_zero(2.0, 0.5)[0] == 0.0
 
     def test_positive_dominant_value(self):
-        assert tf_zero_mixed(mixed(5.0, 0.8)) == pytest.approx(0.6 / 0.78, rel=1e-12)
+        assert analyze_zero(5.0, 0.8)[0] == pytest.approx(0.6 / 0.78, rel=1e-12)
 
     def test_infinite_at_critical_balance(self):
-        assert tf_zero_mixed(mixed(5.0, 1.0 / 11.0)) == INFINITE_ZERO
-        assert tf_zero_mixed(mixed(5.0, 0.1 / 1.1)) == INFINITE_ZERO
+        assert analyze_zero(5.0, 1.0 / 11.0)[0] == "infinite"
+        assert analyze_zero(5.0, 0.1 / 1.1)[0] == "infinite"
 
     def test_requires_positive_gain(self):
-        with pytest.raises(ValueError, match="k > 0"):
-            tf_zero_mixed(mixed(0.0, 0.3))
+        assert analyze_zero(0.0, 0.3) == (None, [])
 
     def test_mirrors_numerator_root(self):
         # the numerator root of the open loop sits at exactly -z
@@ -221,16 +225,14 @@ class TestZeroMixed:
             beta = float(rng.uniform(0, 1))
             if abs(beta - tp / (tp + tn)) < 1e-6:
                 continue
-            p = AmplifierParams(2.345 * tn, tp, tn, k=1.0, beta=beta)
-            z = tf_zero_mixed(p)
-            (root,) = gain_scaled(LureLoop.amplifier(p).g1, p.k).zeros()
-            assert abs(z + root.real) <= 1e-10 * abs(z)
+            z, ((root, imag),) = analyze_zero(1.0, beta, (2.345 * tn, tp, tn))
+            assert imag == 0.0 and abs(z + root) <= 1e-10 * abs(z)
             checked += 1
 
 
 class TestMultiplyEval:
     def test_identity_factor(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.2)).g1, 5.0)
+        g = gain_scaled(mixed(5.0, 0.2).g1, 5.0)
         one = RationalTF(Polynomial([1.0]), Polynomial([1.0]))
         gg = tf_multiply(g, one)
         assert gg.num.coeffs == g.num.coeffs and gg.den.coeffs == g.den.coeffs
@@ -242,7 +244,7 @@ class TestMultiplyEval:
         assert ab.den.coeffs == pytest.approx((2.0, 3.0, 1.0))
 
     def test_degree_bookkeeping(self):
-        g = gain_scaled(LureLoop.amplifier(mixed(5.0, 0.8)).g1, 5.0)
+        g = gain_scaled(mixed(5.0, 0.8).g1, 5.0)
         e = RationalTF(Polynomial([1.0, 0.2]), Polynomial([1.0, 0.05]))  # bi-proper
         ge = tf_multiply(g, e)
         assert ge.num.degree == g.num.degree + e.num.degree
@@ -250,11 +252,11 @@ class TestMultiplyEval:
 
     def test_pure_feedback_dc_signs(self):
         for beta, dc in ((0.0, 1.0), (1.0, -1.0)):
-            g = LureLoop.amplifier(mixed(1.0, beta)).g1
+            g = mixed(1.0, beta).g1
             assert g.num(0.0) / g.den(0.0) == pytest.approx(dc)
 
     def test_high_frequency_rolloff(self):
-        g = LureLoop.amplifier(mixed(1.0, 0.2)).g1
+        g = mixed(1.0, 0.2).g1
         hi = abs(g.num(1j * 1e6) / g.den(1j * 1e6))
         lo = abs(g.num(1j * 1e5) / g.den(1j * 1e5))
         assert hi / lo == pytest.approx(1e-2, rel=1e-2)  # |G| ~ w^-2
@@ -275,7 +277,7 @@ class TestMultiplyEval:
 class TestCancelSerialization:
     def test_no_implicit_cancellation(self):
         # beta = 0 creates a common (tau_p s + 1) factor that must be kept
-        g = LureLoop.amplifier(mixed(1.0, 0.0)).g1
+        g = mixed(1.0, 0.0).g1
         assert g.den.degree == 3 and g.num.degree == 1
 
 
