@@ -16,7 +16,6 @@ from .tf_core import (
     Polynomial,
     RationalTF,
     poly_roots,
-    tf_multiply,
     tf_shift,
 )
 from .freq_analysis import (

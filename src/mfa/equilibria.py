@@ -28,7 +28,7 @@ from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_par
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank
 from .sim import StateSpace
-from .tf_core import Polynomial, RationalTF, get_nonlinearity, tf_multiply
+from .tf_core import Polynomial, RationalTF, get_nonlinearity
 
 __all__ = [
     "Equilibrium",
@@ -204,7 +204,9 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
     (tau s + 1) over tau_l, the positive and the negative bank in order,
     with the poles -1/tau.  Every product is built one lag at a time by
     out[i] = p[i] + tau p[i - 1].  For one unit-weight channel per bank the
-    numerator is -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s].
+    numerator is -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s].  An
+    overflowing coefficient or pole, or a denominator that loses degree as
+    the product of every tau underflows, raises ``ArithmeticError``.
     """
     taus = [tau for _, tau in (*pos, *neg)]
 
@@ -216,9 +218,13 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
 
     terms = [times_lags([rho], i) for i, (rho, _) in enumerate((*pos, *neg))]
     p, m = ([sum(c) for c in zip(*bank)] for bank in (terms[:len(pos)], terms[len(pos):]))
-    return RationalTF(Polynomial([-(beta * (a + b) - b) for a, b in zip(p, m)]),
-                      Polynomial(times_lags([1.0, tau_l])),
-                      [-1.0 / tau for tau in (tau_l, *taus)])
+    num, den = [-(beta * (a + b) - b) for a, b in zip(p, m)], times_lags([1.0, tau_l])
+    poles = [-1.0 / tau for tau in (tau_l, *taus)]
+    if not all(map(math.isfinite, num + den)):
+        raise ArithmeticError("time constants too large: lag product overflow")
+    if den[-1] == 0.0 or not all(map(math.isfinite, poles)):
+        raise ArithmeticError("time constants too small: lag product underflow or pole overflow")
+    return RationalTF(Polynomial(num), Polynomial(den), poles)
 
 
 @dataclass(frozen=True)
@@ -354,10 +360,9 @@ class LureLoop:
             raise ValueError(overflow)
 
         def unit_tf():
-            lt = load_tf(load)
-            branch = RationalTF(lt.den + Polynomial([ki * ko]) * lt.num, lt.den,
-                                lt.poles())
-            g1 = tf_multiply(inner.g1, branch)
+            g, lt = inner.g1, load_tf(load)
+            g1 = RationalTF(g.num * (lt.den + Polynomial([ki * ko]) * lt.num),
+                            g.den * lt.den, g.poles() + lt.poles())
             if not all(map(math.isfinite, g1.num.coeffs + g1.den.coeffs)):
                 raise ValueError(overflow)
             return g1
@@ -376,8 +381,8 @@ class LureLoop:
         return self.g1.poles()
 
     def rate(self, lam: float | None = None) -> float:
-        """``lam``, or when it is None the default rate of every command,
-        :func:`midpoint_rate` of the loop's poles."""
+        """``lam``, or when it is None the default rate of every certificate
+        and regime, :func:`midpoint_rate` of the loop's poles."""
         return midpoint_rate(self.poles) if lam is None else lam
 
     def inertia(self, lam: float) -> int:
@@ -421,26 +426,29 @@ class LureLoop:
     def equilibria(self, r: float) -> list[Equilibrium]:
         """All equilibria for the constant reference r, sorted by y.
 
-        One :func:`solve_phi_line` call (with g0 = 0 the saturation input is
-        identically zero at steady state, so v = 0 is the one root), and one
-        stacked eigenvalue call for the Jacobians of every equilibrium.
+        One :func:`solve_phi_line` call, which finds at least one root (with
+        g0 = 0 the saturation input is identically zero at steady state, so
+        v = 0 is the one root), and one stacked eigenvalue call for the
+        Jacobians of every equilibrium.  A root, output or state beyond float
+        range, as from a scan bound that overflows, raises ``ArithmeticError``.
         """
         phi, _, slope_inverse = get_nonlinearity(self.ss.nonlinearity)
         vs = [0.0] if self.g0 == 0.0 else solve_phi_line(phi, 1.0 / self.g0, r,
                                                           slope_inverse)
-        if not vs:
-            return []
-        # complex sort orders by real part, then imaginary part
-        eigs = np.linalg.eigvals(self.jacobians(vs)).astype(complex)
-        out = []
-        for v, e in zip(vs, np.sort(eigs, axis=1, kind="stable").tolist()):
+        points = []
+        for v in vs:
             u, y = r - phi(v), v / self.v_per_y
             # adding 0.0 turns the -0.0 of a zero coefficient times a
             # negative value into 0.0
             state = tuple(u * a + y * b + 0.0 for a, b in zip(self.x_u, self.x_y))
-            out.append(Equilibrium(y_star=y, state=state, eigenvalues=tuple(e),
-                                   stability=classify_stability(e)))
-        return out
+            if not all(map(math.isfinite, (v, y, *state))):
+                raise ArithmeticError("equilibrium beyond float range")
+            points.append((y, state))
+        # complex sort orders by real part, then imaginary part
+        eigs = np.linalg.eigvals(self.jacobians(vs)).astype(complex)
+        return [Equilibrium(y_star=y, state=state, eigenvalues=tuple(e),
+                            stability=classify_stability(e))
+                for (y, state), e in zip(points, np.sort(eigs, axis=1, kind="stable").tolist())]
 
     def classify(self, r: float, lam: float) -> RegimeClassification:
         """Regime at reference r and rate lam.

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .tf_core import RationalTF, _companion_roots, tf_shift
+from .tf_core import Polynomial, RationalTF, _companion_roots, tf_shift
 
 __all__ = [
     "DominanceCertificate",
@@ -99,16 +99,9 @@ def _gain(min_re: float) -> float:
     return math.inf if min_re >= 0.0 else -1.0 / min_re
 
 
-def _re_at(shifted: RationalTF, omega: float) -> float:
+def _re_at(num: Polynomial, den: Polynomial, omega: float) -> float:
     s = 1j * omega
-    return (shifted.num(s) / shifted.den(s)).real
-
-
-def _asymptotic_re(g: RationalTF) -> float:
-    """Real-part limit for omega -> infinity (0 unless bi-proper)."""
-    if g.is_biproper:
-        return g.num.leading / g.den.leading
-    return 0.0
+    return (num(s) / den(s)).real
 
 
 @cache
@@ -141,19 +134,18 @@ def _der(c: np.ndarray) -> np.ndarray:
     return c[1:] * _powers(len(c))[0][1:] if len(c) > 1 else np.zeros(1)
 
 
-def _stationary_poly(shifted: RationalTF) -> tuple[float, np.ndarray]:
-    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2,
-    whose roots z with Re z > 0 give the stationary frequencies w0 sqrt(Re z).
+def _stationary_poly(num: Polynomial, den: Polynomial) -> tuple[float, np.ndarray]:
+    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
+    of num/den, whose roots z with Re z > 0 give the stationary frequencies
+    w0 sqrt(Re z).
 
-    w0 = |d_0/d_n|**(1/n) of the denominator makes its lowest and highest
+    w0 = |d_0/d_n|**(1/n) of the denominator, of degree n >= 1 under a
+    nonzero strictly proper numerator, makes its lowest and highest
     coefficients match in size before the roots are taken.
     """
-    den = shifted.den.coeffs
-    n = len(den) - 1
-    if n == 0:
-        return 1.0, np.zeros(0)
-    w0 = abs(den[0] / den[-1]) ** (1.0 / n)
-    ne, no = _axis_parts(shifted.num.coeffs, w0)
+    den = den.coeffs
+    w0 = abs(den[0] / den[-1]) ** (1.0 / (len(den) - 1))
+    ne, no = _axis_parts(num.coeffs, w0)
     de, do = _axis_parts(den, w0)
     conv = np.convolve
     pp = _add(conv(ne, de), np.concatenate(([0.0], conv(no, do))))
@@ -162,11 +154,9 @@ def _stationary_poly(shifted: RationalTF) -> tuple[float, np.ndarray]:
     if len(nonzero) == 0:
         return w0, np.zeros(0)
     pp = pp[:nonzero[-1] + 1]
-    rr = _add(conv(_der(pp), qq), -conv(pp, _der(qq)))
-    # deg P = p, deg Q = q = n; the u**(p+q-1) coefficient of P'Q - PQ' is
-    # (p - q) P_p Q_q, exactly 0 when p = q, so its rounding is dropped
-    p, q = len(pp) - 1, n
-    return w0, rr[:p + q - (p == q)][::-1]
+    # deg P < deg Q = n; at deg P = 0, _der's one zero leads, and the root
+    # call strips it
+    return w0, _add(conv(_der(pp), qq), -conv(pp, _der(qq)))[::-1]
 
 
 def min_real_part(g: RationalTF, lam):
@@ -175,13 +165,14 @@ def min_real_part(g: RationalTF, lam):
     With u = w**2 the shifted numerator splits as N(jw) = Ne(u) + jw No(u),
     and likewise the denominator, so Re G = P(u)/Q(u) with
     P = Ne De + u No Do and Q = De**2 + u Do**2 > 0.  The minimum therefore
-    lies at w = 0, at w -> infinity, or at a stationary point, a root of
-    P'Q - PQ'.  Every root z with Re z > 0 gives the candidate w = sqrt(Re z):
-    rounding can split a double root into a complex pair, and an extra
-    candidate is still a real frequency, so it cannot undercut the minimum.
-    Candidates are evaluated by Horner's rule on the shifted transfer
-    function.  Returns (min_re, omega_at_min); omega_at_min is inf when the
-    asymptotic limit is the minimum.  A zero numerator gives (0.0, 0.0).
+    lies at w = 0, at w -> infinity, where the strictly proper G tends to 0,
+    or at a stationary point, a root of P'Q - PQ'.  Every root z with
+    Re z > 0 gives the candidate w = sqrt(Re z): rounding can split a double
+    root into a complex pair, and an extra candidate is still a real
+    frequency, so it cannot undercut the minimum.  Candidates are evaluated
+    by Horner's rule on the shifted polynomials.  Returns (min_re,
+    omega_at_min), omega_at_min inf when the limit 0 is the minimum.  A zero
+    numerator gives (0.0, 0.0).
     For a tuple of rates ``lam``, a tuple of such pairs, one per rate, from
     one root call (:func:`mfa.tf_core._companion_roots`) for all rates.
     """
@@ -190,20 +181,21 @@ def min_real_part(g: RationalTF, lam):
         _check_axis_clear(g, rate)
     if g.num.is_zero:
         return ((0.0, 0.0),) * len(rates) if isinstance(lam, tuple) else (0.0, 0.0)
-    shifted = [tf_shift(g, rate) for rate in rates]
-    polys = [_stationary_poly(s) for s in shifted]
+    shifted = [(g.num.shifted(rate), g.den.shifted(rate)) for rate in rates]
+    polys = [_stationary_poly(*s) for s in shifted]
     mins = []
     for s, (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
         # min keeps the first of equal values: w = 0, then infinity, then roots
-        cands = [(_re_at(s, 0.0), 0.0), (_asymptotic_re(g), math.inf)]
-        cands += [(_re_at(s, w), w) for w in map(float, w0 * np.sqrt(z.real[z.real > 0.0]))]
+        cands = [(_re_at(*s, 0.0), 0.0), (0.0, math.inf)]
+        cands += [(_re_at(*s, w), w) for w in map(float, w0 * np.sqrt(z.real[z.real > 0.0]))]
         mins.append(min(cands, key=lambda c: c[0]))
     return tuple(mins) if isinstance(lam, tuple) else mins[0]
 
 
 def midpoint_rate(poles) -> float:
     """Rate splitting off the two slowest poles as the dominant pair: the
-    default rate of every command.
+    default rate of every certificate and regime (``nyquist`` defaults to
+    rate 0).
 
     Midpoint between the real parts of the second and third slowest poles,
     so shifting leaves exactly two unstable poles; a stable and an unstable

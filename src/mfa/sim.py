@@ -252,9 +252,9 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     at the value in effect at the step's left endpoint.  The steps run in a
     straight-line kernel generated once per call for the loop's sparsity
     pattern (:func:`_rk4_kernel`).  A non-finite initial state, or a
-    ``t_end`` that rounds to zero steps, is a ``ValueError``; a non-finite
-    state along the way aborts with the offending time, found once per
-    block of steps.
+    ``t_end`` that rounds to zero steps or whose ratio to ``dt`` overflows,
+    is a ``ValueError``; a non-finite state along the way aborts with the
+    offending time, found once per block of steps.
     """
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
@@ -282,6 +282,8 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         raise ValueError("initial condition dimension mismatch")
     if not all(math.isfinite(v) for v in s):
         raise ValueError("requires a finite initial condition")
+    if t_end / dt == math.inf:
+        raise ValueError(f"t_end = {t_end:g} over dt = {dt:g} overflows the step count")
     n_steps = int(round(t_end / dt))
     if n_steps == 0:
         raise ValueError(f"t_end = {t_end:g} rounds to zero steps of dt = {dt:g}")

@@ -1,4 +1,4 @@
-"""Real-coefficient polynomials, rational transfer functions, saturation nonlinearities.
+"""Real-coefficient polynomials, strictly proper transfer functions, saturation nonlinearities.
 
 Coefficients are stored in ascending degree and trailing zeros are stripped,
 so the degree is always implied by the length.  All types are immutable
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "RationalTF",
     "get_nonlinearity",
     "poly_roots",
-    "tf_multiply",
     "tf_shift",
 ]
 
@@ -34,10 +32,6 @@ def _poly_add(a, b):
         (a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
         for i in range(n)
     ]
-
-
-def _poly_mul(a, b):
-    return list(np.convolve(a, b))
 
 
 @dataclass(frozen=True, init=False)
@@ -66,10 +60,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
-    @property
-    def leading(self) -> float:
-        return self.coeffs[-1]
-
     def __call__(self, s):
         """Evaluate by Horner's rule (exact polynomial arithmetic)."""
         acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
@@ -82,7 +72,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(_poly_mul(self.coeffs, other.coeffs))
+            return Polynomial(np.convolve(self.coeffs, other.coeffs))
         return Polynomial([float(other) * c for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -171,49 +161,34 @@ def poly_roots(p: Polynomial) -> list[complex]:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Proper rational transfer function num(s)/den(s), real coefficients.
+    """Strictly proper rational transfer function num(s)/den(s), real
+    coefficients: a nonzero numerator has a lower degree than ``den``.
 
-    ``den_roots`` are the roots of ``den`` when the constructor knows them,
-    as for a product of lags (tau s + 1), whose roots are -1/tau; they are
-    stored in the order of :func:`poly_roots`.
+    ``den_roots`` are the roots of ``den``, known from the factors it is
+    built from (-1/tau for a lag tau s + 1), stored in the order of
+    :func:`poly_roots`.
     """
 
     num: Polynomial
     den: Polynomial
-    den_roots: tuple[complex, ...] | None = field(default=None, repr=False,
-                                                  compare=False)
+    den_roots: tuple[complex, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.den.is_zero:
             raise ValueError("zero denominator")
-        if not self.num.is_zero and self.num.degree > self.den.degree:
-            raise ValueError("improper transfer function")
-        if self.den_roots is not None:
-            roots = sorted((complex(z) for z in self.den_roots), key=_root_order)
-            if len(roots) != self.den.degree:
-                raise ValueError("requires one root per denominator degree")
-            object.__setattr__(self, "den_roots", tuple(roots))
-
-    @cached_property
-    def _poles(self) -> tuple[complex, ...]:
-        if self.den_roots is not None:
-            return self.den_roots
-        return tuple(poly_roots(self.den))
+        if not self.num.is_zero and self.num.degree >= self.den.degree:
+            raise ValueError("requires a strictly proper transfer function")
+        roots = sorted((complex(z) for z in self.den_roots), key=_root_order)
+        if len(roots) != self.den.degree:
+            raise ValueError("requires one root per denominator degree")
+        object.__setattr__(self, "den_roots", tuple(roots))
 
     def poles(self) -> list[complex]:
-        """Roots of the denominator: ``den_roots`` when the transfer function
-        was built from factors with known roots, otherwise :func:`poly_roots`
-        of ``den``, taken once per transfer function."""
-        return list(self._poles)
+        """Roots of the denominator, ``den_roots``."""
+        return list(self.den_roots)
 
     def zeros(self) -> list[complex]:
-        if self.num.is_zero or self.num.degree == 0:
-            return []
-        return poly_roots(self.num)
-
-    @property
-    def is_biproper(self) -> bool:
-        return self.num.degree == self.den.degree and not self.num.is_zero
+        return [] if self.num.is_zero else poly_roots(self.num)
 
 
 def _tanh_slope(y: float) -> float:
@@ -257,10 +232,4 @@ def get_nonlinearity(tag: str):
 
 def tf_shift(g: RationalTF, lam: float) -> RationalTF:
     """Substitute s <- s - lam; every pole and zero translates by +lam."""
-    return RationalTF(g.num.shifted(lam), g.den.shifted(lam))
-
-
-def tf_multiply(a: RationalTF, b: RationalTF) -> RationalTF:
-    """Product a*b over the product denominators; no cancellation, so its
-    poles are the poles of a and of b."""
-    return RationalTF(a.num * b.num, a.den * b.den, a.poles() + b.poles())
+    return RationalTF(g.num.shifted(lam), g.den.shifted(lam), [z + lam for z in g.den_roots])

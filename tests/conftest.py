@@ -21,7 +21,7 @@ RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
 def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
                  n: int = 10**6, zoom: int = 0) -> float:
     """Dense uniform-log sweep minimum of Re G(jw - lam), plus the w=0 and
-    w->infinity candidates.  Plain vectorized evaluation; with ``zoom > 0``
+    w->infinity candidates (0, as G is strictly proper).  Plain vectorized evaluation; with ``zoom > 0``
     the sweep is repeated ``zoom`` times on 1001 linear points around each of
     its eight lowest local minima, each time between the neighbours of the
     lowest sample."""
@@ -37,10 +37,7 @@ def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
     vals = re(w)
     cands = [float(np.min(vals))]
     cands.append((gs.num(0j) / gs.den(0j)).real)
-    if g.num.degree == g.den.degree and not g.num.is_zero:
-        cands.append(g.num.leading / g.den.leading)
-    else:
-        cands.append(0.0)
+    cands.append(0.0)  # the limit of a strictly proper G
     if zoom:
         inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
         for i in inner[np.argsort(vals[inner])[:8]]:
@@ -105,15 +102,19 @@ def fold_point(tag: str, slope: float) -> tuple[float, float]:
 
 
 def random_proper_tf(rng: np.random.Generator, max_deg: int = 6) -> RationalTF:
-    """Random proper transfer function with O(1) coefficients."""
+    """Random strictly proper transfer function with O(1) coefficients and
+    its poles from ``np.roots``.  The numerator degree is drawn from 0 to
+    the denominator's and clamped below it; the coefficients are drawn for
+    the unclamped degree, so the generator's stream does not depend on the
+    clamp."""
     nd = int(rng.integers(1, max_deg + 1))
     nn = int(rng.integers(0, nd + 1))
     den = rng.uniform(-2.0, 2.0, nd + 1)
     den[-1] = rng.uniform(0.5, 2.0) * (1 if rng.uniform() < 0.5 else -1)
-    num = rng.uniform(-2.0, 2.0, nn + 1)
+    num = rng.uniform(-2.0, 2.0, nn + 1)[:nd]
     if abs(num[-1]) < 0.1:
         num[-1] = 0.5
-    return RationalTF(Polynomial(num), Polynomial(den))
+    return RationalTF(Polynomial(num), Polynomial(den), np.roots(den[::-1]))
 
 
 def fd_jacobian(field, state, eps: float = 1e-6) -> np.ndarray:
@@ -237,7 +238,7 @@ def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     call per rate: the one-rate path of ``freq_analysis.min_real_part``
     before its companion matrices were stacked, with its exponent and sign
     vectors built on each call."""
-    from mfa.freq_analysis import _add, _asymptotic_re, _check_axis_clear, _re_at
+    from mfa.freq_analysis import _add, _check_axis_clear, _re_at
 
     def _axis_parts(coeffs, scale):
         k = np.arange(len(coeffs))
@@ -267,12 +268,11 @@ def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
             p = len(pp) - 1
             z = np.roots(rr[:p + n - (p == n)][::-1])
             omegas = w0 * np.sqrt(z.real[z.real > 0.0])
-    best_re, best_w = _re_at(shifted, 0.0), 0.0
-    re_inf = _asymptotic_re(g)
-    if re_inf < best_re:
-        best_re, best_w = re_inf, math.inf
+    best_re, best_w = _re_at(shifted.num, shifted.den, 0.0), 0.0
+    if 0.0 < best_re:  # the limit of a strictly proper G at w -> infinity
+        best_re, best_w = 0.0, math.inf
     for w in omegas:
-        v = _re_at(shifted, float(w))
+        v = _re_at(shifted.num, shifted.den, float(w))
         if v < best_re:
             best_re, best_w = v, float(w)
     return best_re, best_w

@@ -35,6 +35,14 @@ def run(capsys, argv):
     return code, out
 
 
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestAnalyze:
     def test_zero_dominant_case(self, capsys):
         code, out = run(capsys, ["analyze", *AMP_FLAGS, "--k", "5",
@@ -662,11 +670,7 @@ class TestInterconnect:
                      "--load", LOAD_JSON, "--certify"])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
-
-        def refuse(name):
-            raise ValueError(f"not JSON: {name}")
-
-        rep = json.loads(captured.out, parse_constant=refuse)
+        rep = _strict_json(captured.out)
         with open(LOAD_JSON) as fh:
             loop_poles = LureLoop.load(LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, 0.4), 1e300,
                                        *load_from_json(fh.read())).poles
@@ -1221,3 +1225,155 @@ class TestParameterErrors:
         path.write_text(json.dumps({**BANK, **change}))
         assert _outcome(capsys, ["multichannel", "--bank", str(path)]) \
             == (2, "", f"error: {message}\n")
+
+
+HUGE = ["--k", "1e300", "--beta", "1", "--r", "1e10"]
+
+
+class TestEquilibriumBeyondFloatRange:
+    """At k = 1e300, beta = 1 and r = 1e10 the equilibrium scan bound
+    (1 + |r|)/|slope| + 1 overflows, so the root would be bisected at -inf:
+    the reports say so instead of printing it."""
+
+    def check_unclassified(self, capsys, argv):
+        code, out = run(capsys, argv)
+        rep = _strict_json(out)
+        assert code == 0
+        assert (rep["regime"], rep["reason"], rep["equilibria"]) \
+            == ("Unclassified", "equilibrium beyond float range", [])
+
+    def test_analyze(self, capsys):
+        self.check_unclassified(capsys, ["analyze", *AMP_FLAGS, *HUGE])
+
+    def test_multichannel(self, capsys, tmp_path):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({**BANK, "k": 1e300, "beta": 1}))
+        self.check_unclassified(capsys, ["multichannel", "--bank", str(path), "--r", "1e10"])
+
+    def test_interconnect_certify_exit_4(self, capsys):
+        argv = ["interconnect", *AMP_FLAGS, *HUGE, "--load", LOAD_JSON, "--certify"]
+        assert _outcome(capsys, argv) == (4, "", "error: equilibrium beyond float range\n")
+
+    def test_map_counts_the_one_equilibrium(self):
+        # the map counts signs at the scan's nodes and bisects nothing
+        (cell,), = dominance_map(0.01, 0.1, 1.0, [1e300], [1.0], r=1e10)
+        assert cell.n_equilibria == 1
+
+
+class TestStepCountOverflow:
+    """A t_end/dt beyond float range is an invalid parameter (exit 2) naming
+    both, as a run too large to allocate is."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4"],
+        ["interconnect", *AMP_FLAGS, "--k", "10", "--beta", "0.4", "--load", LOAD_JSON],
+    ], ids=["simulate", "interconnect"])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = _outcome(capsys, [*argv, "--t-end", "1e300", "--dt", "1e-300"])
+        assert (code, out) == (2, "")
+        assert err == "error: t_end = 1e+300 over dt = 1e-300 overflows the step count\n"
+
+
+TINY_LAGS = ["--tau-l", "7e-160", "--tau-p", "1e-160", "--tau-n", "3e-160"]
+UNDERFLOW = "time constants too small: lag product underflow or pole overflow"
+OVERFLOW = "time constants too large: lag product overflow"
+
+
+def _scaled_bank(scale: float) -> dict:
+    """A 3+3 bank with every tau scaled by ``scale``."""
+    return {"tau_l": 7.0 * scale,
+            "positive": [{"rho": 0.25, "tau": scale}, {"rho": 0.25, "tau": 2.0 * scale},
+                         {"rho": 0.5, "tau": 4.0 * scale}],
+            "negative": [{"rho": 0.5, "tau": 10.0 * scale}, {"rho": 0.25, "tau": 20.0 * scale},
+                         {"rho": 0.25, "tau": 30.0 * scale}],
+            "k": 5, "beta": 0.4}
+
+
+class TestLagsFarFromOneSecond:
+    """A product of lags that underflows or overflows is a numerical error
+    (exit 4) naming the cause; a map column with a given rate is Unclassified
+    with that reason; a simulation never builds the product."""
+
+    def test_analyze_exit_4(self, capsys):
+        argv = ["analyze", *TINY_LAGS, "--k", "5", "--beta", "0.4"]
+        assert _outcome(capsys, argv) == (4, "", f"error: {UNDERFLOW}\n")
+
+    def test_subnormal_lag_exit_4(self, capsys):
+        # 1e-320 s is a subnormal time constant: its pole -1/tau is -inf
+        argv = ["analyze", "--tau-l", "1e-320", "--tau-p", "0.1", "--tau-n", "1",
+                "--k", "5", "--beta", "0.4"]
+        assert _outcome(capsys, argv) == (4, "", f"error: {UNDERFLOW}\n")
+
+    def test_map_exit_4(self, capsys):
+        argv = ["map", *TINY_LAGS, "--k-min", "1", "--k-max", "10", "--rows", "2", "--cols", "2"]
+        assert _outcome(capsys, argv) == (4, "", f"error: {UNDERFLOW}\n")
+
+    def test_map_with_rate_unclassified(self, capsys):
+        argv = ["map", *TINY_LAGS, "--k-min", "1", "--k-max", "10", "--rows", "2", "--cols", "2",
+                "--lambda", "1e159"]
+        code, out, err = _outcome(capsys, argv)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[2] for line in out.splitlines()[2:]] == ["Unclassified"] * 4
+        cells = dominance_map(7e-160, 1e-160, 3e-160, [1.0, 10.0], [0.0, 1.0], lam=1e159)
+        assert {cell.reason for row in cells for cell in row} == {UNDERFLOW}
+
+    @pytest.mark.parametrize("scale, message", [(1e-60, UNDERFLOW), (1e150, OVERFLOW)],
+                             ids=["1e-60", "1e150"])
+    def test_multichannel_exit_4(self, capsys, tmp_path, scale, message):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(_scaled_bank(scale)))
+        assert _outcome(capsys, ["multichannel", "--bank", str(path)]) \
+            == (4, "", f"error: {message}\n")
+
+    def test_simulate_unaffected(self, capsys):
+        code, out, err = _outcome(capsys, ["simulate", *TINY_LAGS, "--k", "5", "--beta", "0.4",
+                                           "--dt", "1e-162", "--t-end", "1e-161"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2 + 11
+
+
+class TestStrictJsonSweep:
+    """Every JSON report of a seeded pool of analyze, multichannel and
+    interconnect --certify commands, with gains up to 1e300, references up to
+    +-1e10 and balances 0 and 1 among them, is strict JSON, and every exit
+    code is 0, 2 or 4."""
+
+    def test_seeded_pool(self, capsys, tmp_path):
+        rng = np.random.default_rng(2302)
+
+        def lags(n):
+            return [float(t) for t in np.sort(10.0 ** rng.uniform(-3.0, 1.0, n))]
+
+        bank, load = tmp_path / "bank.json", tmp_path / "load.json"
+        codes = []
+        for i in range(150):
+            k = float(rng.choice([0.0, 1.0, 5.0, 1e3, 1e10, 1e100, 1e300]))
+            beta = float(rng.choice([0.0, 1.0, 0.4, rng.uniform()]))
+            r = float(rng.choice([0.0, 0.5, -1e10, 1e10]))
+            tau_l = float(10.0 ** rng.uniform(-3.0, 1.0))
+            flags = ["--r", repr(r)]
+            if i % 3 == 1:
+                m, n = (int(v) for v in rng.integers(1, 4, 2))
+                taus = lags(m + n)
+                bank.write_text(json.dumps({
+                    "tau_l": tau_l, "k": k, "beta": beta,
+                    "positive": [{"rho": 1.0 / m, "tau": t} for t in taus[:m]],
+                    "negative": [{"rho": 1.0 / n, "tau": t} for t in taus[m:]]}))
+                argv = ["multichannel", "--bank", str(bank), *flags]
+            else:
+                tau_p, tau_n = lags(2)
+                argv = ["--tau-l", repr(tau_l), "--tau-p", repr(tau_p), "--tau-n", repr(tau_n),
+                        "--k", repr(k), "--beta", repr(beta), *flags]
+                if i % 3 == 0:
+                    argv = ["analyze", *argv]
+                else:
+                    load.write_text(json.dumps(dict(zip(
+                        ("a", "b", "kv", "kp", "ki", "ko"),
+                        [*10.0 ** rng.uniform(-1.0, 3.0, 4), *rng.uniform(0.0, 5.0, 2)]))))
+                    argv = ["interconnect", *argv, "--load", str(load), "--certify"]
+            code, out, _ = _outcome(capsys, argv)
+            assert code in (0, 2, 4), argv
+            if code == 0:
+                _strict_json(out)
+            codes.append(code)
+        assert codes.count(0) > 100

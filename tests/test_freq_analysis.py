@@ -40,7 +40,7 @@ def beta_star(tau_p, tau_n):
 
 
 def unit_lag():
-    return RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
+    return RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]), [-1.0])
 
 
 class TestMinRealPart:
@@ -85,7 +85,7 @@ def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7, got=None):
     scale = float(np.abs(resp(np.append(0.0, np.geomspace(omega_lo, omega_hi, 2000)))).max())
     assert abs(mr - oracle) <= 1e-9 * scale, (mr, oracle, scale)
     if math.isinf(w_at):
-        assert mr == (g.num.leading / g.den.leading if g.is_biproper else 0.0)
+        assert mr == 0.0
     else:
         assert abs(mr - float(resp(w_at).real)) <= 1e-12 * scale
     return mr, w_at
@@ -138,32 +138,36 @@ class TestExactMinimum:
                     assert_exact_min(g, lam)
 
     def test_minimum_at_zero_frequency(self):
-        g = RationalTF(Polynomial([-1.0]), Polynomial([1.0, 1.0]))
+        g = RationalTF(Polynomial([-1.0]), Polynomial([1.0, 1.0]), [-1.0])
         assert assert_exact_min(g, 0.0) == (-1.0, 0.0)
 
     def test_minimum_at_infinity(self):
-        # Re (jw + 2)/(jw + 1) = (2 + w^2)/(1 + w^2) falls to 1 as w grows
-        g = RationalTF(Polynomial([2.0, 1.0]), Polynomial([1.0, 1.0]))
-        assert assert_exact_min(g, 0.0) == (1.0, math.inf)
+        # Re (jw + 2)/((jw + 1)(jw + 3)) = (6 + 2 w^2)/((1 + w^2)(9 + w^2))
+        # falls to 0 as w grows, with no stationary point for w > 0
+        g = RationalTF(Polynomial([2.0, 1.0]), Polynomial([3.0, 4.0, 1.0]), [-3.0, -1.0])
+        assert assert_exact_min(g, 0.0) == (0.0, math.inf)
 
     def test_zero_numerator(self):
-        g = RationalTF(Polynomial([0.0]), Polynomial([1.0, 3.0, 1.0]))
+        g = RationalTF(Polynomial([0.0]), Polynomial([1.0, 3.0, 1.0]),
+                       [(-3.0 - 5.0 ** 0.5) / 2.0, (-3.0 + 5.0 ** 0.5) / 2.0])
         assert min_real_part(g, 0.0) == (0.0, 0.0)
         assert min_real_part(g, 0.2) == (0.0, 0.0)
 
     def test_degenerate_quartic_minimum(self):
         # Solve for N so that Re N(jw)/D(jw) = m + c (w^2 - u0)^4 / |D(jw)|^2:
         # the minimum m at w = sqrt(u0) is quartic, and P'Q - PQ' has a
-        # triple root there.
+        # triple root there.  c = -m makes the limit 0, so N is cubic and G
+        # strictly proper.
         den = Polynomial([24.0, 50.0, 35.0, 10.0, 1.0])  # (s+1)(s+2)(s+3)(s+4)
-        m, c, u0 = -0.5, 0.01, 4.0
+        m, u0 = -0.5, 4.0
+        c = -m
         w = np.linspace(0.5, 4.5, 9)
         s = 1j * w
         dv = np.polynomial.polynomial.polyval(s, den.coeffs)
-        basis = np.array([(s ** k * np.conj(dv)).real for k in range(5)]).T
+        basis = np.array([(s ** k * np.conj(dv)).real for k in range(4)]).T
         target = m * np.abs(dv) ** 2 + c * (w ** 2 - u0) ** 4
         coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
-        g = RationalTF(Polynomial(coeffs), den)
+        g = RationalTF(Polynomial(coeffs), den, [-1.0, -2.0, -3.0, -4.0])
         probe = np.array([0.3, 1.7, 2.0, 2.6, 7.0])
         gv = (np.polynomial.polynomial.polyval(1j * probe, g.num.coeffs)
               / np.polynomial.polynomial.polyval(1j * probe, den.coeffs))

@@ -8,12 +8,12 @@ import pytest
 from conftest import analyze_report, gain_scaled, reference_shift
 
 from mfa.equilibria import LureLoop
+from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.tf_core import (
     Polynomial,
     RationalTF,
     get_nonlinearity,
     poly_roots,
-    tf_multiply,
     tf_shift,
 )
 
@@ -77,7 +77,7 @@ class TestPolyRoots:
             coeffs[-1] = rng.uniform(0.5, 2.0)
             p = Polynomial(coeffs)
             rebuilt = np.poly(poly_roots(p))[::-1]
-            monic = [c / p.leading for c in p.coeffs]
+            monic = [c / p.coeffs[-1] for c in p.coeffs]
             scale = max(1.0, max(abs(c) for c in monic))
             err = max(abs(a - b) for a, b in zip(monic, rebuilt))
             assert err < 1e-8 * scale
@@ -130,9 +130,10 @@ class TestShift:
         assert gs.den.coeffs == g.den.coeffs
 
     def test_single_pole_translation(self):
-        g = RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
+        g = RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]), [-1.0])
         gs = tf_shift(g, 5.0)
         assert gs.den.coeffs == pytest.approx((-4.0, 1.0))
+        assert gs.poles() == [4.0]
 
     def test_zero_rate_turns_negative_zero_positive(self):
         # at beta = 0.5 the numerator's constant is -k * 0.0 = -0.0; the
@@ -190,6 +191,15 @@ class TestKnownPoles:
         with pytest.raises(ValueError, match="one root per denominator degree"):
             RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0, 1.0]), [-1.0])
 
+    def test_roots_required(self):
+        with pytest.raises(TypeError):
+            RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
+
+    def test_biproper_refused(self):
+        # (s + 2)/(s + 1): a numerator of the denominator's degree
+        with pytest.raises(ValueError, match="requires a strictly proper transfer function"):
+            RationalTF(Polynomial([2.0, 1.0]), Polynomial([1.0, 1.0]), [-1.0])
+
 
 def analyze_zero(k, beta, taus=TAUS):
     """The ``"zero"`` and ``"zeros"`` fields of ``mfa analyze``."""
@@ -231,24 +241,18 @@ class TestZeroMixed:
 
 
 class TestMultiplyEval:
-    def test_identity_factor(self):
-        g = gain_scaled(mixed(5.0, 0.2).g1, 5.0)
-        one = RationalTF(Polynomial([1.0]), Polynomial([1.0]))
-        gg = tf_multiply(g, one)
-        assert gg.num.coeffs == g.num.coeffs and gg.den.coeffs == g.den.coeffs
-
-    def test_factored_product(self):
-        a = RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
-        b = RationalTF(Polynomial([1.0]), Polynomial([2.0, 1.0]))
-        ab = tf_multiply(a, b)
-        assert ab.den.coeffs == pytest.approx((2.0, 3.0, 1.0))
-
-    def test_degree_bookkeeping(self):
-        g = gain_scaled(mixed(5.0, 0.8).g1, 5.0)
-        e = RationalTF(Polynomial([1.0, 0.2]), Polynomial([1.0, 0.05]))  # bi-proper
-        ge = tf_multiply(g, e)
-        assert ge.num.degree == g.num.degree + e.num.degree
-        assert ge.den.degree == g.den.degree + e.den.degree
+    def test_load_border_product(self):
+        # the bordered loop's G1 (1 + ki ko L) is one product over the
+        # channel loop's and the load's denominators, with both sets of poles
+        inner = mixed(1.0, 0.8)
+        load, iface = LoadParams(2.0, 0.5, 0.3, 1.5), InterfaceGains(0.4, 2.5)
+        g, lt = inner.g1, load_tf(load)
+        gl = LureLoop.load(inner, 5.0, load, iface).g1
+        kk = iface.ki * iface.ko
+        assert gl.num.coeffs == (g.num * (lt.den + Polynomial([kk]) * lt.num)).coeffs
+        assert gl.den.coeffs == (g.den * lt.den).coeffs
+        assert gl.num.degree == g.num.degree + 2 and gl.den.degree == g.den.degree + 2
+        assert gl.poles() == sorted(g.poles() + lt.poles(), key=lambda z: (z.real, z.imag))
 
     def test_pure_feedback_dc_signs(self):
         for beta, dc in ((0.0, 1.0), (1.0, -1.0)):
