@@ -4,14 +4,18 @@ Output is deterministic: identical flags give byte-identical output.  CSV
 files carry a ``#`` version comment, full-precision (17 significant digit)
 values, and ``.`` decimals.  JSON uses the tags "unbounded" for an infinite
 critical gain and "infinite" for a zero or frequency at infinity.  Exit
-codes: 0 success, 2 invalid parameters (a run too large to allocate
-included), 3 file/parse errors, 4 numerical errors.  CSV output is streamed
-in blocks of rows, never built as one string.  The all-float CSVs of
-``simulate``, ``interconnect`` and ``nyquist`` are formatted by
+codes: 0 success, 2 invalid parameters (a run too large to allocate or to
+store included), 3 file/parse errors, 4 numerical errors.  CSV output is
+streamed in blocks of rows, never built as one string.  The all-float CSVs
+of ``simulate``, ``interconnect`` and ``nyquist`` are formatted by
 :func:`mfa.csvtext.format_block`, one numpy kernel per block, with the same
-bytes as ``%.17g``.  The map formats each gain and each column's balance
-and critical gains once, by position in the grid, and joins its rows from
-those strings; both kinds go through :func:`_write_csv`.
+bytes as ``%.17g``.  Where a second CPU is free, a trajectory's blocks are
+formatted as the integrator finishes them, by a forked formatter process,
+into a temporary file that is copied out once the run has ended; otherwise
+the finished trajectory is formatted (:func:`_write_trajectory`).  The map
+formats each gain and each column's balance and critical gains once, by
+position in the grid, and joins its rows from those strings; it, the
+Nyquist locus and an inline trajectory go through :func:`_write_csv`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -73,8 +77,7 @@ def _write_csv(path: str | None, header: str, rows):
     either a 2-D float array, each block one call of
     :func:`mfa.csvtext.format_block`, which gives the bytes of
     ``format(x, ".17g")`` for every value, ``-0``, ``inf`` and ``nan``
-    included, or a list of ready text lines.  Text goes to stdout as text,
-    and to a file as bytes.
+    included, or a list of ready text lines.
     """
     if isinstance(rows, np.ndarray):
         # imported here: its tables take about a megabyte and a few
@@ -82,6 +85,14 @@ def _write_csv(path: str | None, header: str, rows):
         from .csvtext import format_block as block_data
     else:
         block_data = "".join
+    _write_text(path, header, (block_data(rows[i:i + _CSV_ROWS])
+                               for i in range(0, len(rows), _CSV_ROWS)))
+
+
+def _write_text(path: str | None, header: str, chunks):
+    """Write the version comment, ``header`` and the text or bytes
+    ``chunks`` to ``path``, or to stdout when ``path`` is None; text goes to
+    stdout as text, and to a file as bytes."""
     out = None if path is None else open(path, "wb")
     try:
         def write(data):
@@ -90,8 +101,8 @@ def _write_csv(path: str | None, header: str, rows):
             else:
                 out.write(data.encode() if isinstance(data, str) else data)
         write(f"# mfa {__version__}\n{header}\n")
-        for i in range(0, len(rows), _CSV_ROWS):
-            write(block_data(rows[i:i + _CSV_ROWS]))
+        for data in chunks:
+            write(data)
     finally:
         if out is not None:
             out.close()
@@ -239,10 +250,129 @@ def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
     return tuple(parts)
 
 
-def _write_trajectory(traj: Trajectory, path: str | None):
-    cols = ["t", *traj.labels, "y", *traj.extra.keys()]
-    data = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
-    _write_csv(path, ",".join(cols), data)
+def _format_from(pipe, out) -> bool:
+    """Append to ``out`` the text of each row block read from ``pipe``, sent
+    as its int64 shape and then its float64 values, up to the end-of-data
+    shape (0, 0), in :func:`mfa.csvtext.format_block` calls of
+    :data:`_CSV_ROWS` rows; False when the pipe ends before it."""
+    from .csvtext import format_block
+
+    while True:
+        head = pipe.read(16)
+        if len(head) < 16:
+            return False
+        rows, cols = np.frombuffer(head, np.int64).tolist()
+        if rows == 0:
+            return True
+        data = pipe.read(8 * rows * cols)
+        if len(data) < 8 * rows * cols:
+            return False
+        block = np.frombuffer(data).reshape(rows, cols)
+        for i in range(0, rows, _CSV_ROWS):
+            out.write(format_block(block[i:i + _CSV_ROWS]))
+
+
+def _run_forked(run, text):
+    """``run(sink)`` with a sink that sends each block down a pipe to a
+    forked formatter, which appends its text to the file ``text``
+    (:func:`_format_from`) while ``run`` goes on; the formatter is reaped on
+    every path.  None, and ``run`` not called, when no process can be
+    forked."""
+    import fcntl
+    import os
+    import warnings
+
+    # imported before the fork, so that each formatter finds its tables built
+    from . import csvtext  # noqa: F401
+
+    read_end, write_end = os.pipe()
+    # a pipe of a megabyte holds a few blocks, so a send need not wait for
+    # the formatter to read the one before (Linux only, within the user's
+    # pipe quota; the default size works too)
+    with suppress(AttributeError, OSError):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
+    try:
+        with warnings.catch_warnings():
+            # newer Pythons warn of a fork in a process with threads, here
+            # the BLAS pool's; the formatter calls no BLAS, so it never
+            # waits on a lock one of those threads held at the fork
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            import gc
+            # a collection would write to every object's page of the
+            # parent's heap and so copy it
+            gc.disable()
+            os.close(write_end)
+            with open(read_end, "rb") as pipe:
+                if _format_from(pipe, text):
+                    text.flush()
+                    status = 0
+        finally:
+            os._exit(status)
+    os.close(read_end)
+    pipe = open(write_end, "wb")
+
+    def send(block):
+        pipe.write(np.array(block.shape, np.int64).tobytes())
+        pipe.write(np.ascontiguousarray(block, float))
+        pipe.flush()
+    try:
+        traj = run(send)
+        pipe.write(bytes(16))
+        pipe.flush()
+    except BrokenPipeError:
+        pass  # the formatter stopped early: its exit code says so below
+    finally:
+        with suppress(BrokenPipeError):  # the descriptor is closed even so
+            pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise OSError("trajectory CSV formatter failed with exit code "
+                      f"{os.waitstatus_to_exitcode(status)}")
+    return traj
+
+
+def _write_trajectory(path: str | None, run) -> Trajectory:
+    """Call ``run(sink)``, which integrates a trajectory and, unless ``sink``
+    is None, hands it the trajectory's rows block by block; write the
+    trajectory's CSV to ``path``, or to stdout when ``path`` is None, and
+    return it.
+
+    Where ``os.fork`` exists and the process may use two CPUs, a forked
+    formatter makes each block's text while ``run`` integrates the next
+    (:func:`_run_forked`), into an unnamed temporary file that is copied to
+    the destination once the run has ended, so the temporary directory
+    needs room for the whole CSV.  Otherwise, or when the fork fails, the
+    finished trajectory's arrays are formatted straight to the destination
+    (:func:`_write_csv`).  The bytes are the same either way, and the
+    destination is opened only after ``run`` returns, so a run that fails
+    writes nothing; a formatter that fails is an ``OSError`` naming it.
+    """
+    import os
+    import tempfile
+
+    # on one CPU the formatter would only take turns with the integrator,
+    # and the pipe and the copy would come on top
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if hasattr(os, "fork") and (cpus or 1) > 1:
+        with tempfile.TemporaryFile() as text:
+            traj = _run_forked(run, text)
+            if traj is not None:
+                text.seek(0)
+                _write_text(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
+                            iter(functools.partial(text.read, 1 << 20), b""))
+                return traj
+    traj = run(None)
+    _write_csv(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
+               np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()]))
+    return traj
 
 
 def _simulate(loop: LureLoop, args) -> Trajectory:
@@ -251,10 +381,12 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
     ``--dt`` the integrator picks the step from the loop."""
     schedule = _read_schedule(args)
     ic = _parse_ic(args.ic, loop.ss.dim)
-    traj = integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end)
-    if args.output is not None or not args.detect:
-        _write_trajectory(traj, args.output)
-    return traj
+
+    def run(sink=None):
+        return integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end, sink=sink)
+    if args.output is None and args.detect:
+        return run()
+    return _write_trajectory(args.output, run)
 
 
 def cmd_simulate(args) -> int:

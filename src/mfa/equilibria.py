@@ -193,6 +193,11 @@ def _check_gain(k: float):
         raise ValueError("requires a finite k")
 
 
+#: The numerical error of a lag too short for its rate or for the product of
+#: every lag to be a double.
+_TOO_SMALL = "time constants too small: lag product underflow or pole overflow"
+
+
 def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
     """Unit-gain transfer function u -> v of :meth:`LureLoop._lags`,
     -(beta Cp - (1 - beta) Cn)/(tau_l s + 1) with each bank C = sum
@@ -205,8 +210,10 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
     with the poles -1/tau.  Every product is built one lag at a time by
     out[i] = p[i] + tau p[i - 1].  For one unit-weight channel per bank the
     numerator is -[(2 beta - 1) + (beta (tau_n + tau_p) - tau_p) s].  An
-    overflowing coefficient or pole, or a denominator that loses degree as
-    the product of every tau underflows, raises ``ArithmeticError``.
+    overflowing coefficient, or a denominator that loses degree as the
+    product of every tau underflows, raises ``ArithmeticError``; the poles
+    are finite, since :meth:`LureLoop._lags` refuses a tau whose reciprocal
+    is not.
     """
     taus = [tau for _, tau in (*pos, *neg)]
 
@@ -219,12 +226,11 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
     terms = [times_lags([rho], i) for i, (rho, _) in enumerate((*pos, *neg))]
     p, m = ([sum(c) for c in zip(*bank)] for bank in (terms[:len(pos)], terms[len(pos):]))
     num, den = [-(beta * (a + b) - b) for a, b in zip(p, m)], times_lags([1.0, tau_l])
-    poles = [-1.0 / tau for tau in (tau_l, *taus)]
     if not all(map(math.isfinite, num + den)):
         raise ArithmeticError("time constants too large: lag product overflow")
-    if den[-1] == 0.0 or not all(map(math.isfinite, poles)):
-        raise ArithmeticError("time constants too small: lag product underflow or pole overflow")
-    return RationalTF(Polynomial(num), Polynomial(den), poles)
+    if den[-1] == 0.0:
+        raise ArithmeticError(_TOO_SMALL)
+    return RationalTF(Polynomial(num), Polynomial(den), [-1.0 / tau for tau in (tau_l, *taus)])
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,9 @@ class LureLoop:
         Both banks have unit DC gain, so g0 = k(2 beta - 1) and every state
         equals u at equilibrium, for any bank sizes.  A bank of one channel
         names its state xp or xn, a larger one xp1, xp2, ... in its order.
-        Every channel loop needs tau_l > 0, a finite k >= 0 and 0 <= beta <= 1.
+        Every channel loop needs tau_l > 0, a finite k >= 0 and 0 <= beta <= 1;
+        a tau whose reciprocal rate is not a finite double, a subnormal one,
+        raises ``ArithmeticError``.
         """
         if not tau_l > 0.0:
             raise ValueError("requires tau_l > 0")
@@ -268,16 +276,19 @@ class LureLoop:
             raise ValueError("requires 0 <= beta <= 1")
         chans = [(-k * beta * rho, tau) for rho, tau in pos]
         chans += [(k * (1.0 - beta) * rho, tau) for rho, tau in neg]
-        dim = 1 + len(chans)
-        rows = [(-1.0 / tau_l,) + (0.0,) * (dim - 1)]
-        for i, (_, tau) in enumerate(chans, 1):
+        rates = [1.0 / tau for tau in (tau_l, *(tau for _, tau in chans))]
+        if not all(map(math.isfinite, rates)):
+            raise ArithmeticError(_TOO_SMALL)
+        dim = len(rates)
+        rows = [(-rates[0],) + (0.0,) * (dim - 1)]
+        for i in range(1, dim):
             row = [0.0] * dim
-            row[0], row[i] = 1.0 / tau, -1.0 / tau
+            row[0], row[i] = rates[i], -rates[i]
             rows.append(tuple(row))
         labels = ["x"]
         for name, bank in (("xp", pos), ("xn", neg)):
             labels += [name] if len(bank) == 1 else [f"{name}{i}" for i in range(1, len(bank) + 1)]
-        ss = StateSpace(a=tuple(rows), b=(1.0 / tau_l,) + (0.0,) * (dim - 1),
+        ss = StateSpace(a=tuple(rows), b=(rates[0],) + (0.0,) * (dim - 1),
                         c=(0.0, *(w for w, _ in chans)), labels=tuple(labels),
                         nonlinearity=nonlinearity)
         return cls(ss, k, k * (2.0 * beta - 1.0), 1.0, (1.0,) * dim, (0.0,) * dim,

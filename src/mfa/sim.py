@@ -235,7 +235,7 @@ def _rk4_kernel(ss: StateSpace, phi, dt: float):
 
 
 def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
-              dt: float | None = None, t_end: float = 50.0) -> Trajectory:
+              dt: float | None = None, t_end: float = 50.0, sink=None) -> Trajectory:
     """Classical fixed-step RK4 integration of the Lure loop realized by ``ss``.
 
     A non-finite ``dt`` or ``t_end`` is a ``ValueError`` before anything
@@ -252,9 +252,18 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     at the value in effect at the step's left endpoint.  The steps run in a
     straight-line kernel generated once per call for the loop's sparsity
     pattern (:func:`_rk4_kernel`).  A non-finite initial state, or a
-    ``t_end`` that rounds to zero steps or whose ratio to ``dt`` overflows,
-    is a ``ValueError``; a non-finite state along the way aborts with the
-    offending time, found once per block of steps.
+    ``t_end`` that rounds to zero steps, whose ratio to ``dt`` overflows or
+    whose step count is too large for an array to hold, is a ``ValueError``;
+    a non-finite state along the way aborts with the offending time, found
+    once per block of steps.  The output ``y`` and the extra outputs are
+    products of the states with their rows: taken over the whole states
+    array when no ``sink`` is given, and otherwise block by block, and
+    ``sink`` is called once per finished block with its rows
+    ``[t, states, y, extra...]`` as one 2-D array, the initial row with the
+    first block.  The returned trajectory holds the sink's values, so the
+    two cannot disagree.  The blocked products match the whole-array ones
+    bit for bit for loops of up to 7 states on OpenBLAS; a larger loop's can
+    differ from them in the last bit.
     """
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
@@ -287,27 +296,45 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     n_steps = int(round(t_end / dt))
     if n_steps == 0:
         raise ValueError(f"t_end = {t_end:g} rounds to zero steps of dt = {dt:g}")
+    if (n_steps + 1) * n * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"t_end = {t_end:g} over dt = {dt:g} is {n_steps:.3g} steps, "
+                         "too many to store")
     r_steps = schedule.values_for_steps(dt, n_steps)
     block = _rk4_kernel(ss, get_nonlinearity(ss.nonlinearity)[0], dt)
 
     states = np.empty((n_steps + 1, n))
     states[0] = s
-    for i0 in range(0, n_steps, _BLOCK):
-        rs = r_steps[i0:i0 + _BLOCK].tolist()
+    t = np.arange(n_steps + 1) * dt
+    names = ["y", *(name for name, _ in ss.extra_outputs)]
+    c_rows = [np.asarray(ss.c), *(np.asarray(row) for _, row in ss.extra_outputs)]
+    outputs = [np.empty(n_steps + 1) for _ in names] if sink is not None else None
+    # a one-row product takes numpy's vector path, whose last bit can differ
+    # from the matrix product's over the same row: so the initial row goes
+    # with the first block, a lone last step joins the block before it, and
+    # every block's outputs are taken over at least two rows
+    starts = list(range(0, n_steps, _BLOCK))
+    if len(starts) > 1 and n_steps - starts[-1] == 1:
+        starts.pop()
+    for i0, i1 in zip(starts, [*starts[1:], n_steps]):
+        rs = r_steps[i0:i1].tolist()
         out = []
         block(rs, *s, out)
-        chunk = states[i0 + 1:i0 + 1 + len(rs)]
+        chunk = states[i0 + 1:i1 + 1]
         chunk[:] = np.fromiter(out, float, len(out)).reshape(len(rs), n)
         bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
         if len(bad):
             raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         s = out[-n:]
+        if sink is not None:
+            rows = slice(i0 + 1 if i0 else 0, i1 + 1)
+            for col, c in zip(outputs, c_rows):
+                np.matmul(states[rows], c, out=col[rows])
+            sink(np.column_stack([t[rows], states[rows], *(col[rows] for col in outputs)]))
 
-    t = np.arange(n_steps + 1) * dt
-    y = states @ np.asarray(ss.c)
-    extra = {name: states @ np.asarray(row) for name, row in ss.extra_outputs}
-    return Trajectory(t=t, states=states, y=y, schedule=schedule,
-                      labels=ss.labels, extra=extra)
+    if sink is None:
+        outputs = [states @ c for c in c_rows]
+    return Trajectory(t=t, states=states, y=outputs[0], schedule=schedule,
+                      labels=ss.labels, extra=dict(zip(names[1:], outputs[1:])))
 
 
 def _autocorr_period(d: np.ndarray, dt: float) -> float | None:

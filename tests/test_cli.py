@@ -16,11 +16,14 @@ import pytest
 from conftest import RECIPES_DIR, fold_point, reference_map_text
 
 import mfa.cli as cli
+import mfa.csvtext as csvtext
+import mfa.sim as sim
 from mfa import __version__
 from mfa.cli import main
 from mfa.equilibria import LureLoop, dominance_map
 from mfa.freq_analysis import midpoint_rate
 from mfa.interconnect import load_from_json
+from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import InputSchedule, Trajectory
 
 AMP_FLAGS = ["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1"]
@@ -435,6 +438,14 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_too_many_steps_exit_2(self, capsys):
+        # the default step of lags near 1e-160 s gives 1e163 steps
+        argv = ["simulate", "--tau-l", "1e-160", "--tau-p", "2e-160", "--tau-n", "3e-160",
+                "--k", "5", "--beta", "0.4"]
+        assert _outcome(capsys, argv) == (
+            2, "", "error: t_end = 50 over dt = 5e-162 is 1e+163 steps, too many to store\n")
+
     @pytest.mark.parametrize("argv, expected", [
         # by default dt is one over the closed-loop radius at k = 1e5, which
         # trips neither check
@@ -507,18 +518,174 @@ class TestCsvWriter:
         traj = Trajectory(np.arange(n) * 5e-4, states, np.array(special[3:] + special[:3]),
                           InputSchedule.constant(0.0), ("x", "xp", "xn"),
                           extra={"ye": -np.array(special)})
-        dest = tmp_path / "traj.csv"
-        cli._write_trajectory(traj, str(dest))
+        data = np.column_stack([traj.t, traj.states, traj.y, traj.extra["ye"]])
+
+        def run(sink):
+            if sink is not None:
+                sink(data[:4])
+                sink(data[4:])
+            return traj
 
         def _fmt(x):
             return format(float(x), ".17g")
 
-        data = np.column_stack([traj.t, traj.states, traj.y, traj.extra["ye"]])
         expected = "".join([f"# mfa {__version__}\n", "t,x,xp,xn,y,ye\n",
                             *(",".join(_fmt(v) for v in row) + "\n" for row in data)])
-        assert dest.read_text() == expected
         assert "-0," in expected and "4.9406564584124654e-324" in expected
         assert "1e+308" in expected
+        for transport in TRANSPORTS:
+            _use_transport(monkeypatch, transport)
+            dest = tmp_path / f"{transport}.csv"
+            assert cli._write_trajectory(str(dest), run) is traj
+            assert dest.read_text() == expected
+
+
+#: The trajectory writer's two ways to make the text, where both exist, and
+#: the inline one after a fork that fails.
+TRANSPORTS = ["forked", "fork_fails", "inline"] if hasattr(os, "fork") else ["inline"]
+
+
+def _use_transport(monkeypatch, transport):
+    """Make the trajectory writer fork its formatter, as with two usable
+    CPUs, or format inline, as with one or where the fork fails."""
+    def fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0} if transport == "inline" else {0, 1}, raising=False)
+    if transport == "fork_fails":
+        monkeypatch.setattr(os, "fork", fork)
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+class TestTrajectoryFormatter:
+    """The trajectory CSV, made by a forked formatter or inline: the same
+    bytes either way, the ``%.17g`` text of the returned arrays, no process
+    or descriptor left behind and nothing written by a failing run."""
+
+    @staticmethod
+    def loop(name):
+        if name == "amplifier":
+            return LureLoop.amplifier(0.01, 0.1, 1.0, 5.0, 0.4).ss, (0.1, 0.02, -0.01)
+        if name == "bank":
+            pos = ChannelBank((Channel(0.5, 0.05), Channel(0.5, 0.1)))
+            neg = ChannelBank((Channel(0.5, 1.0), Channel(0.5, 2.0)))
+            return LureLoop.bank(0.01, pos, neg, 10.0, 0.4).ss, (0.1, 0.02, -0.01, 0.01, 0.0)
+        with open(LOAD_JSON) as fh:
+            load, iface = load_from_json(json.load(fh))
+        inner = LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, 0.4)
+        # an initial row whose one-row product with c differs in its last
+        # bit from the product over the whole array
+        return LureLoop.load(inner, 10.0, load, iface).ss, (
+            0.0926914103312329, 0.01658820298601379, 0.012949529043162208,
+            0.007494297915507483, 0.018215989686785578)
+
+    @pytest.mark.parametrize("name", ["amplifier", "bank", "load"])
+    def test_transports_write_same_bytes(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+        monkeypatch.setattr(sim, "_BLOCK", 5)
+        ss, ic = self.loop(name)
+        texts, trajs = [], []
+        for transport in TRANSPORTS:
+            _use_transport(monkeypatch, transport)
+            dest = tmp_path / f"{transport}.csv"
+            # 21 steps in blocks of 5: rows 6, 5, 5 and 6, the lone last step
+            # joining the fourth block
+            trajs.append(cli._write_trajectory(
+                str(dest), lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.021, sink=sink)))
+            texts.append(dest.read_bytes())
+        traj = trajs[0]
+        rows = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
+        header = ",".join(["t", *ss.labels, "y", *(n for n, _ in ss.extra_outputs)])
+        expected = "".join([f"# mfa {__version__}\n{header}\n",
+                            *(",".join(format(v, ".17g") for v in row) + "\n"
+                              for row in rows.tolist())]).encode()
+        assert set(texts) == {expected} and len(rows) == 22
+        parsed = [[float(v) for v in line.split(b",")] for line in expected.splitlines()[2:]]
+        assert np.array(parsed).tobytes() == rows.tobytes()
+        assert all(t.states.tobytes() == traj.states.tobytes() for t in trajs)
+        for col, row in [(traj.y, ss.c), *((traj.extra[n], r) for n, r in ss.extra_outputs)]:
+            assert col.tobytes() == (traj.states @ np.asarray(row)).tobytes()
+
+    @pytest.mark.parametrize("transport, case", [
+        (transport, case) for transport in TRANSPORTS
+        for case in ["success", "divergence", "memory_error", "formatter_failure", "interrupt"]
+        if transport == "forked" or case != "formatter_failure"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_nothing_left_behind(self, capsys, tmp_path, monkeypatch, transport, case, existing):
+        monkeypatch.setattr(sim, "_BLOCK", 50)
+        _use_transport(monkeypatch, transport)
+        dest = tmp_path / "traj.csv"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        # dt * |eigenvalue| = 5 is past the RK4 limit: the run overflows in
+        # its sixth block
+        steps = ["0.05", "100"] if case == "divergence" else ["1e-3", "1"]
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", steps[0],
+                "--t-end", steps[1], "--ic", "0.1,0,0", "--output", str(dest)]
+
+        def after_all_blocks(error):
+            def run(*args, **kwargs):
+                sim.integrate(*args, **kwargs)
+                raise error
+            return run
+
+        def stop_in_third_block(*args, sink, **kwargs):
+            def stop(block):
+                stop.calls += 1
+                if stop.calls == 3:
+                    raise KeyboardInterrupt
+                if sink is not None:
+                    sink(block)
+            stop.calls = 0
+            return sim.integrate(*args, sink=stop, **kwargs)
+
+        def fail(block):
+            raise RuntimeError("formatter fault")
+
+        if case == "memory_error":
+            monkeypatch.setattr(cli, "integrate", after_all_blocks(MemoryError("no room")))
+        elif case == "formatter_failure":
+            monkeypatch.setattr(csvtext, "format_block", fail)
+        elif case == "interrupt":
+            monkeypatch.setattr(cli, "integrate", stop_in_third_block)
+        descriptors = _open_descriptors()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if case == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+                code = None
+            else:
+                code = main(argv)
+        err = capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_descriptors() == descriptors
+        expected = {"success": (0, ""),
+                    "divergence": (4, "error: divergence at t="),
+                    "memory_error": (2, "error: no room\n"),
+                    "formatter_failure": (3, "error: trajectory CSV formatter failed with "
+                                             "exit code 1\n"),
+                    "interrupt": (None, "")}[case]
+        assert code == expected[0] and err.startswith(expected[1])
+        if case == "success":
+            assert dest.read_bytes().startswith(f"# mfa {__version__}\nt,x,xp,xn,y\n".encode())
+        elif existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_invalid_step_before_output(self, capsys, tmp_path, monkeypatch, transport):
+        # the step is refused before the destination is opened
+        _use_transport(monkeypatch, transport)
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "-1",
+                "--output", str(tmp_path / "missing" / "traj.csv")]
+        assert _outcome(capsys, argv) == (2, "", "error: requires finite dt > 0\n")
 
 
 class TestNyquist:
@@ -1324,6 +1491,19 @@ class TestLagsFarFromOneSecond:
         path.write_text(json.dumps(_scaled_bank(scale)))
         assert _outcome(capsys, ["multichannel", "--bank", str(path)]) \
             == (4, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-end", "1", "--dt", "0.1"],
+        ["interconnect", "--t-end", "1", "--dt", "0.1", "--load", LOAD_JSON],
+        ["map", "--k-min", "1", "--k-max", "10", "--rows", "2", "--cols", "2", "--lambda", "2"],
+    ], ids=["simulate", "interconnect", "map-with-rate"])
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_lag_no_loop(self, capsys, argv):
+        # the rate 1/tau of a subnormal lag is inf, so no loop is realized
+        lags = ["--tau-l", "1e-320", "--tau-p", "0.1", "--tau-n", "1"]
+        gains = [] if argv[0] == "map" else ["--k", "5", "--beta", "0.4"]
+        assert _outcome(capsys, [argv[0], *lags, *gains, *argv[1:]]) \
+            == (4, "", f"error: {UNDERFLOW}\n")
 
     def test_simulate_unaffected(self, capsys):
         code, out, err = _outcome(capsys, ["simulate", *TINY_LAGS, "--k", "5", "--beta", "0.4",

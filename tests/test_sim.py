@@ -147,6 +147,31 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="rounds to zero steps"):
             integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=t_end)
 
+    def test_too_many_steps_to_store(self):
+        # 1e163 steps pass the overflow check but no array can hold them
+        with pytest.raises(ValueError, match=r"t_end = 50 over dt = 5e-162 is 1e\+163 steps, "
+                                             "too many to store"):
+            integrate(amp_ss(mixed(5.0, 0.4, (1e-160, 2e-160, 3e-160))), (0.0, 0.0, 0.0),
+                      dt=5e-162, t_end=50.0)
+
+    @pytest.mark.parametrize("n_steps, sizes", [
+        (1, [2]), (4, [5]), (5, [6]), (6, [7]), (11, [6, 6]), (12, [6, 5, 2]), (16, [6, 5, 6]),
+    ])
+    def test_sink_gets_every_row_once(self, monkeypatch, n_steps, sizes):
+        # blocks of five steps: the initial row comes with the first block,
+        # and a lone last step joins the block before it, so no block is one
+        # row, whose product with c takes another path than the whole array's
+        monkeypatch.setattr(sim, "_BLOCK", 5)
+        load, iface = load_from_json(_recipe_data("load_msd.json"))
+        ss = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss
+        blocks = []
+        traj = integrate(ss, (0.1, 0.02, -0.01, 0.003, 0.0), dt=1e-3, t_end=n_steps * 1e-3,
+                         sink=blocks.append)
+        assert [len(b) for b in blocks] == sizes
+        rows = np.column_stack([traj.t, traj.states, traj.y, traj.extra["ye"]])
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
+        assert traj.y.tobytes() == (traj.states @ np.asarray(ss.c)).tobytes()
+
     def test_t_end_rounded_to_whole_steps(self):
         traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
         assert len(traj.t) == 2 and traj.t[-1] == 1e-3
@@ -265,6 +290,25 @@ class TestKernelBitIdentity:
         self.check(ss, (0.1, 0.0, -0.0, 0.0, -0.05), InputSchedule(((0.0, -0.0), (0.5, 0.3))),
                    dt=5e-4, t_end=2.0)
 
+    def test_four_by_three_bank_outputs(self, monkeypatch):
+        # an 8-state loop, whose blocked products can differ in the last bit
+        # from the whole-array ones: without a sink the output is the
+        # product over every row, and with one it is the sink's copy
+        pos = ChannelBank(tuple(Channel(0.25, tau) for tau in (0.02, 0.05, 0.1, 0.2)))
+        neg = ChannelBank(tuple(Channel(1 / 3, tau) for tau in (1.0, 2.0, 3.0)))
+        ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
+        ic = (0.1, 0.03, -0.02, 0.01, 0.0, -0.01, 0.02, 0.005)
+        traj = self.check(ss, ic, dt=5e-4, t_end=1.0)
+        assert traj.states.shape == (2001, 8)
+        assert traj.y.tobytes() == (traj.states @ np.asarray(ss.c)).tobytes()
+        monkeypatch.setattr(sim, "_BLOCK", 7)
+        blocks = []
+        sunk = integrate(ss, ic, dt=5e-4, t_end=1.0, sink=blocks.append)
+        assert sunk.states.tobytes() == traj.states.tobytes()
+        rows = np.concatenate(blocks)
+        assert rows[:, 9].tobytes() == sunk.y.tobytes()
+        assert rows.tobytes() == np.column_stack([sunk.t, sunk.states, sunk.y]).tobytes()
+
     def test_load_single_term_row(self):
         # with ko = 0 the load decays on its own, so q' = qdot, a row of one
         # term, sees only the -0.0 it starts from while the amplifier swings
@@ -315,8 +359,13 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):
         dt = 1e-3
-        traj = self.check(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt)
+        ss = amp_ss(mixed(5.0, 0.4))
+        traj = self.check(ss, (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt)
         assert len(traj.t) == n_steps + 1
+        # the output taken block by block for a sink is the product over
+        # every row
+        sunk = integrate(ss, (0.1, 0.0, 0.0), dt=dt, t_end=n_steps * dt, sink=lambda rows: None)
+        assert sunk.y.tobytes() == traj.y.tobytes() == (traj.states @ np.asarray(ss.c)).tobytes()
 
     @pytest.mark.parametrize("a, dt", [(5.0, 0.5), (1.0, 0.1)])
     @pytest.mark.filterwarnings("ignore:dt above")
