@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .tf_core import Polynomial, RationalTF, _companion_roots, tf_shift
+from .tf_core import Polynomial, RationalTF, _companion_roots, _conv, _poly_add, tf_shift
 
 __all__ = [
     "DominanceCertificate",
@@ -104,59 +103,47 @@ def _re_at(num: Polynomial, den: Polynomial, omega: float) -> float:
     return (num(s) / den(s)).real
 
 
-@cache
-def _powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents k = 0..n-1 and signs (-1)**(k//2), built once per length n."""
-    k = np.arange(n)
-    return k, (-1.0) ** (k // 2)
-
-
-def _axis_parts(coeffs, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_parts(coeffs, scale: float) -> tuple[list[float], list[float]]:
     """Even and odd parts of p(j*scale*x) as polynomials in v = x**2.
 
     p(j*scale*x) = E(v) + j*x*O(v), because j**k = (-1)**(k//2) for even k
-    and j*(-1)**(k//2) for odd k.  Coefficients ascend.
+    and j*(-1)**(k//2) for odd k.  Coefficients ascend; scale**k is a running product.
     """
-    k, sign = _powers(len(coeffs))
-    c = np.asarray(coeffs) * scale ** k * sign
-    return c[0::2], (c[1::2] if len(c) > 1 else np.zeros(1))
+    c, power = [], 1.0
+    for k, a in enumerate(coeffs):
+        c.append(-(a * power) if k & 2 else a * power)
+        power *= scale
+    return c[0::2], (c[1::2] if len(c) > 1 else [0.0])
 
 
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[:len(b)] += b
-    return out
+def _der(c: list[float]) -> list[float]:
+    return [k * a for k, a in enumerate(c[1:], 1)] if len(c) > 1 else [0.0]
 
 
-def _der(c: np.ndarray) -> np.ndarray:
-    return c[1:] * _powers(len(c))[0][1:] if len(c) > 1 else np.zeros(1)
-
-
-def _stationary_poly(num: Polynomial, den: Polynomial) -> tuple[float, np.ndarray]:
+def _stationary_poly(num: Polynomial, den: Polynomial) -> tuple[float, list[float]]:
     """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
     of num/den, whose roots z with Re z > 0 give the stationary frequencies
     w0 sqrt(Re z).
 
     w0 = |d_0/d_n|**(1/n) of the denominator, of degree n >= 1 under a
     nonzero strictly proper numerator, makes its lowest and highest
-    coefficients match in size before the roots are taken.
+    coefficients match in size before the roots are taken.  Products are
+    :func:`mfa.tf_core._conv` and sums are of lists, in Python floats, so the
+    coefficients do not depend on the host.  P = 0 gives no coefficients.
     """
     den = den.coeffs
     w0 = abs(den[0] / den[-1]) ** (1.0 / (len(den) - 1))
     ne, no = _axis_parts(num.coeffs, w0)
     de, do = _axis_parts(den, w0)
-    conv = np.convolve
-    pp = _add(conv(ne, de), np.concatenate(([0.0], conv(no, do))))
-    qq = _add(conv(de, de), np.concatenate(([0.0], conv(do, do))))
-    nonzero = np.flatnonzero(pp)
-    if len(nonzero) == 0:
-        return w0, np.zeros(0)
-    pp = pp[:nonzero[-1] + 1]
+    pp = _poly_add(_conv(ne, de), [0.0, *_conv(no, do)])
+    qq = _poly_add(_conv(de, de), [0.0, *_conv(do, do)])
+    while pp and pp[-1] == 0.0:
+        pp.pop()
+    if not pp:
+        return w0, []
     # deg P < deg Q = n; at deg P = 0, _der's one zero leads, and the root
     # call strips it
-    return w0, _add(conv(_der(pp), qq), -conv(pp, _der(qq)))[::-1]
+    return w0, _poly_add(_conv(_der(pp), qq), [-x for x in _conv(pp, _der(qq))])[::-1]
 
 
 def min_real_part(g: RationalTF, lam):
@@ -164,17 +151,16 @@ def min_real_part(g: RationalTF, lam):
 
     With u = w**2 the shifted numerator splits as N(jw) = Ne(u) + jw No(u),
     and likewise the denominator, so Re G = P(u)/Q(u) with
-    P = Ne De + u No Do and Q = De**2 + u Do**2 > 0.  The minimum therefore
-    lies at w = 0, at w -> infinity, where the strictly proper G tends to 0,
-    or at a stationary point, a root of P'Q - PQ'.  Every root z with
-    Re z > 0 gives the candidate w = sqrt(Re z): rounding can split a double
-    root into a complex pair, and an extra candidate is still a real
-    frequency, so it cannot undercut the minimum.  Candidates are evaluated
-    by Horner's rule on the shifted polynomials.  Returns (min_re,
-    omega_at_min), omega_at_min inf when the limit 0 is the minimum.  A zero
-    numerator gives (0.0, 0.0).
-    For a tuple of rates ``lam``, a tuple of such pairs, one per rate, from
-    one root call (:func:`mfa.tf_core._companion_roots`) for all rates.
+    P = Ne De + u No Do and Q = De**2 + u Do**2 > 0.  The minimum lies at
+    w = 0, at w -> infinity, where the strictly proper G tends to 0, or at a
+    root of P'Q - PQ' (:func:`_stationary_poly`).  Every root z with Re z > 0
+    gives the candidate w = w0 math.sqrt(Re z): rounding can split a double
+    root into a complex pair, and an extra real frequency cannot undercut the
+    minimum.  Candidates are evaluated by Horner's rule on the shifted
+    polynomials.  Returns (min_re, omega_at_min), omega_at_min inf when the
+    limit 0 is the minimum; a zero numerator gives (0.0, 0.0).  For a tuple
+    of rates ``lam``, a tuple of such pairs from one root call
+    (:func:`mfa.tf_core._companion_roots`), the only LAPACK call here.
     """
     rates = lam if isinstance(lam, tuple) else (lam,)
     for rate in rates:
@@ -185,9 +171,9 @@ def min_real_part(g: RationalTF, lam):
     polys = [_stationary_poly(*s) for s in shifted]
     mins = []
     for s, (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
+        ws = [w0 * math.sqrt(x) for x in z.real.tolist() if x > 0.0]
         # min keeps the first of equal values: w = 0, then infinity, then roots
-        cands = [(_re_at(*s, 0.0), 0.0), (0.0, math.inf)]
-        cands += [(_re_at(*s, w), w) for w in map(float, w0 * np.sqrt(z.real[z.real > 0.0]))]
+        cands = [(_re_at(*s, 0.0), 0.0), (0.0, math.inf)] + [(_re_at(*s, w), w) for w in ws]
         mins.append(min(cands, key=lambda c: c[0]))
     return tuple(mins) if isinstance(lam, tuple) else mins[0]
 

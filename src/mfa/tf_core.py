@@ -27,11 +27,20 @@ MAX_ROOT_DEGREE = 32
 
 
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
-        for i in range(n)
-    ]
+    """Coefficient-wise sum as a list, the shorter padded by adding 0.0 (-0.0 + 0.0 is 0.0)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + [x + 0.0 for x in a[len(b):]]
+
+
+def _conv(a, b):
+    """Product of two coefficient sequences as a list, a[i] * b[j] added into out[i + j] for
+    ascending i: IEEE arithmetic in a fixed order, no BLAS or SIMD.  No entry is -0.0."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -71,8 +80,9 @@ class Polynomial:
         return Polynomial(_poly_add(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
+        """Product with a polynomial by :func:`_conv`, or with a scalar per coefficient."""
         if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
+            return Polynomial(_conv(self.coeffs, other.coeffs))
         return Polynomial([float(other) * c for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -106,20 +116,22 @@ def _root_order(z: complex):
 
 
 def _companion_roots(polys) -> list[np.ndarray]:
-    """Roots of each polynomial in ``polys`` (coefficients descending), bit for
-    bit as ``np.roots``: zeros stripped from both ends, companion first row
-    -c[1:]/c[0] and ones below the diagonal, the roots at 0 of the trailing
-    zeros last, but one stacked eigenvalue call per matrix size."""
+    """Roots of each polynomial in ``polys`` (coefficient sequences,
+    descending), bit for bit as ``np.roots``: zeros stripped from both ends,
+    companion first row -c[1:]/c[0] formed in Python floats and ones below the
+    diagonal, the roots at 0 of the trailing zeros last, but one stacked
+    eigenvalue call per matrix size."""
     out, by_size = [], {}
-    for c in map(np.asarray, polys):
-        nz = np.flatnonzero(c)
-        out.append(np.zeros(len(c) - nz[-1] - 1 if len(nz) else 0))
-        if len(nz) and nz[-1] > nz[0]:
-            by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, c[nz[0]:nz[-1] + 1]))
+    for c in polys:
+        nz = [i for i, x in enumerate(c) if x != 0.0]
+        out.append(np.zeros(len(c) - nz[-1] - 1 if nz else 0))
+        if nz and nz[-1] > nz[0]:
+            row = [-x / c[nz[0]] for x in c[nz[0] + 1:nz[-1] + 1]]
+            by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, row))
     for n, group in by_size.items():
         a = np.zeros((len(group), n, n))
         a.reshape(len(group), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
-        a[:, 0] = [-c[1:] / c[0] for _, c in group]
+        a[:, 0] = [row for _, row in group]
         for (i, _), z in zip(group, np.linalg.eigvals(a)):
             out[i] = np.concatenate((z, out[i]))
     return out

@@ -235,39 +235,18 @@ def reference_map_text(ks, betas, cells) -> str:
 
 def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     """min Re G(jw - lam) with the stationary points from one ``np.roots``
-    call per rate: the one-rate path of ``freq_analysis.min_real_part``
-    before its companion matrices were stacked, with its exponent and sign
-    vectors built on each call."""
-    from mfa.freq_analysis import _add, _check_axis_clear, _re_at
-
-    def _axis_parts(coeffs, scale):
-        k = np.arange(len(coeffs))
-        c = np.asarray(coeffs) * scale ** k * (-1.0) ** (k // 2)
-        return c[0::2], (c[1::2] if len(c) > 1 else np.zeros(1))
-
-    def _der(c):
-        return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+    call per rate on the coefficients of ``freq_analysis._stationary_poly``:
+    the one-rate path of ``freq_analysis.min_real_part`` before its companion
+    matrices were stacked, with its frequencies taken by ``np.sqrt``."""
+    from mfa.freq_analysis import _check_axis_clear, _re_at, _stationary_poly
 
     _check_axis_clear(g, lam)
     if g.num.is_zero:
         return 0.0, 0.0
     shifted = tf_shift(g, lam)
-    den = shifted.den.coeffs
-    n = len(den) - 1
-    omegas = np.zeros(0)
-    if n > 0:
-        w0 = abs(den[0] / den[-1]) ** (1.0 / n)
-        ne, no = _axis_parts(shifted.num.coeffs, w0)
-        de, do = _axis_parts(den, w0)
-        pp = _add(np.convolve(ne, de), np.append(0.0, np.convolve(no, do)))
-        qq = _add(np.convolve(de, de), np.append(0.0, np.convolve(do, do)))
-        nonzero = np.flatnonzero(pp)
-        if len(nonzero):
-            pp = pp[:nonzero[-1] + 1]
-            rr = _add(np.convolve(_der(pp), qq), -np.convolve(pp, _der(qq)))
-            p = len(pp) - 1
-            z = np.roots(rr[:p + n - (p == n)][::-1])
-            omegas = w0 * np.sqrt(z.real[z.real > 0.0])
+    w0, rr = _stationary_poly(shifted.num, shifted.den)
+    z = np.roots(rr) if rr else np.zeros(0)
+    omegas = w0 * np.sqrt(z.real[z.real > 0.0])
     best_re, best_w = _re_at(shifted.num, shifted.den, 0.0), 0.0
     if 0.0 < best_re:  # the limit of a strictly proper G at w -> infinity
         best_re, best_w = 0.0, math.inf

@@ -1145,12 +1145,12 @@ class TestRecipeMaps:
     the cell counts that moves any digit or label fails here."""
 
     SHA256 = {
-        "map_fast_load": "143d8323442c580867190983362954a649b3a13a794225cec269d77b33ebdffa",
+        "map_fast_load": "ea866839c30004700bd0b3b55a4268668a22edba3a74c53be6cdb2c11340667c",
         "map_fast_load_reduced_separation":
-            "b6810ca1a9601715f0c51b78c1140aa0149b56c1fd74122267f58538b9a6c95e",
-        "map_slow_load": "f67dafe26dc35ecb78d627d676219bc67e515d0e6d5d27855e374b2748393214",
+            "570dc5106bc0c7d7051d1f064ea68a6fd6158267e47c97952cd7f00e16e6c34a",
+        "map_slow_load": "cd42da14c8be445c80c4cec62c8df593c34b778d9de04a9bbb11c814e6cd06fe",
         "map_slow_load_reduced_separation":
-            "4e29d27bed138c5828e2cf9919ad267518f05ba66d13126ba1a891502ce65014",
+            "076ce11a3b025a4a9adf80402377decdbae8c77e66449c534b421ba5567790ad",
     }
 
     @pytest.mark.parametrize("name", SHA256)
@@ -1159,6 +1159,68 @@ class TestRecipeMaps:
         assert main(recipe_argv(name, path)) == 0
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[name]
+
+
+def _openblas_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _numpy_has_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+class TestRecipeMapsOnAnyHost:
+    """The four recipe maps do not depend on the kernels the host selects:
+    byte for byte under another OpenBLAS kernel, and in every column but
+    ``k`` with numpy's AVX-512 loops off, as on an AVX2-only processor.  The
+    gain grid comes from ``np.geomspace``, whose ``power`` loop is SIMD, so
+    it alone may move in the last bit there."""
+
+    SETTINGS = {
+        "blas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "blas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    }
+
+    @classmethod
+    def maps(cls, tmp_path, setting):
+        """The maps' CSV bytes by name, all four from one interpreter."""
+        out = tmp_path / (setting or "default")
+        out.mkdir()
+        argvs = [recipe_argv(name, str(out / f"{name}.csv")) for name in TestRecipeMaps.SHA256]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(cls.SETTINGS.get(setting, {}))
+        path = [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        script = ("import json, sys\nfrom mfa.cli import main\n"
+                  "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True,
+                       timeout=120)
+        return {name: (out / f"{name}.csv").read_bytes() for name in TestRecipeMaps.SHA256}
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_maps_match_default(self, tmp_path, setting):
+        if setting.startswith("blas") and not _openblas_dynamic_arch():
+            pytest.skip("numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+        if setting.startswith("numpy") and not _numpy_has_x86_v4():
+            pytest.skip("numpy does not run X86_V4 loops here")
+        want, got = self.maps(tmp_path, None), self.maps(tmp_path, setting)
+        if setting.startswith("blas"):
+            assert got == want
+            return
+        for name in want:
+            rows = [[line.split(b",", 1)[-1] for line in text.splitlines()]
+                    for text in (want[name], got[name])]
+            assert rows[0] == rows[1], name
 
 
 @pytest.mark.filterwarnings("error")
@@ -1266,18 +1328,18 @@ class TestAnalyzePins:
 
     CASES = {
         "recipe-point": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4"],
-                         "1e9d4b05689b8d909538a3b5ddf93d9bd9ea0f066bfee23dd3d7d77090d3a30d"),
+                         "290d49901c554658db9e9363585315982a3719d3ff244848e47e7ac39a60231e"),
         "k-zero": ([*AMP_FLAGS, "--k", "0", "--beta", "0.4"],
-                   "a9dd92fe2da3ec8d25dca2b74542e6501a04b059263cacd6f3471cf72d80f8c6"),
+                   "9e674124304cf44af4bbb016f248f03d96d76766570e1ef5d25abfd5c0cac51f"),
         "beta-star": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909091"],
-                      "e13ccd6f8fd4454f00583eea5579371ad3b7df574ee1615f35df0e0bc62fdad4"),
+                      "a51b04ecce59d05555b5186795ac9f0c7b020a9afbaafe5034d08cae37c88a12"),
         "beta-star-next": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909093"],
-                           "337774f8710d60e48b527d8ce69c16de7370af0d50b6c630645268900698e174"),
+                           "db8398def40d626999393441c629538a8f289eb71a3a0d15d94c5b4d3a51fac0"),
         "atan": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--nonlinearity", "atan",
                   "--r", "0.5"],
-                 "a8fb2dba671470fc3de5ebedbfe81f9549023c73f5eb2d4382535531fa55c168"),
+                 "a7112134540368d10171ae6c82b8aec7c3dfebe8f5b51db5eaafbe886e1208b3"),
         "user-rate": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--lambda", "200"],
-                      "b8c66b8151651838842f5d4e58008daf5a0ae4369e81a1bb7f8050dbe26bcf2d"),
+                      "5d48fa0a9899f96b3a03fed3a1970b8c622437b061be60ad238b50378a9154ef"),
         "pole-on-axis": (["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1e10", "--k", "5",
                           "--beta", "0.4"],
                          "8c6b794e0e582aef18b58e98172d80431361cd5ca6386371416e3bddd7197659"),

@@ -230,9 +230,11 @@ class TestStackedRoots:
             polys.append(c)
         polys += [np.zeros(4), np.array([0.0, 2.0, 0.0]), np.array([3.0])]
         stacked = _companion_roots(polys)
-        for c, z in zip(polys, stacked):
+        as_lists = _companion_roots([c.tolist() for c in polys])
+        for c, z, z_list in zip(polys, stacked, as_lists):
             assert _hex(z) == _hex(np.roots(c))
             assert _hex(_companion_roots([c])[0]) == _hex(z)
+            assert _hex(z_list) == _hex(z)
 
     def test_min_real_part_matches_np_roots_path(self):
         rng = np.random.default_rng(1502)

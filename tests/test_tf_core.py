@@ -1,6 +1,7 @@
 """Polynomial/transfer-function arithmetic against closed-form oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.tf_core import (
     Polynomial,
     RationalTF,
+    _conv,
     get_nonlinearity,
     poly_roots,
     tf_shift,
@@ -253,6 +255,25 @@ class TestMultiplyEval:
         assert gl.den.coeffs == (g.den * lt.den).coeffs
         assert gl.num.degree == g.num.degree + 2 and gl.den.degree == g.den.degree + 2
         assert gl.poles() == sorted(g.poles() + lt.poles(), key=lambda z: (z.real, z.imag))
+
+    def test_product_within_summation_bound(self):
+        # each coefficient sums at most m = min(len(a), len(b)) products in
+        # one order, so it is within gamma_m = m u / (1 - m u) of the sum of
+        # their magnitudes from the exact product (u = 2**-53), and a sum
+        # seeded with 0.0 is never -0.0
+        rng = np.random.default_rng(2601)
+        for _ in range(500):
+            a, b = (rng.uniform(-1.0, 1.0, int(rng.integers(1, 9))) for _ in range(2))
+            a[rng.uniform(size=len(a)) < 0.2] = -0.0
+            got = _conv(a.tolist(), b.tolist())
+            m = min(len(a), len(b))
+            for k, c in enumerate(got):
+                terms = [Fraction(x) * Fraction(b[k - i])
+                         for i, x in enumerate(a) if 0 <= k - i < len(b)]
+                bound = Fraction(m, 2**53 - m) * sum(map(abs, terms))
+                assert abs(Fraction(c) - sum(terms)) <= bound
+                assert c != 0.0 or math.copysign(1.0, c) == 1.0
+        assert (Polynomial([1.0, 2.0]) * Polynomial([3.0, 4.0])).coeffs == (3.0, 10.0, 8.0)
 
     def test_pure_feedback_dc_signs(self):
         for beta, dc in ((0.0, 1.0), (1.0, -1.0)):
