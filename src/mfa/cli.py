@@ -108,8 +108,39 @@ def _write_text(path: str | None, header: str, chunks):
             out.close()
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+          None: "null", True: "true", False: "false"}
+
+
+def _json_text(o, nl: str) -> str:
+    """``json.dumps(o, indent=2)``, whose encoder runs in Python and appends
+    token by token when ``indent`` is set, with one join per container; ``nl``
+    is a newline and the indent of ``o``'s own line.  Empty containers and
+    subclasses take json's own text, whose newlines all indent.  A dict key
+    that is not a str raises ``TypeError``."""
+    t = type(o)
+    if t is float:
+        text = float.__repr__(o)
+        return _WORDS.get(text, text)
+    inner = nl + "  "
+    if (t is list or t is tuple) and o:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
+    if t is dict and o:
+        return "{" + inner + ("," + inner).join(
+            [_ascii(k) + ": " + _json_text(v, inner) for k, v in o.items()]) + nl + "}"
+    if t is str:
+        return _ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None or t is bool:
+        return _WORDS[o]
+    return json.dumps(o, indent=2).replace("\n", nl)
+
+
 def _print_json(obj):
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` to stdout as ``json.dumps(obj, indent=2)`` and a newline."""
+    sys.stdout.write(_json_text(obj, "\n") + "\n")
 
 
 class _MalformedInput(Exception):
@@ -216,6 +247,8 @@ def cmd_analyze(args) -> int:
 # map
 
 def cmd_map(args) -> int:
+    if args.rows < 1 or args.cols < 1:
+        raise ValueError("requires at least one gain and one balance")
     ks = np.geomspace(args.k_min, args.k_max, args.rows)
     betas = np.linspace(args.beta_min, args.beta_max, args.cols)
     cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas,
@@ -379,6 +412,8 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
     """Trajectory of ``loop`` from the schedule, initial condition and step
     flags, written as CSV unless only ``--detect`` is asked for; without
     ``--dt`` the integrator picks the step from the loop."""
+    if args.detect and not 0.0 <= args.transient_fraction < 1.0:
+        raise ValueError("requires 0 <= transient_fraction < 1")
     schedule = _read_schedule(args)
     ic = _parse_ic(args.ic, loop.ss.dim)
 
@@ -485,9 +520,8 @@ def cmd_interconnect(args) -> int:
     if args.detect:
         rep_y = detect_oscillation(traj, transient_fraction=args.transient_fraction,
                                    amp_threshold=args.amp_threshold)
-        traj_ye = Trajectory(traj.t, traj.states, traj.extra["ye"],
-                             traj.schedule, traj.labels)
-        rep_ye = detect_oscillation(traj_ye, transient_fraction=args.transient_fraction,
+        rep_ye = detect_oscillation(dataclasses.replace(traj, y=traj.extra["ye"]),
+                                    transient_fraction=args.transient_fraction,
                                     amp_threshold=args.amp_threshold)
         _print_json({"y": dataclasses.asdict(rep_y), "ye": dataclasses.asdict(rep_ye)})
     return 0

@@ -96,12 +96,13 @@ class MapCell(NamedTuple):
     reason: str = ""
 
 
-def _bisect(f, a, b, fa):
-    """Root of f on [a, b], where f(a) = fa and f(b) differ in sign, to 1e-12
-    or to adjacent floats, whichever is wider."""
+def _bisect(phi, slope: float, r: float, a, b, fa):
+    """Root of h(y) = phi(y) - slope*y - r on [a, b], where h(a) = fa and
+    h(b) differ in sign, to 1e-12 or to adjacent floats, whichever is wider;
+    h is evaluated inline, in the order :func:`_scan_line` takes it."""
     m = 0.5 * (a + b)
     while b - a > _BISECT_TOL and a < m < b:
-        fm = f(m)
+        fm = phi(m) - slope * m - r
         if fm == 0.0:
             return m
         if (fa < 0.0) != (fm < 0.0):
@@ -166,12 +167,9 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     every loop here has a finite gain, and a loop with g0 = 0 has the one
     root v = 0 (:meth:`LureLoop.equilibria`).
     """
-    def h(y):
-        return phi(y) - slope * y - r
-
     brackets = []
     _scan_line(phi, slope, r, slope_inverse, brackets=brackets)
-    return [a if a == b else _bisect(h, a, b, fa) for a, b, fa in brackets]
+    return [a if a == b else _bisect(phi, slope, r, a, b, fa) for a, b, fa in brackets]
 
 
 def classify_stability(eigs) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import Polynomial, RationalTF, _companion_roots, _conv, _poly_add, tf_shift
+from .tf_core import RationalTF, _companion_roots, _conv, _horner, _poly_add, tf_shift
 
 __all__ = [
     "DominanceCertificate",
@@ -98,9 +98,10 @@ def _gain(min_re: float) -> float:
     return math.inf if min_re >= 0.0 else -1.0 / min_re
 
 
-def _re_at(num: Polynomial, den: Polynomial, omega: float) -> float:
+def _re_at(num, den, omega: float) -> float:
+    """Re N(jw)/D(jw) of the ascending coefficients ``num`` and ``den``."""
     s = 1j * omega
-    return (num(s) / den(s)).real
+    return (_horner(num, s) / _horner(den, s)).real
 
 
 def _axis_parts(coeffs, scale: float) -> tuple[list[float], list[float]]:
@@ -120,10 +121,10 @@ def _der(c: list[float]) -> list[float]:
     return [k * a for k, a in enumerate(c[1:], 1)] if len(c) > 1 else [0.0]
 
 
-def _stationary_poly(num: Polynomial, den: Polynomial) -> tuple[float, list[float]]:
+def _stationary_poly(num, den) -> tuple[float, list[float]]:
     """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
-    of num/den, whose roots z with Re z > 0 give the stationary frequencies
-    w0 sqrt(Re z).
+    of num/den, given as ascending coefficients, whose roots z with Re z > 0
+    give the stationary frequencies w0 sqrt(Re z).
 
     w0 = |d_0/d_n|**(1/n) of the denominator, of degree n >= 1 under a
     nonzero strictly proper numerator, makes its lowest and highest
@@ -131,9 +132,8 @@ def _stationary_poly(num: Polynomial, den: Polynomial) -> tuple[float, list[floa
     :func:`mfa.tf_core._conv` and sums are of lists, in Python floats, so the
     coefficients do not depend on the host.  P = 0 gives no coefficients.
     """
-    den = den.coeffs
     w0 = abs(den[0] / den[-1]) ** (1.0 / (len(den) - 1))
-    ne, no = _axis_parts(num.coeffs, w0)
+    ne, no = _axis_parts(num, w0)
     de, do = _axis_parts(den, w0)
     pp = _poly_add(_conv(ne, de), [0.0, *_conv(no, do)])
     qq = _poly_add(_conv(de, de), [0.0, *_conv(do, do)])
@@ -156,25 +156,28 @@ def min_real_part(g: RationalTF, lam):
     root of P'Q - PQ' (:func:`_stationary_poly`).  Every root z with Re z > 0
     gives the candidate w = w0 math.sqrt(Re z): rounding can split a double
     root into a complex pair, and an extra real frequency cannot undercut the
-    minimum.  Candidates are evaluated by Horner's rule on the shifted
-    polynomials.  Returns (min_re, omega_at_min), omega_at_min inf when the
-    limit 0 is the minimum; a zero numerator gives (0.0, 0.0).  For a tuple
-    of rates ``lam``, a tuple of such pairs from one root call
-    (:func:`mfa.tf_core._companion_roots`), the only LAPACK call here.
+    minimum.  A running minimum of :func:`_re_at` keeps the first of equal
+    values: w = 0, infinity, the roots.  Returns (min_re, omega_at_min),
+    omega_at_min inf when the limit 0 is the minimum; a zero numerator gives
+    (0.0, 0.0).  For a tuple of rates ``lam``, a tuple of such pairs from one
+    root call (:func:`mfa.tf_core._companion_roots`), the only LAPACK call here.
     """
     rates = lam if isinstance(lam, tuple) else (lam,)
     for rate in rates:
         _check_axis_clear(g, rate)
     if g.num.is_zero:
         return ((0.0, 0.0),) * len(rates) if isinstance(lam, tuple) else (0.0, 0.0)
-    shifted = [(g.num.shifted(rate), g.den.shifted(rate)) for rate in rates]
+    shifted = [(g.num.shifted(rate).coeffs, g.den.shifted(rate).coeffs) for rate in rates]
     polys = [_stationary_poly(*s) for s in shifted]
     mins = []
-    for s, (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
-        ws = [w0 * math.sqrt(x) for x in z.real.tolist() if x > 0.0]
-        # min keeps the first of equal values: w = 0, then infinity, then roots
-        cands = [(_re_at(*s, 0.0), 0.0), (0.0, math.inf)] + [(_re_at(*s, w), w) for w in ws]
-        mins.append(min(cands, key=lambda c: c[0]))
+    for (num, den), (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
+        # w = 0 wins a tie with infinity, as 0.0 < inf
+        best, w_at = min((_re_at(num, den, 0.0), 0.0), (0.0, math.inf))
+        for w in [w0 * math.sqrt(x) for x in z.real.tolist() if x > 0.0]:
+            v = _re_at(num, den, w)
+            if v < best:
+                best, w_at = v, w
+        mins.append((best, w_at))
     return tuple(mins) if isinstance(lam, tuple) else mins[0]
 
 

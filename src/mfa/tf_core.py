@@ -43,6 +43,14 @@ def _conv(a, b):
     return out
 
 
+def _horner(coeffs, s):
+    """Ascending ``coeffs`` evaluated at ``s`` by Horner's rule."""
+    acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
 @dataclass(frozen=True, init=False)
 class Polynomial:
     """Real polynomial with ascending-degree coefficients.
@@ -70,11 +78,8 @@ class Polynomial:
         return self.coeffs == (0.0,)
 
     def __call__(self, s):
-        """Evaluate by Horner's rule (exact polynomial arithmetic)."""
-        acc = 0.0 + 0.0j if isinstance(s, complex) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        """Evaluate by Horner's rule (:func:`_horner`)."""
+        return _horner(self.coeffs, s)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(_poly_add(self.coeffs, other.coeffs))

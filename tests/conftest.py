@@ -244,14 +244,15 @@ def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     if g.num.is_zero:
         return 0.0, 0.0
     shifted = tf_shift(g, lam)
-    w0, rr = _stationary_poly(shifted.num, shifted.den)
+    num, den = shifted.num.coeffs, shifted.den.coeffs
+    w0, rr = _stationary_poly(num, den)
     z = np.roots(rr) if rr else np.zeros(0)
     omegas = w0 * np.sqrt(z.real[z.real > 0.0])
-    best_re, best_w = _re_at(shifted.num, shifted.den, 0.0), 0.0
+    best_re, best_w = _re_at(num, den, 0.0), 0.0
     if 0.0 < best_re:  # the limit of a strictly proper G at w -> infinity
         best_re, best_w = 0.0, math.inf
     for w in omegas:
-        v = _re_at(shifted.num, shifted.den, float(w))
+        v = _re_at(num, den, float(w))
         if v < best_re:
             best_re, best_w = v, float(w)
     return best_re, best_w

@@ -249,7 +249,9 @@ class TestInputChecks:
     """Bad map and point inputs exit 2 with an error line."""
 
     @pytest.mark.parametrize("size", [["--rows", "0", "--cols", "3"],
-                                      ["--rows", "3", "--cols", "0"]])
+                                      ["--rows", "3", "--cols", "0"],
+                                      ["--rows", "-3", "--cols", "3"],
+                                      ["--rows", "3", "--cols", "-2"]])
     def test_empty_map_exit_2(self, capsys, size):
         code = main([*MAP_FLAGS, *size])
         captured = capsys.readouterr()
@@ -686,6 +688,32 @@ class TestTrajectoryFormatter:
         argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "-1",
                 "--output", str(tmp_path / "missing" / "traj.csv")]
         assert _outcome(capsys, argv) == (2, "", "error: requires finite dt > 0\n")
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("command", ["simulate", "interconnect"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_invalid_transient_fraction_before_run(self, capsys, tmp_path, monkeypatch,
+                                                   transport, command, existing):
+        # the detection flags are refused before the trajectory is integrated
+        # or its destination opened
+        _use_transport(monkeypatch, transport)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the flags were checked")
+        monkeypatch.setattr(cli, "integrate", integrate)
+        dest = tmp_path / "traj.csv"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        extra = ["--load", LOAD_JSON] if command == "interconnect" else []
+        argv = [command, *AMP_FLAGS, "--k", "5", "--beta", "0.4", *extra, "--dt", "1e-3",
+                "--t-end", "1", "--detect", "--transient-fraction", "1",
+                "--output", str(dest)]
+        assert _outcome(capsys, argv) == (
+            2, "", "error: requires 0 <= transient_fraction < 1\n")
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
 
 
 class TestNyquist:
@@ -1279,6 +1307,7 @@ class TestRecipeReports:
         code, out = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, index]
+        _assert_json_dumps_bytes(out)
 
 
 class TestRecipeData:
@@ -1297,6 +1326,53 @@ class TestRecipeData:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_json_dumps_bytes(out: str):
+    """A JSON report is printed in the bytes of ``json.dumps(..., indent=2)``."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestJsonText:
+    """The report writer against ``json.dumps(obj, indent=2)`` on seeded
+    nested values.  Only str keys are drawn: no report has another kind, and
+    the writer raises ``TypeError`` for one where json would convert it."""
+
+    SCALARS = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1,
+               math.nan, math.inf, -math.inf, np.float64(0.3), np.float64(math.nan),
+               np.float64(-math.inf), True, False, None, 0, -7, 10**30, -(10**40),
+               "", "plain", "caf\u00e9 \u03bb \U0001f600", "tab\tnew\nline\x00\x1f",
+               'quote " and \\ backslash', "\u2028\u2029\x7f"]
+
+    def value(self, rng, depth):
+        kind = rng.integers(5) if depth < 4 else 0
+        if kind <= 1:
+            return self.SCALARS[rng.integers(len(self.SCALARS))]
+        items = [self.value(rng, depth + 1) for _ in range(rng.integers(4))]
+        if kind == 2:
+            return items
+        if kind == 3:
+            return tuple(items)
+        keys = [str(self.SCALARS[rng.integers(len(self.SCALARS))]) + str(i)
+                for i in range(len(items))]
+        return dict(zip(keys, items))
+
+    def test_matches_json_dumps(self):
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            obj = self.value(rng, 0)
+            assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2), obj
+
+    @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]],
+                                     {"\u00e9\n": [math.nan, -0.0]},
+                                     {"a": [type("L", (list,), {})([1.0, {"b": [2]}])]}])
+    def test_empty_and_edge_containers(self, obj):
+        assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [{1: 2.0}, {"a": {None: 1}}, [{(1, 2): 0}], object()])
+    def test_non_str_key_or_unknown_type_raises(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj, "\n")
 
 
 def test_every_recipe_command_is_pinned():
@@ -1350,6 +1426,7 @@ class TestAnalyzePins:
         flags, sha = self.CASES[name]
         code, out = run(capsys, ["analyze", *flags])
         assert code == 0 and _digest(out) == sha
+        _assert_json_dumps_bytes(out)
         rep = json.loads(out)
         if name.startswith("beta-star"):
             assert rep["zero"] == "infinite"
@@ -1384,6 +1461,7 @@ class TestInterconnectPins:
         code, out = run(capsys, ["interconnect", *self.FLAGS, "--load",
                                  self.load_file(tmp_path), "--certify"])
         assert code == 0 and _digest(out) == self.SHA256["certify"]
+        _assert_json_dumps_bytes(out)
 
     def test_detect(self, capsys, tmp_path):
         csv = tmp_path / "out.csv"
@@ -1392,6 +1470,7 @@ class TestInterconnectPins:
                                  "--transient-fraction", "0.2", "--ic", "0.1,0,0,0,0",
                                  "--detect", "--output", str(csv)])
         assert code == 0 and _digest(out) == self.SHA256["detect"]
+        _assert_json_dumps_bytes(out)
         assert json.loads(out)["y"]["oscillating"] is True
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == self.SHA256["detect-csv"]
 
