@@ -249,8 +249,11 @@ def cmd_analyze(args) -> int:
 def cmd_map(args) -> int:
     if args.rows < 1 or args.cols < 1:
         raise ValueError("requires at least one gain and one balance")
-    ks = np.geomspace(args.k_min, args.k_max, args.rows)
-    betas = np.linspace(args.beta_min, args.beta_max, args.cols)
+    if args.k_min <= 0.0 or args.k_max <= 0.0:
+        raise ValueError("requires positive gains")
+    # Python floats: the map formats and indexes them, and does no array work
+    ks = np.geomspace(args.k_min, args.k_max, args.rows).tolist()
+    betas = np.linspace(args.beta_min, args.beta_max, args.cols).tolist()
     cells = dominance_map(args.tau_l, args.tau_p, args.tau_n, ks, betas,
                           r=args.r, lam=args.lam, nonlinearity=args.nonlinearity)
     # a column's balance and critical gains repeat in every row: format once
@@ -576,7 +579,9 @@ class _Parser(argparse.ArgumentParser):
     """An argparse parser that reads a negative number in exponent form, such
     as ``--r -6e-05``, and a comma list of numbers that starts with a negative
     one, such as ``--ic -0.5,0,0``, as a value: argparse's own pattern for
-    negative numbers has neither, so it took them for unknown options."""
+    negative numbers has neither, so it took them for unknown options.  An
+    argv that starts with a subcommand is first read in one pass over that
+    subcommand's option table (:meth:`one_pass`)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -584,17 +589,55 @@ class _Parser(argparse.ArgumentParser):
         self.commands: dict[str, argparse.ArgumentParser] = {}  # name -> parser
 
     def parse_args(self, args=None, namespace=None):
-        """Parse ``args`` in one pass by the parser of the subcommand its first
-        word names; any other argv, or one with words left over, goes through
-        the full parser, which keeps its usage, help and error text."""
+        """Parse ``args`` by :meth:`one_pass`; an argv it does not take goes
+        through the full parser, which keeps its usage, help and error text."""
         argv = sys.argv[1:] if args is None else list(args)
-        sub = self.commands.get(argv[0]) if argv and namespace is None else None
-        if sub is not None:
-            parsed, rest = sub.parse_known_args(argv[1:])
-            if not rest:
-                parsed.command = argv[0]
-                return parsed
-        return super().parse_args(argv, namespace)
+        parsed = self.one_pass(argv) if namespace is None else None
+        return parsed if parsed is not None else super().parse_args(argv, namespace)
+
+    def one_pass(self, argv: list[str]) -> argparse.Namespace | None:
+        """The full parser's namespace for ``argv``, read in one pass over the
+        option table of the subcommand its first word names, or None.
+
+        The pass starts from the actions' defaults, then the subcommand's
+        ``set_defaults``, as argparse does.  It takes only an exact option
+        string of a plain store action followed by one value that its type
+        accepts and that does not start with ``-`` unless it is a negative
+        number, and ``store_true`` flags; every required option must be
+        seen.  Anything else (an abbreviation, ``--x=v``, ``-h``, ``--``, an
+        unknown word, a value its type refuses, a missing option) gives None.
+        """
+        sub = self.commands.get(argv[0]) if argv else None
+        if sub is None:
+            return None
+        values = {}
+        for action in sub._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                values.setdefault(action.dest, action.default)
+        for dest, default in sub._defaults.items():
+            values.setdefault(dest, default)
+        seen = set()
+        words = iter(argv[1:])
+        for word in words:
+            action = sub._option_string_actions.get(word)
+            if type(action) is argparse._StoreTrueAction:
+                values[action.dest] = True
+            elif (type(action) is argparse._StoreAction and action.nargs is None
+                  and action.choices is None):
+                value = next(words, None)
+                if value is None or (value.startswith("-")
+                                     and not sub._negative_number_matcher.match(value)):
+                    return None
+                try:
+                    values[action.dest] = value if action.type is None else action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            else:
+                return None
+            seen.add(action)
+        if any(action.required and action not in seen for action in sub._actions):
+            return None
+        return argparse.Namespace(command=argv[0], **values)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -562,5 +562,4 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
             regime, reason = _regime(k, two, k0_bar, k2_bar, n, unstable, marginal)
             column.append(MapCell(regime, k0_bar, k2_bar, t, n, unstable, reason))
         columns.append(column)
-    return [[columns[ib][ik] for ib in range(len(beta_values))]
-            for ik in range(len(k_values))]
+    return [list(row) for row in zip(*columns)]

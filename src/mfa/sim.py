@@ -238,8 +238,10 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
               dt: float | None = None, t_end: float = 50.0, sink=None) -> Trajectory:
     """Classical fixed-step RK4 integration of the Lure loop realized by ``ss``.
 
-    A non-finite ``dt`` or ``t_end`` is a ``ValueError`` before anything
-    else.  Two step checks warn, from the spectral radii of the loop's
+    A non-finite ``dt`` or ``t_end``, and then an initial state that is not
+    finite or of the wrong length, is a ``ValueError`` before anything else,
+    so neither warns about the step.  Two step checks warn, from the
+    spectral radii of the loop's
     Jacobians at saturation slope 0 and 1, A and A - b c_loop: an accuracy
     warning when dt times the radius of A exceeds 0.2 (dt above a fifth of
     the fastest open-loop time constant), and a stability warning when dt
@@ -251,7 +253,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     necessarily at ``t_end``.  The reference is held constant over each step
     at the value in effect at the step's left endpoint.  The steps run in a
     straight-line kernel generated once per call for the loop's sparsity
-    pattern (:func:`_rk4_kernel`).  A non-finite initial state, or a
+    pattern (:func:`_rk4_kernel`).  A
     ``t_end`` that rounds to zero steps, whose ratio to ``dt`` overflows or
     whose step count is too large for an array to hold, is a ``ValueError``;
     a non-finite state along the way aborts with the offending time, found
@@ -269,6 +271,12 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         raise ValueError("requires finite dt > 0")
     if not 0.0 < t_end < math.inf:
         raise ValueError("requires finite t_end > 0")
+    n = ss.dim
+    s = [float(v) for v in ic]
+    if len(s) != n:
+        raise ValueError("initial condition dimension mismatch")
+    if not all(math.isfinite(v) for v in s):
+        raise ValueError("requires a finite initial condition")
     rho_open, rho_closed = np.max(np.abs(np.linalg.eigvals(ss.jacobians([0.0, 1.0]))),
                                   axis=1)
     rho = max(rho_open, rho_closed)
@@ -285,12 +293,6 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     if schedule is None:
         schedule = InputSchedule.constant(0.0)
 
-    n = ss.dim
-    s = [float(v) for v in ic]
-    if len(s) != n:
-        raise ValueError("initial condition dimension mismatch")
-    if not all(math.isfinite(v) for v in s):
-        raise ValueError("requires a finite initial condition")
     if t_end / dt == math.inf:
         raise ValueError(f"t_end = {t_end:g} over dt = {dt:g} overflows the step count")
     n_steps = int(round(t_end / dt))

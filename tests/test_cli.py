@@ -258,6 +258,17 @@ class TestInputChecks:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and "at least one gain" in captured.err
 
+    @pytest.mark.parametrize("gains", [["--k-min", "-1", "--k-max", "10"],
+                                       ["--k-min", "1", "--k-max", "-5"],
+                                       ["--k-min", "1", "--k-max", "0"]])
+    @pytest.mark.filterwarnings("error")
+    def test_non_positive_gain_exit_2(self, capsys, gains):
+        # refused before the grid is built, so numpy neither warns nor words
+        # the error
+        code = main(["map", *AMP_FLAGS, *gains, "--rows", "3", "--cols", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: requires positive gains\n")
+
     @pytest.mark.parametrize("argv", [
         [*MAP_FLAGS, "--rows", "3", "--cols", "3", "--r", "nan"],
         ["map", *AMP_FLAGS, "--k-min", "0.5", "--k-max", "inf", "--rows", "3", "--cols", "3"],
@@ -405,11 +416,16 @@ class TestSimulate:
         (["simulate", "--t-end", "inf"], "finite t_end"),
         (["simulate", "--dt", "inf"], "finite dt"),
         (["interconnect", "--load", LOAD_JSON, "--dt", "inf"], "finite dt"),
+        (["simulate", "--t-end", "1", "--dt", "0.1", "--ic", "1,nan,0"],
+         "finite initial condition"),
+        (["interconnect", "--load", LOAD_JSON, "--t-end", "1", "--dt", "0.1",
+          "--ic", "1,inf,0,0,0"], "finite initial condition"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_inputs_exit_2(self, capsys, flags, reason):
-        # dt and t_end are refused before the step checks, so no warning
-        # precedes the one error line
+        # dt, t_end and the initial condition are refused before the step
+        # checks, so no warning precedes the one error line, even for a dt
+        # the checks would warn about
         code = main([flags[0], *AMP_FLAGS, "--k", "5", "--beta", "0.4",
                      "--t-end", "0.01", *flags[1:]])
         captured = capsys.readouterr()
@@ -1045,9 +1061,9 @@ def _outcome(capsys, argv):
 
 
 class TestParserDispatch:
-    """An argv that starts with a subcommand is parsed by that subcommand's
-    parser alone; the output, usage, help and error text are those of the
-    full parser."""
+    """An argv that starts with a subcommand is read in one pass over that
+    subcommand's option table, with no argparse pass; the output, usage,
+    help and error text are those of the full parser."""
 
     ARGVS = {
         "analyze": ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--lambda", "50"],
@@ -1085,8 +1101,9 @@ class TestParserDispatch:
 
     @pytest.mark.parametrize("name", ["analyze", "map", "unknown-option", "missing-option"])
     def test_parse_passes(self, capsys, monkeypatch, name):
-        # one pass for a subcommand call; words the subcommand's parser
-        # leaves over send the argv through the full parser, two passes more
+        # no argparse pass for a subcommand call the one pass takes; any
+        # other argv goes through the full parser, whose pass hands the
+        # subcommand's words to the subcommand's parser
         passes = []
         real = argparse.ArgumentParser.parse_known_args
 
@@ -1097,11 +1114,95 @@ class TestParserDispatch:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         code = _outcome(capsys, self.ARGVS[name])[0]
         if name in ("analyze", "map"):
-            assert (code, passes) == (0, [f"mfa {name}"])
-        elif name == "unknown-option":
-            assert (code, passes) == (2, ["mfa analyze", "mfa", "mfa analyze"])
+            assert (code, passes) == (0, [])
         else:
-            assert (code, passes) == (2, ["mfa map"])
+            assert (code, passes) == (2, ["mfa", f"mfa {self.ARGVS[name][0]}"])
+
+
+def _bench_argvs(monkeypatch, tmp_path, name):
+    """The argv of every operation of the bench workload ``name``, seeds 1
+    and 2, with its input files written under ``tmp_path``."""
+    monkeypatch.syspath_prepend(os.path.join(RECIPES_DIR, "..", "bench"))
+    import workloads
+
+    argvs = []
+    for seed in (1, 2):
+        workdir = tmp_path / f"{name}-{seed}"
+        workdir.mkdir()
+        argvs += [op.argv for ops in workloads.build(name, seed, str(workdir)) for op in ops]
+    return argvs
+
+
+class TestOnePass:
+    """``_Parser.one_pass`` gives None or the namespace of the full parser,
+    and ``main`` gives the same exit code, stdout and stderr with and without
+    it.  Every recipe and bench command takes the one pass, so that the
+    benchmarked commands are read by it."""
+
+    _PRE = ["analyze", *AMP_FLAGS, "--k", "5", "--beta", "0.4"]
+    _SIM = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "0.001",
+            "--t-end", "0.01"]
+    # edge words: name -> (argv, whether the one pass takes it)
+    EDGES = {
+        "explicit-value": ([*_PRE, "--r=1"], False),
+        "abbreviation": ([*_PRE, "--lam", "50"], False),
+        "ambiguous-abbreviation": (["map", *AMP_FLAGS, "--k-m", "0.1", "--k-max", "10",
+                                    "--rows", "3", "--cols", "3"], False),
+        "help": (["analyze", "-h"], False),
+        "double-dash": ([*_PRE, "--", "--r", "1"], False),
+        "r-minus-inf": ([*_PRE, "--r", "-inf"], False),
+        "r-dash": ([*_PRE, "--r", "-"], False),
+        "r-no-value": ([*_PRE, "--r"], False),
+        "option-like-value": ([*_SIM, "--ic", "-x"], False),
+        "r-exponent": ([*_PRE, "--r", "-6e-05"], True),
+        "negative-ic": ([*_SIM, "--ic", "-0.5,0,0"], True),
+        "empty-output": ([*_SIM, "--output", ""], True),
+        "repeated-flag": ([*_PRE, "--k", "7"], True),
+        "repeated-store-true": ([*_SIM, "--detect", "--detect"], True),
+        "missing-option": (["map", *AMP_FLAGS, "--k-min", "0.1", "--rows", "3",
+                            "--cols", "3"], False),
+        "rows-exponent": (["map", *AMP_FLAGS, "--k-min", "0.1", "--k-max", "10",
+                           "--rows", "1e3", "--cols", "3"], False),
+        "nonlinearity": ([*_PRE, "--nonlinearity", "atan"], True),
+    }
+
+    @staticmethod
+    def _run_argv(argv, tmp_path):
+        """``argv`` as ``main`` runs it here: a trajectory cut to 0.01 s and a
+        nonempty ``--output`` under ``tmp_path``."""
+        argv = list(argv)
+        if "--t-end" in argv:
+            argv[argv.index("--t-end") + 1] = "0.01"
+        if "--output" in argv and argv[argv.index("--output") + 1]:
+            argv[argv.index("--output") + 1] = str(tmp_path / "out.csv")
+        return argv
+
+    @pytest.mark.parametrize("source", ["recipes", "map_sweep", "certify_points",
+                                        "simulate_trajectories", "edges"])
+    def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, source):
+        if source == "recipes":
+            # the recipes name their data files relative to their directory
+            monkeypatch.chdir(RECIPES_DIR)
+            names = sorted(n[:-3] for n in os.listdir(RECIPES_DIR) if n.endswith(".sh"))
+            cases = [(argv, True) for n in names for argv in recipe_commands(n)]
+        elif source == "edges":
+            cases = list(self.EDGES.values())
+        else:
+            cases = [(argv, True) for argv in _bench_argvs(monkeypatch, tmp_path, source)]
+        assert cases
+        one = cli.build_parser()
+        full = cli.build_parser()
+        full.commands = {}  # no argv takes the one pass
+        for argv, takes in cases:
+            parsed = one.one_pass(argv)
+            assert (parsed is not None) == takes, argv
+            if parsed is not None:
+                assert vars(parsed) == vars(full.parse_args(argv)), argv
+            run_argv = self._run_argv(argv, tmp_path)
+            monkeypatch.setattr(cli, "_parser", one)
+            got = _outcome(capsys, run_argv)
+            monkeypatch.setattr(cli, "_parser", full)
+            assert got == _outcome(capsys, run_argv), argv
 
 
 @pytest.mark.parametrize("argv", [
