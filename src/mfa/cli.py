@@ -6,16 +6,16 @@ values, and ``.`` decimals.  JSON uses the tags "unbounded" for an infinite
 critical gain and "infinite" for a zero or frequency at infinity.  Exit
 codes: 0 success, 2 invalid parameters (a run too large to allocate or to
 store included), 3 file/parse errors, 4 numerical errors.  CSV output is
-streamed in blocks of rows, never built as one string.  The all-float CSVs
-of ``simulate``, ``interconnect`` and ``nyquist`` are formatted by
-:func:`mfa.csvtext.format_block`, one numpy kernel per block, with the same
+streamed in blocks of rows, never built as one string, by
+:func:`_write_text`.  The all-float CSVs of ``simulate``, ``interconnect``
+and ``nyquist`` take their text from one generator, :func:`_csv_blocks`:
+one :func:`mfa.csvtext.format_block` numpy kernel per block, with the same
 bytes as ``%.17g``.  Where a second CPU is free, a trajectory's blocks are
 formatted as the integrator finishes them, by a forked formatter process,
 into a temporary file that is copied out once the run has ended; otherwise
 the finished trajectory is formatted (:func:`_write_trajectory`).  The map
 formats each gain and each column's balance and critical gains once, by
-position in the grid, and joins its rows from those strings; it, the
-Nyquist locus and an inline trajectory go through :func:`_write_csv`.
+position in the grid, and joins its rows from those strings.
 """
 
 from __future__ import annotations
@@ -69,24 +69,17 @@ def _equilibrium_dicts(equilibria) -> list[dict]:
 _CSV_ROWS = 1024
 
 
-def _write_csv(path: str | None, header: str, rows):
-    """Write a CSV to ``path``, or to stdout when ``path`` is None.
+def _csv_blocks(rows):
+    """The CSV text of the 2-D float array ``rows``, one
+    :func:`mfa.csvtext.format_block` call per :data:`_CSV_ROWS` rows, which
+    gives the bytes of ``format(x, ".17g")`` for every value, ``-0``,
+    ``inf`` and ``nan`` included."""
+    # imported here: its tables take about a megabyte and a few
+    # milliseconds to build, which the JSON commands and maps do not use
+    from .csvtext import format_block
 
-    The version comment and ``header`` come first, then ``rows`` in blocks of
-    :data:`_CSV_ROWS`, so the whole text is never held at once.  ``rows`` is
-    either a 2-D float array, each block one call of
-    :func:`mfa.csvtext.format_block`, which gives the bytes of
-    ``format(x, ".17g")`` for every value, ``-0``, ``inf`` and ``nan``
-    included, or a list of ready text lines.
-    """
-    if isinstance(rows, np.ndarray):
-        # imported here: its tables take about a megabyte and a few
-        # milliseconds to build, which the JSON commands and maps do not use
-        from .csvtext import format_block as block_data
-    else:
-        block_data = "".join
-    _write_text(path, header, (block_data(rows[i:i + _CSV_ROWS])
-                               for i in range(0, len(rows), _CSV_ROWS)))
+    for i in range(0, len(rows), _CSV_ROWS):
+        yield format_block(rows[i:i + _CSV_ROWS])
 
 
 def _write_text(path: str | None, header: str, chunks):
@@ -262,7 +255,8 @@ def cmd_map(args) -> int:
                 for beta, cell in zip(betas, cells[0])]
     lines = [f"{kt}{bt}{cell.regime}{gt}{cell.n_equilibria},{cell.n_unstable}\n"
              for kt, row in zip(k_text, cells) for (bt, gt), cell in zip(col_text, row)]
-    _write_csv(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable", lines)
+    _write_text(args.output, "k,beta,regime,k0_bar,k2_bar,n_equilibria,n_unstable",
+                ("".join(lines[i:i + _CSV_ROWS]) for i in range(0, len(lines), _CSV_ROWS)))
     return 0
 
 
@@ -289,10 +283,8 @@ def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
 def _format_from(pipe, out) -> bool:
     """Append to ``out`` the text of each row block read from ``pipe``, sent
     as its int64 shape and then its float64 values, up to the end-of-data
-    shape (0, 0), in :func:`mfa.csvtext.format_block` calls of
-    :data:`_CSV_ROWS` rows; False when the pipe ends before it."""
-    from .csvtext import format_block
-
+    shape (0, 0), by :func:`_csv_blocks`; False when the pipe ends before
+    it."""
     while True:
         head = pipe.read(16)
         if len(head) < 16:
@@ -303,9 +295,7 @@ def _format_from(pipe, out) -> bool:
         data = pipe.read(8 * rows * cols)
         if len(data) < 8 * rows * cols:
             return False
-        block = np.frombuffer(data).reshape(rows, cols)
-        for i in range(0, rows, _CSV_ROWS):
-            out.write(format_block(block[i:i + _CSV_ROWS]))
+        out.writelines(_csv_blocks(np.frombuffer(data).reshape(rows, cols)))
 
 
 def _run_forked(run, text):
@@ -386,10 +376,12 @@ def _write_trajectory(path: str | None, run) -> Trajectory:
     (:func:`_run_forked`), into an unnamed temporary file that is copied to
     the destination once the run has ended, so the temporary directory
     needs room for the whole CSV.  Otherwise, or when the fork fails, the
-    finished trajectory's arrays are formatted straight to the destination
-    (:func:`_write_csv`).  The bytes are the same either way, and the
-    destination is opened only after ``run`` returns, so a run that fails
-    writes nothing; a formatter that fails is an ``OSError`` naming it.
+    finished trajectory's arrays are formatted straight to the destination.
+    Both make their text with :func:`_csv_blocks`, and the integrator
+    returns the very rows it hands a sink, so the bytes are the same either
+    way, for a loop of any size.  The destination is opened only after
+    ``run`` returns, so a run that fails writes nothing; a formatter that
+    fails is an ``OSError`` naming it.
     """
     import os
     import tempfile
@@ -406,8 +398,9 @@ def _write_trajectory(path: str | None, run) -> Trajectory:
                             iter(functools.partial(text.read, 1 << 20), b""))
                 return traj
     traj = run(None)
-    _write_csv(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
-               np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()]))
+    _write_text(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
+                _csv_blocks(np.column_stack([traj.t, traj.states, traj.y,
+                                             *traj.extra.values()])))
     return traj
 
 
@@ -467,8 +460,8 @@ def cmd_nyquist(args) -> int:
         raise ValueError("requires 0 < omega_min < omega_max")
     if args.grid_points < 2:
         raise ValueError("requires n_points >= 2")
-    _write_csv(args.output, "omega,re,im",
-               nyquist_locus(g, lam, np.geomspace(lo, hi, args.grid_points)))
+    _write_text(args.output, "omega,re,im",
+                _csv_blocks(nyquist_locus(g, lam, np.geomspace(lo, hi, args.grid_points))))
     return 0
 
 

@@ -85,12 +85,11 @@ class RegimeClassification:
 
 class MapCell(NamedTuple):
     """One (gain, balance) cell of a regime map: the regime, the column's
-    critical gains and crossing gain T, and the equilibrium counts."""
+    critical gains and the equilibrium counts."""
 
     regime: str
     k0_bar: float
     k2_bar: float
-    crossing_gain: float
     n_equilibria: int
     n_unstable: int
     reason: str = ""
@@ -513,9 +512,11 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
                   ) -> list[list[MapCell]]:
     """Regime cells over a (gain, balance) grid, indexed [k_index][beta_index].
 
-    Each balance column is one unit-gain amplifier loop.  Its critical gains
-    k0_bar and k2_bar and its crossing gain T (:attr:`LureLoop.crossing_gain`)
-    do not depend on k, so they are taken once.  At gain k an equilibrium at
+    Gains must be positive and finite, and balances within [0, 1].  Each
+    balance column is one unit-gain amplifier loop.  Its critical gains
+    k0_bar and k2_bar, which each of its cells reports, and its crossing gain
+    T (:attr:`LureLoop.crossing_gain`), which the counts use, do not depend
+    on k, so they are taken once.  At gain k an equilibrium at
     v has the linearization den + phi'(v) k num, unstable exactly when
     phi'(v) > s = T/k: on |v| < y_s = slope_inverse(s) when s < 1, nowhere
     when s >= 1, as phi' is even and decreases in |v| from phi'(0) = 1.  With
@@ -532,8 +533,10 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
     beta_values = [float(b) for b in beta_values]
     if not k_values or not beta_values:
         raise ValueError("requires at least one gain and one balance")
-    if any(k <= 0.0 for k in k_values):
+    if any(not k > 0.0 for k in k_values):
         raise ValueError("requires positive gains")
+    if any(not math.isfinite(k) for k in k_values):
+        raise ValueError("requires finite gains")
     if any(not 0.0 <= b <= 1.0 for b in beta_values):
         raise ValueError("requires 0 <= beta <= 1")
     phi, _, slope_inverse = get_nonlinearity(nonlinearity)
@@ -546,8 +549,7 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
             two, k0_bar, k2_bar = _critical_gains(loop, lam)
             t = loop.crossing_gain
         except (ArithmeticError, ValueError) as exc:
-            cell = MapCell(REGIME_UNCLASSIFIED, math.nan, math.nan, math.nan, 0, 0,
-                           str(exc))
+            cell = MapCell(REGIME_UNCLASSIFIED, math.nan, math.nan, 0, 0, str(exc))
             columns.append([cell] * len(k_values))
             continue
         fold = loop.g0 > 0.0 and t == 1.0 / loop.g0
@@ -560,6 +562,6 @@ def dominance_map(tau_l: float, tau_p: float, tau_n: float,
             n, unstable, marginal = ((1, int(y_s > 0.0), int(y_s == 0.0)) if g0 == 0.0
                                      else _scan_line(phi, 1.0 / g0, r, slope_inverse, y_s))
             regime, reason = _regime(k, two, k0_bar, k2_bar, n, unstable, marginal)
-            column.append(MapCell(regime, k0_bar, k2_bar, t, n, unstable, reason))
+            column.append(MapCell(regime, k0_bar, k2_bar, n, unstable, reason))
         columns.append(column)
     return [list(row) for row in zip(*columns)]

@@ -97,6 +97,8 @@ class InputSchedule:
         if self.entries[0][0] != 0.0:
             raise ValueError("requires first t_start = 0")
         ts = [t for t, _ in self.entries]
+        if not all(map(math.isfinite, ts)):
+            raise ValueError("requires finite t_start")
         if any(t1 >= t2 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError("requires strictly increasing t_start")
 
@@ -113,13 +115,14 @@ class InputSchedule:
 
     def values_for_steps(self, dt: float, n_steps: int) -> np.ndarray:
         """Reference value for each step; a change applies at the first
-        sample >= its t_start."""
+        sample >= its t_start, and one beyond the last step, its sample
+        index overflowing included, is ignored."""
         out = np.empty(n_steps)
         out.fill(self.entries[0][1])
         for t_start, value in self.entries[1:]:
-            idx = int(math.ceil(t_start / dt - 1e-9))
-            if idx < n_steps:
-                out[idx:] = value
+            first = t_start / dt - 1e-9
+            if first < n_steps:
+                out[math.ceil(first):] = value
         return out
 
     @property
@@ -258,14 +261,11 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     whose step count is too large for an array to hold, is a ``ValueError``;
     a non-finite state along the way aborts with the offending time, found
     once per block of steps.  The output ``y`` and the extra outputs are
-    products of the states with their rows: taken over the whole states
-    array when no ``sink`` is given, and otherwise block by block, and
-    ``sink`` is called once per finished block with its rows
-    ``[t, states, y, extra...]`` as one 2-D array, the initial row with the
-    first block.  The returned trajectory holds the sink's values, so the
-    two cannot disagree.  The blocked products match the whole-array ones
-    bit for bit for loops of up to 7 states on OpenBLAS; a larger loop's can
-    differ from them in the last bit.
+    products of each finished block's states with their rows, the initial
+    row taken with the first block.  A ``sink``, when given, is called once
+    per finished block with its rows ``[t, states, y, extra...]`` as one
+    2-D array.  The returned arrays are the rows a sink would get, with or
+    without a sink, for a loop of any size.
     """
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
@@ -309,7 +309,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     t = np.arange(n_steps + 1) * dt
     names = ["y", *(name for name, _ in ss.extra_outputs)]
     c_rows = [np.asarray(ss.c), *(np.asarray(row) for _, row in ss.extra_outputs)]
-    outputs = [np.empty(n_steps + 1) for _ in names] if sink is not None else None
+    outputs = [np.empty(n_steps + 1) for _ in names]
     # a one-row product takes numpy's vector path, whose last bit can differ
     # from the matrix product's over the same row: so the initial row goes
     # with the first block, a lone last step joins the block before it, and
@@ -327,14 +327,12 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         if len(bad):
             raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         s = out[-n:]
+        rows = slice(i0 + 1 if i0 else 0, i1 + 1)
+        for col, c in zip(outputs, c_rows):
+            np.matmul(states[rows], c, out=col[rows])
         if sink is not None:
-            rows = slice(i0 + 1 if i0 else 0, i1 + 1)
-            for col, c in zip(outputs, c_rows):
-                np.matmul(states[rows], c, out=col[rows])
             sink(np.column_stack([t[rows], states[rows], *(col[rows] for col in outputs)]))
 
-    if sink is None:
-        outputs = [states @ c for c in c_rows]
     return Trajectory(t=t, states=states, y=outputs[0], schedule=schedule,
                       labels=ss.labels, extra=dict(zip(names[1:], outputs[1:])))
 

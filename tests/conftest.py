@@ -12,6 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from mfa.cli import main
+from mfa.equilibria import LureLoop
+from mfa.interconnect import load_from_json
+from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import _sparse
 from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
 
@@ -221,6 +224,29 @@ def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:
             raise ArithmeticError(f"divergence at t={(step + 1) * dt:.6g}")
         states[step + 1] = s
     return states
+
+
+#: Loops of 9 and 13 states, where a product of the states with an output
+#: row over the whole array can differ in the last bit from the products
+#: over blocks of rows: a 4+4 and a 6+6 channel bank, and a 3+3 bank
+#: bordered by the recipe load.
+WIDE_LOOPS = ["bank-4x4", "bank-6x6", "bank-3x3-load"]
+
+
+def wide_loop(name: str):
+    """The state space and a seeded initial state of the loop ``name`` of
+    :data:`WIDE_LOOPS`."""
+    taus = {"bank-4x4": ((0.02, 0.05, 0.1, 0.2), (1.0, 1.5, 2.0, 3.0)),
+            "bank-6x6": ((0.02, 0.03, 0.05, 0.08, 0.12, 0.2), (1.0, 1.25, 1.5, 2.0, 2.5, 3.0)),
+            "bank-3x3-load": ((0.05, 0.1, 0.2), (1.0, 2.0, 3.0))}[name]
+    pos, neg = (ChannelBank(tuple(Channel(1.0 / len(ts), tau) for tau in ts)) for ts in taus)
+    if name.endswith("load"):
+        with open(os.path.join(RECIPES_DIR, "data", "load_msd.json")) as fh:
+            load, iface = load_from_json(json.load(fh))
+        ss = LureLoop.load(LureLoop.bank(0.01, pos, neg, 1.0, 0.4), 10.0, load, iface).ss
+    else:
+        ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
+    return ss, tuple(np.random.default_rng(ss.dim).uniform(-0.1, 0.1, ss.dim).tolist())
 
 
 def reference_map_text(ks, betas, cells) -> str:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, fold_point, reference_map_text
+from conftest import RECIPES_DIR, WIDE_LOOPS, fold_point, reference_map_text, wide_loop
 
 import mfa.cli as cli
 import mfa.csvtext as csvtext
@@ -388,6 +388,16 @@ class TestSimulate:
         assert rep["oscillating"] is True
         assert rep["bounded"] is True
 
+    @pytest.mark.parametrize("detect", [[], ["--detect"]], ids=["csv", "detect"])
+    def test_schedule_change_past_float_range_ignored(self, capsys, tmp_path, detect):
+        # 1e308 / dt overflows to inf: the change lies beyond the horizon
+        sched = tmp_path / "late.json"
+        sched.write_text('[{"t": 0, "r": 0}, {"t": 1e308, "r": 1}]')
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "1e-3",
+                "--t-end", "1", *detect]
+        late = run(capsys, [*argv, "--schedule", str(sched)])
+        assert late == run(capsys, argv) and late[0] == 0
+
     def test_detect_with_nothing_after_settling(self, capsys):
         # the settle time 10 * max(taus) = 100 s lies past t_end, and the
         # output stays exactly 0 from the zero state
@@ -627,6 +637,21 @@ class TestTrajectoryFormatter:
         assert all(t.states.tobytes() == traj.states.tobytes() for t in trajs)
         for col, row in [(traj.y, ss.c), *((traj.extra[n], r) for n, r in ss.extra_outputs)]:
             assert col.tobytes() == (traj.states @ np.asarray(row)).tobytes()
+
+    @pytest.mark.parametrize("name", WIDE_LOOPS)
+    def test_transports_agree_on_wide_loops(self, tmp_path, monkeypatch, name):
+        # from 9 states up the product over every row differs in the last
+        # bit from the blocked ones that the forked formatter gets
+        monkeypatch.setattr(sim, "_BLOCK", 7)
+        ss, ic = wide_loop(name)
+        texts = set()
+        for transport in TRANSPORTS:
+            _use_transport(monkeypatch, transport)
+            dest = tmp_path / f"{transport}.csv"
+            cli._write_trajectory(
+                str(dest), lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.1, sink=sink))
+            texts.add(dest.read_bytes())
+        assert len(texts) == 1
 
     @pytest.mark.parametrize("transport, case", [
         (transport, case) for transport in TRANSPORTS
@@ -1307,11 +1332,13 @@ def _numpy_has_x86_v4() -> bool:
 
 
 class TestRecipeMapsOnAnyHost:
-    """The four recipe maps do not depend on the kernels the host selects:
-    byte for byte under another OpenBLAS kernel, and in every column but
-    ``k`` with numpy's AVX-512 loops off, as on an AVX2-only processor.  The
-    gain grid comes from ``np.geomspace``, whose ``power`` loop is SIMD, so
-    it alone may move in the last bit there."""
+    """The four recipe maps and the two Nyquist loci do not depend on the
+    kernels the host selects.  Under another OpenBLAS kernel all six hold
+    byte for byte.  With numpy's AVX-512 loops off, as on an AVX2-only
+    processor, the maps hold in every column but ``k``, and the loci are
+    not compared: the gain grid and the loci's frequencies come from
+    ``np.geomspace``, whose ``power`` loop is SIMD, so they may move in the
+    last bit there."""
 
     SETTINGS = {
         "blas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
@@ -1319,22 +1346,26 @@ class TestRecipeMapsOnAnyHost:
         "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
     }
 
+    NYQUIST = ["nyquist_openloop", "nyquist_shifted_load"]
+
     @classmethod
-    def maps(cls, tmp_path, setting):
-        """The maps' CSV bytes by name, all four from one interpreter."""
+    def outputs(cls, tmp_path, setting, names):
+        """The CSV bytes of the recipes ``names`` by name, all from one
+        interpreter in the recipe directory, where their input files are."""
         out = tmp_path / (setting or "default")
         out.mkdir()
-        argvs = [recipe_argv(name, str(out / f"{name}.csv")) for name in TestRecipeMaps.SHA256]
+        argvs = [recipe_argv(name, str(out / f"{name}.csv")) for name in names]
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
         env.update(cls.SETTINGS.get(setting, {}))
-        path = [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH")]
+        path = [os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")),
+                env.get("PYTHONPATH")]
         env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
         script = ("import json, sys\nfrom mfa.cli import main\n"
                   "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))")
         subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True,
-                       timeout=120)
-        return {name: (out / f"{name}.csv").read_bytes() for name in TestRecipeMaps.SHA256}
+                       timeout=120, cwd=RECIPES_DIR)
+        return {name: (out / f"{name}.csv").read_bytes() for name in names}
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_maps_match_default(self, tmp_path, setting):
@@ -1342,7 +1373,8 @@ class TestRecipeMapsOnAnyHost:
             pytest.skip("numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
         if setting.startswith("numpy") and not _numpy_has_x86_v4():
             pytest.skip("numpy does not run X86_V4 loops here")
-        want, got = self.maps(tmp_path, None), self.maps(tmp_path, setting)
+        names = [*TestRecipeMaps.SHA256, *(self.NYQUIST if setting.startswith("blas") else ())]
+        want, got = (self.outputs(tmp_path, s, names) for s in (None, setting))
         if setting.startswith("blas"):
             assert got == want
             return

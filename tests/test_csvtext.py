@@ -103,7 +103,7 @@ class TestWriteCsv:
         rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 20, size=(n, 3))
         expected = f"# mfa {__version__}\na,b,c\n".encode() + reference(rows)
         dest = tmp_path / "out.csv"
-        cli._write_csv(str(dest), "a,b,c", rows)
+        cli._write_text(str(dest), "a,b,c", cli._csv_blocks(rows))
         assert dest.read_bytes() == expected
-        cli._write_csv(None, "a,b,c", rows)
+        cli._write_text(None, "a,b,c", cli._csv_blocks(rows))
         assert capsys.readouterr().out.encode() == expected

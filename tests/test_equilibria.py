@@ -193,6 +193,15 @@ class TestDominanceMap:
         with pytest.raises(ValueError):
             dominance_map(*TAUS, [1.0], [1.5])
 
+    @pytest.mark.parametrize("k, message", [(math.nan, "requires positive gains"),
+                                            (-math.inf, "requires positive gains"),
+                                            (math.inf, "requires finite gains")])
+    def test_non_finite_gain_refused(self, k, message):
+        # a NaN gain once passed the sign check and came out Unclassified,
+        # and an infinite one divided by zero
+        with pytest.raises(ValueError, match=message):
+            dominance_map(*TAUS, [1.0, k], [0.5])
+
     def test_repeated_map_deterministic(self):
         ks = np.geomspace(0.5, 50, 4)
         betas = np.linspace(0.1, 0.9, 5)

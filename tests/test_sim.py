@@ -3,12 +3,13 @@
 import dis
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, reference_rk4, vector_field
+from conftest import RECIPES_DIR, WIDE_LOOPS, reference_rk4, vector_field, wide_loop
 
 from mfa import sim
 from mfa.equilibria import STABLE, UNSTABLE, LureLoop
@@ -76,6 +77,17 @@ class TestSchedule:
         assert list(vals) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         vals = sched.values_for_steps(0.25, 4)
         assert list(vals) == [1.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("t_start", [1.0, 1e300, 1e308, sys.float_info.max])
+    def test_change_beyond_horizon_ignored(self, t_start):
+        # 1e308 / 1e-3 overflows to inf, whose sample index has no integer
+        sched = InputSchedule(((0.0, 0.5), (t_start, 1.0)))
+        assert sched.values_for_steps(1e-3, 1000).tolist() == [0.5] * 1000
+
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, t_start):
+        with pytest.raises(ValueError, match="finite t_start"):
+            InputSchedule(((0.0, 0.5), (t_start, 1.0)))
 
 
 class TestIntegrate:
@@ -291,9 +303,9 @@ class TestKernelBitIdentity:
                    dt=5e-4, t_end=2.0)
 
     def test_four_by_three_bank_outputs(self, monkeypatch):
-        # an 8-state loop, whose blocked products can differ in the last bit
-        # from the whole-array ones: without a sink the output is the
-        # product over every row, and with one it is the sink's copy
+        # an 8-state loop: its 2001 rows fit one block, so the output is the
+        # product over every row; in blocks of 7 it is the products over
+        # each block, the rows the sink gets
         pos = ChannelBank(tuple(Channel(0.25, tau) for tau in (0.02, 0.05, 0.1, 0.2)))
         neg = ChannelBank(tuple(Channel(1 / 3, tau) for tau in (1.0, 2.0, 3.0)))
         ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss
@@ -308,6 +320,20 @@ class TestKernelBitIdentity:
         rows = np.concatenate(blocks)
         assert rows[:, 9].tobytes() == sunk.y.tobytes()
         assert rows.tobytes() == np.column_stack([sunk.t, sunk.states, sunk.y]).tobytes()
+
+    @pytest.mark.parametrize("name", WIDE_LOOPS)
+    def test_outputs_same_with_and_without_sink(self, monkeypatch, name):
+        # from 9 states up the product over every row differs in the last
+        # bit from the blocked ones: both ways take the blocked products
+        monkeypatch.setattr(sim, "_BLOCK", 7)
+        ss, ic = wide_loop(name)
+        plain = integrate(ss, ic, dt=1e-3, t_end=0.1)
+        blocks = []
+        sunk = integrate(ss, ic, dt=1e-3, t_end=0.1, sink=blocks.append)
+        assert len(blocks) == 15  # 100 steps: 14 blocks of 7, then 2
+        for traj in (plain, sunk):
+            rows = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
+            assert rows.tobytes() == np.concatenate(blocks).tobytes()
 
     def test_load_single_term_row(self):
         # with ko = 0 the load decays on its own, so q' = qdot, a row of one
