@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_par
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank
 from .sim import StateSpace
-from .tf_core import Polynomial, RationalTF, get_nonlinearity
+from .tf_core import Polynomial, RationalTF, _eigvals, get_nonlinearity
 
 __all__ = [
     "Equilibrium",
@@ -221,7 +222,10 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
         return p
 
     terms = [times_lags([rho], i) for i, (rho, _) in enumerate((*pos, *neg))]
-    p, m = ([sum(c) for c in zip(*bank)] for bank in (terms[:len(pos)], terms[len(pos):]))
+    # each column summed as a left fold from 0.0, as Python 3.11's sum() does
+    # and 3.12's compensated sum() does not
+    p, m = ([reduce(add, c, 0.0) for c in zip(*bank)]
+            for bank in (terms[:len(pos)], terms[len(pos):]))
     num, den = [-(beta * (a + b) - b) for a, b in zip(p, m)], times_lags([1.0, tau_l])
     if not all(map(math.isfinite, num + den)):
         raise ArithmeticError("time constants too large: lag product overflow")
@@ -453,7 +457,7 @@ class LureLoop:
                 raise ArithmeticError("equilibrium beyond float range")
             points.append((y, state))
         # complex sort orders by real part, then imaginary part
-        eigs = np.linalg.eigvals(self.jacobians(vs)).astype(complex)
+        eigs = _eigvals(self.jacobians(vs))
         return [Equilibrium(y_star=y, state=state, eigenvalues=tuple(e),
                             stability=classify_stability(e))
                 for (y, state), e in zip(points, np.sort(eigs, axis=1, kind="stable").tolist())]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tf_core import RationalTF, _companion_roots, _conv, _horner, _poly_add, tf_shift
+from .tf_core import (RationalTF, _companion_roots, _compiled, _conv, _horner, _poly_add, _shift,
+                      tf_shift)
 
 __all__ = [
     "DominanceCertificate",
@@ -121,29 +122,46 @@ def _der(c: list[float]) -> list[float]:
     return [k * a for k, a in enumerate(c[1:], 1)] if len(c) > 1 else [0.0]
 
 
-def _stationary_poly(num, den) -> tuple[float, list[float]]:
-    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
-    of num/den, given as ascending coefficients, whose roots z with Re z > 0
-    give the stationary frequencies w0 sqrt(Re z).
+def _axis_products(num, den):
+    """Scale w0 and the ascending coefficients of P and Q in u = (w/w0)**2,
+    Re N(jw)/D(jw) = P(u)/Q(u), of num/den given as ascending coefficients.
 
     w0 = |d_0/d_n|**(1/n) of the denominator, of degree n >= 1 under a
     nonzero strictly proper numerator, makes its lowest and highest
     coefficients match in size before the roots are taken.  Products are
     :func:`mfa.tf_core._conv` and sums are of lists, in Python floats, so the
-    coefficients do not depend on the host.  P = 0 gives no coefficients.
+    coefficients do not depend on the host.
     """
     w0 = abs(den[0] / den[-1]) ** (1.0 / (len(den) - 1))
     ne, no = _axis_parts(num, w0)
     de, do = _axis_parts(den, w0)
-    pp = _poly_add(_conv(ne, de), [0.0, *_conv(no, do)])
-    qq = _poly_add(_conv(de, de), [0.0, *_conv(do, do)])
+    return (w0, _poly_add(_conv(ne, de), [0.0, *_conv(no, do)]),
+            _poly_add(_conv(de, de), [0.0, *_conv(do, do)]))
+
+
+def _stationary_coeffs(pp, qq) -> list[float]:
+    """Descending coefficients of P'Q - PQ' of the ascending ``pp`` and ``qq``."""
+    # deg P < deg Q = n; at deg P = 0, _der's one zero leads, and the root
+    # call strips it
+    return _poly_add(_conv(_der(pp), qq), [-x for x in _conv(pp, _der(qq))])[::-1]
+
+
+def _stationary_poly(num, den) -> tuple[float, list[float]]:
+    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
+    of num/den, given as ascending coefficients, whose roots z with Re z > 0
+    give the stationary frequencies w0 sqrt(Re z).
+
+    :func:`_axis_products` and :func:`_stationary_coeffs` run as
+    themselves or as their kernels for the shapes at hand
+    (:func:`mfa.tf_core._compiled`), with the same bits.  P's trailing zeros
+    are stripped between the two, and P = 0 gives no coefficients.
+    """
+    w0, pp, qq = _compiled(_axis_products, len(num), len(den))(num, den)
     while pp and pp[-1] == 0.0:
         pp.pop()
     if not pp:
         return w0, []
-    # deg P < deg Q = n; at deg P = 0, _der's one zero leads, and the root
-    # call strips it
-    return w0, _poly_add(_conv(_der(pp), qq), [-x for x in _conv(pp, _der(qq))])[::-1]
+    return w0, _compiled(_stationary_coeffs, len(pp), len(qq))(pp, qq)
 
 
 def min_real_part(g: RationalTF, lam):
@@ -156,24 +174,27 @@ def min_real_part(g: RationalTF, lam):
     root of P'Q - PQ' (:func:`_stationary_poly`).  Every root z with Re z > 0
     gives the candidate w = w0 math.sqrt(Re z): rounding can split a double
     root into a complex pair, and an extra real frequency cannot undercut the
-    minimum.  A running minimum of :func:`_re_at` keeps the first of equal
-    values: w = 0, infinity, the roots.  Returns (min_re, omega_at_min),
+    minimum.  A running minimum of :func:`_re_at` on the shifted coefficient
+    lists (:func:`mfa.tf_core._shift`) keeps the first of equal values:
+    w = 0, infinity, the roots.  Returns (min_re, omega_at_min),
     omega_at_min inf when the limit 0 is the minimum; a zero numerator gives
-    (0.0, 0.0).  For a tuple of rates ``lam``, a tuple of such pairs from one
-    root call (:func:`mfa.tf_core._companion_roots`), the only LAPACK call here.
+    (0.0, 0.0).  For a tuple of rates ``lam``, a tuple of such pairs, with
+    the poles checked against every rate first and the roots of every rate
+    from one :func:`mfa.tf_core._companion_roots` call, which makes one
+    eigenvalue call per matrix size.
     """
     rates = lam if isinstance(lam, tuple) else (lam,)
-    for rate in rates:
-        _check_axis_clear(g, rate)
+    if any(_on_axis(g.den_roots, rate) for rate in rates):
+        raise ArithmeticError("pole on shifted imaginary axis")
     if g.num.is_zero:
         return ((0.0, 0.0),) * len(rates) if isinstance(lam, tuple) else (0.0, 0.0)
-    shifted = [(g.num.shifted(rate).coeffs, g.den.shifted(rate).coeffs) for rate in rates]
+    shifted = [(_shift(g.num.coeffs, rate), _shift(g.den.coeffs, rate)) for rate in rates]
     polys = [_stationary_poly(*s) for s in shifted]
     mins = []
     for (num, den), (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
         # w = 0 wins a tie with infinity, as 0.0 < inf
         best, w_at = min((_re_at(num, den, 0.0), 0.0), (0.0, math.inf))
-        for w in [w0 * math.sqrt(x) for x in z.real.tolist() if x > 0.0]:
+        for w in [w0 * math.sqrt(x.real) for x in z if x.real > 0.0]:
             v = _re_at(num, den, w)
             if v < best:
                 best, w_at = v, w

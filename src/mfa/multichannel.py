@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 __all__ = [
     "BETWEEN_NEGATIVE",
@@ -89,7 +91,10 @@ def bank_critical_balance(pos: ChannelBank, neg: ChannelBank) -> float:
     chans = pos.sorted_channels() + neg.sorted_channels()
     taus = [ch.tau for ch in chans]
     tops = [math.prod([ch.rho, *taus[:i], *taus[i + 1:]]) for i, ch in enumerate(chans)]
-    p, m = sum(tops[:len(pos.channels)]), sum(tops[len(pos.channels):])
+    # left folds from 0.0, as Python 3.11's sum() adds and 3.12's
+    # compensated sum() does not
+    p, m = (reduce(add, part, 0.0)
+            for part in (tops[:len(pos.channels)], tops[len(pos.channels):]))
     return m / (p + m)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tf_core import get_nonlinearity
+from .tf_core import _eigvals, get_nonlinearity
 
 __all__ = [
     "InputSchedule",
@@ -277,7 +277,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         raise ValueError("initial condition dimension mismatch")
     if not all(math.isfinite(v) for v in s):
         raise ValueError("requires a finite initial condition")
-    rho_open, rho_closed = np.max(np.abs(np.linalg.eigvals(ss.jacobians([0.0, 1.0]))),
+    rho_open, rho_closed = np.max(np.abs(_eigvals(ss.jacobians([0.0, 1.0]))),
                                   axis=1)
     rho = max(rho_open, rho_closed)
     if dt is None:

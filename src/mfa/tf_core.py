@@ -8,10 +8,13 @@ ever performed.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "MAX_ROOT_DEGREE",
@@ -41,6 +44,162 @@ def _conv(a, b):
         for j, y in enumerate(b, i):
             out[j] += x * y
     return out
+
+
+#: The operations a traced value records: (precedence, least precedence of
+#: the left and of the right operand that need no parentheses, template).
+#: Sums and products associate to the left, so a left operand of the same
+#: precedence needs none.
+_ADD = (1, 1, 2, "{} + {}")
+_MUL = (2, 2, 3, "{} * {}")
+_DIV = (2, 2, 3, "{} / {}")
+_NEG = (3, 3, None, "-{}")
+_POW = (4, 5, 3, "{} ** {}")
+_ABS = (5, 0, None, "abs({})")
+
+
+class _Traced:
+    """A float argument or intermediate of a traced function.
+
+    Each arithmetic operation on it appends a node, holding the operation
+    and its one or two operands, to the shared ``tape`` and returns that
+    node, so running a function of floats on traced arguments records its
+    operations in their order and counts the uses of each value.  A traced
+    value has no truth value and no equality, so a branch on one fails
+    instead of being frozen into the record.
+    """
+
+    __slots__ = ("tape", "text", "prec", "uses", "op", "a", "b")
+
+    def __init__(self, tape: list, text: str):
+        self.tape, self.text, self.prec, self.uses = tape, text, 5, 0
+
+    def _record(self, op, a, b=None):
+        node = _Traced(self.tape, "")
+        node.op, node.a, node.b = op, a, b
+        if type(a) is _Traced:
+            a.uses += 1
+        if type(b) is _Traced:
+            b.uses += 1
+        self.tape.append(node)
+        return node
+
+    def __add__(self, other):
+        return self._record(_ADD, self, other)
+
+    def __radd__(self, other):
+        return self._record(_ADD, other, self)
+
+    def __mul__(self, other):
+        return self._record(_MUL, self, other)
+
+    def __rmul__(self, other):
+        return self._record(_MUL, other, self)
+
+    def __truediv__(self, other):
+        return self._record(_DIV, self, other)
+
+    def __pow__(self, other):
+        return self._record(_POW, self, other)
+
+    def __neg__(self):
+        return self._record(_NEG, self)
+
+    def __abs__(self):
+        return self._record(_ABS, self)
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value")
+
+    def __eq__(self, other):
+        raise TypeError("a traced value has no truth value")
+
+
+def _source(value, prec: int = 0) -> str:
+    """Python source of a traced value, a finite constant, or a list or tuple
+    of them, in parentheses when it binds less tightly than ``prec``."""
+    if type(value) is _Traced:
+        text, own = value.text, value.prec
+    elif type(value) is list:
+        return "[" + ", ".join(map(_source, value)) + "]"
+    elif type(value) is tuple:
+        return "(" + "".join(_source(v) + ", " for v in value) + ")"
+    else:
+        text = repr(value)
+        own = 3 if text[0] == "-" else 5
+    return text if own >= prec else "(" + text + ")"
+
+
+def _count_uses(value):
+    """Count one more use of every traced value in a (nested) result."""
+    if type(value) is _Traced:
+        value.uses += 1
+    elif type(value) in (list, tuple):
+        for v in value:
+            _count_uses(v)
+
+
+@functools.cache
+def _kernel(fn, *shape):
+    """``fn`` as straight-line code for arguments of ``shape``: per argument
+    a length for a sequence of floats, or None for one float.
+
+    ``fn`` runs once on :class:`_Traced` arguments, and the kernel is the
+    record of that run: every float operation that ``fn`` made, on the same
+    operands, with constants as their ``repr``, which reads back to the same
+    float.  A value used once is written into the expression that uses it,
+    in parentheses where precedence needs them, and any other value is
+    first assigned to a local, so every operation keeps its operands and
+    the kernel returns the bits that ``fn`` returns for arguments of that
+    shape.  Only the moment at which a value is computed can move; of the
+    operations that can raise, a division and a power, the traced functions
+    here have at most one chain.  ``fn`` may branch and loop on lengths
+    only; its result may hold lists and tuples.  Cached by ``(fn, *shape)``;
+    shapes are bounded by the degrees of the loops' polynomials.
+    """
+    tape = []
+    args = [_Traced(tape, f"x{i}") if n is None
+            else [_Traced(tape, f"x{i}_{j}") for j in range(n)]
+            for i, n in enumerate(shape)]
+    result = fn(*args)
+    _count_uses(result)
+    lines = [f"{_source(tuple(a))} = x{i}" for i, a in enumerate(args) if type(a) is list]
+    for node in tape:
+        prec, left, right, template = node.op
+        expr = (template.format(_source(node.a, left)) if right is None
+                else template.format(_source(node.a, left), _source(node.b, right)))
+        if node.uses == 1:
+            node.text, node.prec = expr, prec
+        else:
+            node.text = f"t{len(lines)}"
+            lines.append(node.text + " = " + expr)
+    tape.clear()  # each node holds the tape: free them now, not in a collection
+    src = "\n    ".join([f"def kernel({', '.join(f'x{i}' for i in range(len(shape)))}):",
+                        *lines, f"return {_source(result)}"])
+    namespace = {}
+    exec(src, namespace)
+    return namespace["kernel"]
+
+
+#: Calls of a traced function on one shape that run the function itself
+#: before :func:`_compiled` hands out its kernel.  A kernel costs as much to
+#: build as some 50 to 100 calls of the function it replaces, so a one-point
+#: command, which makes a few calls per shape, builds none.
+_CALLS_BEFORE_KERNEL = 8
+
+_calls = Counter()
+
+
+def _compiled(fn, *shape):
+    """``fn`` for its first :data:`_CALLS_BEFORE_KERNEL` calls on arguments of
+    ``shape``, and its kernel (:func:`_kernel`) from then on.  Both give the
+    same bits."""
+    key = (fn, *shape)
+    n = _calls[key]
+    if n < _CALLS_BEFORE_KERNEL:
+        _calls[key] = n + 1
+        return fn
+    return _kernel(fn, *shape)
 
 
 def _horner(coeffs, s):
@@ -93,43 +252,74 @@ class Polynomial:
     __rmul__ = __mul__
 
     def shifted(self, lam: float) -> "Polynomial":
-        """Coefficients of p(s - lam), by binomial re-expansion.
+        """p(s - lam), by :func:`_shift`."""
+        return Polynomial(_shift(self.coeffs, lam))
 
-        out = sum_j a_j (s - lam)**j, with each power taken from the last by
-        the recurrence power[i] <- power[i] (-lam) + power[i - 1], and the
-        terms added in ascending j.  At lam = 0 the coefficients come back
-        unchanged, except that -0.0 becomes 0.0 as in the sum.
-        """
-        if lam == 0.0:
-            return Polynomial([c + 0.0 for c in self.coeffs])
-        neg = -lam
-        out = [0.0] * len(self.coeffs)
-        power = [1.0]  # (s - lam)**j, ascending
-        for j, a in enumerate(self.coeffs):
-            if j:
-                power.append(power[-1])
-                for i in range(j - 1, 0, -1):
-                    power[i] = power[i] * neg + power[i - 1]
-                power[0] *= neg
-            for i, c in enumerate(power):
-                out[i] += a * c
-        return Polynomial(out)
+
+def _shift_terms(coeffs, neg):
+    """Ascending coefficients of p(s + neg), by binomial re-expansion.
+
+    out = sum_j a_j (s + neg)**j, with each power taken from the last by
+    the recurrence power[i] <- power[i] neg + power[i - 1], and the terms
+    added in ascending j.
+    """
+    out = [0.0] * len(coeffs)
+    power = [1.0]  # (s + neg)**j, ascending
+    for j, a in enumerate(coeffs):
+        if j:
+            power.append(power[-1])
+            for i in range(j - 1, 0, -1):
+                power[i] = power[i] * neg + power[i - 1]
+            power[0] *= neg
+        for i, c in enumerate(power):
+            out[i] += a * c
+    return out
+
+
+def _shift(coeffs, lam: float) -> list[float]:
+    """Ascending coefficients of p(s - lam) as a list: :func:`_shift_terms`
+    at neg = -lam, or its kernel for ``len(coeffs)`` (:func:`_compiled`).
+    At lam = 0 the coefficients come back unchanged, except that -0.0
+    becomes 0.0 as in the sum.  The leading coefficient is the leading
+    ``a_n`` times 1.0, so a trimmed ``coeffs`` gives a trimmed result."""
+    if lam == 0.0:
+        return [c + 0.0 for c in coeffs]
+    return _compiled(_shift_terms, len(coeffs), None)(coeffs, -lam)
 
 
 def _root_order(z: complex):
     return (z.real, z.imag)
 
 
-def _companion_roots(polys) -> list[np.ndarray]:
+def _not_converged(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _eigvals(stack) -> np.ndarray:
+    """Complex eigenvalues of each real matrix in ``stack`` (..., n, n): the
+    LAPACK ufunc that ``np.linalg.eigvals`` calls, with its checks and its
+    bits, without its wrapper.  A non-finite entry, and a matrix whose
+    eigenvalues do not converge, raise ``LinAlgError`` with numpy's message.
+    Unlike ``np.linalg.eigvals`` the result stays complex when every
+    eigenvalue is real.  The one eigenvalue call of the program."""
+    if not np.isfinite(stack).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    return _umath_linalg.eigvals(stack, signature="d->D")
+
+
+def _companion_roots(polys) -> list[list[complex]]:
     """Roots of each polynomial in ``polys`` (coefficient sequences,
-    descending), bit for bit as ``np.roots``: zeros stripped from both ends,
-    companion first row -c[1:]/c[0] formed in Python floats and ones below the
-    diagonal, the roots at 0 of the trailing zeros last, but one stacked
-    eigenvalue call per matrix size."""
+    descending) as a list of complex, bit for bit as ``np.roots`` after
+    complex conversion: zeros stripped from both ends, companion first row
+    -c[1:]/c[0] formed in Python floats and ones below the diagonal, the
+    roots at 0 of the trailing zeros last.  One stacked :func:`_eigvals`
+    call per matrix size."""
     out, by_size = [], {}
     for c in polys:
         nz = [i for i, x in enumerate(c) if x != 0.0]
-        out.append(np.zeros(len(c) - nz[-1] - 1 if nz else 0))
+        out.append([0j] * (len(c) - nz[-1] - 1) if nz else [])
         if nz and nz[-1] > nz[0]:
             row = [-x / c[nz[0]] for x in c[nz[0] + 1:nz[-1] + 1]]
             by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, row))
@@ -137,8 +327,8 @@ def _companion_roots(polys) -> list[np.ndarray]:
         a = np.zeros((len(group), n, n))
         a.reshape(len(group), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
         a[:, 0] = [row for _, row in group]
-        for (i, _), z in zip(group, np.linalg.eigvals(a)):
-            out[i] = np.concatenate((z, out[i]))
+        for (i, _), z in zip(group, _eigvals(a).tolist()):
+            out[i] = z + out[i]
     return out
 
 
@@ -159,12 +349,11 @@ def poly_roots(p: Polynomial) -> list[complex]:
         raise ValueError(f"polynomial degree {p.degree} above supported cap {MAX_ROOT_DEGREE}")
     if p.degree == 1:
         # adding 0.0 gives the 0.0 that np.roots returns for a root at 0
-        raw = [-p.coeffs[0] / p.coeffs[1] + 0.0]
+        raw = [complex(-p.coeffs[0] / p.coeffs[1] + 0.0)]
     else:
         raw = _companion_roots([p.coeffs[::-1]])[0]
     roots = []
     for z in raw:
-        z = complex(z)
         if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
             z = complex(z.real, 0.0)
         roots.append(z)

@@ -67,6 +67,30 @@ def test_no_np_roots_in_program():
     assert found == []
 
 
+def test_no_eigenvalue_call_outside_eigvals():
+    # every eigenvalue comes from tf_core._eigvals, numpy's LAPACK ufunc with
+    # np.linalg.eigvals' checks, which test_tf_core holds to np.linalg.eigvals'
+    # bits; an eigvals or eig call anywhere else would bypass it
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        inside = set()
+        if os.path.basename(path) == "tf_core.py":
+            (fn,) = [n for n in tree.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "_eigvals"]
+            inside = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in ("eigvals", "eig"):
+                found.append((os.path.basename(path), node.lineno))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [(os.path.basename(path), node.lineno)
+                          for alias in node.names if alias.name in ("eigvals", "eig")]
+    assert found == []
+
+
 @pytest.mark.parametrize("name", ["tf_core", "freq_analysis", "sim", "multichannel",
                                   "interconnect", "csvtext"])
 def test_lower_modules_do_not_import_upward(name):

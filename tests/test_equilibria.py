@@ -219,6 +219,8 @@ class TestDominanceMap:
         its cells: its one eigenvalue call roots the stationary-point
         polynomials of both critical gains, whatever the number of rows."""
         import mfa.equilibria as eq
+        import mfa.sim as sim
+        import mfa.tf_core as tf_core
 
         calls = {"solve_phi_line": 0, "eigvals": 0, "LureLoop": 0}
 
@@ -229,7 +231,9 @@ class TestDominanceMap:
             return wrapper
 
         monkeypatch.setattr(eq, "solve_phi_line", counted("solve_phi_line", eq.solve_phi_line))
-        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        eigvals = counted("eigvals", tf_core._eigvals)
+        for mod in (tf_core, eq, sim):
+            monkeypatch.setattr(mod, "_eigvals", eigvals)
         monkeypatch.setattr(LureLoop, "__init__", counted("LureLoop", LureLoop.__init__))
         for beta in (0.2, 0.4, 0.8):
             for rows in (1, 60):

@@ -14,7 +14,10 @@ from conftest import (
 )
 
 from mfa.freq_analysis import (
+    _axis_products,
     _gain,
+    _stationary_coeffs,
+    _stationary_poly,
     check_p_passivity,
     midpoint_rate,
     min_real_part,
@@ -23,7 +26,15 @@ from mfa.freq_analysis import (
 from mfa.equilibria import LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_from_json, load_tf
 from mfa.multichannel import Channel, ChannelBank, bank_critical_balance
-from mfa.tf_core import Polynomial, RationalTF, _companion_roots, tf_shift
+from mfa.tf_core import (
+    Polynomial,
+    RationalTF,
+    _companion_roots,
+    _kernel,
+    _shift,
+    _shift_terms,
+    tf_shift,
+)
 
 TAUS = (0.01, 0.1, 1.0)
 
@@ -252,6 +263,74 @@ class TestStackedRoots:
             assert [(m.hex(), w.hex()) for m, w in got] == [(m.hex(), w.hex()) for m, w in want]
             checked += 1
         assert checked > 350
+
+
+def _generic_stationary_poly(num, den):
+    """``_stationary_poly`` run on the generic functions its kernels trace."""
+    w0, pp, qq = _axis_products(num, den)
+    while pp and pp[-1] == 0.0:
+        pp.pop()
+    return w0, (_stationary_coeffs(pp, qq) if pp else [])
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestTracedKernels:
+    """The shift and the stationary polynomial run as straight-line kernels
+    traced from the generic functions, one per coefficient shape, with the
+    generic functions' bits."""
+
+    def _check(self, num, den, rates, shapes):
+        for rate in rates:
+            sn, sd = (_shift(c, rate) for c in (num, den))
+            if rate != 0.0:
+                for c, got in ((num, sn), (den, sd)):
+                    assert _bits(got) == _bits(_shift_terms(list(c), -rate))
+                    shapes.add((_shift_terms, len(c), None))
+            w0, pp, qq = _kernel(_axis_products, len(sn), len(sd))(sn, sd)
+            gw0, gpp, gqq = _axis_products(sn, sd)
+            assert _bits([w0, *pp, *qq]) == _bits([gw0, *gpp, *gqq])
+            shapes.add((_axis_products, len(sn), len(sd)))
+            while gpp and gpp[-1] == 0.0:
+                gpp.pop()
+            if gpp:
+                assert (_bits(_kernel(_stationary_coeffs, len(gpp), len(gqq))(gpp, gqq))
+                        == _bits(_stationary_coeffs(gpp, gqq)))
+                shapes.add((_stationary_coeffs, len(gpp), len(gqq)))
+            w0, rr = _stationary_poly(sn, sd)
+            gw0, grr = _generic_stationary_poly(sn, sd)
+            assert _bits([w0, *rr]) == _bits([gw0, *grr])
+
+    def test_seeded_loops(self):
+        rng = np.random.default_rng(3002)
+        _kernel.cache_clear()
+        shapes = set()
+        for loop in _seeded_loops(rng):
+            g = loop.g1
+            lam = midpoint_rate(loop.poles)
+            self._check(g.num.coeffs, g.den.coeffs,
+                        (0.0, lam, float(rng.uniform(-2.0, 2.0)) * lam), shapes)
+        info = _kernel.cache_info()
+        assert info.currsize == info.misses == len(shapes)
+        # the amplifier, the 2+2 bank and load loops, the 3+3 bank
+        assert {(num, den) for fn, num, den in shapes
+                if fn is _axis_products} == {(2, 4), (4, 6), (6, 8)}
+
+    def test_edge_coefficients(self):
+        shapes = set()
+        # (1 + s)/(s**2 + s + 4): the top of P is -4 + 4, so P is trimmed
+        w0, pp, qq = _axis_products([1.0, 1.0], [4.0, 1.0, 1.0])
+        assert _bits(pp) == _bits([4.0, 0.0])
+        self._check([1.0, 1.0], [4.0, 1.0, 1.0], (0.0, 0.5, -3.0), shapes)
+        # a zero numerator: no coefficients
+        assert _stationary_poly([0.0], [2.0, 3.0, 1.0]) == (2.0 ** 0.5, [])
+        self._check([0.0], [2.0, 3.0, 1.0], (0.0, 1.5), shapes)
+        # -0.0 coefficients, and a constant numerator
+        self._check([-0.0, 2.0], [1.0, -0.0, 3.0, 1.0], (0.0, 0.7, -1e3), shapes)
+        self._check([-0.0, -0.0, 5.0], [-0.0, 1.0, -0.0, 1.0], (0.0, -2.0), shapes)
+        self._check([3.0], [1e-8, 2.0, 1e8], (0.0, 1e-3), shapes)
 
 
 def critical_gain(g, lam):

@@ -431,3 +431,56 @@ class TestBankJson:
         assert (tau_l, k, beta) == (0.01, 5.0, 0.6)
         assert p2.channels == pos.channels
         assert n2.channels == neg.channels
+
+
+def _compensated_sum(iterable, start=0):
+    """``sum`` as Python 3.12 computes it: integers exactly, floats with
+    Neumaier's compensated summation, the compensation added at the end when
+    it is finite and nonzero."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if isinstance(total, int) and isinstance(x, int):
+            total += x
+            continue
+        total = float(total)
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+class TestSummationOrder:
+    """The bank numerator and ``beta_star`` add their terms as left folds
+    from 0.0, the sums of Python 3.11, so that the compensated ``sum`` of
+    Python 3.12 and later moves none of their bits."""
+
+    def test_same_under_compensated_sum(self, monkeypatch):
+        import mfa.equilibria as eq
+        import mfa.multichannel as mc
+
+        assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0 != sum([1e16, 1.0, -1e16])
+        rng = np.random.default_rng(3004)
+        banks = []
+        for i in range(300):
+            m = 2 + i % 3
+            taus = sorted(float(t) for t in 10.0 ** rng.uniform(-3.0, 1.0, 2 * m + 1))
+            rho = rng.uniform(0.1, 1.0, 2 * m)
+            pos, neg = (ChannelBank(tuple(Channel(float(r / part.sum()), t)
+                                          for r, t in zip(part, ts)))
+                        for part, ts in ((rho[:m], taus[:m]), (rho[m:], taus[m:2 * m])))
+            banks.append((taus[-1], pos, neg, float(rng.uniform(0.0, 1.0))))
+
+        def bits():
+            out = []
+            for tau_l, pos, neg, beta in banks:
+                g = LureLoop.bank(tau_l, pos, neg, 1.0, beta).g1
+                out.append([x.hex() for x in (*g.num.coeffs, *g.den.coeffs,
+                                              bank_critical_balance(pos, neg))])
+            return out
+
+        want = bits()
+        for mod in (eq, mc):
+            monkeypatch.setattr(mod, "sum", _compensated_sum, raising=False)
+        assert bits() == want

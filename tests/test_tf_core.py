@@ -13,7 +13,11 @@ from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.tf_core import (
     Polynomial,
     RationalTF,
+    _CALLS_BEFORE_KERNEL,
+    _compiled,
     _conv,
+    _eigvals,
+    _kernel,
     get_nonlinearity,
     poly_roots,
     tf_shift,
@@ -297,6 +301,86 @@ class TestMultiplyEval:
             v1 = g.num(1j * w) / g.den(1j * w)
             v2 = g.num(-1j * w) / g.den(-1j * w)
             assert abs(v2 - v1.conjugate()) <= 1e-13 * max(1.0, abs(v1))
+
+
+def _hex_all(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+class TestEigvals:
+    """``_eigvals`` is ``np.linalg.eigvals`` without its wrapper: the same
+    LAPACK ufunc, the same bits after complex conversion, the same errors."""
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(3001)
+        kinds = set()
+        for i in range(3000):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            a = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+            if i % 3 == 1:
+                a = a + a.transpose(0, 2, 1)  # symmetric: a real spectrum
+            elif i % 3 == 2:
+                a = np.triu(a)  # triangular: the diagonal, real
+            got = _eigvals(a)
+            assert got.shape == (m, n) and got.dtype == complex
+            for z, w in zip(got, np.linalg.eigvals(a)):
+                assert _hex_all(z) == _hex_all(w)
+                kinds.add(bool((w.imag != 0.0).any()))
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_refused_as_numpy(self, bad):
+        a = np.eye(3)[None].repeat(2, axis=0)
+        a[1, 2, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigvals(a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _eigvals(a)
+        assert str(got.value) == str(want.value) == "Array must not contain infs or NaNs"
+
+
+class TestKernel:
+    def test_branch_on_value_refused(self):
+        def sign(xs):
+            return [x if x > 0.0 else -x for x in xs]
+
+        def zero(xs):
+            return [x for x in xs if x != 0.0]
+
+        for fn in (sign, zero):
+            with pytest.raises(TypeError):
+                _kernel(fn, 2)
+
+    def test_record_order_and_constants(self):
+        def f(xs, y):
+            # float on the left, int, unary ops, a -0.0 constant and a
+            # tuple result with a constant in it
+            return (0.0 + xs[0] * y, [abs(-xs[1]) ** 0.5 / y, 2 * xs[0] + -0.0], 1.5)
+
+        def outcome(fn, *args):
+            try:
+                return repr(fn(*args))
+            except ArithmeticError as exc:
+                return type(exc)
+
+        k = _kernel(f, 2, None)
+        cases = (([-0.0, 4.0], 3.0), ([1e308, -2.0], 1e-300), ([-1.5, 0.25], 7.0),
+                 ([1.0, 2.0], -0.0))
+        assert [outcome(k, *c) for c in cases] == [outcome(f, *c) for c in cases]
+        assert outcome(k, *cases[-1]) is ZeroDivisionError
+        with pytest.raises(ValueError):
+            k([1.0, 2.0, 3.0], 1.0)
+
+    def test_compiled_after_calls(self):
+        # a shape runs the function itself for its first calls, then the one
+        # cached kernel
+        def f(xs):
+            return [x + 0.0 for x in xs]
+
+        got = [_compiled(f, 3) for _ in range(_CALLS_BEFORE_KERNEL + 2)]
+        assert got[:_CALLS_BEFORE_KERNEL] == [f] * _CALLS_BEFORE_KERNEL
+        assert got[-1] is got[-2] is _kernel(f, 3) is not f
+        assert _compiled(f, 4) is f
 
 
 class TestCancelSerialization:
