@@ -368,7 +368,7 @@ class LureLoop:
         kappa = ki * load.kp * ko / load.a
         g0 = k * inner.g0 * (1.0 + kappa)
         overflow = "requires finite loop gains (a product of k, ki, ko and the load overflows)"
-        if not all(map(math.isfinite, (kappa, g0, *ss.a[-1], *ss.c_loop))):
+        if not (math.isfinite(kappa) and math.isfinite(g0)):
             raise ValueError(overflow)
 
         def unit_tf():

@@ -13,10 +13,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
-from .tf_core import _eigvals, get_nonlinearity
+from .tf_core import _eigvals, _loop_kernel, get_nonlinearity
 
 __all__ = [
     "InputSchedule",
@@ -46,7 +49,9 @@ class StateSpace:
     saturation; it defaults to ``c`` (the plain amplifier loop) but differs
     when an external feedback joins the saturation junction.
     ``extra_outputs`` holds additional named linear output rows (e.g. a load
-    output).  First-order channel banks are diagonal in the lag states.
+    output).  First-order channel banks are diagonal in the lag states.  An
+    entry that is not finite, or a product b_i c_loop_j that overflows, is a
+    ``ValueError``: every Jacobian factor and RK4 coefficient is finite.
     """
 
     a: tuple[tuple[float, ...], ...]
@@ -65,9 +70,16 @@ class StateSpace:
             raise ValueError("inconsistent output/label dimensions")
         if self.c_loop is not None and len(self.c_loop) != n:
             raise ValueError("inconsistent loop row dimension")
+        rows = [*self.a, self.b, self.c, self.loop_row]
         for _, row in self.extra_outputs:
             if len(row) != n:
                 raise ValueError("inconsistent extra output row")
+            rows.append(row)
+        # every product b_i c_j is finite when the largest is
+        bc = max(map(abs, self.b)) * max(map(abs, self.loop_row))
+        if not (math.isfinite(bc) and all(map(math.isfinite, chain.from_iterable(rows)))):
+            raise ValueError("requires finite loop gains (an entry of the realization "
+                             "or a product b_i c_loop_j overflows)")
         get_nonlinearity(self.nonlinearity)
 
     @property
@@ -157,84 +169,45 @@ class OscillationReport:
     n_crossings: int
 
 
-def _sparse(vec_or_rows):
-    if isinstance(vec_or_rows[0], tuple):
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v != 0.0)
-            for row in vec_or_rows
-        )
-    return tuple((j, v) for j, v in enumerate(vec_or_rows) if v != 0.0)
-
-
-#: Steps per call of the RK4 kernel; each block is flushed into the states
+#: Steps per call of the RK4 block; each block is flushed into the states
 #: array before the next one starts.
 _BLOCK = 4096
 
 
-def _rk4_kernel(ss: StateSpace, phi, dt: float):
-    """Straight-line RK4 over a block of steps, for the loop's sparsity pattern.
+def _rk4_step(ss: StateSpace, phi, dt: float, r, s):
+    """One classical RK4 step of the loop ``ss`` from the state ``s`` at the
+    reference ``r``, on Python floats: the next state, as a list.
 
-    Returns ``block(rs, s0, ..., s{n-1}, out)``: one step per reference value
-    in ``rs``, each new state's components appended to ``out``.  It does not
-    test the states for finiteness; the caller checks each block once.  A
-    non-finite state only makes the later ones inf or nan, since float
-    arithmetic, ``tanh`` and ``atan`` raise nothing on them.  The source
-    names only state components, stages and coefficient positions; ``phi``,
-    ``dt``, ``dt/2``, ``dt/6`` and the coefficients are bound as keyword
-    defaults of ``block``, so they are its locals and never formatted into
-    the text.  The sums are the generic loop's terms in index order without
-    its ``0.0`` seeds: ``y = c_j s_j + ...`` and each derivative row
-    ``a_ij p_j + ... + b_i u``, where ``p`` is ``s`` in the first stage, then
-    ``s + half k1``, ``s + half k2`` and ``s + dt k3``, and the update
-    ``s + sixth (k1 + 2 (k2 + k3) + k4 + 0.0)``.  A seed only turned a sum of
-    ``-0.0`` into ``0.0``, so no seeded derivative is ``-0.0``; and ``+``,
-    ``*``, ``tanh`` and ``atan`` map values equal up to the sign of zero to
-    values equal up to the sign of zero.  So the ``+ 0.0`` makes the weighted
-    sum, and with it each increment and every state, bit-identical to the
-    seeded loop's.
+    Each sum runs over the nonzero coefficients in index order, without a
+    ``0.0`` seed: ``y = c_j p_j + ...`` over ``c_loop``, ``u = r - phi(y)``
+    and each derivative row ``a_ij p_j + ... + b_i u``, at ``p = s``, then
+    ``s + dt/2 k1``, ``s + dt/2 k2`` and ``s + dt k3``.  The update is
+    ``s + dt/6 (k1 + 2 (k2 + k3) + k4 + 0.0)``: a seed only turned a sum of
+    ``-0.0`` into ``0.0``, and ``+``, ``-``, ``*``, ``tanh`` and ``atan``
+    map values equal up to the sign of zero to such values, so the one
+    ``+ 0.0`` makes every state bit-identical to a loop that seeds each sum.
+    Nothing here raises on a non-finite state, which only makes the later
+    ones inf or nan, so :func:`integrate` checks each block of steps once.
     """
-    n = ss.dim
-    coeffs = {"phi": phi, "dt": dt, "half": dt / 2.0, "sixth": dt / 6.0}
+    def nonzero(row):
+        return [(j, float(v)) for j, v in enumerate(row) if v != 0.0]
 
-    def terms(name, pairs):
-        # (coefficient name, state index) of each nonzero entry, bound by name
-        for j, v in pairs:
-            coeffs[f"{name}_{j}"] = v
-        return [(f"{name}_{j}", j) for j, _ in pairs]
+    def total(terms, p):
+        return reduce(add, [v * p[j] for j, v in terms]) if terms else 0.0
 
-    c_row = terms("c", _sparse(ss.loop_row))
-    a_rows = [terms(f"a_{i}", row) for i, row in enumerate(_sparse(ss.a))]
-    b_u = {i: [f"{name}*u"] for name, i in terms("b", _sparse(ss.b))}
+    c, rows = nonzero(ss.loop_row), [nonzero((*row, bi)) for row, bi in zip(ss.a, ss.b)]
 
-    def total(row, p, extra=()):
-        return " + ".join([*(f"{name}*{p}{j}" for name, j in row), *extra]) or "0.0"
+    def derivative(p):
+        q = [*p, r - phi(total(c, p))]  # the states, then u
+        return [total(row, q) for row in rows]
 
-    def stage(k, point):
-        # stage k's derivatives k{k}_i, at s in the first stage and at
-        # p_i = s_i + point * k{k-1}_i after it
-        if point is None:
-            p, lines = "s", []
-        else:
-            p, lines = "p", [f"p{i} = s{i} + {point}*k{k - 1}_{i}" for i in range(n)]
-        lines += [f"y = {total(c_row, p)}", "u = r - phi(y)"]
-        lines += [f"k{k}_{i} = {total(row, p, b_u.get(i, ()))}"
-                  for i, row in enumerate(a_rows)]
-        return lines
-
-    state = ", ".join(f"s{i}" for i in range(n))
-    body = [*stage(1, None), *stage(2, "half"), *stage(3, "half"), *stage(4, "dt")]
-    body += [f"s{i} = s{i} + sixth*(k1_{i} + 2.0*(k2_{i} + k3_{i}) + k4_{i} + 0.0)"
-             for i in range(n)]
-    body.append(f"store(({state},))")
-    src = "\n".join([
-        f"def block(rs, {state}, out, *, {', '.join(f'{name}={name}' for name in coeffs)}):",
-        "    store = out.extend",
-        "    for r in rs:",
-        *("        " + line for line in body),
-    ])
-    namespace = dict(coeffs)
-    exec(src, namespace)
-    return namespace["block"]
+    half, sixth = dt / 2.0, dt / 6.0
+    k1 = derivative(s)
+    k2 = derivative([x + half * k for x, k in zip(s, k1)])
+    k3 = derivative([x + half * k for x, k in zip(s, k2)])
+    k4 = derivative([x + dt * k for x, k in zip(s, k3)])
+    return [x + sixth * (d1 + 2.0 * (d2 + d3) + d4 + 0.0)
+            for x, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)]
 
 
 def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
@@ -254,9 +227,10 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     with both radii 0 ``dt`` is required.  The run takes
     ``round(t_end / dt)`` steps, so it ends at that many times ``dt``, not
     necessarily at ``t_end``.  The reference is held constant over each step
-    at the value in effect at the step's left endpoint.  The steps run in a
-    straight-line kernel generated once per call for the loop's sparsity
-    pattern (:func:`_rk4_kernel`).  A
+    at the value in effect at the step's left endpoint.  The steps run in
+    blocks of the straight-line code that
+    :func:`mfa.tf_core._loop_kernel` records from one :func:`_rk4_step`,
+    traced once per call with ``dt`` and the coefficients as constants.  A
     ``t_end`` that rounds to zero steps, whose ratio to ``dt`` overflows or
     whose step count is too large for an array to hold, is a ``ValueError``;
     a non-finite state along the way aborts with the offending time, found
@@ -302,7 +276,8 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         raise ValueError(f"t_end = {t_end:g} over dt = {dt:g} is {n_steps:.3g} steps, "
                          "too many to store")
     r_steps = schedule.values_for_steps(dt, n_steps)
-    block = _rk4_kernel(ss, get_nonlinearity(ss.nonlinearity)[0], dt)
+    block = _loop_kernel(lambda phi, r, state: _rk4_step(ss, phi, dt, r, state),
+                         get_nonlinearity(ss.nonlinearity)[0], None, n)
 
     states = np.empty((n_steps + 1, n))
     states[0] = s
@@ -320,7 +295,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     for i0, i1 in zip(starts, [*starts[1:], n_steps]):
         rs = r_steps[i0:i1].tolist()
         out = []
-        block(rs, *s, out)
+        block(rs, s, out)
         chunk = states[i0 + 1:i1 + 1]
         chunk[:] = np.fromiter(out, float, len(out)).reshape(len(rs), n)
         bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))

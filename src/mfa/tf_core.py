@@ -51,6 +51,7 @@ def _conv(a, b):
 #: Sums and products associate to the left, so a left operand of the same
 #: precedence needs none.
 _ADD = (1, 1, 2, "{} + {}")
+_SUB = (1, 1, 2, "{} - {}")
 _MUL = (2, 2, 3, "{} * {}")
 _DIV = (2, 2, 3, "{} / {}")
 _NEG = (3, 3, None, "-{}")
@@ -58,15 +59,23 @@ _POW = (4, 5, 3, "{} ** {}")
 _ABS = (5, 0, None, "abs({})")
 
 
+def _operator(op):
+    """The methods that record ``op`` with the traced value as its left and
+    as its right operand."""
+    return (lambda self, other: self._record(op, self, other),
+            lambda self, other: self._record(op, other, self))
+
+
 class _Traced:
     """A float argument or intermediate of a traced function.
 
-    Each arithmetic operation on it appends a node, holding the operation
-    and its one or two operands, to the shared ``tape`` and returns that
-    node, so running a function of floats on traced arguments records its
-    operations in their order and counts the uses of each value.  A traced
-    value has no truth value and no equality, so a branch on one fails
-    instead of being frozen into the record.
+    Each arithmetic operation on it, and each call of a traced function
+    argument, appends a node, holding the operation and its one or two
+    operands, to the shared ``tape`` and returns that node, so running a
+    function of floats on traced arguments records its operations in their
+    order and counts the uses of each value.  A traced value has no truth
+    value and no equality, so a branch on one fails instead of being frozen
+    into the record.
     """
 
     __slots__ = ("tape", "text", "prec", "uses", "op", "a", "b")
@@ -84,29 +93,20 @@ class _Traced:
         self.tape.append(node)
         return node
 
-    def __add__(self, other):
-        return self._record(_ADD, self, other)
-
-    def __radd__(self, other):
-        return self._record(_ADD, other, self)
-
-    def __mul__(self, other):
-        return self._record(_MUL, self, other)
-
-    def __rmul__(self, other):
-        return self._record(_MUL, other, self)
-
-    def __truediv__(self, other):
-        return self._record(_DIV, self, other)
-
-    def __pow__(self, other):
-        return self._record(_POW, self, other)
+    __add__, __radd__ = _operator(_ADD)
+    __sub__, __rsub__ = _operator(_SUB)
+    __mul__, __rmul__ = _operator(_MUL)
+    __truediv__ = _operator(_DIV)[0]
+    __pow__ = _operator(_POW)[0]
 
     def __neg__(self):
         return self._record(_NEG, self)
 
     def __abs__(self):
         return self._record(_ABS, self)
+
+    def __call__(self, x):
+        return self._record((5, 0, None, self.text + "({})"), x)
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value")
@@ -139,26 +139,28 @@ def _count_uses(value):
             _count_uses(v)
 
 
-@functools.cache
-def _kernel(fn, *shape):
+def _trace(fn, shape, loop: bool):
     """``fn`` as straight-line code for arguments of ``shape``: per argument
-    a length for a sequence of floats, or None for one float.
+    a length for a sequence of floats, None for one float, or a function,
+    which the code calls as a local, bound as a keyword default.
 
-    ``fn`` runs once on :class:`_Traced` arguments, and the kernel is the
-    record of that run: every float operation that ``fn`` made, on the same
-    operands, with constants as their ``repr``, which reads back to the same
-    float.  A value used once is written into the expression that uses it,
-    in parentheses where precedence needs them, and any other value is
-    first assigned to a local, so every operation keeps its operands and
-    the kernel returns the bits that ``fn`` returns for arguments of that
-    shape.  Only the moment at which a value is computed can move; of the
+    ``fn`` runs once on :class:`_Traced` arguments, and the code is the
+    record of that run: every float operation and call that ``fn`` made, on
+    the same operands, with constants as their ``repr``, which reads back to
+    the same float.  A value used once is written into the expression that
+    uses it, in parentheses where precedence needs them, and any other value
+    is first assigned to a local, so the code computes the bits that ``fn``
+    computes.  Only the moment at which a value is computed can move; of the
     operations that can raise, a division and a power, the traced functions
     here have at most one chain.  ``fn`` may branch and loop on lengths
-    only; its result may hold lists and tuples.  Cached by ``(fn, *shape)``;
-    shapes are bounded by the degrees of the loops' polynomials.
+    only.  The code takes the arguments that are not functions and returns
+    the result, which may hold lists and tuples; with ``loop`` they are a
+    float ``r`` and a sequence ``s``, and the code ``kernel(rs, s, out)``
+    runs the record for each ``r`` in ``rs``, its result the next ``s``,
+    whose components it appends to ``out``.
     """
     tape = []
-    args = [_Traced(tape, f"x{i}") if n is None
+    args = [_Traced(tape, f"x{i}") if n is None or callable(n)
             else [_Traced(tape, f"x{i}_{j}") for j in range(n)]
             for i, n in enumerate(shape)]
     result = fn(*args)
@@ -174,11 +176,32 @@ def _kernel(fn, *shape):
             node.text = f"t{len(lines)}"
             lines.append(node.text + " = " + expr)
     tape.clear()  # each node holds the tape: free them now, not in a collection
-    src = "\n    ".join([f"def kernel({', '.join(f'x{i}' for i in range(len(shape)))}):",
-                        *lines, f"return {_source(result)}"])
-    namespace = {}
-    exec(src, namespace)
+    namespace = {f"x{i}": n for i, n in enumerate(shape) if callable(n)}
+    if loop:
+        r, s = f"x{len(shape) - 2}", f"x{len(shape) - 1}"
+        step = [*lines, f"{s} = {_source(tuple(result))}", f"store({s})"]
+        params = ["rs", s, "out"]
+        lines = ["store = out.extend", f"for {r} in rs:", *("    " + line for line in step)]
+    else:
+        params = [f"x{i}" for i, n in enumerate(shape) if not callable(n)]
+        lines.append(f"return {_source(result)}")
+    params += ["*", *(f"{x}={x}" for x in namespace)] if namespace else []
+    exec("\n    ".join([f"def kernel({', '.join(params)}):", *lines]), namespace)
     return namespace["kernel"]
+
+
+@functools.cache
+def _kernel(fn, *shape):
+    """``fn`` as straight-line code (:func:`_trace`), cached by ``(fn,
+    *shape)``; shapes are bounded by the degrees of the loops' polynomials."""
+    return _trace(fn, shape, False)
+
+
+def _loop_kernel(fn, *shape):
+    """The step ``fn(*functions, r, s)`` as ``kernel(rs, s, out)``
+    (:func:`_trace` with ``loop``).  Not cached: a caller's step is
+    typically a fresh closure, with its coefficients as constants."""
+    return _trace(fn, shape, True)
 
 
 #: Calls of a traced function on one shape that run the function itself

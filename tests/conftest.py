@@ -15,7 +15,6 @@ from mfa.cli import main
 from mfa.equilibria import LureLoop
 from mfa.interconnect import load_from_json
 from mfa.multichannel import Channel, ChannelBank
-from mfa.sim import _sparse
 from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
 
 RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
@@ -184,9 +183,12 @@ def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:
     n_steps = len(r_steps)
     phi = get_nonlinearity(ss.nonlinearity)[0]
 
-    a_rows = _sparse(ss.a)
-    b_terms = _sparse(ss.b)
-    c_terms = _sparse(ss.loop_row)
+    def nonzero(row):
+        return [(j, v) for j, v in enumerate(row) if v != 0.0]
+
+    a_rows = [nonzero(row) for row in ss.a]
+    b_terms = nonzero(ss.b)
+    c_terms = nonzero(ss.loop_row)
 
     states = np.empty((n_steps + 1, n))
     s = [float(v) for v in ic]

@@ -91,6 +91,31 @@ def test_no_eigenvalue_call_outside_eigvals():
     assert found == []
 
 
+def test_no_exec_or_compile_outside_tf_core():
+    # tf_core's tracer writes the program's only generated code, the
+    # polynomial kernels and the RK4 block, from records of generic
+    # Python-float code; source text run anywhere else would be a second
+    # code generator
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        if os.path.basename(path) == "tf_core.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id == "builtins":
+                name = func.attr
+            else:
+                name = func.id if isinstance(func, ast.Name) else None
+            if name in ("exec", "compile", "eval"):
+                found.append((os.path.basename(path), node.lineno))
+    assert found == []
+
+
 @pytest.mark.parametrize("name", ["tf_core", "freq_analysis", "sim", "multichannel",
                                   "interconnect", "csvtext"])
 def test_lower_modules_do_not_import_upward(name):

@@ -1029,6 +1029,29 @@ BANK = {"tau_l": 0.01, "positive": [{"rho": 1.0, "tau": 0.1}],
         "negative": [{"rho": 1.0, "tau": 1.0}], "k": 5, "beta": 0.4}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "multichannel", "simulate", "certify",
+                                     "interconnect", "nyquist"])
+def test_gain_near_float_max_exit_2(capsys, tmp_path, command):
+    # k = 1e308 is finite, but b c_loop overflows: the realization refuses
+    # it before any numpy product can warn or an eigenvalue call can fail
+    amp = [*AMP_FLAGS, "--k", "1e308", "--beta", "0.4"]
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({**BANK, "k": 1e308}))
+    argv = {"analyze": ["analyze", *amp],
+            "multichannel": ["multichannel", "--bank", str(bank)],
+            "simulate": ["simulate", *amp, "--dt", "1e-3", "--t-end", "0.01"],
+            "certify": ["interconnect", *amp, "--load", LOAD_JSON, "--certify"],
+            "interconnect": ["interconnect", *amp, "--load", LOAD_JSON, "--dt", "1e-3",
+                             "--t-end", "0.01"],
+            "nyquist": ["nyquist", *amp, "--grid-points", "5"]}[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: requires finite loop gains (an entry of the realization "
+                            "or a product b_i c_loop_j overflows)\n")
+
+
 class TestNonFiniteFiles:
     """A schedule or bank file with a number that is not a finite float
     exits 2 with one error line naming the file, before any analysis."""

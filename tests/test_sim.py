@@ -11,7 +11,7 @@ import pytest
 
 from conftest import RECIPES_DIR, WIDE_LOOPS, reference_rk4, vector_field, wide_loop
 
-from mfa import sim
+from mfa import sim, tf_core
 from mfa.equilibria import STABLE, UNSTABLE, LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_from_json
 from mfa.multichannel import Channel, ChannelBank
@@ -364,23 +364,55 @@ class TestKernelBitIdentity:
         traj = self.check(ss, (-0.0, 5e-324), dt=1e-3, t_end=0.005)
         assert np.signbit(traj.states[:, 0]).all() and not traj.states[:, 0].any()
 
+    def test_random_sparse_realizations(self):
+        # 400 seeded loops of 1 to 9 states with sparse rows, one of them
+        # empty, a zero loop row or a zero b in some, -0.0 initial
+        # components and references, and both sigmoids
+        rng = np.random.default_rng(2031)
+        for case in range(400):
+            n = int(rng.integers(1, 10))
+
+            def sparse(shape, density):
+                return rng.uniform(-3.0, 3.0, shape) * (rng.uniform(size=shape) < density)
+
+            a = sparse((n, n), 0.4)
+            a[rng.integers(n)] = 0.0
+            b = sparse(n, 0.5) if case % 7 else np.zeros(n)
+            c = sparse(n, 0.5) if case % 5 else np.zeros(n)
+            ic = [float(v) if v or rng.uniform() < 0.5 else -0.0
+                  for v in sparse(n, 0.6) / 6.0]
+            ss = StateSpace(a=tuple(map(tuple, a.tolist())), b=tuple(b.tolist()),
+                            c=tuple(c.tolist()), labels=tuple(f"x{i}" for i in range(n)),
+                            nonlinearity=("tanh", "atan")[case % 2])
+            r0, r1 = rng.uniform(-1.0, 1.0, 2).tolist()
+            self.check(ss, ic, InputSchedule(((0.0, r0), (0.03, -0.0), (0.06, r1))),
+                       t_end=0.1)
+
     def test_kernel_form(self, monkeypatch):
-        # coefficients are locals of the kernel, and no sum has a 0.0 seed;
-        # either would slow every step
-        sources = []
+        # phi is a local of the block, dt and the coefficients are constants
+        # of its record, and no sum has a 0.0 seed; anything else would slow
+        # every step
+        sources, blocks = [], []
 
         def exec_capture(src, namespace):
             sources.append(src)
             exec(src, namespace)
 
-        monkeypatch.setattr(sim, "exec", exec_capture, raising=False)
+        def loop_kernel(*args):
+            blocks.append(tf_core._loop_kernel(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(tf_core, "exec", exec_capture, raising=False)
+        monkeypatch.setattr(sim, "_loop_kernel", loop_kernel)
         for ss in (amp_ss(mixed(5.0, 0.4)), StateSpace(a=((0.0,),), b=(0.0,), c=(0.0,),
                                                        labels=("x",))):
-            block = sim._rk4_kernel(ss, math.tanh, 1e-3)
+            integrate(ss, (0.1,) * ss.dim, dt=1e-3, t_end=0.01)
+            block = blocks[-1]
             assert block.__code__.co_freevars == ()
             assert not [ins for ins in dis.get_instructions(block)
                         if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
             assert "0.0 +" not in sources[-1]
+        assert repr(1e-3 / 6.0) in sources[0]
 
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):

@@ -1,5 +1,6 @@
 """Polynomial/transfer-function arithmetic against closed-form oracles."""
 
+import dis
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import analyze_report, gain_scaled, reference_shift
 
+from mfa import tf_core
 from mfa.equilibria import LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.tf_core import (
@@ -18,6 +20,7 @@ from mfa.tf_core import (
     _conv,
     _eigvals,
     _kernel,
+    _loop_kernel,
     get_nonlinearity,
     poly_roots,
     tf_shift,
@@ -370,6 +373,84 @@ class TestKernel:
         assert outcome(k, *cases[-1]) is ZeroDivisionError
         with pytest.raises(ValueError):
             k([1.0, 2.0, 3.0], 1.0)
+
+    @staticmethod
+    def built(monkeypatch, build):
+        """What ``build()`` returns, and the last source the tracer compiled."""
+        sources = []
+
+        def capture(src, namespace):
+            sources.append(src)
+            exec(src, namespace)
+
+        monkeypatch.setattr(tf_core, "exec", capture, raising=False)
+        return build(), sources[-1]
+
+    def test_subtraction_parentheses(self, monkeypatch):
+        def f(a, b, c):
+            return [a - (b - c), a - b - c, c - -1.0, -1.0 - c, (a - b) * c, a - b * c]
+
+        k, src = self.built(monkeypatch, lambda: _kernel(f, None, None, None))
+        assert src.splitlines()[-1].strip() == (
+            "return [x0 - (x1 - x2), x0 - x1 - x2, x2 - -1.0, -1.0 - x2, (x0 - x1) * x2, "
+            "x0 - x1 * x2]")
+        rng = np.random.default_rng(7)
+        cases = [*rng.normal(size=(100, 3)).tolist(), [0.1, 0.7, 0.3], [-0.0, 0.0, -0.0]]
+        assert [repr(k(*c)) for c in cases] == [repr(f(*c)) for c in cases]
+        # a grouping without the parentheses gives other bits here
+        assert k(0.1, 0.7, 0.3)[0] != 0.1 - 0.7 + 0.3
+
+    def test_recorded_call(self, monkeypatch):
+        # the function is a local of the kernel, called once per call that
+        # fn made, on a constant argument too; the kernel takes the others
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return math.atan(x)
+
+        def f(fn, a, b):
+            return [fn(a + b), fn(0.5) * a, b - fn(a + b)]
+
+        k, src = self.built(monkeypatch, lambda: _kernel(f, g, None, None))
+        assert src.splitlines()[0] == "def kernel(x1, x2, *, x0=x0):"
+        assert "x0(x1 + x2)" in src and "x0(0.5) * x1" in src
+        assert not [ins for ins in dis.get_instructions(k) if ins.opname == "LOAD_GLOBAL"]
+        got = repr(k(0.3, -0.7))
+        calls, seen[:] = list(seen), []
+        assert got == repr(f(g, 0.3, -0.7)) and calls == seen == [0.3 + -0.7, 0.5, 0.3 + -0.7]
+
+    def test_record_order(self, monkeypatch):
+        # a value used twice is a local, assigned in the order of the
+        # operations; one used once is written into its user, and an unused
+        # one is still made, in its place
+        def f(a, b):
+            s = a + b
+            a * 2.0
+            d = s - b
+            return d * s + d
+
+        _, src = self.built(monkeypatch, lambda: _kernel(f, None, None))
+        assert src == "\n    ".join(["def kernel(x0, x1):", "t0 = x0 + x1", "t1 = x0 * 2.0",
+                                     "t2 = t0 - x1", "return t2 * t0 + t2"])
+
+    def test_loop_carries_state(self):
+        # each new state is computed from the whole old one: the first
+        # component reads the old second and the second the old first
+        def step(fn, r, s):
+            return [s[1] - r, fn(s[0]) * 0.5 + s[1]]
+
+        block = _loop_kernel(step, math.atan, None, 2)
+        assert block is not _loop_kernel(step, math.atan, None, 2)
+        assert not [ins for ins in dis.get_instructions(block)
+                    if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_DEREF")]
+        rs = [0.25, -1.5, -0.0, 3.0, 1e-300]
+        out, want, s = [], [], [0.3, -0.0]
+        block(rs, s, out)
+        for r in rs:
+            s = step(math.atan, r, s)
+            want += s
+        assert repr(out) == repr(want)
 
     def test_compiled_after_calls(self):
         # a shape runs the function itself for its first calls, then the one
