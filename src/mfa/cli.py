@@ -10,12 +10,15 @@ streamed in blocks of rows, never built as one string, by
 :func:`_write_text`.  The all-float CSVs of ``simulate``, ``interconnect``
 and ``nyquist`` take their text from one generator, :func:`_csv_blocks`:
 one :func:`mfa.csvtext.format_block` numpy kernel per block, with the same
-bytes as ``%.17g``.  Where a second CPU is free, a trajectory's blocks are
-formatted as the integrator finishes them, by a forked formatter process,
-into a temporary file that is copied out once the run has ended; otherwise
-the finished trajectory is formatted (:func:`_write_trajectory`).  The map
-formats each gain and each column's balance and critical gains once, by
-position in the grid, and joins its rows from those strings.
+bytes as ``%.17g``.  Where a second CPU is free, each block of trajectory
+rows the integrator finishes goes down a pipe as plain float64 values to a
+forked formatter process, which writes their text into a temporary file
+that is copied out once the run has returned and the formatter has exited
+0; otherwise the finished trajectory is formatted
+(:func:`_write_trajectory`).  Either way the CSV header is built once,
+before the run.  The map formats each gain and each column's balance and
+critical gains once, by position in the grid, and joins its rows from those
+strings.
 """
 
 from __future__ import annotations
@@ -271,39 +274,19 @@ def _read_schedule(args) -> InputSchedule:
 
 
 def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
-    """The ``--ic`` components, or the zero state when ``text`` is None."""
-    if text is None:
-        return (0.0,) * dim
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != dim:
-        raise ValueError(f"requires {dim} initial-condition components")
-    return tuple(parts)
+    """The ``--ic`` components, or the zero state when ``text`` is None;
+    :func:`mfa.sim.integrate` checks their number."""
+    return (0.0,) * dim if text is None else tuple(float(v) for v in text.split(","))
 
 
-def _format_from(pipe, out) -> bool:
-    """Append to ``out`` the text of each row block read from ``pipe``, sent
-    as its int64 shape and then its float64 values, up to the end-of-data
-    shape (0, 0), by :func:`_csv_blocks`; False when the pipe ends before
-    it."""
-    while True:
-        head = pipe.read(16)
-        if len(head) < 16:
-            return False
-        rows, cols = np.frombuffer(head, np.int64).tolist()
-        if rows == 0:
-            return True
-        data = pipe.read(8 * rows * cols)
-        if len(data) < 8 * rows * cols:
-            return False
-        out.writelines(_csv_blocks(np.frombuffer(data).reshape(rows, cols)))
-
-
-def _run_forked(run, text):
-    """``run(sink)`` with a sink that sends each block down a pipe to a
-    forked formatter, which appends its text to the file ``text``
-    (:func:`_format_from`) while ``run`` goes on; the formatter is reaped on
-    every path.  None, and ``run`` not called, when no process can be
-    forked."""
+def _run_forked(run, cols: int, text):
+    """``run(sink)`` with a sink that writes each block's float64 values down
+    a pipe to a forked formatter, which appends the text of each
+    :data:`_CSV_ROWS` rows of ``cols`` values to the file ``text`` while
+    ``run`` goes on, until the pipe ends; the formatter is reaped on every
+    path, and one that fails (a stream that is not whole rows of ``cols``
+    values included) is an ``OSError`` naming its exit code.  None, and
+    ``run`` not called, when no process can be forked."""
     import fcntl
     import os
     import warnings
@@ -337,22 +320,20 @@ def _run_forked(run, text):
             gc.disable()
             os.close(write_end)
             with open(read_end, "rb") as pipe:
-                if _format_from(pipe, text):
-                    text.flush()
-                    status = 0
+                for data in iter(functools.partial(pipe.read, 8 * cols * _CSV_ROWS), b""):
+                    text.writelines(_csv_blocks(np.frombuffer(data).reshape(-1, cols)))
+            text.flush()
+            status = 0
         finally:
             os._exit(status)
     os.close(read_end)
     pipe = open(write_end, "wb")
 
     def send(block):
-        pipe.write(np.array(block.shape, np.int64).tobytes())
         pipe.write(np.ascontiguousarray(block, float))
         pipe.flush()
     try:
         traj = run(send)
-        pipe.write(bytes(16))
-        pipe.flush()
     except BrokenPipeError:
         pass  # the formatter stopped early: its exit code says so below
     finally:
@@ -365,23 +346,24 @@ def _run_forked(run, text):
     return traj
 
 
-def _write_trajectory(path: str | None, run) -> Trajectory:
+def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
     """Call ``run(sink)``, which integrates a trajectory and, unless ``sink``
-    is None, hands it the trajectory's rows block by block; write the
-    trajectory's CSV to ``path``, or to stdout when ``path`` is None, and
-    return it.
+    is None, hands it the trajectory's rows block by block; write the CSV
+    ``header`` and the trajectory's rows to ``path``, or to stdout when
+    ``path`` is None, and return it.
 
     Where ``os.fork`` exists and the process may use two CPUs, a forked
-    formatter makes each block's text while ``run`` integrates the next
+    formatter makes the rows' text while ``run`` integrates the next block
     (:func:`_run_forked`), into an unnamed temporary file that is copied to
-    the destination once the run has ended, so the temporary directory
-    needs room for the whole CSV.  Otherwise, or when the fork fails, the
-    finished trajectory's arrays are formatted straight to the destination.
-    Both make their text with :func:`_csv_blocks`, and the integrator
-    returns the very rows it hands a sink, so the bytes are the same either
-    way, for a loop of any size.  The destination is opened only after
-    ``run`` returns, so a run that fails writes nothing; a formatter that
-    fails is an ``OSError`` naming it.
+    the destination only once ``run`` has returned and the formatter has
+    exited 0, so the temporary directory needs room for the whole CSV.
+    Otherwise, or when the fork fails, the finished trajectory's arrays are
+    formatted straight to the destination.  Both make their text with
+    :func:`_csv_blocks`, whose rows do not depend on the blocks they come
+    in, and the integrator returns the very rows it hands a sink, so the
+    bytes are the same either way, for a loop of any size.  The destination
+    is opened only after ``run`` returns, so a run that fails writes
+    nothing.
     """
     import os
     import tempfile
@@ -391,16 +373,14 @@ def _write_trajectory(path: str | None, run) -> Trajectory:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if hasattr(os, "fork") and (cpus or 1) > 1:
         with tempfile.TemporaryFile() as text:
-            traj = _run_forked(run, text)
+            traj = _run_forked(run, header.count(",") + 1, text)
             if traj is not None:
                 text.seek(0)
-                _write_text(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
-                            iter(functools.partial(text.read, 1 << 20), b""))
+                _write_text(path, header, iter(functools.partial(text.read, 1 << 20), b""))
                 return traj
     traj = run(None)
-    _write_text(path, ",".join(["t", *traj.labels, "y", *traj.extra]),
-                _csv_blocks(np.column_stack([traj.t, traj.states, traj.y,
-                                             *traj.extra.values()])))
+    _write_text(path, header, _csv_blocks(np.column_stack([traj.t, traj.states, traj.y,
+                                                           *traj.extra.values()])))
     return traj
 
 
@@ -417,7 +397,8 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
         return integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end, sink=sink)
     if args.output is None and args.detect:
         return run()
-    return _write_trajectory(args.output, run)
+    header = ",".join(["t", *loop.ss.labels, "y", *(name for name, _ in loop.ss.extra_outputs)])
+    return _write_trajectory(args.output, header, run)
 
 
 def cmd_simulate(args) -> int:

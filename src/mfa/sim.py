@@ -248,7 +248,7 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     n = ss.dim
     s = [float(v) for v in ic]
     if len(s) != n:
-        raise ValueError("initial condition dimension mismatch")
+        raise ValueError(f"requires {n} initial-condition components")
     if not all(math.isfinite(v) for v in s):
         raise ValueError("requires a finite initial condition")
     rho_open, rho_closed = np.max(np.abs(_eigvals(ss.jacobians([0.0, 1.0]))),

@@ -564,7 +564,7 @@ class TestCsvWriter:
         for transport in TRANSPORTS:
             _use_transport(monkeypatch, transport)
             dest = tmp_path / f"{transport}.csv"
-            assert cli._write_trajectory(str(dest), run) is traj
+            assert cli._write_trajectory(str(dest), "t,x,xp,xn,y,ye", run) is traj
             assert dest.read_text() == expected
 
 
@@ -616,6 +616,7 @@ class TestTrajectoryFormatter:
         monkeypatch.setattr(cli, "_CSV_ROWS", 3)
         monkeypatch.setattr(sim, "_BLOCK", 5)
         ss, ic = self.loop(name)
+        header = ",".join(["t", *ss.labels, "y", *(n for n, _ in ss.extra_outputs)])
         texts, trajs = [], []
         for transport in TRANSPORTS:
             _use_transport(monkeypatch, transport)
@@ -623,11 +624,11 @@ class TestTrajectoryFormatter:
             # 21 steps in blocks of 5: rows 6, 5, 5 and 6, the lone last step
             # joining the fourth block
             trajs.append(cli._write_trajectory(
-                str(dest), lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.021, sink=sink)))
+                str(dest), header,
+                lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.021, sink=sink)))
             texts.append(dest.read_bytes())
         traj = trajs[0]
         rows = np.column_stack([traj.t, traj.states, traj.y, *traj.extra.values()])
-        header = ",".join(["t", *ss.labels, "y", *(n for n, _ in ss.extra_outputs)])
         expected = "".join([f"# mfa {__version__}\n{header}\n",
                             *(",".join(format(v, ".17g") for v in row) + "\n"
                               for row in rows.tolist())]).encode()
@@ -635,8 +636,13 @@ class TestTrajectoryFormatter:
         parsed = [[float(v) for v in line.split(b",")] for line in expected.splitlines()[2:]]
         assert np.array(parsed).tobytes() == rows.tobytes()
         assert all(t.states.tobytes() == traj.states.tobytes() for t in trajs)
+        # the outputs are products over each block's rows, as integrate takes
+        # them: over the whole array the last bit can differ on some BLAS
+        # kernels
+        blocks = [slice(0, 6), slice(6, 11), slice(11, 16), slice(16, 22)]
         for col, row in [(traj.y, ss.c), *((traj.extra[n], r) for n, r in ss.extra_outputs)]:
-            assert col.tobytes() == (traj.states @ np.asarray(row)).tobytes()
+            products = [traj.states[b] @ np.asarray(row) for b in blocks]
+            assert col.tobytes() == np.concatenate(products).tobytes()
 
     @pytest.mark.parametrize("name", WIDE_LOOPS)
     def test_transports_agree_on_wide_loops(self, tmp_path, monkeypatch, name):
@@ -645,18 +651,20 @@ class TestTrajectoryFormatter:
         monkeypatch.setattr(sim, "_BLOCK", 7)
         ss, ic = wide_loop(name)
         texts = set()
+        header = ",".join(["t", *ss.labels, "y", *(n for n, _ in ss.extra_outputs)])
         for transport in TRANSPORTS:
             _use_transport(monkeypatch, transport)
             dest = tmp_path / f"{transport}.csv"
             cli._write_trajectory(
-                str(dest), lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.1, sink=sink))
+                str(dest), header, lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=0.1, sink=sink))
             texts.add(dest.read_bytes())
         assert len(texts) == 1
 
     @pytest.mark.parametrize("transport, case", [
         (transport, case) for transport in TRANSPORTS
-        for case in ["success", "divergence", "memory_error", "formatter_failure", "interrupt"]
-        if transport == "forked" or case != "formatter_failure"])
+        for case in ["success", "divergence", "memory_error", "formatter_failure", "interrupt",
+                     "wrong_width"]
+        if transport == "forked" or case not in ("formatter_failure", "wrong_width")])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_nothing_left_behind(self, capsys, tmp_path, monkeypatch, transport, case, existing):
         monkeypatch.setattr(sim, "_BLOCK", 50)
@@ -689,12 +697,18 @@ class TestTrajectoryFormatter:
         def fail(block):
             raise RuntimeError("formatter fault")
 
+        def narrow_rows(*args, sink, **kwargs):
+            # 1,001 rows of 4 values: not whole rows of the header's 5
+            return sim.integrate(*args, sink=lambda block: sink(block[:, :-1]), **kwargs)
+
         if case == "memory_error":
             monkeypatch.setattr(cli, "integrate", after_all_blocks(MemoryError("no room")))
         elif case == "formatter_failure":
             monkeypatch.setattr(csvtext, "format_block", fail)
         elif case == "interrupt":
             monkeypatch.setattr(cli, "integrate", stop_in_third_block)
+        elif case == "wrong_width":
+            monkeypatch.setattr(cli, "integrate", narrow_rows)
         descriptors = _open_descriptors()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -713,7 +727,9 @@ class TestTrajectoryFormatter:
                     "memory_error": (2, "error: no room\n"),
                     "formatter_failure": (3, "error: trajectory CSV formatter failed with "
                                              "exit code 1\n"),
-                    "interrupt": (None, "")}[case]
+                    "interrupt": (None, ""),
+                    "wrong_width": (3, "error: trajectory CSV formatter failed with "
+                                       "exit code 1\n")}[case]
         assert code == expected[0] and err.startswith(expected[1])
         if case == "success":
             assert dest.read_bytes().startswith(f"# mfa {__version__}\nt,x,xp,xn,y\n".encode())
@@ -729,6 +745,28 @@ class TestTrajectoryFormatter:
         argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "-1",
                 "--output", str(tmp_path / "missing" / "traj.csv")]
         assert _outcome(capsys, argv) == (2, "", "error: requires finite dt > 0\n")
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("command, ic, dim", [("simulate", "0.1,0", 3),
+                                                  ("interconnect", "0.1,0,0", 5)])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_short_initial_condition_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                    transport, command, ic, dim, existing):
+        _use_transport(monkeypatch, transport)
+        dest = tmp_path / "traj.csv"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        extra = ["--load", LOAD_JSON] if command == "interconnect" else []
+        argv = [command, *AMP_FLAGS, "--k", "5", "--beta", "0.4", *extra, "--dt", "1e-3",
+                "--t-end", "1", "--ic", ic, "--output", str(dest)]
+        assert _outcome(capsys, argv) == (
+            2, "", f"error: requires {dim} initial-condition components\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("command", ["simulate", "interconnect"])

@@ -140,6 +140,10 @@ class TestClassifyStability:
         assert classify_stability([0.5, -1 + 1j, -1 - 1j]) == UNSTABLE
         assert classify_stability([0.0, -1, -2]) == MARGINAL
 
+    def test_no_eigenvalues_refused(self):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            classify_stability([])
+
 
 class TestClassifyRegime:
     def test_three_reference_regimes(self):

@@ -378,6 +378,11 @@ class TestRateSelection:
         for lam in (10.5, 25.0, 55.0, 99.5):
             assert loop.inertia(lam) == 2
 
+    @pytest.mark.parametrize("poles", [[], [-1.0], [-1.0, -10.0]])
+    def test_midpoint_rate_needs_three_poles(self, poles):
+        with pytest.raises(ValueError, match="at least three poles"):
+            midpoint_rate(poles)
+
     def test_midpoint_rate_matches_policy(self):
         g = mixed(1.0, 0.3).g1
         assert midpoint_rate(g.poles()) == pytest.approx(55.0, rel=1e-9)

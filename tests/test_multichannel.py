@@ -88,6 +88,10 @@ def bank_difference(pos, neg, beta, s):
 
 
 class TestBankInvariants:
+    def test_empty_refused(self):
+        with pytest.raises(ValueError, match="at least one channel"):
+            ChannelBank(())
+
     def test_unit_gain_required(self):
         with pytest.raises(ValueError, match="unit bank gain"):
             ChannelBank((Channel(0.6, 0.1), Channel(0.6, 0.2)))

@@ -59,7 +59,24 @@ class TestVectorField:
             assert np.linalg.norm(vector_field(TAUS, 5.0, 0.8, eq.state, 0.2)) < 1e-8
 
 
+class TestStateSpace:
+    @pytest.mark.parametrize("fields, match", [
+        ({"a": ((1.0, 0.0),)}, "inconsistent state dimensions"),
+        ({"c": (1.0, 0.0)}, "inconsistent output/label dimensions"),
+        ({"c_loop": (1.0, 0.0)}, "inconsistent loop row dimension"),
+        ({"extra_outputs": (("ye", (1.0, 0.0)),)}, "inconsistent extra output row"),
+    ])
+    def test_inconsistent_dimensions_refused(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            StateSpace(**{"a": ((-1.0,),), "b": (1.0,), "c": (1.0,), "labels": ("x",),
+                          **fields})
+
+
 class TestSchedule:
+    def test_empty_refused(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            InputSchedule(())
+
     def test_invariants(self):
         with pytest.raises(ValueError, match="first t_start"):
             InputSchedule(((1.0, 0.0),))
@@ -145,6 +162,8 @@ class TestIntegrate:
         ({"t_end": math.inf}, "finite t_end"),
         ({"t_end": math.nan}, "finite t_end"),
         ({"dt": math.inf}, "finite dt"),
+        ({"ic": (0.1, 0.0)}, "^requires 3 initial-condition components$"),
+        ({"ic": (0.1, 0.0, 0.0, 0.0)}, "^requires 3 initial-condition components$"),
     ])
     def test_non_finite_inputs_rejected(self, kwargs, match):
         args = {"ic": (0.1, 0.0, 0.0), "dt": 1e-3, "t_end": 1.0, **kwargs}
@@ -463,6 +482,14 @@ class TestDetectOscillation:
                           InputSchedule.constant(0.0), ("x",))
         with pytest.raises(ArithmeticError, match="insufficient horizon"):
             detect_oscillation(traj)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, math.nan])
+    def test_transient_fraction_range(self, fraction):
+        t = np.arange(0.0, 1.0, 1e-3)
+        traj = Trajectory(t, np.zeros((len(t), 1)), np.zeros(len(t)),
+                          InputSchedule.constant(0.0), ("x",))
+        with pytest.raises(ValueError, match="requires 0 <= transient_fraction < 1"):
+            detect_oscillation(traj, transient_fraction=fraction)
 
     def test_oscillating_regime(self):
         traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=5e-4, t_end=50.0)

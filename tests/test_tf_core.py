@@ -50,6 +50,9 @@ class TestPolyRoots:
         assert np.allclose(roots, [-100.0, -10.0, -1.0], rtol=1e-9)
         assert all(z.imag == 0.0 for z in roots)
 
+    def test_empty_is_zero_polynomial(self):
+        assert Polynomial([]).coeffs == (0.0,)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError, match="degenerate polynomial"):
             poly_roots(Polynomial([0.0]))
@@ -203,6 +206,10 @@ class TestKnownPoles:
     def test_roots_required(self):
         with pytest.raises(TypeError):
             RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]))
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            RationalTF(Polynomial([1.0]), Polynomial([]), [])
 
     def test_biproper_refused(self):
         # (s + 2)/(s + 1): a numerator of the denominator's degree
