@@ -1,6 +1,9 @@
 """Command-line surface: analyses as subcommands emitting CSV or JSON.
 
-Output is deterministic: identical flags give byte-identical output.  CSV
+The CLI reads and writes every file format: the bank, load and schedule
+files through one reader, :func:`_read_json`, which refuses a number that is
+not a finite float, and the JSON reports and CSVs; the library takes and
+returns its own types.  Output is deterministic: identical flags give byte-identical output.  CSV
 files carry a ``#`` version comment, full-precision (17 significant digit)
 values, and ``.`` decimals.  JSON uses the tags "unbounded" for an infinite
 critical gain and "infinite" for a zero or frequency at infinity.  Exit
@@ -10,12 +13,12 @@ streamed in blocks of rows, never built as one string, by
 :func:`_write_text`.  The all-float CSVs of ``simulate``, ``interconnect``
 and ``nyquist`` take their text from one generator, :func:`_csv_blocks`:
 one :func:`mfa.csvtext.format_block` numpy kernel per block, with the same
-bytes as ``%.17g``.  Where a second CPU is free, each block of trajectory
-rows the integrator finishes goes down a pipe as plain float64 values to a
-forked formatter process, which writes their text into a temporary file
-that is copied out once the run has returned and the formatter has exited
-0; otherwise the finished trajectory is formatted
-(:func:`_write_trajectory`).  Either way the CSV header is built once,
+bytes as ``%.17g``.  Where a second CPU is free, the first block of
+trajectory rows the integrator finishes forks a formatter process, and each
+block goes down a pipe to it as plain float64 values; it writes their text
+into a temporary file that is copied out once the run has returned and the
+formatter has exited 0.  Otherwise the blocks are kept and formatted after
+the run (:func:`_write_trajectory`).  Either way the CSV header is built once,
 before the run.  The map formats each gain and each column's balance and
 critical gains once, by position in the grid, and joins its rows from those
 strings.
@@ -28,18 +31,18 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext, suppress
 
 import numpy as np
 
 from . import __version__
 from .equilibria import LureLoop, dominance_map
-from .freq_analysis import _tag_json, check_p_passivity, nyquist_locus
-from .interconnect import compose_certificates, load_from_json, load_tf
-from .multichannel import (Channel, ChannelBank, bank_critical_balance, bank_from_json,
-                           check_interlacing)
+from .freq_analysis import DominanceCertificate, check_p_passivity, nyquist_locus
+from .interconnect import InterfaceGains, LoadParams, compose_certificates, load_tf
+from .multichannel import Channel, ChannelBank, bank_critical_balance, check_interlacing
 from .sim import (
     InputSchedule,
     Trajectory,
@@ -54,6 +57,31 @@ __all__ = ["main", "entrypoint"]
 
 def _complex_pairs(values) -> list[list[float]]:
     return [[complex(z).real, complex(z).imag] for z in values]
+
+
+def _tag_json(x: float):
+    """A float as JSON writes it here: inf as "unbounded", nan as null."""
+    if math.isinf(x):
+        return "unbounded"
+    if math.isnan(x):
+        return None
+    return x
+
+
+def _certificate_dict(c: DominanceCertificate) -> dict:
+    return {
+        "p": c.p,
+        "lambda": c.rate,
+        "min_re": _tag_json(c.min_re),
+        "omega_at_min": "infinite" if math.isinf(c.omega_at_min) else _tag_json(c.omega_at_min),
+        "critical_gain": _tag_json(c.critical_gain),
+        "conditions": list(c.conditions),
+        "passed": c.passed,
+        # passivity is the circle criterion for the infinite sector, whose
+        # line -1/K sits at 0, so the margin to it is min_re
+        "sector": "infinite",
+        "margin": _tag_json(c.min_re),
+    }
 
 
 def _equilibrium_dicts(equilibria) -> list[dict]:
@@ -144,19 +172,6 @@ class _MalformedInput(Exception):
     type (exit 3, like a file that does not parse)."""
 
 
-@contextmanager
-def _input_file(path: str):
-    """Open ``path`` for reading; a ``KeyError`` or ``TypeError`` raised while
-    the block reads its fields becomes :class:`_MalformedInput`."""
-    with open(path) as fh:
-        try:
-            yield fh
-        except KeyError as exc:
-            raise _MalformedInput(f"{path}: missing field {exc}") from None
-        except TypeError as exc:
-            raise _MalformedInput(f"{path}: malformed input: {exc}") from None
-
-
 def _finite(path: str, token: str, kind=float):
     """``kind(token)`` for a number of the input file ``path``; a number that
     is not a finite float (NaN, Infinity, 1e999, an integer of 400 digits)
@@ -166,21 +181,47 @@ def _finite(path: str, token: str, kind=float):
     return kind(token)
 
 
-def _finite_json(path: str, text: str):
-    """JSON ``text`` of the input file ``path``, every number checked by
-    :func:`_finite`."""
+def _read_json(path: str, build):
+    """``build(data)`` of the JSON file ``path``, a bank, load or schedule
+    file, with every number checked by :func:`_finite`; a ``KeyError`` or
+    ``TypeError`` that ``build`` raises, a missing field or one of the wrong
+    type, is :class:`_MalformedInput`."""
     number = functools.partial(_finite, path)
-    return json.loads(text, parse_float=number, parse_constant=number,
-                      parse_int=lambda token: number(token, int))
+    with open(path) as fh:
+        data = json.load(fh, parse_float=number, parse_constant=number,
+                         parse_int=lambda token: number(token, int))
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise _MalformedInput(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise _MalformedInput(f"{path}: malformed input: {exc}") from None
 
 
-def _read_load(path: str):
-    """Load and interface gains of the load file ``path``.  An integer too
-    large for a float is refused by :func:`_finite`; NaN, Infinity and 1e999
-    reach the load's own checks, whose messages name the field."""
-    with _input_file(path) as fh:
-        return load_from_json(json.loads(fh.read(),
-                                         parse_int=lambda token: _finite(path, token, int)))
+def _read_load(path: str) -> tuple[LoadParams, InterfaceGains]:
+    """Load and interface gains of the load file ``path``,
+    ``{"a", "b", "kv", "kp", "ki", "ko"}``."""
+    return _read_json(path, lambda data: (
+        LoadParams(*(float(data[name]) for name in ("a", "b", "kv", "kp"))),
+        InterfaceGains(float(data["ki"]), float(data["ko"]))))
+
+
+def _read_bank(path: str) -> tuple[dict, float, ChannelBank, ChannelBank, float, float]:
+    """The bank file ``path``, ``{"tau_l", "positive", "negative", "k",
+    "beta"}`` with each bank a list of ``{"rho", "tau"}``: as parsed, then
+    its lag, positive and negative banks, gain and balance."""
+    def build(data):
+        pos, neg = (ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
+                                      for ch in data[side]))
+                    for side in ("positive", "negative"))
+        return data, float(data["tau_l"]), pos, neg, float(data["k"]), float(data["beta"])
+    return _read_json(path, build)
+
+
+def _read_schedule(path: str) -> InputSchedule:
+    """The schedule file ``path``, ``[{"t": t_start, "r": value}, ...]``."""
+    return _read_json(path, lambda data: InputSchedule(
+        tuple((float(e["t"]), float(e["r"])) for e in data)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +307,19 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _read_schedule(args) -> InputSchedule:
-    if args.schedule is not None:
-        with _input_file(args.schedule) as fh:
-            return InputSchedule.from_json(_finite_json(args.schedule, fh.read()))
-    return InputSchedule.constant(args.r)
-
-
 def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
     """The ``--ic`` components, or the zero state when ``text`` is None;
     :func:`mfa.sim.integrate` checks their number."""
     return (0.0,) * dim if text is None else tuple(float(v) for v in text.split(","))
 
 
-def _run_forked(run, cols: int, text):
-    """``run(sink)`` with a sink that writes each block's float64 values down
-    a pipe to a forked formatter, which appends the text of each
-    :data:`_CSV_ROWS` rows of ``cols`` values to the file ``text`` while
-    ``run`` goes on, until the pipe ends; the formatter is reaped on every
-    path, and one that fails (a stream that is not whole rows of ``cols``
-    values included) is an ``OSError`` naming its exit code.  None, and
-    ``run`` not called, when no process can be forked."""
+def _fork_formatter(cols: int, text):
+    """Fork a formatter that reads rows of ``cols`` float64 values from a
+    pipe until the pipe ends, and appends the text of each
+    :data:`_CSV_ROWS` of them to the file ``text``; a stream that is not
+    whole rows of ``cols`` values makes it fail.  Its process id and the
+    pipe's write end, or two Nones when no process can be forked."""
     import fcntl
-    import os
     import warnings
 
     # imported before the fork, so that each formatter finds its tables built
@@ -310,7 +341,7 @@ def _run_forked(run, cols: int, text):
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None
+        return None, None
     if pid == 0:
         status = 1
         try:
@@ -327,60 +358,64 @@ def _run_forked(run, cols: int, text):
         finally:
             os._exit(status)
     os.close(read_end)
-    pipe = open(write_end, "wb")
-
-    def send(block):
-        pipe.write(np.ascontiguousarray(block, float))
-        pipe.flush()
-    try:
-        traj = run(send)
-    except BrokenPipeError:
-        pass  # the formatter stopped early: its exit code says so below
-    finally:
-        with suppress(BrokenPipeError):  # the descriptor is closed even so
-            pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        raise OSError("trajectory CSV formatter failed with exit code "
-                      f"{os.waitstatus_to_exitcode(status)}")
-    return traj
+    return pid, open(write_end, "wb")
 
 
 def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
-    """Call ``run(sink)``, which integrates a trajectory and, unless ``sink``
-    is None, hands it the trajectory's rows block by block; write the CSV
-    ``header`` and the trajectory's rows to ``path``, or to stdout when
-    ``path`` is None, and return it.
+    """Call ``run(sink)``, which integrates a trajectory and hands ``sink``
+    its rows block by block; write the CSV ``header`` and the rows to
+    ``path``, or to stdout when ``path`` is None, and return the trajectory.
 
-    Where ``os.fork`` exists and the process may use two CPUs, a forked
-    formatter makes the rows' text while ``run`` integrates the next block
-    (:func:`_run_forked`), into an unnamed temporary file that is copied to
-    the destination only once ``run`` has returned and the formatter has
-    exited 0, so the temporary directory needs room for the whole CSV.
-    Otherwise, or when the fork fails, the finished trajectory's arrays are
-    formatted straight to the destination.  Both make their text with
-    :func:`_csv_blocks`, whose rows do not depend on the blocks they come
-    in, and the integrator returns the very rows it hands a sink, so the
-    bytes are the same either way, for a loop of any size.  The destination
-    is opened only after ``run`` returns, so a run that fails writes
-    nothing.
+    Where ``os.fork`` exists and the process may use two CPUs, the first
+    block forks a formatter (:func:`_fork_formatter`), and the sink writes
+    each block down a pipe to it, so that it makes the rows' text while
+    ``run`` integrates the next block, into an unnamed temporary file that
+    is copied to the destination only once ``run`` has returned and the
+    formatter has exited 0; the temporary directory needs room for the
+    whole CSV.  Otherwise, or when the fork fails, the sink keeps the
+    blocks, and their text goes straight to the destination after the run.
+    A run refused before its first block forks nothing.  Both ways make the
+    text with :func:`_csv_blocks`, whose rows do not depend on the blocks
+    they come in, so the bytes are the same either way, for a loop of any
+    size.  The formatter is reaped on every path, and the destination is
+    opened only after ``run`` returns, so a run that fails writes nothing.
     """
-    import os
     import tempfile
 
     # on one CPU the formatter would only take turns with the integrator,
     # and the pipe and the copy would come on top
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if hasattr(os, "fork") and (cpus or 1) > 1:
-        with tempfile.TemporaryFile() as text:
-            traj = _run_forked(run, header.count(",") + 1, text)
-            if traj is not None:
-                text.seek(0)
-                _write_text(path, header, iter(functools.partial(text.read, 1 << 20), b""))
-                return traj
-    traj = run(None)
-    _write_text(path, header, _csv_blocks(np.column_stack([traj.t, traj.states, traj.y,
-                                                           *traj.extra.values()])))
+    fork = hasattr(os, "fork") and (cpus or 1) > 1
+    blocks, pid, pipe = [], None, None  # the blocks kept without a formatter; its pid and pipe
+    with tempfile.TemporaryFile() if fork else nullcontext() as text:
+        def sink(block):
+            nonlocal pid, pipe
+            if fork and pipe is None and not blocks:
+                pid, pipe = _fork_formatter(header.count(",") + 1, text)
+            if pipe is None:
+                blocks.append(block)
+            else:
+                pipe.write(np.ascontiguousarray(block, float))
+                pipe.flush()
+        try:
+            traj = run(sink)
+        except BrokenPipeError:
+            if pipe is None:
+                raise
+            # the formatter stopped early: its exit code says so below
+        finally:
+            if pipe is not None:
+                with suppress(BrokenPipeError):  # the descriptor is closed even so
+                    pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if pipe is None:
+            chunks = (chunk for block in blocks for chunk in _csv_blocks(block))
+        elif code != 0:
+            raise OSError(f"trajectory CSV formatter failed with exit code {code}")
+        else:
+            text.seek(0)
+            chunks = iter(functools.partial(text.read, 1 << 20), b"")
+        _write_text(path, header, chunks)
     return traj
 
 
@@ -390,7 +425,8 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
     ``--dt`` the integrator picks the step from the loop."""
     if args.detect and not 0.0 <= args.transient_fraction < 1.0:
         raise ValueError("requires 0 <= transient_fraction < 1")
-    schedule = _read_schedule(args)
+    schedule = (InputSchedule.constant(args.r) if args.schedule is None
+                else _read_schedule(args.schedule))
     ic = _parse_ic(args.ic, loop.ss.dim)
 
     def run(sink=None):
@@ -450,9 +486,7 @@ def cmd_nyquist(args) -> int:
 # multichannel
 
 def cmd_multichannel(args) -> int:
-    with _input_file(args.bank) as fh:
-        bank_data = _finite_json(args.bank, fh.read())
-        tau_l, pos, neg, k, beta = bank_from_json(bank_data)
+    bank_data, tau_l, pos, neg, k, beta = _read_bank(args.bank)
     loop = LureLoop.bank(tau_l, pos, neg, k, beta, args.nonlinearity)
     # the loop's unit-gain numerator is the bank difference's up to sign, so
     # one root call serves the report and the interlacing check
@@ -486,10 +520,12 @@ def cmd_interconnect(args) -> int:
             "tool": "mfa",
             "version": __version__,
             "lambda": lam,
-            "amplifier_certificate": c_amp.to_json_dict(),
-            "load_certificate": c_load.to_json_dict(),
-            "composition": comp.to_json_dict(),
-            "loop_certificate": c_tot.to_json_dict(),
+            "amplifier_certificate": _certificate_dict(c_amp),
+            "load_certificate": _certificate_dict(c_load),
+            "composition": {"p_amplifier": comp.p_amplifier, "p_load": comp.p_load,
+                            "lambda": comp.rate, "p_total": comp.p_total,
+                            "valid": comp.valid, "reason": comp.reason},
+            "loop_certificate": _certificate_dict(c_tot),
             "equilibria": _equilibrium_dicts(equilibria),
         })
         return 0

@@ -55,31 +55,6 @@ class DominanceCertificate:
     def passed(self) -> bool:
         return all(self.conditions)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lambda": self.rate,
-            "min_re": _tag_json(self.min_re),
-            "omega_at_min": "infinite" if math.isinf(self.omega_at_min)
-            else _tag_json(self.omega_at_min),
-            "critical_gain": _tag_json(self.critical_gain),
-            "conditions": list(self.conditions),
-            "passed": self.passed,
-            # passivity is the circle criterion for the infinite sector, whose
-            # line -1/K sits at 0, so the margin to it is min_re
-            "sector": "infinite",
-            "margin": _tag_json(self.min_re),
-        }
-
-
-def _tag_json(x: float):
-    """A float as JSON writes it here: inf as "unbounded", nan as null."""
-    if math.isinf(x):
-        return "unbounded"
-    if math.isnan(x):
-        return None
-    return x
-
 
 def _on_axis(poles, lam: float) -> bool:
     """Whether a pole lies within _AXIS_TOL of the shifted imaginary axis."""

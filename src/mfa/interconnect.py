@@ -14,7 +14,6 @@ itself is :meth:`mfa.equilibria.LureLoop.load`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,6 @@ __all__ = [
     "InterfaceGains",
     "LoadParams",
     "compose_certificates",
-    "load_from_json",
     "load_tf",
 ]
 
@@ -82,16 +80,6 @@ class CompositionCertificate:
     valid: bool
     reason: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_amplifier": self.p_amplifier,
-            "p_load": self.p_load,
-            "lambda": self.rate,
-            "p_total": self.p_total,
-            "valid": self.valid,
-            "reason": self.reason,
-        }
-
 
 def load_tf(load: LoadParams) -> RationalTF:
     """(kv s + kp)/(s^2 + b s + a), with the load's poles."""
@@ -115,12 +103,3 @@ def compose_certificates(c_amp: DominanceCertificate,
                                       valid=False, reason="component certificate failed")
     return CompositionCertificate(c_amp.p, c_load.p, rate, p_total, valid=True)
 
-
-def load_from_json(data) -> tuple[LoadParams, InterfaceGains]:
-    """Parse {"a", "b", "kv", "kp", "ki", "ko"} into load and interface gains."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    load = LoadParams(float(data["a"]), float(data["b"]),
-                      float(data["kv"]), float(data["kp"]))
-    iface = InterfaceGains(float(data["ki"]), float(data["ko"]))
-    return load, iface

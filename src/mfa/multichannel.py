@@ -11,7 +11,6 @@ is the loop of one unit-weight channel per bank.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -27,7 +26,6 @@ __all__ = [
     "ChannelBank",
     "InterlacingReport",
     "bank_critical_balance",
-    "bank_from_json",
     "check_interlacing",
 ]
 
@@ -56,12 +54,12 @@ class ChannelBank:
         if not self.channels:
             raise ValueError("requires at least one channel")
         taus = [ch.tau for ch in self.channels]
-        if any(t <= 0.0 for t in taus):
-            raise ValueError("requires tau > 0")
+        if not all(0.0 < t < math.inf for t in taus):
+            raise ValueError("requires finite tau > 0")
         if len(set(taus)) != len(taus):
             raise ValueError("requires distinct time constants within a bank")
-        if any(ch.rho <= 0.0 for ch in self.channels):
-            raise ValueError("requires rho > 0")
+        if not all(0.0 < ch.rho < math.inf for ch in self.channels):
+            raise ValueError("requires finite rho > 0")
         if abs(sum(ch.rho for ch in self.channels) - 1.0) > 1e-9:
             raise ValueError("requires unit bank gain (sum rho = 1)")
 
@@ -150,13 +148,3 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, zeros) -> InterlacingR
                  and pattern.count(OUTER) == 1)
     return InterlacingReport(tuple(reals), tuple(pattern), satisfied)
 
-
-def bank_from_json(data) -> tuple[float, ChannelBank, ChannelBank, float, float]:
-    """Parse {"tau_l", "positive", "negative", "k", "beta"} into bank pieces."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    pos = ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
-                            for ch in data["positive"]))
-    neg = ChannelBank(tuple(Channel(float(ch["rho"]), float(ch["tau"]))
-                            for ch in data["negative"]))
-    return float(data["tau_l"]), pos, neg, float(data["k"]), float(data["beta"])

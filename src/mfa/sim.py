@@ -9,7 +9,6 @@ sample grid.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -111,19 +110,14 @@ class InputSchedule:
         ts = [t for t, _ in self.entries]
         if not all(map(math.isfinite, ts)):
             raise ValueError("requires finite t_start")
+        if not all(math.isfinite(r) for _, r in self.entries):
+            raise ValueError("requires finite reference values")
         if any(t1 >= t2 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError("requires strictly increasing t_start")
 
     @classmethod
     def constant(cls, r: float) -> "InputSchedule":
         return cls(((0.0, float(r)),))
-
-    @classmethod
-    def from_json(cls, data) -> "InputSchedule":
-        """Parse [{"t": t_start, "r": value}, ...], as JSON text or parsed."""
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(tuple((float(e["t"]), float(e["r"])) for e in data))
 
     def values_for_steps(self, dt: float, n_steps: int) -> np.ndarray:
         """Reference value for each step; a change applies at the first

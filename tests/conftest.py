@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from mfa.cli import main
+from mfa.cli import _read_load, main
 from mfa.equilibria import LureLoop
-from mfa.interconnect import load_from_json
 from mfa.multichannel import Channel, ChannelBank
 from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
 
@@ -243,8 +242,7 @@ def wide_loop(name: str):
             "bank-3x3-load": ((0.05, 0.1, 0.2), (1.0, 2.0, 3.0))}[name]
     pos, neg = (ChannelBank(tuple(Channel(1.0 / len(ts), tau) for tau in ts)) for ts in taus)
     if name.endswith("load"):
-        with open(os.path.join(RECIPES_DIR, "data", "load_msd.json")) as fh:
-            load, iface = load_from_json(json.load(fh))
+        load, iface = _read_load(os.path.join(RECIPES_DIR, "data", "load_msd.json"))
         ss = LureLoop.load(LureLoop.bank(0.01, pos, neg, 1.0, 0.4), 10.0, load, iface).ss
     else:
         ss = LureLoop.bank(0.01, pos, neg, 5.0, 0.4).ss

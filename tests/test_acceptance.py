@@ -23,6 +23,7 @@ from conftest import (
     vector_field,
 )
 
+from mfa.cli import _read_schedule
 from mfa.equilibria import (
     REGIME_MULTISTABLE,
     REGIME_OSCILLATION,
@@ -69,8 +70,7 @@ def criterion(number, label):
 
 
 def recipe_schedule(name):
-    with open(os.path.join(RECIPES_DIR, "data", name)) as fh:
-        return InputSchedule.from_json(fh.read())
+    return _read_schedule(os.path.join(RECIPES_DIR, "data", name))
 
 
 @pytest.fixture(scope="module")

@@ -116,6 +116,27 @@ def test_no_exec_or_compile_outside_tf_core():
     assert found == []
 
 
+def test_only_cli_imports_json():
+    # cli reads and writes every file format, the bank, load and schedule
+    # files and the JSON reports; the library takes and returns its own types
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        if os.path.basename(path) == "cli.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(os.path.basename(path), node.lineno) for name in names
+                      if name.split(".")[0] == "json"]
+    assert found == []
+
+
 @pytest.mark.parametrize("name", ["tf_core", "freq_analysis", "sim", "multichannel",
                                   "interconnect", "csvtext"])
 def test_lower_modules_do_not_import_upward(name):

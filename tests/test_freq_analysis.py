@@ -13,6 +13,7 @@ from conftest import (
     reference_min_real_part,
 )
 
+from mfa.cli import _read_load
 from mfa.freq_analysis import (
     _axis_products,
     _gain,
@@ -24,7 +25,7 @@ from mfa.freq_analysis import (
     nyquist_locus,
 )
 from mfa.equilibria import LureLoop
-from mfa.interconnect import InterfaceGains, LoadParams, load_from_json, load_tf
+from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.multichannel import Channel, ChannelBank, bank_critical_balance
 from mfa.tf_core import (
     Polynomial,
@@ -140,8 +141,7 @@ class TestExactMinimum:
             assert_exact_min(g, midpoint_rate(g.poles()))
 
     def test_five_state_load_loop(self):
-        with open(f"{RECIPES_DIR}/data/load_msd.json") as fh:
-            load, iface = load_from_json(fh.read())
+        load, iface = _read_load(f"{RECIPES_DIR}/data/load_msd.json")
         for k in (1.0, 10.0, 100.0):
             for beta in (0.1, 0.4, 0.8):
                 g = gain_scaled(LureLoop.load(mixed(1.0, beta), k, load, iface).g1, k)
@@ -440,8 +440,7 @@ class TestUnitGainCertificate:
     @staticmethod
     def loops():
         rng = np.random.default_rng(16)
-        with open(f"{RECIPES_DIR}/data/load_msd.json") as fh:
-            load, iface = load_from_json(fh.read())
+        load, iface = _read_load(f"{RECIPES_DIR}/data/load_msd.json")
         for trial in range(24):
             tp = float(rng.uniform(0.01, 0.5))
             tn = tp * float(rng.uniform(1.5, 30.0))

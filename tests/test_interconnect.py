@@ -8,6 +8,7 @@ import pytest
 
 from conftest import RECIPES_DIR, brute_min_re, fold_point
 
+from mfa.cli import _read_bank, _read_load
 from mfa.equilibria import UNSTABLE, LureLoop
 from mfa.freq_analysis import check_p_passivity
 from mfa.interconnect import (
@@ -15,10 +16,8 @@ from mfa.interconnect import (
     InterfaceGains,
     LoadParams,
     compose_certificates,
-    load_from_json,
     load_tf,
 )
-from mfa.multichannel import bank_from_json
 from mfa.sim import Trajectory, detect_oscillation, integrate
 from mfa.tf_core import get_nonlinearity
 
@@ -46,9 +45,10 @@ class TestLoadTf:
         with pytest.raises(ValueError, match="a > 0"):
             LoadParams(-1.0, 35.0, 1.0, 20.0)
 
-    def test_json_parsing(self):
-        load, iface = load_from_json(
-            '{"a": 350, "b": 35, "kv": 1, "kp": 20, "ki": 10, "ko": 1}')
+    def test_json_parsing(self, tmp_path):
+        path = tmp_path / "load.json"
+        path.write_text('{"a": 350, "b": 35, "kv": 1, "kp": 20, "ki": 10, "ko": 1}')
+        load, iface = _read_load(str(path))
         assert load == LOAD and iface == IFACE
 
 
@@ -224,8 +224,8 @@ class TestBorderedBank:
     IFACE = InterfaceGains(ki=0.3, ko=2.5)
 
     def loop(self):
-        with open(os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json")) as fh:
-            tau_l, pos, neg, k, beta = bank_from_json(fh.read())
+        _, tau_l, pos, neg, k, beta = _read_bank(
+            os.path.join(RECIPES_DIR, "data", "bank_two_by_two.json"))
         return k, LureLoop.load(LureLoop.bank(tau_l, pos, neg, 1.0, beta), k, LOAD, self.IFACE)
 
     def test_realization_has_the_transfer_function(self):

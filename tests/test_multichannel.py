@@ -10,6 +10,7 @@ import pytest
 
 from conftest import bisect_root, brute_min_re, exact_bank_numerator
 
+from mfa.cli import _read_bank
 from mfa.equilibria import LureLoop
 from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
 from mfa.interconnect import InterfaceGains, LoadParams
@@ -22,7 +23,6 @@ from mfa.multichannel import (
     Channel,
     ChannelBank,
     bank_critical_balance,
-    bank_from_json,
     check_interlacing,
 )
 from mfa.sim import integrate
@@ -103,6 +103,15 @@ class TestBankInvariants:
     def test_positive_weights(self):
         with pytest.raises(ValueError, match="rho > 0"):
             ChannelBank((Channel(-0.5, 0.1), Channel(1.5, 0.2)))
+
+    @pytest.mark.parametrize("channel, name", [
+        (Channel(math.nan, 0.1), "rho"), (Channel(math.inf, 0.1), "rho"),
+        (Channel(1.0, math.nan), "tau"), (Channel(1.0, math.inf), "tau"),
+    ], ids=["rho-nan", "rho-inf", "tau-nan", "tau-inf"])
+    def test_non_finite_refused(self, channel, name):
+        # refused here, not later as a loop gain or time constant error
+        with pytest.raises(ValueError, match=f"^requires finite {name} > 0$"):
+            ChannelBank((channel,))
 
     def test_time_scale_ordering(self):
         pos = ChannelBank((Channel(1.0, 2.0),))
@@ -422,16 +431,17 @@ class TestEquilibriumReuse:
 
 
 class TestBankJson:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         pos, neg = two_by_two()
-        text = json.dumps({
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({
             "tau_l": 0.01,
             "positive": [{"rho": ch.rho, "tau": ch.tau} for ch in pos.channels],
             "negative": [{"rho": ch.rho, "tau": ch.tau} for ch in neg.channels],
             "k": 5.0,
             "beta": 0.6,
-        })
-        tau_l, p2, n2, k, beta = bank_from_json(text)
+        }))
+        _, tau_l, p2, n2, k, beta = _read_bank(str(path))
         assert (tau_l, k, beta) == (0.01, 5.0, 0.6)
         assert p2.channels == pos.channels
         assert n2.channels == neg.channels

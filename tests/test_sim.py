@@ -12,8 +12,9 @@ import pytest
 from conftest import RECIPES_DIR, WIDE_LOOPS, reference_rk4, vector_field, wide_loop
 
 from mfa import sim, tf_core
+from mfa.cli import _read_load, _read_schedule
 from mfa.equilibria import STABLE, UNSTABLE, LureLoop
-from mfa.interconnect import InterfaceGains, LoadParams, load_from_json
+from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import (
     _BLOCK,
@@ -83,9 +84,18 @@ class TestSchedule:
         with pytest.raises(ValueError, match="strictly increasing"):
             InputSchedule(((0.0, 0.0), (5.0, 1.0), (5.0, 2.0)))
 
-    def test_json_parsing(self):
-        sched = InputSchedule.from_json(
-            '[{"t": 0, "r": 0}, {"t": 20, "r": -0.5}, {"t": 30, "r": 0}]')
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, value):
+        # refused here, not later as a divergence of the run
+        with pytest.raises(ValueError, match="finite reference values"):
+            InputSchedule(((0.0, 0.0), (1.0, value)))
+        with pytest.raises(ValueError, match="finite reference values"):
+            InputSchedule.constant(value)
+
+    def test_json_parsing(self, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text('[{"t": 0, "r": 0}, {"t": 20, "r": -0.5}, {"t": 30, "r": 0}]')
+        sched = _read_schedule(str(path))
         assert sched == InputSchedule(((0.0, 0.0), (20.0, -0.5), (30.0, 0.0)))
 
     def test_change_applies_at_first_sample_at_or_after_start(self):
@@ -193,7 +203,7 @@ class TestIntegrate:
         # and a lone last step joins the block before it, so no block is one
         # row, whose product with c takes another path than the whole array's
         monkeypatch.setattr(sim, "_BLOCK", 5)
-        load, iface = load_from_json(_recipe_data("load_msd.json"))
+        load, iface = _read_load(_recipe_path("load_msd.json"))
         ss = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss
         blocks = []
         traj = integrate(ss, (0.1, 0.02, -0.01, 0.003, 0.0), dt=1e-3, t_end=n_steps * 1e-3,
@@ -254,9 +264,8 @@ class TestIntegrate:
         assert dist.max() > 1e-3
 
 
-def _recipe_data(name):
-    with open(os.path.join(RECIPES_DIR, "data", name)) as fh:
-        return fh.read()
+def _recipe_path(name):
+    return os.path.join(RECIPES_DIR, "data", name)
 
 
 class TestKernelBitIdentity:
@@ -271,14 +280,14 @@ class TestKernelBitIdentity:
         return traj
 
     def test_recipe_pulse_switch_mid_block(self):
-        sched = InputSchedule.from_json(_recipe_data("pulse_switch.json"))
+        sched = _read_schedule(_recipe_path("pulse_switch.json"))
         # the switches at t = 20 and t = 30 land on steps 10000 and 15000,
         # inside the third and fourth blocks
         assert 10000 % _BLOCK and 15000 % _BLOCK
         self.check(amp_ss(mixed(5.0, 0.8)), (0.1, 0.0, 0.0), sched, dt=2e-3, t_end=35.0)
 
     def test_five_state_load_loop(self):
-        load, iface = load_from_json(_recipe_data("load_msd.json"))
+        load, iface = _read_load(_recipe_path("load_msd.json"))
         ss = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss
         traj = self.check(ss, (0.1, 0.0, 0.0, 0.0, 0.0), dt=5e-4, t_end=5.0)
         assert traj.states.shape == (10001, 5)
@@ -295,7 +304,7 @@ class TestKernelBitIdentity:
         if loop == "amplifier":
             system, dim = amp_ss(mixed(5.0, 0.4)), 3
         elif loop == "load":
-            load, iface = load_from_json(_recipe_data("load_msd.json"))
+            load, iface = _read_load(_recipe_path("load_msd.json"))
             system, dim = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss, 5
         else:
             system, dim = StateSpace(a=((1.0,),), b=(0.0,), c=(1.0,), labels=("x",)), 1
