@@ -14,14 +14,16 @@ streamed in blocks of rows, never built as one string, by
 and ``nyquist`` take their text from one generator, :func:`_csv_blocks`:
 one :func:`mfa.csvtext.format_block` numpy kernel per block, with the same
 bytes as ``%.17g``.  Where a second CPU is free, the first block of
-trajectory rows the integrator finishes forks a formatter process, and each
-block goes down a pipe to it as plain float64 values; it writes their text
-into a temporary file that is copied out once the run has returned and the
-formatter has exited 0.  Otherwise the blocks are kept and formatted after
-the run (:func:`_write_trajectory`).  Either way the CSV header is built once,
-before the run.  The map formats each gain and each column's balance and
-critical gains once, by position in the grid, and joins its rows from those
-strings.
+trajectory rows the integrator finishes makes a temporary file and forks a
+formatter process, and each block goes down a pipe to it as plain float64
+values; it writes their text into that file, which is copied out once the
+run has returned and the formatter has exited 0.  Otherwise the blocks,
+views of the integrator's one table of rows, are kept and formatted after
+the run (:func:`_write_trajectory`).  Either way the CSV header is built
+once, before the run.  A step warning of the integrator is one
+``warning: <message>`` line on stderr.  The map formats each gain and each
+column's balance and critical gains once, by position in the grid, and
+joins its rows from those strings.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import math
 import os
 import re
 import sys
-from contextlib import nullcontext, suppress
+import warnings
+from contextlib import ExitStack, suppress
 
 import numpy as np
 
@@ -320,7 +323,6 @@ def _fork_formatter(cols: int, text):
     whole rows of ``cols`` values makes it fail.  Its process id and the
     pipe's write end, or two Nones when no process can be forked."""
     import fcntl
-    import warnings
 
     # imported before the fork, so that each formatter finds its tables built
     from . import csvtext  # noqa: F401
@@ -367,18 +369,21 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
     ``path``, or to stdout when ``path`` is None, and return the trajectory.
 
     Where ``os.fork`` exists and the process may use two CPUs, the first
-    block forks a formatter (:func:`_fork_formatter`), and the sink writes
-    each block down a pipe to it, so that it makes the rows' text while
-    ``run`` integrates the next block, into an unnamed temporary file that
-    is copied to the destination only once ``run`` has returned and the
-    formatter has exited 0; the temporary directory needs room for the
-    whole CSV.  Otherwise, or when the fork fails, the sink keeps the
-    blocks, and their text goes straight to the destination after the run.
-    A run refused before its first block forks nothing.  Both ways make the
-    text with :func:`_csv_blocks`, whose rows do not depend on the blocks
-    they come in, so the bytes are the same either way, for a loop of any
-    size.  The formatter is reaped on every path, and the destination is
-    opened only after ``run`` returns, so a run that fails writes nothing.
+    block makes an unnamed temporary file and forks a formatter
+    (:func:`_fork_formatter`), and the sink writes each block down a pipe to
+    it, so that it makes the rows' text while ``run`` integrates the next
+    block, into that file, which is copied to the destination only once
+    ``run`` has returned and the formatter has exited 0; the temporary
+    directory needs room for the whole CSV.  Otherwise, or when the fork
+    fails, the sink keeps the blocks, which :func:`mfa.sim.integrate` hands
+    over as views of its one table of rows, so keeping them copies nothing,
+    and their text goes straight to the destination after the run.  A run
+    refused before its first block makes no temporary file and forks
+    nothing.  Both ways make the text with :func:`_csv_blocks`, whose rows
+    do not depend on the blocks they come in, so the bytes are the same
+    either way, for a loop of any size.  The formatter is reaped and the
+    temporary file closed on every path, and the destination is opened
+    only after ``run`` returns, so a run that fails writes nothing.
     """
     import tempfile
 
@@ -386,11 +391,13 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
     # and the pipe and the copy would come on top
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     fork = hasattr(os, "fork") and (cpus or 1) > 1
-    blocks, pid, pipe = [], None, None  # the blocks kept without a formatter; its pid and pipe
-    with tempfile.TemporaryFile() if fork else nullcontext() as text:
+    # the blocks kept without a formatter; its pid, pipe and temporary file
+    blocks, pid, pipe, text = [], None, None, None
+    with ExitStack() as files:
         def sink(block):
-            nonlocal pid, pipe
-            if fork and pipe is None and not blocks:
+            nonlocal pid, pipe, text
+            if fork and text is None:
+                text = files.enter_context(tempfile.TemporaryFile())
                 pid, pipe = _fork_formatter(header.count(",") + 1, text)
             if pipe is None:
                 blocks.append(block)
@@ -419,10 +426,20 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
     return traj
 
 
+def _print_warning(message, *_):
+    """``warnings.showwarning`` for the integrator's step warnings: one
+    ``warning: <message>`` line on stderr, dropped, as Python's own are,
+    when stderr cannot be written."""
+    with suppress(OSError):
+        print("warning:", message, file=sys.stderr)
+
+
 def _simulate(loop: LureLoop, args) -> Trajectory:
     """Trajectory of ``loop`` from the schedule, initial condition and step
     flags, written as CSV unless only ``--detect`` is asked for; without
-    ``--dt`` the integrator picks the step from the loop."""
+    ``--dt`` the integrator picks the step from the loop.  The integrator's
+    step warnings are printed as ``warning: <message>`` lines on stderr,
+    which name no file or line of the package."""
     if args.detect and not 0.0 <= args.transient_fraction < 1.0:
         raise ValueError("requires 0 <= transient_fraction < 1")
     schedule = (InputSchedule.constant(args.r) if args.schedule is None
@@ -430,7 +447,9 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
     ic = _parse_ic(args.ic, loop.ss.dim)
 
     def run(sink=None):
-        return integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end, sink=sink)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end, sink=sink)
     if args.output is None and args.detect:
         return run()
     header = ",".join(["t", *loop.ss.labels, "y", *(name for name, _ in loop.ss.extra_outputs)])

@@ -138,7 +138,12 @@ class InputSchedule:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled simulation output with its input-schedule provenance."""
+    """Uniformly sampled simulation output with its input-schedule provenance.
+
+    From :func:`integrate`, ``t``, ``states``, ``y`` and each array of
+    ``extra`` are columns of one table of rows ``[t, states, y, extra...]``:
+    views, not C-contiguous, any one of which keeps the whole table alive.
+    """
 
     t: np.ndarray
     states: np.ndarray
@@ -163,8 +168,8 @@ class OscillationReport:
     n_crossings: int
 
 
-#: Steps per call of the RK4 block; each block is flushed into the states
-#: array before the next one starts.
+#: Steps per call of the RK4 block; each block is flushed into the table
+#: of rows before the next one starts.
 _BLOCK = 4096
 
 
@@ -226,14 +231,18 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     :func:`mfa.tf_core._loop_kernel` records from one :func:`_rk4_step`,
     traced once per call with ``dt`` and the coefficients as constants.  A
     ``t_end`` that rounds to zero steps, whose ratio to ``dt`` overflows or
-    whose step count is too large for an array to hold, is a ``ValueError``;
+    whose table of rows is too large for an array to hold, is a ``ValueError``;
     a non-finite state along the way aborts with the offending time, found
     once per block of steps.  The output ``y`` and the extra outputs are
     products of each finished block's states with their rows, the initial
-    row taken with the first block.  A ``sink``, when given, is called once
-    per finished block with its rows ``[t, states, y, extra...]`` as one
-    2-D array.  The returned arrays are the rows a sink would get, with or
-    without a sink, for a loop of any size.
+    row taken with the first block.  The run allocates one table of
+    ``round(t_end / dt) + 1`` rows ``[t, states, y, extra...]``, and each
+    block's times, states and outputs are written into it in place.  A
+    ``sink``, when given, is called once per finished block with that
+    block's rows of the table, a view, which it must not write into.  The
+    returned :class:`Trajectory`'s arrays are columns of the same table, so
+    they hold the rows a sink gets, with or without a sink, for a loop of
+    any size.
     """
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
@@ -266,19 +275,18 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     n_steps = int(round(t_end / dt))
     if n_steps == 0:
         raise ValueError(f"t_end = {t_end:g} rounds to zero steps of dt = {dt:g}")
-    if (n_steps + 1) * n * 8 > np.iinfo(np.intp).max:
+    c_rows = [np.asarray(ss.c), *(np.asarray(row) for _, row in ss.extra_outputs)]
+    # one row [t, states, y, extra...] per sample
+    if (n_steps + 1) * (n + 1 + len(c_rows)) * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"t_end = {t_end:g} over dt = {dt:g} is {n_steps:.3g} steps, "
                          "too many to store")
     r_steps = schedule.values_for_steps(dt, n_steps)
     block = _loop_kernel(lambda phi, r, state: _rk4_step(ss, phi, dt, r, state),
                          get_nonlinearity(ss.nonlinearity)[0], None, n)
 
-    states = np.empty((n_steps + 1, n))
+    table = np.empty((n_steps + 1, n + 1 + len(c_rows)))
+    states = table[:, 1:n + 1]
     states[0] = s
-    t = np.arange(n_steps + 1) * dt
-    names = ["y", *(name for name, _ in ss.extra_outputs)]
-    c_rows = [np.asarray(ss.c), *(np.asarray(row) for _, row in ss.extra_outputs)]
-    outputs = [np.empty(n_steps + 1) for _ in names]
     # a one-row product takes numpy's vector path, whose last bit can differ
     # from the matrix product's over the same row: so the initial row goes
     # with the first block, a lone last step joins the block before it, and
@@ -297,13 +305,14 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
             raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         s = out[-n:]
         rows = slice(i0 + 1 if i0 else 0, i1 + 1)
-        for col, c in zip(outputs, c_rows):
-            np.matmul(states[rows], c, out=col[rows])
+        table[rows, 0] = np.arange(rows.start, rows.stop) * dt
+        for j, c in enumerate(c_rows, n + 1):
+            np.matmul(states[rows], c, out=table[rows, j])
         if sink is not None:
-            sink(np.column_stack([t[rows], states[rows], *(col[rows] for col in outputs)]))
+            sink(table[rows])
 
-    return Trajectory(t=t, states=states, y=outputs[0], schedule=schedule,
-                      labels=ss.labels, extra=dict(zip(names[1:], outputs[1:])))
+    return Trajectory(table[:, 0], states, table[:, n + 1], schedule, ss.labels,
+                      dict(zip([name for name, _ in ss.extra_outputs], table[:, n + 2:].T)))
 
 
 def _autocorr_period(d: np.ndarray, dt: float) -> float | None:

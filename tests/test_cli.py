@@ -8,6 +8,8 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -488,12 +490,29 @@ class TestSimulate:
           "--dt", "0.005", "--t-end", "0.05"], "accuracy degraded"),
     ], ids=["simulate-default", "simulate-rk4", "interconnect-accuracy"])
     def test_step_checks_for_every_loop(self, capsys, argv, expected):
+        # a step warning is a "warning:" line on stderr, not a Python warning
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            code, _ = run(capsys, argv)
-        messages = [str(w.message) for w in record]
-        assert code == 0 and len(messages) == (expected is not None)
-        assert all(expected in m for m in messages)
+            code = main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 0 and record == [] and len(lines) == (expected is not None)
+        assert all(line.startswith("warning: ") and expected in line for line in lines)
+
+    @pytest.mark.parametrize("steps, code, err", [
+        (["--dt", "0.003", "--t-end", "1"], 0,
+         "warning: dt above min time constant / 5; accuracy degraded\n"),
+        (["--dt", "0.05", "--t-end", "100"], 4,
+         "warning: dt above min time constant / 5; accuracy degraded\n"
+         "warning: dt * spectral radius = 5.81 above the RK4 stability limit 2.78\n"
+         "error: divergence at t=13.5\n"),
+    ], ids=["accuracy", "divergence"])
+    def test_step_warning_lines(self, capsys, steps, code, err):
+        # the stderr names no file or line of the package, wherever it is
+        # installed
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", *steps, "--ic", "0.1,0,0"]
+        got = _outcome(capsys, argv)
+        assert (got[0], got[2]) == (code, err)
+        assert got[1].startswith(f"# mfa {__version__}\n") == (code == 0)
 
     def test_negative_initial_condition(self, capsys):
         # a comma list that starts with a negative number is a value, as
@@ -597,6 +616,19 @@ def _forks(monkeypatch):
     return calls
 
 
+def _temporary_files(monkeypatch):
+    """A list that gets an entry at each ``tempfile.TemporaryFile`` call from
+    now on."""
+    calls = []
+    make = tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return make(*args, **kwargs)
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    return calls
+
+
 def _open_descriptors():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
@@ -671,11 +703,14 @@ class TestTrajectoryFormatter:
             texts.add(dest.read_bytes())
         assert len(texts) == 1
 
+    # a formatter's failure needs a formatter, and a BrokenPipeError with one
+    # is its pipe's
     @pytest.mark.parametrize("transport, case", [
         (transport, case) for transport in TRANSPORTS
         for case in ["success", "divergence", "memory_error", "formatter_failure", "interrupt",
-                     "wrong_width"]
-        if transport == "forked" or case not in ("formatter_failure", "wrong_width")])
+                     "wrong_width", "broken_pipe"]
+        if case not in (("broken_pipe",) if transport == "forked"
+                        else ("formatter_failure", "wrong_width"))])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_nothing_left_behind(self, capsys, tmp_path, monkeypatch, transport, case, existing):
         monkeypatch.setattr(sim, "_BLOCK", 50)
@@ -714,6 +749,9 @@ class TestTrajectoryFormatter:
 
         if case == "memory_error":
             monkeypatch.setattr(cli, "integrate", after_all_blocks(MemoryError("no room")))
+        elif case == "broken_pipe":
+            monkeypatch.setattr(cli, "integrate",
+                                after_all_blocks(BrokenPipeError(32, "Broken pipe")))
         elif case == "formatter_failure":
             monkeypatch.setattr(csvtext, "format_block", fail)
         elif case == "interrupt":
@@ -736,6 +774,7 @@ class TestTrajectoryFormatter:
         expected = {"success": (0, ""),
                     "divergence": (4, "error: divergence at t="),
                     "memory_error": (2, "error: no room\n"),
+                    "broken_pipe": (3, "error: [Errno 32] Broken pipe\n"),
                     "formatter_failure": (3, "error: trajectory CSV formatter failed with "
                                              "exit code 1\n"),
                     "interrupt": (None, ""),
@@ -750,15 +789,53 @@ class TestTrajectoryFormatter:
             assert not dest.exists()
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_invalid_step_before_output(self, capsys, tmp_path, monkeypatch, transport):
-        # the step is refused before the destination is opened or a
-        # formatter forked
+    def test_warning_to_closed_stderr(self, tmp_path, monkeypatch, transport):
+        # a step warning that stderr cannot take is dropped, as Python's own
+        # are, and the run and its CSV go on
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
         _use_transport(monkeypatch, transport)
-        forks = _forks(monkeypatch)
+        monkeypatch.setattr(sys, "stderr", Closed())
+        dest = tmp_path / "traj.csv"
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "0.003",
+                "--t-end", "1", "--ic", "0.1,0,0", "--output", str(dest)]
+        assert main(argv) == 0
+        assert dest.read_bytes().startswith(f"# mfa {__version__}\nt,x,xp,xn,y\n".encode())
+
+    def test_inline_keeps_no_second_copy(self, tmp_path, monkeypatch):
+        # the kept blocks are views of the integrator's one table, so the
+        # heap peaks below twice the bytes of the rows; small blocks keep
+        # the RK4 lists and a block's text small beside them, and 10,000
+        # steps keep the traced run short
+        monkeypatch.setattr(sim, "_BLOCK", 256)
+        monkeypatch.setattr(cli, "_CSV_ROWS", 64)
+        _use_transport(monkeypatch, "inline")
+        ss, ic = self.loop("amplifier")
+        tracemalloc.start()
+        try:
+            traj = cli._write_trajectory(
+                str(tmp_path / "traj.csv"), "t,x,xp,xn,y",
+                lambda sink: sim.integrate(ss, ic, dt=1e-3, t_end=10.0, sink=sink))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.t) == 10_001 and peak < 2 * len(traj.t) * 5 * 8
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_invalid_step_before_output(self, capsys, tmp_path, monkeypatch, transport):
+        # the step is refused before the destination is opened, a temporary
+        # file made or a formatter forked
+        _use_transport(monkeypatch, transport)
+        forks, made = _forks(monkeypatch), _temporary_files(monkeypatch)
         argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "-1",
                 "--output", str(tmp_path / "missing" / "traj.csv")]
         assert _outcome(capsys, argv) == (2, "", "error: requires finite dt > 0\n")
-        assert forks == []
+        assert forks == [] and made == []
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("command, ic, dim", [("simulate", "0.1,0", 3),
@@ -767,7 +844,7 @@ class TestTrajectoryFormatter:
     def test_short_initial_condition_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                                     transport, command, ic, dim, existing):
         _use_transport(monkeypatch, transport)
-        forks = _forks(monkeypatch)
+        forks, made = _forks(monkeypatch), _temporary_files(monkeypatch)
         dest = tmp_path / "traj.csv"
         if existing:
             dest.write_bytes(b"kept\n")
@@ -776,8 +853,9 @@ class TestTrajectoryFormatter:
                 "--t-end", "1", "--ic", ic, "--output", str(dest)]
         assert _outcome(capsys, argv) == (
             2, "", f"error: requires {dim} initial-condition components\n")
-        # refused before the first block, so no formatter was forked
-        assert forks == []
+        # refused before the first block, so no temporary file was made and
+        # no formatter forked
+        assert forks == [] and made == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         if existing:
@@ -1425,7 +1503,10 @@ def _numpy_has_x86_v4() -> bool:
 class TestRecipeMapsOnAnyHost:
     """The four recipe maps and the two Nyquist loci do not depend on the
     kernels the host selects.  Under another OpenBLAS kernel all six hold
-    byte for byte.  With numpy's AVX-512 loops off, as on an AVX2-only
+    byte for byte, and so do the recipe trajectories of :data:`TRAJECTORIES`
+    under it: under ``Prescott`` the output products of ``sim_oscillation``
+    and ``sim_bistable_switch`` round otherwise (ROADMAP item 13), so those
+    two are left out there.  With numpy's AVX-512 loops off, as on an AVX2-only
     processor, the maps hold in every column but ``k``, and the loci are
     not compared: the gain grid and the loci's frequencies come from
     ``np.geomspace``, whose ``power`` loop is SIMD, so they may move in the
@@ -1438,6 +1519,12 @@ class TestRecipeMapsOnAnyHost:
     }
 
     NYQUIST = ["nyquist_openloop", "nyquist_shifted_load"]
+
+    TRAJECTORIES = {
+        "blas-haswell": ["sim_oscillation", "sim_bistable_switch", "sim_stable_return",
+                         "interconnect_limit_cycle"],
+        "blas-prescott": ["sim_stable_return", "interconnect_limit_cycle"],
+    }
 
     @classmethod
     def outputs(cls, tmp_path, setting, names):
@@ -1464,7 +1551,8 @@ class TestRecipeMapsOnAnyHost:
             pytest.skip("numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
         if setting.startswith("numpy") and not _numpy_has_x86_v4():
             pytest.skip("numpy does not run X86_V4 loops here")
-        names = [*TestRecipeMaps.SHA256, *(self.NYQUIST if setting.startswith("blas") else ())]
+        names = [*TestRecipeMaps.SHA256, *(self.NYQUIST if setting.startswith("blas") else ()),
+                 *self.TRAJECTORIES.get(setting, ())]
         want, got = (self.outputs(tmp_path, s, names) for s in (None, setting))
         if setting.startswith("blas"):
             assert got == want

@@ -212,6 +212,10 @@ class TestIntegrate:
         rows = np.column_stack([traj.t, traj.states, traj.y, traj.extra["ye"]])
         assert np.concatenate(blocks).tobytes() == rows.tobytes()
         assert traj.y.tobytes() == (traj.states @ np.asarray(ss.c)).tobytes()
+        # one table: every block is a view of the rows whose columns the
+        # returned arrays are
+        assert all(np.shares_memory(block, col) for block in blocks
+                   for col in (traj.t, traj.states, traj.y, traj.extra["ye"]))
 
     def test_t_end_rounded_to_whole_steps(self):
         traj = integrate(amp_ss(mixed(5.0, 0.4)), (0.1, 0.0, 0.0), dt=1e-3, t_end=1.4e-3)
@@ -491,6 +495,13 @@ class TestDetectOscillation:
                           InputSchedule.constant(0.0), ("x",))
         with pytest.raises(ArithmeticError, match="insufficient horizon"):
             detect_oscillation(traj)
+
+    @pytest.mark.parametrize("d", [[0.0] * 8, [1.0, 1.0, 1.0, 1.0], [1.0, -1.0]],
+                             ids=["zero", "never-negative", "peak-at-end"])
+    def test_autocorr_without_a_peak(self, d):
+        # no power, no negative lobe, or a largest lag after the first
+        # negative one that is the last: no period
+        assert sim._autocorr_period(np.array(d), 1e-3) is None
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.0, math.nan])
     def test_transient_fraction_range(self, fraction):

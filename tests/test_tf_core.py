@@ -64,6 +64,19 @@ class TestPolyRoots:
         with pytest.raises(ValueError, match="cap"):
             poly_roots(Polynomial([1.0] * 40))
 
+    def test_tiny_imaginary_part_snapped(self):
+        # (s + 1e-6)^2 + (1e-13)^2: the eigenvalues' imaginary parts, about
+        # 1e-13, lie within 1e-12 (1 + |z|), so the pair is a double real root
+        roots = poly_roots(Polynomial([1e-12 + 1e-26, 2e-6, 1.0]))
+        assert [z.imag for z in roots] == [0.0, 0.0]
+        assert roots[0].real == roots[1].real == pytest.approx(-1e-6, rel=1e-12)
+
+    def test_residual_above_tolerance(self, monkeypatch):
+        # a root the eigenvalue call gets wrong is refused
+        monkeypatch.setattr(tf_core, "_companion_roots", lambda rows: [[-1.0, -2.0 + 1e-6]])
+        with pytest.raises(ArithmeticError, match="root residual above tolerance"):
+            poly_roots(Polynomial([2.0, 3.0, 1.0]))
+
     def test_conjugate_ordering(self):
         roots = poly_roots(Polynomial([2.0, 0.0, 1.0]))  # +/- j sqrt(2)
         assert roots[0].imag < 0 < roots[1].imag
@@ -357,7 +370,10 @@ class TestKernel:
         def zero(xs):
             return [x for x in xs if x != 0.0]
 
-        for fn in (sign, zero):
+        def truth(xs):
+            return [x if x else 1.0 for x in xs]
+
+        for fn in (sign, zero, truth):
             with pytest.raises(TypeError):
                 _kernel(fn, 2)
 
