@@ -17,13 +17,14 @@ bytes as ``%.17g``.  Where a second CPU is free, the first block of
 trajectory rows the integrator finishes makes a temporary file and forks a
 formatter process, and each block goes down a pipe to it as plain float64
 values; it writes their text into that file, which is copied out once the
-run has returned and the formatter has exited 0.  Otherwise the blocks,
-views of the integrator's one table of rows, are kept and formatted after
-the run (:func:`_write_trajectory`).  Either way the CSV header is built
-once, before the run.  A step warning of the integrator is one
-``warning: <message>`` line on stderr.  The map formats each gain and each
-column's balance and critical gains once, by position in the grid, and
-joins its rows from those strings.
+run has returned and the formatter has exited 0.  For the run the two are
+pinned to different CPUs, and the CPU mask is restored afterwards.
+Otherwise the blocks, views of the integrator's one table of rows, are kept
+and formatted after the run (:func:`_write_trajectory`).  Either way the
+CSV header is built once, before the run.  A step warning of the integrator
+is one ``warning: <message>`` line on stderr.  The map formats each gain
+and each column's balance and critical gains once, by position in the
+grid, and joins its rows from those strings.
 """
 
 from __future__ import annotations
@@ -316,12 +317,27 @@ def _parse_ic(text: str | None, dim: int) -> tuple[float, ...]:
     return (0.0,) * dim if text is None else tuple(float(v) for v in text.split(","))
 
 
-def _fork_formatter(cols: int, text):
+def _current_cpu() -> int | None:
+    """The CPU this thread runs on, field 39 of ``/proc/thread-self/stat``,
+    or None where that cannot be read."""
+    with suppress(OSError, ValueError, IndexError):
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # field 2, the thread's name, may hold spaces and ")"
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    return None
+
+
+def _fork_formatter(cols: int, text, cpu: int | None, mask: set[int] | None):
     """Fork a formatter that reads rows of ``cols`` float64 values from a
     pipe until the pipe ends, and appends the text of each
     :data:`_CSV_ROWS` of them to the file ``text``; a stream that is not
     whole rows of ``cols`` values makes it fail.  Its process id and the
-    pipe's write end, or two Nones when no process can be forked."""
+    pipe's write end, or two Nones when no process can be forked.
+
+    With a ``cpu``, once the fork returns the formatter is pinned by its pid
+    to the other CPUs of ``mask``, and then this thread to ``cpu``, so that
+    the pipe's wake-ups do not draw the two onto one CPU; where the first
+    pin fails, neither is pinned.  The caller restores this thread's mask."""
     import fcntl
 
     # imported before the fork, so that each formatter finds its tables built
@@ -360,6 +376,10 @@ def _fork_formatter(cols: int, text):
         finally:
             os._exit(status)
     os.close(read_end)
+    if cpu is not None:
+        with suppress(OSError):
+            os.sched_setaffinity(pid, mask - {cpu})
+            os.sched_setaffinity(0, {cpu})
     return pid, open(write_end, "wb")
 
 
@@ -384,13 +404,26 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
     either way, for a loop of any size.  The formatter is reaped and the
     temporary file closed on every path, and the destination is opened
     only after ``run`` returns, so a run that fails writes nothing.
+
+    Once the formatter is forked, it is pinned to the CPUs of this thread's
+    mask but the one the thread is on (:func:`_current_cpu`), and the thread
+    to that one: unpinned, a pipe write wakes the formatter on the writer's
+    CPU, and the two take turns there.  The thread's mask is restored on
+    every path.  Where the mask or the CPU cannot be read, or the
+    formatter's pin cannot be set, the two run unpinned; the inline way
+    pins nothing.
     """
     import tempfile
 
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     # on one CPU the formatter would only take turns with the integrator,
     # and the pipe and the copy would come on top
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    fork = hasattr(os, "fork") and (cpus or 1) > 1
+    fork = hasattr(os, "fork") and (len(mask) if mask else os.cpu_count() or 1) > 1
+
+    def restore():
+        with suppress(OSError):
+            os.sched_setaffinity(0, mask)
+
     # the blocks kept without a formatter; its pid, pipe and temporary file
     blocks, pid, pipe, text = [], None, None, None
     with ExitStack() as files:
@@ -398,7 +431,11 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
             nonlocal pid, pipe, text
             if fork and text is None:
                 text = files.enter_context(tempfile.TemporaryFile())
-                pid, pipe = _fork_formatter(header.count(",") + 1, text)
+                # the pin calls exist where the mask can be read
+                cpu = _current_cpu() if mask else None
+                if cpu is not None:
+                    files.callback(restore)
+                pid, pipe = _fork_formatter(header.count(",") + 1, text, cpu, mask)
             if pipe is None:
                 blocks.append(block)
             else:

@@ -362,7 +362,9 @@ def poly_roots(p: Polynomial) -> list[complex]:
     matrix, without the eigenvalue call.  Roots are ordered by ascending real
     part, then ascending imaginary part, which places each conjugate pair
     adjacently.  The scaled residual
-    ``|p(root)| / sum_k |a_k| |root|^k`` is checked against 1e-8.
+    ``|p(root)| / sum_k |a_k| |root|^k`` is checked against 1e-8.  An
+    imaginary part within 1e-12 (1 + |root|) is snapped to 0 only where the
+    real root passes that check, so a pair of tiny complex roots is kept.
     """
     if p.is_zero:
         raise ValueError("degenerate polynomial")
@@ -375,16 +377,19 @@ def poly_roots(p: Polynomial) -> list[complex]:
         raw = [complex(-p.coeffs[0] / p.coeffs[1] + 0.0)]
     else:
         raw = _companion_roots([p.coeffs[::-1]])[0]
+
+    def fails(z):
+        scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+        return abs(p(z)) > 1e-8 * max(scale, 1e-300)
     roots = []
     for z in raw:
-        if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
+        if (z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z))
+                and not fails(complex(z.real, 0.0))):
             z = complex(z.real, 0.0)
         roots.append(z)
     roots.sort(key=_root_order)
-    for z in roots:
-        scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
-        if abs(p(z)) > 1e-8 * max(scale, 1e-300):
-            raise ArithmeticError("root residual above tolerance")
+    if any(map(fails, roots)):
+        raise ArithmeticError("root residual above tolerance")
     return roots
 
 

@@ -116,6 +116,32 @@ def test_no_exec_or_compile_outside_tf_core():
     assert found == []
 
 
+def test_process_placement_only_in_trajectory_writer():
+    # cli._write_trajectory and cli._fork_formatter own process placement:
+    # the one fork and every CPU pin, whose mask the writer restores; a
+    # fork or a pin anywhere else could leave a process or a mask behind
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        inside = set()
+        if os.path.basename(path) == "cli.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("_write_trajectory",
+                                                                   "_fork_formatter"):
+                    inside |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in inside or not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in ("fork", "sched_setaffinity")
+                    and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                found.append((os.path.basename(path), node.lineno))
+            if isinstance(func, ast.Name) and func.id in ("fork", "sched_setaffinity"):
+                found.append((os.path.basename(path), node.lineno))
+    assert found == []
+
+
 def test_only_cli_imports_json():
     # cli reads and writes every file format, the bank, load and schedule
     # files and the JSON reports; the library takes and returns its own types

@@ -591,16 +591,26 @@ class TestCsvWriter:
 TRANSPORTS = ["forked", "fork_fails", "inline"] if hasattr(os, "fork") else ["inline"]
 
 
+#: Where the trajectory writer reads the CPU its thread runs on.
+THREAD_STAT = "/proc/thread-self/stat"
+
+
 def _use_transport(monkeypatch, transport):
     """Make the trajectory writer fork its formatter, as with two usable
-    CPUs, or format inline, as with one or where the fork fails."""
+    CPUs, or format inline, as with one or where the fork fails.  The CPU
+    mask it reads is faked, so its pins are only recorded, never made: a
+    list of the ``(pid, cpus)`` of each ``os.sched_setaffinity`` call."""
     def fork():
         raise BlockingIOError("Resource temporarily unavailable")
 
+    pins = []
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: {0} if transport == "inline" else {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: pins.append((pid, set(cpus))), raising=False)
     if transport == "fork_fails":
         monkeypatch.setattr(os, "fork", fork)
+    return pins
 
 
 def _forks(monkeypatch):
@@ -714,7 +724,7 @@ class TestTrajectoryFormatter:
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_nothing_left_behind(self, capsys, tmp_path, monkeypatch, transport, case, existing):
         monkeypatch.setattr(sim, "_BLOCK", 50)
-        _use_transport(monkeypatch, transport)
+        pins = _use_transport(monkeypatch, transport)
         dest = tmp_path / "traj.csv"
         if existing:
             dest.write_bytes(b"kept\n")
@@ -771,6 +781,17 @@ class TestTrajectoryFormatter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert _open_descriptors() == descriptors
+        # a forked formatter is pinned by its pid, then this thread, to
+        # CPUs apart; every path that read the CPU ends with the thread's
+        # mask restored, and an inline run pins nothing
+        if transport == "inline" or not os.path.exists(THREAD_STAT):
+            assert pins == []
+        elif transport == "fork_fails":
+            assert pins == [(0, {0, 1})]
+        else:
+            (child, apart), (thread, own), restored = pins
+            assert child > 0 and thread == 0 and apart.isdisjoint(own)
+            assert restored == (0, {0, 1})
         expected = {"success": (0, ""),
                     "divergence": (4, "error: divergence at t="),
                     "memory_error": (2, "error: no room\n"),
@@ -807,6 +828,26 @@ class TestTrajectoryFormatter:
         assert main(argv) == 0
         assert dest.read_bytes().startswith(f"# mfa {__version__}\nt,x,xp,xn,y\n".encode())
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                        or not os.path.exists(THREAD_STAT), reason="needs two CPUs to pin")
+    def test_formatter_on_other_cpus(self, tmp_path, monkeypatch):
+        # on the real mask: while the run lasts, the formatter and this
+        # thread share no CPU, and afterwards the thread has its mask back
+        fork, masks = cli._fork_formatter, []
+
+        def placed(*args):
+            pid, pipe = fork(*args)
+            masks.append((os.sched_getaffinity(pid), os.sched_getaffinity(0)))
+            return pid, pipe
+        monkeypatch.setattr(cli, "_fork_formatter", placed)
+        before = os.sched_getaffinity(0)
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "1e-3",
+                "--t-end", "1", "--output", str(tmp_path / "traj.csv")]
+        assert main(argv) == 0
+        (formatter, writer), = masks
+        assert formatter.isdisjoint(writer) and formatter | writer == before
+        assert os.sched_getaffinity(0) == before
+
     def test_inline_keeps_no_second_copy(self, tmp_path, monkeypatch):
         # the kept blocks are views of the integrator's one table, so the
         # heap peaks below twice the bytes of the rows; small blocks keep
@@ -830,12 +871,12 @@ class TestTrajectoryFormatter:
     def test_invalid_step_before_output(self, capsys, tmp_path, monkeypatch, transport):
         # the step is refused before the destination is opened, a temporary
         # file made or a formatter forked
-        _use_transport(monkeypatch, transport)
+        pins = _use_transport(monkeypatch, transport)
         forks, made = _forks(monkeypatch), _temporary_files(monkeypatch)
         argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "-1",
                 "--output", str(tmp_path / "missing" / "traj.csv")]
         assert _outcome(capsys, argv) == (2, "", "error: requires finite dt > 0\n")
-        assert forks == [] and made == []
+        assert forks == [] and made == [] and pins == []
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("command, ic, dim", [("simulate", "0.1,0", 3),
@@ -843,7 +884,7 @@ class TestTrajectoryFormatter:
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_short_initial_condition_writes_nothing(self, capsys, tmp_path, monkeypatch,
                                                     transport, command, ic, dim, existing):
-        _use_transport(monkeypatch, transport)
+        pins = _use_transport(monkeypatch, transport)
         forks, made = _forks(monkeypatch), _temporary_files(monkeypatch)
         dest = tmp_path / "traj.csv"
         if existing:
@@ -853,9 +894,9 @@ class TestTrajectoryFormatter:
                 "--t-end", "1", "--ic", ic, "--output", str(dest)]
         assert _outcome(capsys, argv) == (
             2, "", f"error: requires {dim} initial-condition components\n")
-        # refused before the first block, so no temporary file was made and
-        # no formatter forked
-        assert forks == [] and made == []
+        # refused before the first block, so no temporary file was made, no
+        # formatter forked and no CPU pinned
+        assert forks == [] and made == [] and pins == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         if existing:

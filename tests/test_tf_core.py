@@ -71,6 +71,11 @@ class TestPolyRoots:
         assert [z.imag for z in roots] == [0.0, 0.0]
         assert roots[0].real == roots[1].real == pytest.approx(-1e-6, rel=1e-12)
 
+    def test_tiny_complex_pair_kept(self):
+        # s^2 + 1e-30: the eigenvalues +-1e-15j are exact, and the double
+        # root at 0 that snapping them would give fails the residual check
+        assert poly_roots(Polynomial([1e-30, 0.0, 1.0])) == [-1e-15j, 1e-15j]
+
     def test_residual_above_tolerance(self, monkeypatch):
         # a root the eigenvalue call gets wrong is refused
         monkeypatch.setattr(tf_core, "_companion_roots", lambda rows: [[-1.0, -2.0 + 1e-6]])
