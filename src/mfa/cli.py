@@ -17,7 +17,8 @@ bytes as ``%.17g``.  Where a second CPU is free, the first block of
 trajectory rows the integrator finishes makes a temporary file and forks a
 formatter process, and each block goes down a pipe to it as plain float64
 values; it writes their text into that file, which is copied out once the
-run has returned and the formatter has exited 0.  For the run the two are
+run has returned and the formatter has exited 0.  A ``--detect`` report is
+computed while the formatter drains the pipe.  For the run the two are
 pinned to different CPUs, and the CPU mask is restored afterwards.
 Otherwise the blocks, views of the integrator's one table of rows, are kept
 and formatted after the run (:func:`_write_trajectory`).  Either way the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -49,7 +51,6 @@ from .interconnect import InterfaceGains, LoadParams, compose_certificates, load
 from .multichannel import Channel, ChannelBank, bank_critical_balance, check_interlacing
 from .sim import (
     InputSchedule,
-    Trajectory,
     boundedness_check,
     detect_oscillation,
     integrate,
@@ -363,7 +364,6 @@ def _fork_formatter(cols: int, text, cpu: int | None, mask: set[int] | None):
     if pid == 0:
         status = 1
         try:
-            import gc
             # a collection would write to every object's page of the
             # parent's heap and so copy it
             gc.disable()
@@ -383,10 +383,12 @@ def _fork_formatter(cols: int, text, cpu: int | None, mask: set[int] | None):
     return pid, open(write_end, "wb")
 
 
-def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
+def _write_trajectory(path: str | None, header: str, run, analyse=None):
     """Call ``run(sink)``, which integrates a trajectory and hands ``sink``
     its rows block by block; write the CSV ``header`` and the rows to
-    ``path``, or to stdout when ``path`` is None, and return the trajectory.
+    ``path``, or to stdout when ``path`` is None, and return the trajectory,
+    or ``analyse(trajectory)``, which runs while the formatter drains the
+    rows; an error of it is raised once the CSV is written, as if it ran after.
 
     Where ``os.fork`` exists and the process may use two CPUs, the first
     block makes an unnamed temporary file and forks a formatter
@@ -441,8 +443,15 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
             else:
                 pipe.write(np.ascontiguousarray(block, float))
                 pipe.flush()
+        result, held = None, None
         try:
             traj = run(sink)
+            if pipe is not None:
+                pipe.close()  # the formatter drains the pipe while traj is analysed
+            try:
+                result = traj if analyse is None else analyse(traj)
+            except Exception as exc:  # raised once the CSV is written
+                held = exc
         except BrokenPipeError:
             if pipe is None:
                 raise
@@ -460,7 +469,9 @@ def _write_trajectory(path: str | None, header: str, run) -> Trajectory:
             text.seek(0)
             chunks = iter(functools.partial(text.read, 1 << 20), b"")
         _write_text(path, header, chunks)
-    return traj
+    if held is not None:
+        raise held
+    return result
 
 
 def _print_warning(message, *_):
@@ -471,12 +482,13 @@ def _print_warning(message, *_):
         print("warning:", message, file=sys.stderr)
 
 
-def _simulate(loop: LureLoop, args) -> Trajectory:
-    """Trajectory of ``loop`` from the schedule, initial condition and step
-    flags, written as CSV unless only ``--detect`` is asked for; without
-    ``--dt`` the integrator picks the step from the loop.  The integrator's
-    step warnings are printed as ``warning: <message>`` lines on stderr,
-    which name no file or line of the package."""
+def _simulate(loop: LureLoop, args, report) -> None:
+    """Integrate ``loop`` from the schedule, initial condition and step
+    flags; write the trajectory as CSV unless only ``--detect`` is asked
+    for, and with ``--detect`` print ``report(trajectory)`` as JSON
+    (:func:`_write_trajectory`).  Without ``--dt`` the integrator picks the
+    step from the loop.  Its step warnings are printed as ``warning:
+    <message>`` lines on stderr, which name no file or line of the package."""
     if args.detect and not 0.0 <= args.transient_fraction < 1.0:
         raise ValueError("requires 0 <= transient_fraction < 1")
     schedule = (InputSchedule.constant(args.r) if args.schedule is None
@@ -487,22 +499,24 @@ def _simulate(loop: LureLoop, args) -> Trajectory:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
             return integrate(loop.ss, ic, schedule, dt=args.dt, t_end=args.t_end, sink=sink)
-    if args.output is None and args.detect:
-        return run()
     header = ",".join(["t", *loop.ss.labels, "y", *(name for name, _ in loop.ss.extra_outputs)])
-    return _write_trajectory(args.output, header, run)
+    if args.detect:
+        _print_json(report(run()) if args.output is None
+                    else _write_trajectory(args.output, header, run, report))
+    else:
+        _write_trajectory(args.output, header, run)
 
 
 def cmd_simulate(args) -> int:
-    traj = _simulate(LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
-                                        args.nonlinearity), args)
-    if args.detect:
-        report = detect_oscillation(traj, transient_fraction=args.transient_fraction,
-                                    amp_threshold=args.amp_threshold)
+    def report(traj):
+        osc = detect_oscillation(traj, transient_fraction=args.transient_fraction,
+                                 amp_threshold=args.amp_threshold)
         bounded = boundedness_check(
             traj, r_max=traj.schedule.max_abs_value,
             settle_time=10.0 * max(args.tau_l, args.tau_p, args.tau_n))
-        _print_json({**dataclasses.asdict(report), "bounded": bounded})
+        return {**dataclasses.asdict(osc), "bounded": bounded}
+    _simulate(LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
+                                 args.nonlinearity), args, report)
     return 0
 
 
@@ -585,14 +599,13 @@ def cmd_interconnect(args) -> int:
             "equilibria": _equilibrium_dicts(equilibria),
         })
         return 0
-    traj = _simulate(loop, args)
-    if args.detect:
-        rep_y = detect_oscillation(traj, transient_fraction=args.transient_fraction,
-                                   amp_threshold=args.amp_threshold)
-        rep_ye = detect_oscillation(dataclasses.replace(traj, y=traj.extra["ye"]),
-                                    transient_fraction=args.transient_fraction,
-                                    amp_threshold=args.amp_threshold)
-        _print_json({"y": dataclasses.asdict(rep_y), "ye": dataclasses.asdict(rep_ye)})
+
+    def report(traj):
+        return {name: dataclasses.asdict(detect_oscillation(
+                    dataclasses.replace(traj, y=y), transient_fraction=args.transient_fraction,
+                    amp_threshold=args.amp_threshold))
+                for name, y in (("y", traj.y), ("ye", traj.extra["ye"]))}
+    _simulate(loop, args, report)
     return 0
 
 
@@ -799,4 +812,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    # the imports' objects go to the permanent generation, which no
+    # collection walks; not in main, which a caller may run many times
+    gc.freeze()
     sys.exit(main())

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
-from operator import add
 
 import numpy as np
 
@@ -180,7 +178,8 @@ def _rk4_step(ss: StateSpace, phi, dt: float, r, s):
     Each sum runs over the nonzero coefficients in index order, without a
     ``0.0`` seed: ``y = c_j p_j + ...`` over ``c_loop``, ``u = r - phi(y)``
     and each derivative row ``a_ij p_j + ... + b_i u``, at ``p = s``, then
-    ``s + dt/2 k1``, ``s + dt/2 k2`` and ``s + dt k3``.  The update is
+    ``s + dt/2 k1``, ``s + dt/2 k2`` and ``s + dt k3``; a term ``1.0 p_j``
+    or ``-1.0 p_j`` is added or subtracted, the same bits.  The update is
     ``s + dt/6 (k1 + 2 (k2 + k3) + k4 + 0.0)``: a seed only turned a sum of
     ``-0.0`` into ``0.0``, and ``+``, ``-``, ``*``, ``tanh`` and ``atan``
     map values equal up to the sign of zero to such values, so the one
@@ -192,7 +191,14 @@ def _rk4_step(ss: StateSpace, phi, dt: float, r, s):
         return [(j, float(v)) for j, v in enumerate(row) if v != 0.0]
 
     def total(terms, p):
-        return reduce(add, [v * p[j] for j, v in terms]) if terms else 0.0
+        acc = None if terms else 0.0
+        for j, v in terms:
+            x = p[j] if abs(v) == 1.0 else v * p[j]
+            if v == -1.0:
+                acc = -x if acc is None else acc - x
+            else:
+                acc = x if acc is None else acc + x
+        return acc
 
     c, rows = nonzero(ss.loop_row), [nonzero((*row, bi)) for row, bi in zip(ss.a, ss.b)]
 
@@ -232,17 +238,18 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
     traced once per call with ``dt`` and the coefficients as constants.  A
     ``t_end`` that rounds to zero steps, whose ratio to ``dt`` overflows or
     whose table of rows is too large for an array to hold, is a ``ValueError``;
-    a non-finite state along the way aborts with the offending time, found
-    once per block of steps.  The output ``y`` and the extra outputs are
-    products of each finished block's states with their rows, the initial
-    row taken with the first block.  The run allocates one table of
-    ``round(t_end / dt) + 1`` rows ``[t, states, y, extra...]``, and each
-    block's times, states and outputs are written into it in place.  A
-    ``sink``, when given, is called once per finished block with that
-    block's rows of the table, a view, which it must not write into.  The
-    returned :class:`Trajectory`'s arrays are columns of the same table, so
-    they hold the rows a sink gets, with or without a sink, for a loop of
-    any size.
+    a non-finite state along the way aborts with the first one's time; each
+    block tests its last state, and scans its rows only to find that time.
+    The output ``y`` and the extra outputs are products of each finished
+    block's states with their rows, the initial row taken with the first
+    block.  The run allocates one table of ``round(t_end / dt) + 1`` rows
+    ``[t, states, y, extra...]``, and each block's times, states and
+    outputs are written into it in place.  A ``sink``, when given, is
+    called once per finished block with that block's rows of the table, a
+    view, which it must not write into.  The returned
+    :class:`Trajectory`'s arrays are columns of the same table, so they
+    hold the rows a sink gets, with or without a sink, for a loop of any
+    size.
     """
     if dt is not None and not 0.0 < dt < math.inf:
         raise ValueError("requires finite dt > 0")
@@ -300,10 +307,11 @@ def integrate(ss: StateSpace, ic, schedule: InputSchedule | None = None,
         block(rs, s, out)
         chunk = states[i0 + 1:i1 + 1]
         chunk[:] = np.fromiter(out, float, len(out)).reshape(len(rs), n)
-        bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
-        if len(bad):
-            raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         s = out[-n:]
+        # each update is x + increment, so a non-finite component stays so
+        if not all(map(math.isfinite, s)):
+            bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+            raise ArithmeticError(f"divergence at t={(i0 + bad[0] + 1) * dt:.6g}")
         rows = slice(i0 + 1 if i0 else 0, i1 + 1)
         table[rows, 0] = np.arange(rows.start, rows.stop) * dt
         for j, c in enumerate(c_rows, n + 1):
@@ -386,11 +394,12 @@ def boundedness_check(traj: Trajectory, r_max: float,
 
     The bound follows from |phi| <= 1 and the unit-DC lag chain; callers
     should pass a ``settle_time`` of about ten times the slowest time
-    constant so the transient is excluded.  Returns None when no sample lies
-    at or after ``settle_time``, since an empty window shows nothing.
+    constant so the transient is excluded.  With ``t`` ascending, as
+    :func:`integrate` makes it, the window is a slice.  Returns None when no
+    sample lies at or after ``settle_time``, since an empty window shows nothing.
     """
-    mask = traj.t >= settle_time
-    if not mask.any():
+    i = int(np.searchsorted(traj.t, settle_time))
+    if i == len(traj.t):
         return None
     bound = r_max + 1.0 + 0.1
-    return bool(np.all(np.abs(traj.states[mask]) <= bound))
+    return bool(np.all(np.abs(traj.states[i:]) <= bound))

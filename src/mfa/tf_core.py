@@ -70,27 +70,31 @@ class _Traced:
     """A float argument or intermediate of a traced function.
 
     Each arithmetic operation on it, and each call of a traced function
-    argument, appends a node, holding the operation and its one or two
-    operands, to the shared ``tape`` and returns that node, so running a
-    function of floats on traced arguments records its operations in their
-    order and counts the uses of each value.  A traced value has no truth
-    value and no equality, so a branch on one fails instead of being frozen
-    into the record.
+    argument, records a node, holding the operation and its one or two
+    operands, in the shared ``tape`` dict and returns that node, so running
+    a function of floats on traced arguments records its operations in
+    their order and counts the uses of each value.  An arithmetic operation
+    on operands already recorded with it returns the node made then; each
+    call is a new node.  A traced value has no truth value and no equality,
+    so a branch on one fails instead of being frozen into the record.
     """
 
     __slots__ = ("tape", "text", "prec", "uses", "op", "a", "b")
 
-    def __init__(self, tape: list, text: str):
+    def __init__(self, tape: dict, text: str):
         self.tape, self.text, self.prec, self.uses = tape, text, 5, 0
 
     def _record(self, op, a, b=None):
-        node = _Traced(self.tape, "")
-        node.op, node.a, node.b = op, a, b
-        if type(a) is _Traced:
-            a.uses += 1
-        if type(b) is _Traced:
-            b.uses += 1
-        self.tape.append(node)
+        # a call's op is a new tuple, never shared; a constant's repr tells -0.0 from 0.0
+        key = (id(op), *[id(v) if type(v) is _Traced else repr(v) for v in (a, b)])
+        node = self.tape.get(key)
+        if node is None:
+            node = self.tape[key] = _Traced(self.tape, "")
+            node.op, node.a, node.b = op, a, b
+            if type(a) is _Traced:
+                a.uses += 1
+            if type(b) is _Traced:
+                b.uses += 1
         return node
 
     __add__, __radd__ = _operator(_ADD)
@@ -145,12 +149,13 @@ def _trace(fn, shape, loop: bool):
     which the code calls as a local, bound as a keyword default.
 
     ``fn`` runs once on :class:`_Traced` arguments, and the code is the
-    record of that run: every float operation and call that ``fn`` made, on
-    the same operands, with constants as their ``repr``, which reads back to
-    the same float.  A value used once is written into the expression that
-    uses it, in parentheses where precedence needs them, and any other value
-    is first assigned to a local, so the code computes the bits that ``fn``
-    computes.  Only the moment at which a value is computed can move; of the
+    record of that run: every call that ``fn`` made, and each distinct float
+    operation once, since a repeat on the same operands gives the same bits,
+    with constants as their ``repr``, which reads back to the same float.  A
+    value used once is written into the expression that uses it, in
+    parentheses where precedence needs them, and any other value is first
+    assigned to a local, so the code computes the bits that ``fn`` computes.
+    Only the moment at which a value is computed can move; of the
     operations that can raise, a division and a power, the traced functions
     here have at most one chain.  ``fn`` may branch and loop on lengths
     only.  The code takes the arguments that are not functions and returns
@@ -159,14 +164,14 @@ def _trace(fn, shape, loop: bool):
     runs the record for each ``r`` in ``rs``, its result the next ``s``,
     whose components it appends to ``out``.
     """
-    tape = []
+    tape = {}
     args = [_Traced(tape, f"x{i}") if n is None or callable(n)
             else [_Traced(tape, f"x{i}_{j}") for j in range(n)]
             for i, n in enumerate(shape)]
     result = fn(*args)
     _count_uses(result)
     lines = [f"{_source(tuple(a))} = x{i}" for i, a in enumerate(args) if type(a) is list]
-    for node in tape:
+    for node in tape.values():
         prec, left, right, template = node.op
         expr = (template.format(_source(node.a, left)) if right is None
                 else template.format(_source(node.a, left), _source(node.b, right)))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +173,17 @@ def reference_shift(coeffs, lam: float) -> tuple[float, ...]:
         out = add(out, [a * c for c in power])
         power = list(np.convolve(power, [-lam, 1.0]))
     return Polynomial(out).coeffs
+
+
+def repeated_operations(src: str) -> list[str]:
+    """The arithmetic expressions (``ast.dump``) that the straight-line
+    code ``src`` writes more than once; a negative constant such as
+    ``-1.0`` is no operation.  Each local of such code is assigned once, so
+    an expression written twice is computed twice."""
+    written = Counter(ast.dump(node) for node in ast.walk(ast.parse(src))
+                      if isinstance(node, ast.BinOp) or isinstance(node, ast.UnaryOp)
+                      and not isinstance(node.operand, ast.Constant))
+    return [dump for dump, n in written.items() if n > 1]
 
 
 def reference_rk4(ss, ic, r_steps, dt: float) -> np.ndarray:

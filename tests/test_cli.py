@@ -930,6 +930,105 @@ class TestTrajectoryFormatter:
         else:
             assert not dest.exists()
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("command", ["simulate", "interconnect"])
+    def test_detection_error_after_csv(self, capsys, tmp_path, monkeypatch, transport, command):
+        # the detection runs once the pipe is closed, before the formatter
+        # is reaped; its error is raised once the CSV is written, as if it
+        # ran after the writer, and a destination that cannot be opened is
+        # the error reported
+        _use_transport(monkeypatch, transport)
+        events = []
+        detect, waitpid, fork = cli.detect_oscillation, os.waitpid, cli._fork_formatter
+
+        class Pipe:
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def write(self, data):
+                return self.pipe.write(data)
+
+            def flush(self):
+                self.pipe.flush()
+
+            def close(self):
+                if not self.pipe.closed:
+                    events.append("close")
+                self.pipe.close()
+
+        def fork_logged(*args):
+            pid, pipe = fork(*args)
+            return pid, pipe if pipe is None else Pipe(pipe)
+
+        def detect_logged(*args, **kwargs):
+            events.append("detect")
+            return detect(*args, **kwargs)
+
+        def waitpid_logged(*args):
+            events.append("reap")
+            return waitpid(*args)
+
+        monkeypatch.setattr(cli, "detect_oscillation", detect_logged)
+        monkeypatch.setattr(os, "waitpid", waitpid_logged)
+        monkeypatch.setattr(cli, "_fork_formatter", fork_logged)
+        extra = (["--load", LOAD_JSON, "--ic", "0.1,0,0,0,0"] if command == "interconnect"
+                 else ["--ic", "0.1,0,0"])
+        # 11 rows leave 6 samples after the transient, too few to detect on
+        argv = [command, *AMP_FLAGS, "--k", "5", "--beta", "0.4", *extra, "--dt", "1e-3",
+                "--t-end", "0.01"]
+        plain, detected = tmp_path / "plain.csv", tmp_path / "detected.csv"
+        assert _outcome(capsys, [*argv, "--output", str(plain)]) == (0, "", "")
+        events.clear()
+        assert _outcome(capsys, [*argv, "--detect", "--output", str(detected)]) == (
+            4, "", "error: insufficient horizon\n")
+        assert detected.read_bytes() == plain.read_bytes()
+        # the first detection raises
+        assert events == (["close", "detect", "reap"] if transport == "forked" else ["detect"])
+        missing = tmp_path / "missing" / "traj.csv"
+        code, out, err = _outcome(capsys, [*argv, "--detect", "--output", str(missing)])
+        assert (code, out) == (3, "") and err.startswith("error: [Errno 2]")
+        assert not missing.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs a forked formatter")
+    @pytest.mark.parametrize("t_end", ["0.01", "1"], ids=["detection-fails", "detection-ok"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_formatter_failure_with_detect(self, capsys, tmp_path, monkeypatch, t_end,
+                                           existing):
+        # the formatter's failure is the error, whatever the detection did,
+        # and no report is printed
+        def fail(block):
+            raise RuntimeError("formatter fault")
+
+        _use_transport(monkeypatch, "forked")
+        monkeypatch.setattr(csvtext, "format_block", fail)
+        dest = tmp_path / "traj.csv"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        argv = ["simulate", *AMP_FLAGS, "--k", "5", "--beta", "0.4", "--dt", "2e-3",
+                "--t-end", t_end, "--ic", "0.1,0,0", "--detect", "--output", str(dest)]
+        assert _outcome(capsys, argv) == (
+            3, "", "error: trajectory CSV formatter failed with exit code 1\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_divergence_inside_a_block(self, capsys, tmp_path, monkeypatch, transport, block):
+        # the first row that is not finite, step 270, lies inside a block;
+        # its time is reported and nothing is written
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        _use_transport(monkeypatch, transport)
+        dest = tmp_path / "traj.csv"
+        argv = ["simulate", *AMP_FLAGS, "--k", "50", "--beta", "0.4", "--dt", "0.05",
+                "--t-end", "100", "--ic", "0.1,0,0", "--output", str(dest)]
+        code, out, err = _outcome(capsys, argv)
+        assert (code, out) == (4, "") and err.endswith("error: divergence at t=13.5\n")
+        assert not dest.exists()
+
 
 class TestNyquist:
     def test_shifted_load_right_half_plane(self, capsys):

@@ -1,5 +1,6 @@
 """Fixed-step integration, oscillation detection, boundedness."""
 
+import ast
 import dis
 import math
 import os
@@ -9,7 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import RECIPES_DIR, WIDE_LOOPS, reference_rk4, vector_field, wide_loop
+from conftest import (
+    RECIPES_DIR,
+    WIDE_LOOPS,
+    reference_rk4,
+    repeated_operations,
+    vector_field,
+    wide_loop,
+)
 
 from mfa import sim, tf_core
 from mfa.cli import _read_load, _read_schedule
@@ -446,6 +454,30 @@ class TestKernelBitIdentity:
             assert "0.0 +" not in sources[-1]
         assert repr(1e-3 / 6.0) in sources[0]
 
+    @pytest.mark.parametrize("recipe", ["sim_oscillation", "interconnect_limit_cycle"])
+    def test_kernel_shares_operations(self, monkeypatch, recipe):
+        # the recipes' blocks add or subtract a state whose coefficient is
+        # 1.0 or -1.0, and compute each operation of a step once
+        sources = []
+
+        def exec_capture(src, namespace):
+            sources.append(src)
+            exec(src, namespace)
+
+        monkeypatch.setattr(tf_core, "exec", exec_capture, raising=False)
+        if recipe == "sim_oscillation":
+            ss = mixed(5.0, 0.4).ss
+        else:
+            load, iface = _read_load(_recipe_path("load_msd.json"))
+            ss = LureLoop.load(mixed(1.0, 0.4), 10.0, load, iface).ss
+        integrate(ss, (0.1,) + (0.0,) * (ss.dim - 1), dt=5e-4, t_end=0.01)
+        unit = {ast.dump(ast.parse(v, mode="eval").body) for v in ("1.0", "-1.0")}
+        products = [node for node in ast.walk(ast.parse(sources[-1]))
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]
+        assert products and not [node for node in products
+                                 if {ast.dump(node.left), ast.dump(node.right)} & unit]
+        assert repeated_operations(sources[-1]) == []
+
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, _BLOCK + 1])
     def test_block_boundaries(self, n_steps):
         dt = 1e-3
@@ -468,6 +500,20 @@ class TestKernelBitIdentity:
         with pytest.raises(ArithmeticError) as got:
             integrate(ss, (1.0,), dt=dt, t_end=1000.0)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.filterwarnings("ignore:dt")
+    def test_divergence_inside_a_block(self, monkeypatch, block):
+        # a block tests only its last state; the first row that is not
+        # finite, step 270, lies inside a block of 7 or 4096 steps, and the
+        # time is the row-by-row scan's
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        ss, dt = amp_ss(mixed(50.0, 0.4)), 0.05
+        with pytest.raises(ArithmeticError) as ref:
+            reference_rk4(ss, (0.1, 0.0, 0.0), [0.0] * 2000, dt)
+        with pytest.raises(ArithmeticError) as got:
+            integrate(ss, (0.1, 0.0, 0.0), dt=dt, t_end=100.0)
+        assert str(got.value) == str(ref.value) == "divergence at t=13.5"
 
 
 class TestDetectOscillation:
@@ -535,6 +581,32 @@ class TestBoundedness:
         traj = Trajectory(t, states, states[:, 0],
                           InputSchedule.constant(0.0), ("x", "xp", "xn"))
         assert not boundedness_check(traj, r_max=0.0)
+
+    def test_window_slice_is_the_mask(self):
+        # the window taken as a slice of the ascending times is the samples
+        # at or after the settle time, as a mask of them picks: at a sample,
+        # between two, at the last and past it, where there is none
+        def masked(traj, r_max, settle_time):
+            mask = traj.t >= settle_time
+            if not mask.any():
+                return None
+            return bool(np.all(np.abs(traj.states[mask]) <= r_max + 1.0 + 0.1))
+
+        t = np.arange(31) * 0.1
+        states = np.column_stack([np.linspace(3.0, 0.0, 31), np.zeros(31), -np.ones(31)])
+        synthetic = Trajectory(t, states, states[:, 0], InputSchedule.constant(0.0),
+                               ("x", "xp", "xn"))
+        run = integrate(amp_ss(mixed(5.0, 0.4)), (2.5, 0.0, 0.0), dt=2e-3, t_end=0.6)
+        for traj in (synthetic, run):
+            t = traj.t
+            settles = [-1.0, 0.0, t[-1], np.nextafter(t[-1], 0.0), t[-1] + 1e-9, 100.0,
+                       *t[::3], *((t[:-1] + t[1:]) / 2.0)[::3]]
+            for settle in settles:
+                for r_max in (0.0, 0.5, 1.0, 2.0):
+                    got = boundedness_check(traj, r_max, settle_time=float(settle))
+                    assert got == masked(traj, r_max, float(settle)), (settle, r_max)
+        assert boundedness_check(run, 0.0, settle_time=0.7) is None
+        assert {boundedness_check(synthetic, 0.0, float(s)) for s in synthetic.t} == {True, False}
 
     def test_ultimate_bound_over_tunings(self):
         for k in (0.1, 5.0, 100.0):

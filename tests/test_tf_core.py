@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import analyze_report, gain_scaled, reference_shift
+from conftest import analyze_report, gain_scaled, reference_shift, repeated_operations
 
 from mfa import tf_core
 from mfa.equilibria import LureLoop
@@ -420,8 +420,7 @@ class TestKernel:
 
         k, src = self.built(monkeypatch, lambda: _kernel(f, None, None, None))
         assert src.splitlines()[-1].strip() == (
-            "return [x0 - (x1 - x2), x0 - x1 - x2, x2 - -1.0, -1.0 - x2, (x0 - x1) * x2, "
-            "x0 - x1 * x2]")
+            "return [x0 - (x1 - x2), t0 - x2, x2 - -1.0, -1.0 - x2, t0 * x2, x0 - x1 * x2]")
         rng = np.random.default_rng(7)
         cases = [*rng.normal(size=(100, 3)).tolist(), [0.1, 0.7, 0.3], [-0.0, 0.0, -0.0]]
         assert [repr(k(*c)) for c in cases] == [repr(f(*c)) for c in cases]
@@ -430,7 +429,8 @@ class TestKernel:
 
     def test_recorded_call(self, monkeypatch):
         # the function is a local of the kernel, called once per call that
-        # fn made, on a constant argument too; the kernel takes the others
+        # fn made, on a constant argument too, and twice on the one shared
+        # a + b; the kernel takes the others
         seen = []
 
         def g(x):
@@ -442,11 +442,41 @@ class TestKernel:
 
         k, src = self.built(monkeypatch, lambda: _kernel(f, g, None, None))
         assert src.splitlines()[0] == "def kernel(x1, x2, *, x0=x0):"
-        assert "x0(x1 + x2)" in src and "x0(0.5) * x1" in src
+        assert src.count("x0(t0)") == 2 and "x0(0.5) * x1" in src
         assert not [ins for ins in dis.get_instructions(k) if ins.opname == "LOAD_GLOBAL"]
         got = repr(k(0.3, -0.7))
         calls, seen[:] = list(seen), []
         assert got == repr(f(g, 0.3, -0.7)) and calls == seen == [0.3 + -0.7, 0.5, 0.3 + -0.7]
+
+    def test_shared_operations(self, monkeypatch):
+        # an operation repeated on the same operands is computed once and
+        # gives the function's bits; a constant is told apart by its repr,
+        # so -0.0 and 0.0 give two products
+        def f(a, b, c):
+            d = a * b + c
+            e = a * b + c
+            return [d * e, (a - b) * 0.0, (a - b) * -0.0, -(a - b) + c, -(a - b) * 2.0,
+                    abs(c - a) ** 0.5 + abs(c - a), d - (b - a), (b - a) / d]
+
+        def outcome(fn, *args):
+            try:
+                return repr(fn(*args))
+            except ArithmeticError as exc:
+                return type(exc)
+
+        k, src = self.built(monkeypatch, lambda: _kernel(f, None, None, None))
+        assert repeated_operations(src) == []
+        # a * b, + c, d * e, a - b, * 0.0, * -0.0, the negation, + c, * 2.0,
+        # c - a, ** 0.5, +, b - a, d -, / d; abs, shared too, is a call
+        assert sum(ins.opname in ("BINARY_OP", "UNARY_NEGATIVE")
+                   for ins in dis.get_instructions(k)) == 15
+        assert "* 0.0" in src and "* -0.0" in src
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, math.inf, -math.inf]
+        cases = [*rng.normal(size=(100, 3)).tolist(),
+                 *([a, b, c] for a in special for b in special for c in special),
+                 [1.5, -0.0, -1.5], [0.5, 0.5, -0.25]]
+        assert [outcome(k, *c) for c in cases] == [outcome(f, *c) for c in cases]
 
     def test_record_order(self, monkeypatch):
         # a value used twice is a local, assigned in the order of the
