@@ -13,7 +13,6 @@ loads.
 __version__ = "0.1.0"
 
 from .tf_core import (
-    Polynomial,
     RationalTF,
     poly_roots,
     tf_shift,

@@ -271,7 +271,7 @@ def cmd_analyze(args) -> int:
     # "zero" is n0/n1 of the unit-gain numerator n0 + n1 s, the negated root.
     # n1 = -(beta (tau_n + tau_p) - tau_p) vanishes at the critical balance;
     # within a few ulps of 0 (or at 0, a constant numerator) the zero is infinite
-    n0, n1 = (*loop.g1.num.coeffs, 0.0)[:2]
+    n0, n1 = (*loop.g1.num, 0.0)[:2]
     zero = "infinite" if abs(n1) <= 1e-14 * (args.beta * (tp + tn) + tp) else n0 / n1
     between = {
         "zero": zero if args.k > 0 else None,
@@ -533,7 +533,7 @@ def cmd_nyquist(args) -> int:
                 raise ValueError("requires --load or the full amplifier parameter set")
         g1 = LureLoop.amplifier(args.tau_l, args.tau_p, args.tau_n, args.k, args.beta,
                                 args.nonlinearity).g1
-        g = RationalTF(args.k * g1.num, g1.den, g1.den_roots)
+        g = RationalTF([args.k * c for c in g1.num], g1.den, g1.den_roots)
     lam = args.lam if args.lam is not None else 0.0
     lo, hi = args.omega_min, args.omega_max
     if lo is None or hi is None:

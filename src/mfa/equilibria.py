@@ -29,7 +29,7 @@ from .freq_analysis import _check_axis_clear, _gain, midpoint_rate, min_real_par
 from .interconnect import InterfaceGains, LoadParams, load_tf
 from .multichannel import ChannelBank
 from .sim import StateSpace
-from .tf_core import Polynomial, RationalTF, _eigvals, get_nonlinearity
+from .tf_core import RationalTF, _conv, _eigvals, _poly_add, get_nonlinearity
 
 __all__ = [
     "Equilibrium",
@@ -231,7 +231,7 @@ def _lags_tf(tau_l: float, pos, neg, beta: float) -> RationalTF:
         raise ArithmeticError("time constants too large: lag product overflow")
     if den[-1] == 0.0:
         raise ArithmeticError(_TOO_SMALL)
-    return RationalTF(Polynomial(num), Polynomial(den), [-1.0 / tau for tau in (tau_l, *taus)])
+    return RationalTF(num, den, [-1.0 / tau for tau in (tau_l, *taus)])
 
 
 @dataclass(frozen=True)
@@ -373,9 +373,9 @@ class LureLoop:
 
         def unit_tf():
             g, lt = inner.g1, load_tf(load)
-            g1 = RationalTF(g.num * (lt.den + Polynomial([ki * ko]) * lt.num),
-                            g.den * lt.den, g.poles() + lt.poles())
-            if not all(map(math.isfinite, g1.num.coeffs + g1.den.coeffs)):
+            g1 = RationalTF(_conv(g.num, _poly_add(lt.den, _conv([ki * ko], lt.num))),
+                            _conv(g.den, lt.den), g.poles() + lt.poles())
+            if not all(map(math.isfinite, g1.num + g1.den)):
                 raise ValueError(overflow)
             return g1
 
@@ -417,7 +417,7 @@ class LureLoop:
         amplifier), the other the crossing at w > 0.  Other loops raise
         ``ValueError``.
         """
-        den, num = self.g1.den.coeffs, self.g1.num.coeffs
+        den, num = self.g1.den, self.g1.num
         if len(den) != 4 or len(num) > 2:
             raise ValueError("requires a third-order loop with a first-order numerator")
         a0, a1, a2, a3 = den

@@ -115,14 +115,14 @@ def _axis_products(num, den):
 
 
 def _stationary_coeffs(pp, qq) -> list[float]:
-    """Descending coefficients of P'Q - PQ' of the ascending ``pp`` and ``qq``."""
-    # deg P < deg Q = n; at deg P = 0, _der's one zero leads, and the root
-    # call strips it
-    return _poly_add(_conv(_der(pp), qq), [-x for x in _conv(pp, _der(qq))])[::-1]
+    """Ascending coefficients of P'Q - PQ' of the ascending ``pp`` and ``qq``."""
+    # deg P < deg Q = n; at deg P = 0, _der's one zero gives a zero highest
+    # coefficient, and the root call strips it
+    return _poly_add(_conv(_der(pp), qq), [-x for x in _conv(pp, _der(qq))])
 
 
 def _stationary_poly(num, den) -> tuple[float, list[float]]:
-    """Scale w0 and the descending coefficients of P'Q - PQ' in u = (w/w0)**2
+    """Scale w0 and the ascending coefficients of P'Q - PQ' in u = (w/w0)**2
     of num/den, given as ascending coefficients, whose roots z with Re z > 0
     give the stationary frequencies w0 sqrt(Re z).
 
@@ -149,9 +149,9 @@ def min_real_part(g: RationalTF, lam):
     root of P'Q - PQ' (:func:`_stationary_poly`).  Every root z with Re z > 0
     gives the candidate w = w0 math.sqrt(Re z): rounding can split a double
     root into a complex pair, and an extra real frequency cannot undercut the
-    minimum.  A running minimum of :func:`_re_at` on the shifted coefficient
-    lists (:func:`mfa.tf_core._shift`) keeps the first of equal values:
-    w = 0, infinity, the roots.  Returns (min_re, omega_at_min),
+    minimum.  A running minimum of :func:`_re_at` on the shifted ascending
+    coefficient lists (:func:`mfa.tf_core._shift`) keeps the first of equal
+    values: w = 0, infinity, the roots.  Returns (min_re, omega_at_min),
     omega_at_min inf when the limit 0 is the minimum; a zero numerator gives
     (0.0, 0.0).  For a tuple of rates ``lam``, a tuple of such pairs, with
     the poles checked against every rate first and the roots of every rate
@@ -161,9 +161,9 @@ def min_real_part(g: RationalTF, lam):
     rates = lam if isinstance(lam, tuple) else (lam,)
     if any(_on_axis(g.den_roots, rate) for rate in rates):
         raise ArithmeticError("pole on shifted imaginary axis")
-    if g.num.is_zero:
+    if g.num == (0.0,):
         return ((0.0, 0.0),) * len(rates) if isinstance(lam, tuple) else (0.0, 0.0)
-    shifted = [(_shift(g.num.coeffs, rate), _shift(g.den.coeffs, rate)) for rate in rates]
+    shifted = [(_shift(g.num, rate), _shift(g.den, rate)) for rate in rates]
     polys = [_stationary_poly(*s) for s in shifted]
     mins = []
     for (num, den), (w0, _), z in zip(shifted, polys, _companion_roots([c for _, c in polys])):
@@ -230,10 +230,9 @@ def nyquist_locus(g: RationalTF, lam: float, omegas) -> np.ndarray:
     shifted = tf_shift(g, lam)
     w = np.asarray(omegas, dtype=float)
     s = 1j * w
-    num_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.num.coeffs))
-    den_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.den.coeffs))
-    scale = np.polynomial.polynomial.polyval(
-        np.abs(s), np.abs(np.asarray(shifted.den.coeffs)))
+    num_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.num))
+    den_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.den))
+    scale = np.polynomial.polynomial.polyval(np.abs(s), np.abs(np.asarray(shifted.den)))
     near = np.abs(den_v) <= 1e-12 * np.maximum(scale, 1e-300)
     vals = np.where(near, np.nan + 0j, num_v / np.where(near, 1.0, den_v))
     return np.column_stack([w, vals.real, vals.imag])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .freq_analysis import DominanceCertificate
-from .tf_core import Polynomial, RationalTF, poly_roots
+from .tf_core import RationalTF, poly_roots
 
 __all__ = [
     "CompositionCertificate",
@@ -52,7 +52,7 @@ class LoadParams:
     @cached_property
     def poles(self) -> tuple[complex, ...]:
         """Roots of s^2 + b s + a, taken once per load."""
-        return tuple(poly_roots(Polynomial([self.a, self.b, 1.0])))
+        return tuple(poly_roots((self.a, self.b, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,19 @@ class CompositionCertificate:
 
 def load_tf(load: LoadParams) -> RationalTF:
     """(kv s + kp)/(s^2 + b s + a), with the load's poles."""
-    return RationalTF(Polynomial([load.kp, load.kv]),
-                      Polynomial([load.a, load.b, 1.0]), load.poles)
+    return RationalTF((load.kp, load.kv), (load.a, load.b, 1.0), load.poles)
 
 
 def compose_certificates(c_amp: DominanceCertificate,
                          c_load: DominanceCertificate) -> CompositionCertificate:
     """Add passivity degrees of two certificates sharing the same rate.
 
-    A rate mismatch beyond 1e-12 or a failed component is encoded as invalid.
+    Any difference between the two rates, or a failed component, is encoded
+    as invalid.
     """
     p_total = c_amp.p + c_load.p
     rate = c_amp.rate
-    if abs(c_amp.rate - c_load.rate) > 1e-12:
+    if c_amp.rate != c_load.rate:
         return CompositionCertificate(c_amp.p, c_load.p, rate, p_total,
                                       valid=False, reason="rate mismatch")
     if not (c_amp.passed and c_load.passed):

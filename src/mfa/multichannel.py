@@ -121,6 +121,8 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, zeros) -> InterlacingR
     yields satisfied = False with the diagnostic pattern.  ``zeros`` are the
     roots of the difference's numerator, which the bank loop's unit-gain
     transfer function has up to sign (:meth:`mfa.equilibria.LureLoop.bank`).
+    A zero is real when its imaginary part is exactly 0, as
+    :func:`mfa.tf_core.poly_roots` leaves a root it has checked to be real.
     """
     gaps = [(label, left, right)
             for label, poles in ((BETWEEN_POSITIVE, pos.poles()), (BETWEEN_NEGATIVE, neg.poles()))
@@ -132,7 +134,7 @@ def check_interlacing(pos: ChannelBank, neg: ChannelBank, zeros) -> InterlacingR
     for z in sorted(zeros, key=lambda z: (z.real, z.imag)):
         x = z.real
         reals.append(x)
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+        if z.imag != 0.0:
             pattern.append(COMPLEX_ZERO)
             continue
         i = next((i for i, (_, left, right) in enumerate(gaps) if left < x < right), None)

@@ -1,9 +1,10 @@
 """Real-coefficient polynomials, strictly proper transfer functions, saturation nonlinearities.
 
-Coefficients are stored in ascending degree and trailing zeros are stripped,
-so the degree is always implied by the length.  All types are immutable
-values and all operations are pure functions; no pole/zero cancellation is
-ever performed.
+A polynomial is a sequence of float coefficients in ascending degree, the
+constant first.  :class:`RationalTF` stores its numerator and denominator as
+tuples with trailing zeros stripped, so the degree is always implied by the
+length.  All types are immutable values and all operations are pure
+functions; no pole/zero cancellation is ever performed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "MAX_ROOT_DEGREE",
-    "Polynomial",
     "RationalTF",
     "get_nonlinearity",
     "poly_roots",
@@ -238,50 +238,13 @@ def _horner(coeffs, s):
     return acc
 
 
-@dataclass(frozen=True, init=False)
-class Polynomial:
-    """Real polynomial with ascending-degree coefficients.
-
-    The zero polynomial is canonically ``(0.0,)``; any other polynomial has a
-    nonzero leading (last) coefficient after construction.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs):
-        cs = [float(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs.pop()
-        if not cs:
-            cs = [0.0]
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
-    def __call__(self, s):
-        """Evaluate by Horner's rule (:func:`_horner`)."""
-        return _horner(self.coeffs, s)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(_poly_add(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        """Product with a polynomial by :func:`_conv`, or with a scalar per coefficient."""
-        if isinstance(other, Polynomial):
-            return Polynomial(_conv(self.coeffs, other.coeffs))
-        return Polynomial([float(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def shifted(self, lam: float) -> "Polynomial":
-        """p(s - lam), by :func:`_shift`."""
-        return Polynomial(_shift(self.coeffs, lam))
+def _trim(coeffs) -> tuple[float, ...]:
+    """Ascending ``coeffs`` as a tuple of floats with trailing zeros stripped,
+    so the degree is the length less one; the zero polynomial is ``(0.0,)``."""
+    cs = [float(c) for c in coeffs]
+    while len(cs) > 1 and cs[-1] == 0.0:
+        cs.pop()
+    return tuple(cs) or (0.0,)
 
 
 def _shift_terms(coeffs, neg):
@@ -339,18 +302,20 @@ def _eigvals(stack) -> np.ndarray:
 
 def _companion_roots(polys) -> list[list[complex]]:
     """Roots of each polynomial in ``polys`` (coefficient sequences,
-    descending) as a list of complex, bit for bit as ``np.roots`` after
-    complex conversion: zeros stripped from both ends, companion first row
-    -c[1:]/c[0] formed in Python floats and ones below the diagonal, the
-    roots at 0 of the trailing zeros last.  One stacked :func:`_eigvals`
-    call per matrix size."""
+    ascending) as a list of complex, bit for bit as ``np.roots`` of the
+    descending coefficients after complex conversion: zeros stripped from
+    both ends, companion first row -c[k]/c[hi] for k from hi - 1 down to lo,
+    the highest and lowest nonzero degrees, formed in Python floats, and
+    ones below the diagonal, the lo roots at 0 last.  One stacked
+    :func:`_eigvals` call per matrix size."""
     out, by_size = [], {}
     for c in polys:
         nz = [i for i, x in enumerate(c) if x != 0.0]
-        out.append([0j] * (len(c) - nz[-1] - 1) if nz else [])
-        if nz and nz[-1] > nz[0]:
-            row = [-x / c[nz[0]] for x in c[nz[0] + 1:nz[-1] + 1]]
-            by_size.setdefault(nz[-1] - nz[0], []).append((len(out) - 1, row))
+        lo, hi = (nz[0], nz[-1]) if nz else (0, 0)
+        out.append([0j] * lo)
+        if hi > lo:
+            row = [-c[k] / c[hi] for k in range(hi - 1, lo - 1, -1)]
+            by_size.setdefault(hi - lo, []).append((len(out) - 1, row))
     for n, group in by_size.items():
         a = np.zeros((len(group), n, n))
         a.reshape(len(group), n * n)[:, n::n + 1] = 1.0  # the sub-diagonal
@@ -360,8 +325,9 @@ def _companion_roots(polys) -> list[list[complex]]:
     return out
 
 
-def poly_roots(p: Polynomial) -> list[complex]:
-    """All roots of ``p`` (with multiplicity) via companion-matrix eigenvalues.
+def poly_roots(coeffs) -> list[complex]:
+    """All roots (with multiplicity) of the polynomial with ascending
+    ``coeffs``, trailing zeros stripped, via companion-matrix eigenvalues.
 
     A degree-1 polynomial gives -a0/a1, the eigenvalue of its 1x1 companion
     matrix, without the eigenvalue call.  Roots are ordered by ascending real
@@ -371,21 +337,23 @@ def poly_roots(p: Polynomial) -> list[complex]:
     imaginary part within 1e-12 (1 + |root|) is snapped to 0 only where the
     real root passes that check, so a pair of tiny complex roots is kept.
     """
-    if p.is_zero:
+    p = _trim(coeffs)
+    degree = len(p) - 1
+    if p == (0.0,):
         raise ValueError("degenerate polynomial")
-    if p.degree == 0:
+    if degree == 0:
         return []
-    if p.degree > MAX_ROOT_DEGREE:
-        raise ValueError(f"polynomial degree {p.degree} above supported cap {MAX_ROOT_DEGREE}")
-    if p.degree == 1:
+    if degree > MAX_ROOT_DEGREE:
+        raise ValueError(f"polynomial degree {degree} above supported cap {MAX_ROOT_DEGREE}")
+    if degree == 1:
         # adding 0.0 gives the 0.0 that np.roots returns for a root at 0
-        raw = [complex(-p.coeffs[0] / p.coeffs[1] + 0.0)]
+        raw = [complex(-p[0] / p[1] + 0.0)]
     else:
-        raw = _companion_roots([p.coeffs[::-1]])[0]
+        raw = _companion_roots([p])[0]
 
     def fails(z):
-        scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
-        return abs(p(z)) > 1e-8 * max(scale, 1e-300)
+        scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p))
+        return abs(_horner(p, z)) > 1e-8 * max(scale, 1e-300)
     roots = []
     for z in raw:
         if (z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z))
@@ -403,23 +371,28 @@ class RationalTF:
     """Strictly proper rational transfer function num(s)/den(s), real
     coefficients: a nonzero numerator has a lower degree than ``den``.
 
-    ``den_roots`` are the roots of ``den``, known from the factors it is
-    built from (-1/tau for a lag tau s + 1), stored in the order of
-    :func:`poly_roots`.
+    ``num`` and ``den`` may be given as any sequences of floats in ascending
+    degree and are stored as tuples with trailing zeros stripped, the zero
+    numerator as ``(0.0,)``.  ``den_roots`` are the roots of ``den``, known
+    from the factors it is built from (-1/tau for a lag tau s + 1), stored in
+    the order of :func:`poly_roots`.
     """
 
-    num: Polynomial
-    den: Polynomial
+    num: tuple[float, ...]
+    den: tuple[float, ...]
     den_roots: tuple[complex, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.den.is_zero:
+        num, den = _trim(self.num), _trim(self.den)
+        if den == (0.0,):
             raise ValueError("zero denominator")
-        if not self.num.is_zero and self.num.degree >= self.den.degree:
+        if num != (0.0,) and len(num) >= len(den):
             raise ValueError("requires a strictly proper transfer function")
         roots = sorted((complex(z) for z in self.den_roots), key=_root_order)
-        if len(roots) != self.den.degree:
+        if len(roots) != len(den) - 1:
             raise ValueError("requires one root per denominator degree")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "den_roots", tuple(roots))
 
     def poles(self) -> list[complex]:
@@ -427,7 +400,7 @@ class RationalTF:
         return list(self.den_roots)
 
     def zeros(self) -> list[complex]:
-        return [] if self.num.is_zero else poly_roots(self.num)
+        return [] if self.num == (0.0,) else poly_roots(self.num)
 
 
 def _tanh_slope(y: float) -> float:
@@ -471,4 +444,4 @@ def get_nonlinearity(tag: str):
 
 def tf_shift(g: RationalTF, lam: float) -> RationalTF:
     """Substitute s <- s - lam; every pole and zero translates by +lam."""
-    return RationalTF(g.num.shifted(lam), g.den.shifted(lam), [z + lam for z in g.den_roots])
+    return RationalTF(_shift(g.num, lam), _shift(g.den, lam), [z + lam for z in g.den_roots])

@@ -16,7 +16,7 @@ import numpy as np
 from mfa.cli import _read_load, main
 from mfa.equilibria import LureLoop
 from mfa.multichannel import Channel, ChannelBank
-from mfa.tf_core import Polynomial, RationalTF, get_nonlinearity, tf_shift
+from mfa.tf_core import RationalTF, _horner, get_nonlinearity, tf_shift
 
 RECIPES_DIR = os.path.join(os.path.dirname(__file__), "..", "recipes")
 
@@ -29,7 +29,7 @@ def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
     its eight lowest local minima, each time between the neighbours of the
     lowest sample."""
     gs = tf_shift(g, lam)
-    num, den = np.asarray(gs.num.coeffs), np.asarray(gs.den.coeffs)
+    num, den = np.asarray(gs.num), np.asarray(gs.den)
 
     def re(w):
         s = 1j * w
@@ -39,7 +39,7 @@ def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
     w = np.geomspace(omega_lo, omega_hi, n)
     vals = re(w)
     cands = [float(np.min(vals))]
-    cands.append((gs.num(0j) / gs.den(0j)).real)
+    cands.append((_horner(gs.num, 0j) / _horner(gs.den, 0j)).real)
     cands.append(0.0)  # the limit of a strictly proper G
     if zoom:
         inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
@@ -57,7 +57,7 @@ def brute_min_re(g: RationalTF, lam: float, omega_lo: float, omega_hi: float,
 def gain_scaled(g1: RationalTF, k: float) -> RationalTF:
     """k G1, with the numerator scaled coefficient by coefficient and the
     poles of G1."""
-    return RationalTF(Polynomial([k * c for c in g1.num.coeffs]), g1.den, g1.poles())
+    return RationalTF([k * c for c in g1.num], g1.den, g1.poles())
 
 
 def exact_bank_numerator(pos, neg, beta: float) -> tuple[list[Fraction], list[Fraction]]:
@@ -117,7 +117,7 @@ def random_proper_tf(rng: np.random.Generator, max_deg: int = 6) -> RationalTF:
     num = rng.uniform(-2.0, 2.0, nn + 1)[:nd]
     if abs(num[-1]) < 0.1:
         num[-1] = 0.5
-    return RationalTF(Polynomial(num), Polynomial(den), np.roots(den[::-1]))
+    return RationalTF(num, den, np.roots(den[::-1]))
 
 
 def fd_jacobian(field, state, eps: float = 1e-6) -> np.ndarray:
@@ -158,10 +158,10 @@ def analyze_report(taus, k: float, beta: float) -> dict:
 
 
 def reference_shift(coeffs, lam: float) -> tuple[float, ...]:
-    """The binomial re-expansion loop that ``Polynomial.shifted`` replaced:
-    the coefficients of p(s - lam), ascending, with each power
-    (s - lam)**j formed by ``np.convolve`` and the terms added as lists.
-    Trailing zeros are stripped as a ``Polynomial`` strips them."""
+    """The binomial re-expansion loop that ``tf_core._shift`` replaced: the
+    coefficients of p(s - lam), ascending, with each power (s - lam)**j
+    formed by ``np.convolve`` and the terms added as lists.  Trailing zeros
+    are stripped as a ``RationalTF`` strips them."""
     def add(a, b):
         n = max(len(a), len(b))
         return [(a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0)
@@ -172,7 +172,10 @@ def reference_shift(coeffs, lam: float) -> tuple[float, ...]:
     for a in coeffs:
         out = add(out, [a * c for c in power])
         power = list(np.convolve(power, [-lam, 1.0]))
-    return Polynomial(out).coeffs
+    out = [float(c) for c in out]
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return tuple(out)
 
 
 def repeated_operations(src: str) -> list[str]:
@@ -280,12 +283,12 @@ def reference_min_real_part(g: RationalTF, lam: float) -> tuple[float, float]:
     from mfa.freq_analysis import _check_axis_clear, _re_at, _stationary_poly
 
     _check_axis_clear(g, lam)
-    if g.num.is_zero:
+    if g.num == (0.0,):
         return 0.0, 0.0
     shifted = tf_shift(g, lam)
-    num, den = shifted.num.coeffs, shifted.den.coeffs
+    num, den = shifted.num, shifted.den
     w0, rr = _stationary_poly(num, den)
-    z = np.roots(rr) if rr else np.zeros(0)
+    z = np.roots(rr[::-1]) if rr else np.zeros(0)
     omegas = w0 * np.sqrt(z.real[z.real > 0.0])
     best_re, best_w = _re_at(num, den, 0.0), 0.0
     if 0.0 < best_re:  # the limit of a strictly proper G at w -> infinity

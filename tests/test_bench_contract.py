@@ -163,6 +163,41 @@ def test_only_cli_imports_json():
     assert found == []
 
 
+def test_tolerance_constants():
+    # every float literal in (0, 1e-6) is a threshold or a floor, named by its
+    # module and the def or class that holds it (None at module level); a
+    # new one is declared here, so tolerances are added on purpose
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Constant) and type(child.value) is float
+                    and 0.0 < child.value < 1e-6):
+                found.append((module, scope, child.value))
+            visit(child, module, scope)
+
+    for path in glob.glob(os.path.join(os.path.dirname(mfa.__file__), "*.py")):
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), os.path.basename(path)[:-3], None)
+    assert sorted(found, key=repr) == sorted([
+        ("cli", "cmd_analyze", 1e-14),         # the zero at the critical balance
+        ("cli", "cmd_nyquist", 1e-12),         # a corner frequency at 0
+        ("equilibria", None, 1e-12),           # _BISECT_TOL
+        ("equilibria", None, 1e-8),            # _STABILITY_MARGIN
+        ("freq_analysis", None, 1e-9),         # _AXIS_TOL
+        ("freq_analysis", "nyquist_locus", 1e-12),   # a denominator near zero
+        ("freq_analysis", "nyquist_locus", 1e-300),  # its scale's floor
+        ("multichannel", "__post_init__", 1e-9),     # the unit bank gain
+        ("sim", "values_for_steps", 1e-9),     # a switch time on a step
+        ("tf_core", "fails", 1e-8),            # the root residual
+        ("tf_core", "fails", 1e-300),          # its scale's floor
+        ("tf_core", "poly_roots", 1e-12),      # the real-root snap
+    ], key=repr)
+
+
 @pytest.mark.parametrize("name", ["tf_core", "freq_analysis", "sim", "multichannel",
                                   "interconnect", "csvtext"])
 def test_lower_modules_do_not_import_upward(name):

@@ -24,7 +24,7 @@ from mfa.freq_analysis import _gain, midpoint_rate, min_real_part
 from mfa.interconnect import InterfaceGains, LoadParams
 from mfa.multichannel import Channel, ChannelBank
 from mfa.sim import integrate
-from mfa.tf_core import Polynomial, get_nonlinearity, poly_roots
+from mfa.tf_core import RationalTF, _conv, get_nonlinearity, poly_roots
 
 TAUS = (0.01, 0.1, 1.0)
 
@@ -475,9 +475,9 @@ class TestConstructedPoles:
         poles = g.poles()
         expected = [complex(-1.0 / t) for t in lags]
         if with_load:
-            expected += poly_roots(Polynomial([LOAD.a, LOAD.b, 1.0]))
+            expected += poly_roots([LOAD.a, LOAD.b, 1.0])
         assert poles == sorted(expected, key=_root_order)
-        roots = sorted((complex(z) for z in np.roots(g.den.coeffs[::-1])), key=_root_order)
+        roots = sorted((complex(z) for z in np.roots(g.den[::-1])), key=_root_order)
         assert len(roots) == len(poles)
         for pole, root in zip(poles, roots):
             assert abs(pole - root) <= 1e-9 * abs(root)
@@ -548,8 +548,8 @@ class TestOneOwner:
             amp = LureLoop.amplifier(tl, tp, tn, k, beta).g1
             bank = LureLoop.bank(tl, ChannelBank((Channel(1.0, tp),)),
                                  ChannelBank((Channel(1.0, tn),)), k, beta).g1
-            assert bits(bank.num.coeffs) == bits(amp.num.coeffs)
-            assert bits(bank.den.coeffs) == bits(amp.den.coeffs)
+            assert bits(bank.num) == bits(amp.num)
+            assert bits(bank.den) == bits(amp.den)
             assert bank.poles() == amp.poles()
 
     def test_nyquist_transfer_function(self, capsys, monkeypatch):
@@ -569,11 +569,12 @@ class TestOneOwner:
             argv = ["nyquist", "--tau-l", repr(tl), "--tau-p", repr(tp), "--tau-n", repr(tn),
                     "--k", repr(k), "--beta", repr(beta)]
             assert cli.main(argv) == 0
-            num = Polynomial([-k * (2.0 * beta - 1.0), -k * (beta * (tn + tp) - tp)])
-            den = Polynomial([1.0, tl]) * Polynomial([1.0, tp]) * Polynomial([1.0, tn])
+            want = RationalTF([-k * (2.0 * beta - 1.0), -k * (beta * (tn + tp) - tp)],
+                              _conv(_conv([1.0, tl], [1.0, tp]), [1.0, tn]),
+                              [-1.0 / t for t in (tl, tp, tn)])
             g = drawn.pop()
-            assert self.bits(g.num.coeffs) == self.bits(num.coeffs)
-            assert self.bits(g.den.coeffs) == self.bits(den.coeffs)
+            assert self.bits(g.num) == self.bits(want.num)
+            assert self.bits(g.den) == self.bits(want.den)
             assert g.poles() == sorted([complex(-1.0 / t) for t in (tl, tp, tn)],
                                        key=_root_order)
         capsys.readouterr()

@@ -28,7 +28,6 @@ from mfa.equilibria import LureLoop
 from mfa.interconnect import InterfaceGains, LoadParams, load_tf
 from mfa.multichannel import Channel, ChannelBank, bank_critical_balance
 from mfa.tf_core import (
-    Polynomial,
     RationalTF,
     _companion_roots,
     _kernel,
@@ -52,7 +51,7 @@ def beta_star(tau_p, tau_n):
 
 
 def unit_lag():
-    return RationalTF(Polynomial([1.0]), Polynomial([1.0, 1.0]), [-1.0])
+    return RationalTF([1.0], [1.0, 1.0], [-1.0])
 
 
 class TestMinRealPart:
@@ -89,8 +88,8 @@ def assert_exact_min(g, lam, omega_lo=1e-5, omega_hi=1e7, got=None):
 
     def resp(w):
         s = 1j * np.asarray(w, dtype=float)
-        return (np.polynomial.polynomial.polyval(s, gs.num.coeffs)
-                / np.polynomial.polynomial.polyval(s, gs.den.coeffs))
+        return (np.polynomial.polynomial.polyval(s, gs.num)
+                / np.polynomial.polynomial.polyval(s, gs.den))
 
     mr, w_at = min_real_part(g, lam) if got is None else got
     oracle = brute_min_re(g, lam, omega_lo, omega_hi, n=50_000, zoom=3)
@@ -149,17 +148,17 @@ class TestExactMinimum:
                     assert_exact_min(g, lam)
 
     def test_minimum_at_zero_frequency(self):
-        g = RationalTF(Polynomial([-1.0]), Polynomial([1.0, 1.0]), [-1.0])
+        g = RationalTF([-1.0], [1.0, 1.0], [-1.0])
         assert assert_exact_min(g, 0.0) == (-1.0, 0.0)
 
     def test_minimum_at_infinity(self):
         # Re (jw + 2)/((jw + 1)(jw + 3)) = (6 + 2 w^2)/((1 + w^2)(9 + w^2))
         # falls to 0 as w grows, with no stationary point for w > 0
-        g = RationalTF(Polynomial([2.0, 1.0]), Polynomial([3.0, 4.0, 1.0]), [-3.0, -1.0])
+        g = RationalTF([2.0, 1.0], [3.0, 4.0, 1.0], [-3.0, -1.0])
         assert assert_exact_min(g, 0.0) == (0.0, math.inf)
 
     def test_zero_numerator(self):
-        g = RationalTF(Polynomial([0.0]), Polynomial([1.0, 3.0, 1.0]),
+        g = RationalTF([0.0], [1.0, 3.0, 1.0],
                        [(-3.0 - 5.0 ** 0.5) / 2.0, (-3.0 + 5.0 ** 0.5) / 2.0])
         assert min_real_part(g, 0.0) == (0.0, 0.0)
         assert min_real_part(g, 0.2) == (0.0, 0.0)
@@ -169,21 +168,21 @@ class TestExactMinimum:
         # the minimum m at w = sqrt(u0) is quartic, and P'Q - PQ' has a
         # triple root there.  c = -m makes the limit 0, so N is cubic and G
         # strictly proper.
-        den = Polynomial([24.0, 50.0, 35.0, 10.0, 1.0])  # (s+1)(s+2)(s+3)(s+4)
+        den = (24.0, 50.0, 35.0, 10.0, 1.0)  # (s+1)(s+2)(s+3)(s+4)
         m, u0 = -0.5, 4.0
         c = -m
         w = np.linspace(0.5, 4.5, 9)
         s = 1j * w
-        dv = np.polynomial.polynomial.polyval(s, den.coeffs)
+        dv = np.polynomial.polynomial.polyval(s, den)
         basis = np.array([(s ** k * np.conj(dv)).real for k in range(4)]).T
         target = m * np.abs(dv) ** 2 + c * (w ** 2 - u0) ** 4
         coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
-        g = RationalTF(Polynomial(coeffs), den, [-1.0, -2.0, -3.0, -4.0])
+        g = RationalTF(coeffs, den, [-1.0, -2.0, -3.0, -4.0])
         probe = np.array([0.3, 1.7, 2.0, 2.6, 7.0])
-        gv = (np.polynomial.polynomial.polyval(1j * probe, g.num.coeffs)
-              / np.polynomial.polynomial.polyval(1j * probe, den.coeffs))
+        gv = (np.polynomial.polynomial.polyval(1j * probe, g.num)
+              / np.polynomial.polynomial.polyval(1j * probe, den))
         expected = m + c * (probe ** 2 - u0) ** 4 / np.abs(
-            np.polynomial.polynomial.polyval(1j * probe, den.coeffs)) ** 2
+            np.polynomial.polynomial.polyval(1j * probe, den)) ** 2
         assert np.allclose(gv.real, expected, rtol=0.0, atol=1e-12)
         mr, w_at = assert_exact_min(g, 0.0)
         assert abs(mr - m) <= 1e-12
@@ -229,6 +228,7 @@ class TestStackedRoots:
     eigenvalue call, with the same bits as one ``np.roots`` call each."""
 
     def test_companion_roots_are_np_roots(self):
+        # c descending, as np.roots takes it; _companion_roots takes c[::-1]
         rng = np.random.default_rng(1501)
         polys = []
         for i in range(3000):
@@ -237,14 +237,14 @@ class TestStackedRoots:
             if i % 5 == 0:
                 c[-int(rng.integers(1, 3)):] = 0.0  # roots at 0
             if i % 7 == 0:
-                c[0] = 0.0  # a leading zero
+                c[0] = 0.0  # a zero highest coefficient
             polys.append(c)
         polys += [np.zeros(4), np.array([0.0, 2.0, 0.0]), np.array([3.0])]
-        stacked = _companion_roots(polys)
-        as_lists = _companion_roots([c.tolist() for c in polys])
+        stacked = _companion_roots([c[::-1] for c in polys])
+        as_lists = _companion_roots([c[::-1].tolist() for c in polys])
         for c, z, z_list in zip(polys, stacked, as_lists):
             assert _hex(z) == _hex(np.roots(c))
-            assert _hex(_companion_roots([c])[0]) == _hex(z)
+            assert _hex(_companion_roots([c[::-1]])[0]) == _hex(z)
             assert _hex(z_list) == _hex(z)
 
     def test_min_real_part_matches_np_roots_path(self):
@@ -310,7 +310,7 @@ class TestTracedKernels:
         for loop in _seeded_loops(rng):
             g = loop.g1
             lam = midpoint_rate(loop.poles)
-            self._check(g.num.coeffs, g.den.coeffs,
+            self._check(g.num, g.den,
                         (0.0, lam, float(rng.uniform(-2.0, 2.0)) * lam), shapes)
         info = _kernel.cache_info()
         assert info.currsize == info.misses == len(shapes)

@@ -19,7 +19,7 @@ from mfa.interconnect import (
     load_tf,
 )
 from mfa.sim import Trajectory, detect_oscillation, integrate
-from mfa.tf_core import get_nonlinearity
+from mfa.tf_core import _horner, get_nonlinearity
 
 K = 10.0
 UNIT = LureLoop.amplifier(0.01, 0.1, 1.0, 1.0, 0.4)  # the channel loop at unit gain
@@ -37,7 +37,7 @@ class TestLoadTf:
 
     def test_dc_gain(self):
         g = load_tf(LOAD)
-        assert g.num(0.0) / g.den(0.0) == pytest.approx(20.0 / 350.0)
+        assert _horner(g.num, 0.0) / _horner(g.den, 0.0) == pytest.approx(20.0 / 350.0)
 
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError, match="kv > 0"):
@@ -79,6 +79,15 @@ class TestComposition:
     def test_rate_mismatch(self):
         comp = compose_certificates(self.amp_cert(15.0),
                                     check_p_passivity(load_tf(LOAD), 50.0, 0, 1.0))
+        assert not comp.valid and comp.reason == "rate mismatch"
+
+    def test_rate_mismatch_by_one_ulp(self):
+        # the rates are compared exactly: the next float up is another rate,
+        # though both certificates pass there
+        lam = 12.0
+        comp = compose_certificates(
+            self.amp_cert(lam),
+            check_p_passivity(load_tf(LOAD), math.nextafter(lam, math.inf), 0, 1.0))
         assert not comp.valid and comp.reason == "rate mismatch"
 
     def test_two_zero_passive_blocks(self):
@@ -234,7 +243,8 @@ class TestBorderedBank:
         assert loop.ss.labels == ("x", "xp1", "xp2", "xn1", "xn2", "q", "qdot")
         for s in (0.3 + 2.0j, 5.0j, -3.0 + 40.0j):
             got = c @ np.linalg.solve(s * np.eye(7) - a, b)
-            assert got == pytest.approx(k * loop.g1.num(s) / loop.g1.den(s), rel=1e-10)
+            assert got == pytest.approx(k * _horner(loop.g1.num, s) / _horner(loop.g1.den, s),
+                                        rel=1e-10)
 
     def test_equilibria_zero_the_vector_field(self):
         _, loop = self.loop()
@@ -255,7 +265,8 @@ class TestBorderedBank:
         # g0 = -G(0), G(0) = c_loop (-A)^-1 b = k G1(0)
         dc = c @ np.linalg.solve(-a, b)
         assert loop.g0 == pytest.approx(-dc, rel=1e-12)
-        assert loop.g0 == pytest.approx(-k * loop.g1.num(0.0) / loop.g1.den(0.0), rel=1e-12)
+        assert loop.g0 == pytest.approx(
+            -k * _horner(loop.g1.num, 0.0) / _horner(loop.g1.den, 0.0), rel=1e-12)
 
     def test_two_shifted_poles_at_default_rate(self):
         _, loop = self.loop()
