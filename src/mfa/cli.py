@@ -270,9 +270,10 @@ def cmd_analyze(args) -> int:
                        ("tau_l", "tau_p", "tau_n", "k", "beta", "r", "nonlinearity")}}
     # "zero" is n0/n1 of the unit-gain numerator n0 + n1 s, the negated root.
     # n1 = -(beta (tau_n + tau_p) - tau_p) vanishes at the critical balance;
-    # within a few ulps of 0 (or at 0, a constant numerator) the zero is infinite
+    # where it is exactly 0 the numerator is constant, "zeros" is empty and
+    # the zero is infinite
     n0, n1 = (*loop.g1.num, 0.0)[:2]
-    zero = "infinite" if abs(n1) <= 1e-14 * (args.beta * (tp + tn) + tp) else n0 / n1
+    zero = "infinite" if n1 == 0.0 else n0 / n1
     between = {
         "zero": zero if args.k > 0 else None,
         "beta_star": bank_critical_balance(ChannelBank((Channel(1.0, tp),)),
@@ -538,7 +539,8 @@ def cmd_nyquist(args) -> int:
     lo, hi = args.omega_min, args.omega_max
     if lo is None or hi is None:
         # each missing bound lies three decades beyond the pole and zero
-        # corner magnitudes of g, before and after the shift
+        # corner magnitudes of g, before and after the shift; one below
+        # 1e-12 rad/s is a root at 0, up to the shift's rounding, and is dropped
         corners = [c for z in g.poles() + g.zeros() for c in (abs(z), abs(z + lam))
                    if c > 1e-12] or [1.0]
         lo = 1e-3 * min(corners) if lo is None else lo

@@ -57,9 +57,8 @@ REGIME_OSCILLATION = "TwoDominantOscillation"
 REGIME_MULTISTABLE = "TwoDominantMultistable"
 REGIME_UNCLASSIFIED = "Unclassified"
 
-_BISECT_TOL = 1e-12
-
-#: Eigenvalue real parts within this of zero make an equilibrium marginal.
+#: Eigenvalue real parts within this of zero make an equilibrium marginal;
+#: the exact crossing-gain labels of ROADMAP item 3 remove it.
 _STABILITY_MARGIN = 1e-8
 
 
@@ -98,10 +97,11 @@ class MapCell(NamedTuple):
 
 def _bisect(phi, slope: float, r: float, a, b, fa):
     """Root of h(y) = phi(y) - slope*y - r on [a, b], where h(a) = fa and
-    h(b) differ in sign, to 1e-12 or to adjacent floats, whichever is wider;
-    h is evaluated inline, in the order :func:`_scan_line` takes it."""
+    h(b) differ in sign: an exact zero of h, or, once a and b are adjacent
+    floats, the one of them that 0.5 (a + b) rounds to, within 1 ulp of the
+    root; h is evaluated inline, in the order :func:`_scan_line` takes it."""
     m = 0.5 * (a + b)
-    while b - a > _BISECT_TOL and a < m < b:
+    while a < m < b:
         fm = phi(m) - slope * m - r
         if fm == 0.0:
             return m
@@ -162,10 +162,10 @@ def solve_phi_line(phi, slope: float, r: float, slope_inverse) -> list[float]:
     is strictly monotone on the whole line unless 0 < slope < 1, and then on
     each of the three pieces that +-slope_inverse(slope) cut it into.  Every
     solution satisfies |y| <= (1 + |r|)/|slope|, so the pieces are bounded;
-    each holds at most one root, bisected to 1e-12.  A zero of h at a cut
-    point is a tangency (double root), reported once.  Requires slope != 0:
-    every loop here has a finite gain, and a loop with g0 = 0 has the one
-    root v = 0 (:meth:`LureLoop.equilibria`).
+    each holds at most one root, bisected to adjacent floats.  A zero of h
+    at a cut point is a tangency (double root), reported once.  Requires
+    slope != 0: every loop here has a finite gain, and a loop with g0 = 0
+    has the one root v = 0 (:meth:`LureLoop.equilibria`).
     """
     brackets = []
     _scan_line(phi, slope, r, slope_inverse, brackets=brackets)

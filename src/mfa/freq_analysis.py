@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 #: Absolute slack on |Re(pole) + lambda| below which a pole is considered to
-#: sit on the shifted imaginary axis.
+#: sit on the shifted imaginary axis; ROADMAP item 4 makes it relative to
+#: the pole scale.
 _AXIS_TOL = 1e-9
 
 
@@ -233,6 +234,8 @@ def nyquist_locus(g: RationalTF, lam: float, omegas) -> np.ndarray:
     num_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.num))
     den_v = np.polynomial.polynomial.polyval(s, np.asarray(shifted.den))
     scale = np.polynomial.polynomial.polyval(np.abs(s), np.abs(np.asarray(shifted.den)))
+    # under Horner's bound 2n eps scale a |den| below 1e-12 scale may be
+    # wrong from its third digit, and a scale below 1e-300 lost to underflow
     near = np.abs(den_v) <= 1e-12 * np.maximum(scale, 1e-300)
     vals = np.where(near, np.nan + 0j, num_v / np.where(near, 1.0, den_v))
     return np.column_stack([w, vals.real, vals.imag])

@@ -60,6 +60,7 @@ class ChannelBank:
             raise ValueError("requires distinct time constants within a bank")
         if not all(0.0 < ch.rho < math.inf for ch in self.channels):
             raise ValueError("requires finite rho > 0")
+        # a sum of n weights rounds by at most (n - 1) eps, far inside 1e-9
         if abs(sum(ch.rho for ch in self.channels) - 1.0) > 1e-9:
             raise ValueError("requires unit bank gain (sum rho = 1)")
 

@@ -124,6 +124,8 @@ class InputSchedule:
         out = np.empty(n_steps)
         out.fill(self.entries[0][1])
         for t_start, value in self.entries[1:]:
+            # t_start / dt rounds by eps t_start / dt, below 1e-9 for the
+            # first 4.5e6 steps: a switch on a step applies at that step
             first = t_start / dt - 1e-9
             if first < n_steps:
                 out[math.ceil(first):] = value

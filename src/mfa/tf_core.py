@@ -351,6 +351,8 @@ def poly_roots(coeffs) -> list[complex]:
     else:
         raw = _companion_roots([p])[0]
 
+    # ROADMAP item 12's backward-error test |p(z)| <= 4n eps sum |a_k||z|^k
+    # replaces the residual bound, its floor and the real-root snap
     def fails(z):
         scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p))
         return abs(_horner(p, z)) > 1e-8 * max(scale, 1e-300)

@@ -183,9 +183,7 @@ def test_tolerance_constants():
         with open(path) as fh:
             visit(ast.parse(fh.read()), os.path.basename(path)[:-3], None)
     assert sorted(found, key=repr) == sorted([
-        ("cli", "cmd_analyze", 1e-14),         # the zero at the critical balance
         ("cli", "cmd_nyquist", 1e-12),         # a corner frequency at 0
-        ("equilibria", None, 1e-12),           # _BISECT_TOL
         ("equilibria", None, 1e-8),            # _STABILITY_MARGIN
         ("freq_analysis", None, 1e-9),         # _AXIS_TOL
         ("freq_analysis", "nyquist_locus", 1e-12),   # a denominator near zero

@@ -1842,10 +1842,10 @@ class TestAnalyzePins:
     """``analyze`` stdout, byte for byte, at points that reach each branch of
     the report: the recipe point, a zero gain (no zeros, no zero location),
     the critical balance 1/11, where the numerator's top coefficient is
-    exactly 0, and the float after it, where it is -1.4e-17, both inside the
-    1e-14 band of an infinite zero, the atan sigmoid off the origin, a user
-    rate with three shifted-unstable poles, and a pole within 1e-9 of the
-    axis."""
+    exactly 0 and the zero is infinite, and the float after it, where that
+    coefficient is -1.4e-17 and the zero finite, the atan sigmoid off the
+    origin, a user rate with three shifted-unstable poles, and a pole within
+    1e-9 of the axis."""
 
     CASES = {
         "recipe-point": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4"],
@@ -1855,10 +1855,10 @@ class TestAnalyzePins:
         "beta-star": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909091"],
                       "a51b04ecce59d05555b5186795ac9f0c7b020a9afbaafe5034d08cae37c88a12"),
         "beta-star-next": ([*AMP_FLAGS, "--k", "5", "--beta", "0.09090909090909093"],
-                           "db8398def40d626999393441c629538a8f289eb71a3a0d15d94c5b4d3a51fac0"),
+                           "1c34ce0d5b6076427dd48b0b320f58054c73c8439a6cc8679efa2074dc09322f"),
         "atan": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--nonlinearity", "atan",
                   "--r", "0.5"],
-                 "a7112134540368d10171ae6c82b8aec7c3dfebe8f5b51db5eaafbe886e1208b3"),
+                 "73b787e4d60bf98dfcec43562d0918664403c8a26e331b5857981f00e58e18f2"),
         "user-rate": ([*AMP_FLAGS, "--k", "5", "--beta", "0.4", "--lambda", "200"],
                       "5d48fa0a9899f96b3a03fed3a1970b8c622437b061be60ad238b50378a9154ef"),
         "pole-on-axis": (["--tau-l", "0.01", "--tau-p", "0.1", "--tau-n", "1e10", "--k", "5",
@@ -1873,8 +1873,10 @@ class TestAnalyzePins:
         assert code == 0 and _digest(out) == sha
         _assert_json_dumps_bytes(out)
         rep = json.loads(out)
-        if name.startswith("beta-star"):
-            assert rep["zero"] == "infinite"
+        if name == "beta-star":
+            assert rep["zero"] == "infinite" and rep["zeros"] == []
+        elif name == "beta-star-next":
+            assert rep["zero"] == -5.895621330375922e+16
         elif name == "user-rate":
             assert rep["shifted_unstable_poles"] == 3
         elif name == "pole-on-axis":

@@ -427,9 +427,33 @@ class TestSolvePhiLine:
             dense = np.count_nonzero(h[:-1] * h[1:] < 0.0) + np.count_nonzero(h == 0.0)
             assert len(solve_phi_line(phi, 1.0 / g0, r, slope_inverse)) == dense, (g0, r)
 
+    @pytest.mark.parametrize("tag", ["tanh", "atan"])
+    def test_roots_end_at_a_zero_or_a_sign_change(self, tag):
+        # each root is an exact zero of h(y) = phi(y) - slope*y - r, as the
+        # solver evaluates it, or h changes sign between the root and one of
+        # its neighbouring floats; a quarter of the lines pass near a fold
+        phi, _, slope_inverse = get_nonlinearity(tag)
+        rng = np.random.default_rng(39)
+        for i in range(400):
+            sign = float(rng.choice([-1.0, 1.0]))
+            if i % 4:
+                slope = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-1.5, 1.0))
+                r = sign * float(10 ** rng.uniform(-300.0, math.log10(0.5)))
+            else:
+                slope = float(rng.uniform(0.05, 0.95))
+                _, r_fold = fold_point(tag, slope)
+                r = sign * (r_fold + float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-15, -3)))
+            ys = solve_phi_line(phi, slope, r, slope_inverse)
+            assert ys, (slope, r)
+            for y in ys:
+                hy = phi(y) - slope * y - r
+                assert hy == 0.0 or any(
+                    (hy < 0.0) != (phi(n) - slope * n - r < 0.0)
+                    for n in (math.nextafter(y, -math.inf), math.nextafter(y, math.inf))), \
+                    (slope, r, y)
+
     @pytest.mark.parametrize("g0", [1e4, 1e6, 1e12])
     def test_large_roots_end_at_adjacent_floats(self, g0):
-        # past |y| ~ 4500 neighbouring floats are more than 1e-12 apart
         phi, _, slope_inverse = get_nonlinearity("tanh")
         ys = solve_phi_line(phi, 1.0 / g0, 0.3, slope_inverse)
         assert len(ys) == 3

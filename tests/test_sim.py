@@ -270,7 +270,10 @@ class TestIntegrate:
         eqs = p.equilibria(0.05)
         eq = next(e for e in eqs if e.stability == UNSTABLE)
         assert max(z.real for z in eq.eigenvalues) > 1e-2
-        traj = integrate(amp_ss(p), eq.state, InputSchedule.constant(0.05),
+        # an equilibrium within 1 ulp can be a fixed point of the RK4 step to
+        # the bit, so the run starts 1e-9 off it
+        ic = [x + 1e-9 for x in eq.state]
+        traj = integrate(amp_ss(p), ic, InputSchedule.constant(0.05),
                          dt=1e-3, t_end=100.0)
         dist = np.abs(traj.states - np.asarray(eq.state)).max(axis=1)
         assert dist.max() > 1e-3

@@ -256,7 +256,7 @@ def analyze_zero(k, beta, taus=TAUS):
 class TestZeroMixed:
     """The open-loop zero location (2 beta - 1)/(beta (tau_p + tau_n) - tau_p)
     that ``analyze`` reports, n0/n1 of the unit-gain numerator n0 + n1 s, and
-    "infinite" within a few ulps of the critical balance."""
+    "infinite" where n1 is exactly 0."""
 
     def test_balanced_zero_at_origin(self):
         assert analyze_zero(2.0, 0.5)[0] == 0.0
@@ -267,6 +267,25 @@ class TestZeroMixed:
     def test_infinite_at_critical_balance(self):
         assert analyze_zero(5.0, 1.0 / 11.0)[0] == "infinite"
         assert analyze_zero(5.0, 0.1 / 1.1)[0] == "infinite"
+
+    def test_infinite_exactly_without_zeros(self):
+        # within 50 ulps of the critical balance n1 is 0 or a few ulps: the
+        # zero is infinite exactly where the numerator has no root, and
+        # otherwise the negated root
+        outcomes = set()
+        for taus in (TAUS, (0.02, 0.3, 0.7), (2.0, 0.05, 3.0)):
+            beta = taus[1] / (taus[2] + taus[1])
+            for _ in range(50):
+                beta = math.nextafter(beta, -math.inf)
+            for _ in range(101):
+                zero, zeros = analyze_zero(5.0, beta, taus)
+                if zero == "infinite":
+                    assert zeros == []
+                else:
+                    assert zeros == [[-zero, 0.0]]
+                outcomes.add(zero == "infinite")
+                beta = math.nextafter(beta, math.inf)
+        assert outcomes == {True, False}
 
     def test_requires_positive_gain(self):
         assert analyze_zero(0.0, 0.3) == (None, [])
